@@ -1,12 +1,12 @@
 //! Multi-protocol campaign: per-suite throughput over one sweep
 //! engine, TLS deficit columns vs planted truth, and digest identity
-//! across engines and worker counts.
+//! across worker counts.
 //!
 //! The bench world is the usual paper-like OPC UA population plus
 //! [`MultiProtoPlan`]'s TLS-wrapped strata on the `uat-tls` port; one
 //! campaign drives both suites (each with vendor fingerprinting). The
 //! digest asserts — not samples — that the two-suite record stream is
-//! byte-stable at every worker count and on both engines.
+//! byte-stable at every worker count.
 //!
 //! ```sh
 //! BENCH_HOSTS=300 BENCH_UNIVERSE=20 BENCH_WORKERS=1,2,4,8 \
@@ -23,8 +23,8 @@ use bench::{time, write_bench_json, BenchConfig, Json};
 use netsim::{Blocklist, Internet};
 use population::{MultiProtoConfig, MultiProtoPlan, TlsClass};
 use scanner::{
-    OpcUaSuite, ProtocolPayload, ScanConfig, ScanEngine, ScanRecord, Scanner, UatTlsSuite,
-    DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
+    OpcUaSuite, ProtocolPayload, ScanConfig, ScanRecord, Scanner, UatTlsSuite, DEFAULT_OPCUA_PORT,
+    DEFAULT_UATLS_PORT,
 };
 
 /// Order-sensitive digest over a record stream (same fold as the sweep
@@ -59,10 +59,9 @@ fn two_protocol_world(cfg: &BenchConfig) -> (Internet, MultiProtoPlan) {
     (net, plan)
 }
 
-fn two_suite_scanner(net: Internet, workers: usize, engine: ScanEngine) -> Scanner {
+fn two_suite_scanner(net: Internet, workers: usize) -> Scanner {
     let config = ScanConfig::builder()
         .workers(workers)
-        .engine(engine)
         .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
         .suite(
             DEFAULT_UATLS_PORT,
@@ -107,7 +106,7 @@ fn main() {
     let mut last_records = Vec::new();
     for &workers in &cfg.worker_counts {
         let (net, _) = two_protocol_world(&cfg);
-        let scanner = two_suite_scanner(net, workers, ScanEngine::Threaded);
+        let scanner = two_suite_scanner(net, workers);
         let (seconds, (summary, records)) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
         let run_digest = digest(&records, summary.opcua_hosts);
         match &baseline_digest {
@@ -133,19 +132,6 @@ fn main() {
                 .set("digest", Json::str(&run_digest)),
         );
     }
-
-    // Event-loop engine: same bytes as the threaded runs.
-    let (net, _) = two_protocol_world(&cfg);
-    let scanner = two_suite_scanner(net, 1, ScanEngine::EventLoop);
-    let (el_seconds, (el_summary, el_records)) =
-        time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-    let el_digest = digest(&el_records, el_summary.opcua_hosts);
-    assert_eq!(
-        baseline_digest.as_ref(),
-        Some(&el_digest),
-        "event-loop two-suite output diverged from the threaded baseline"
-    );
-    println!("  event_loop: {el_seconds:.3}s, digest matches threaded");
 
     // TLS deficit columns against the planted strata.
     let (_, plan) = two_protocol_world(&cfg);
@@ -184,7 +170,6 @@ fn main() {
         .set("universe_addresses", Json::int(cfg.universe_size() as i64))
         .set("seed", Json::int(cfg.seed as i64))
         .set("deterministic_across_worker_counts", Json::Bool(true))
-        .set("event_loop_digest_matches_threaded", Json::Bool(true))
         .set(
             "tls_but_anonymous",
             Json::int(report.count(Deficit::TlsButAnonymous) as i64),
@@ -196,7 +181,6 @@ fn main() {
         .set("planted_strata", strata)
         .set("per_suite", per_suite)
         .set("best_seconds", Json::Num(best_seconds))
-        .set("event_loop_seconds", Json::Num(el_seconds))
         .set("runs", Json::Arr(runs));
     let path = write_bench_json("multiproto", &out);
     println!("wrote {}", path.display());

@@ -1,8 +1,10 @@
 //! Probe-stack latency, stage by stage.
 //!
-//! Probes every deployed host three times with growing stacks — UACP
-//! hello only, + discovery, + anonymous session & traversal — and
-//! reports wall-clock per-stage latency (the increments between stacks).
+//! Probes every deployed host once with the suite the scan configuration
+//! assigns to its port (OPC UA for ports no suite is registered on, as
+//! referral targets are), timing each stage of the suite's ladder
+//! through `ProbeContext::for_target` + `Probe::run`, and reports
+//! wall-clock per-stage latency plus the whole ladder.
 //!
 //! ```sh
 //! BENCH_HOSTS=200 cargo bench --bench protocol
@@ -10,9 +12,11 @@
 //!
 //! Emits `BENCH_protocol.json`.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use bench::{time, write_bench_json, BenchConfig, Json, Stats};
-use scanner::probe::{default_stack, discovery_stack, UacpProbe};
-use scanner::Probe;
+use scanner::{CertStore, DiscoveredVia, OpcUaSuite, ProbeContext, ProbeOutcome, ScanRecord};
 
 fn main() {
     let cfg = BenchConfig::from_env();
@@ -32,53 +36,65 @@ fn main() {
         population.len()
     );
     let scanner = cfg.scanner(net, 1);
+    let config = scanner.config();
+    let certs = CertStore::new();
 
-    let mut uacp_us = Vec::with_capacity(targets.len());
-    let mut discovery_us = Vec::with_capacity(targets.len());
-    let mut session_us = Vec::with_capacity(targets.len());
+    // Samples per stage name, in ladder order of first appearance.
+    let mut stage_order: Vec<&'static str> = Vec::new();
+    let mut stage_us: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     let mut full_us = Vec::with_capacity(targets.len());
     let (total_seconds, ()) = time(|| {
         for &(addr, port) in &targets {
+            let suite = config
+                .suites
+                .suite_for(port)
+                .cloned()
+                .unwrap_or_else(|| Arc::new(OpcUaSuite::new()));
             let seed = cfg.seed ^ u64::from(addr.0);
-            let mut uacp_only: Vec<Box<dyn Probe>> = vec![Box::new(UacpProbe)];
-            let (t_uacp, _) = time(|| scanner.probe_host(&mut uacp_only, addr, port, seed));
-            let mut discovery = discovery_stack();
-            let (t_disc, _) = time(|| scanner.probe_host(&mut discovery, addr, port, seed));
-            let mut full = default_stack();
-            let (t_full, record) = time(|| scanner.probe_host(&mut full, addr, port, seed));
-            if !record.hello_ok() {
+            let mut ctx =
+                ProbeContext::for_target(scanner.internet(), config, &certs, addr, port, seed);
+            ctx.suite = Arc::clone(&suite);
+            let mut record = ScanRecord::for_target(addr, port, DiscoveredVia::Sweep, 0, 0);
+            record.payload = suite.payload();
+            let mut samples = Vec::new();
+            for mut stage in suite.stack() {
+                let (seconds, outcome) = time(|| stage.run(&mut ctx, &mut record));
+                samples.push((stage.name(), seconds * 1e6));
+                if outcome == ProbeOutcome::Stop {
+                    break;
+                }
+            }
+            if !record.speaks() {
                 continue;
             }
-            uacp_us.push(t_uacp * 1e6);
-            discovery_us.push((t_disc - t_uacp).max(0.0) * 1e6);
-            session_us.push((t_full - t_disc).max(0.0) * 1e6);
-            full_us.push(t_full * 1e6);
+            full_us.push(samples.iter().map(|&(_, us)| us).sum());
+            for (name, us) in samples {
+                if !stage_order.contains(&name) {
+                    stage_order.push(name);
+                }
+                stage_us.entry(name).or_default().push(us);
+            }
         }
     });
 
-    let hosts_per_second = full_us.len() as f64 / total_seconds;
-    for (stage, samples) in [
-        ("uacp", &uacp_us),
-        ("discovery", &discovery_us),
-        ("session", &session_us),
-        ("full_stack", &full_us),
-    ] {
-        let s = Stats::of(samples);
-        println!(
-            "  {stage:<11} mean {:>8.1} µs  p50 {:>8.1} µs  p99 {:>8.1} µs",
-            s.mean, s.p50, s.p99
-        );
-    }
-
-    let out = Json::obj()
+    let mut out = Json::obj()
         .set("bench", Json::str("protocol"))
         .set("hosts_probed", Json::int(full_us.len() as i64))
         .set("seconds", Json::Num(total_seconds))
-        .set("hosts_per_second", Json::Num(hosts_per_second))
-        .set("uacp_micros", Stats::of(&uacp_us).to_json())
-        .set("discovery_micros", Stats::of(&discovery_us).to_json())
-        .set("session_micros", Stats::of(&session_us).to_json())
-        .set("full_stack_micros", Stats::of(&full_us).to_json());
+        .set(
+            "hosts_per_second",
+            Json::Num(full_us.len() as f64 / total_seconds),
+        );
+    stage_order.push("full_stack");
+    stage_us.insert("full_stack", full_us);
+    for stage in stage_order {
+        let s = Stats::of(&stage_us[stage]);
+        println!(
+            "  {stage:<13} mean {:>8.1} µs  p50 {:>8.1} µs  p99 {:>8.1} µs  (n={})",
+            s.mean, s.p50, s.p99, s.n
+        );
+        out = out.set(&format!("{stage}_micros"), s.to_json());
+    }
     let path = write_bench_json("protocol", &out);
     println!("wrote {}", path.display());
 }

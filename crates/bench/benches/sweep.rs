@@ -8,10 +8,10 @@
 //! [`population::LazyWorld`], asserts the digest still matches, and
 //! records the materialization counters so the perf trail shows sweeps
 //! paying only for the hosts probes actually reach.
-//! A final event-loop section runs the timer-wheel engine
-//! (`scanner::sched`) at a fixed in-flight cap and two worker counts,
-//! asserting the digest still matches the threaded baseline and that
-//! throughput tracks the in-flight budget, not `ScanConfig::workers`.
+//! A final section (`event_loop` in the JSON) reruns the campaign at a
+//! fixed per-worker in-flight cap at the lowest and highest worker
+//! counts, asserting the digest still matches and that no event loop's
+//! window overran the cap.
 //!
 //! ```sh
 //! BENCH_HOSTS=300 BENCH_UNIVERSE=20 BENCH_WORKERS=1,2,4,8 \
@@ -22,9 +22,7 @@
 
 use bench::{time, write_bench_json, BenchConfig, Json};
 use netsim::Blocklist;
-use scanner::{
-    CancelToken, CertStore, EngineStats, ScanConfig, ScanEngine, ScanOutcome, ScanRecord, Scanner,
-};
+use scanner::{CancelToken, CertStore, EngineStats, ScanConfig, ScanOutcome, ScanRecord, Scanner};
 
 /// Cheap order-sensitive digest over a record stream — any reordering,
 /// dropped record, or changed payload shifts it.
@@ -40,16 +38,17 @@ fn digest(records: &[ScanRecord], opcua_hosts: u64) -> String {
     )
 }
 
-/// In-flight window for the event-loop runs: large enough to keep the
-/// wheel busy, small enough that the high-water gate means something.
+/// Per-worker in-flight window for the capped runs: large enough to
+/// keep the wheel busy, small enough that the high-water gate means
+/// something.
 const EVENT_LOOP_CAP: usize = 64;
-/// Best-of-N rounds for the event-loop and threaded-reference timings —
-/// each round on a fresh identically-seeded world.
+/// Best-of-N rounds for the capped-run timings — each round on a fresh
+/// identically-seeded world.
 const EVENT_LOOP_ROUNDS: usize = 3;
 
-/// Times the event-loop engine at `workers` on fresh worlds. Returns
-/// the best-of-N wall-clock seconds plus the (identical every round)
-/// digest, record count, and engine counters of the last round.
+/// Times the campaign at `workers` and the fixed cap on fresh worlds.
+/// Returns the best-of-N wall-clock seconds plus the (identical every
+/// round) digest, record count, and engine counters of the last round.
 fn event_loop_run(cfg: &BenchConfig, workers: usize) -> (f64, String, usize, EngineStats) {
     let mut best = f64::INFINITY;
     let mut last = None;
@@ -57,7 +56,6 @@ fn event_loop_run(cfg: &BenchConfig, workers: usize) -> (f64, String, usize, Eng
         let (net, _population) = cfg.build_world();
         let config = ScanConfig {
             workers,
-            engine: ScanEngine::EventLoop,
             max_in_flight: EVENT_LOOP_CAP,
             ..ScanConfig::default()
         };
@@ -171,21 +169,18 @@ fn main() {
         stats.hosts_materialized, stats.keygen_count, stats.bytes_resident_estimate
     );
 
-    // Event-loop engine: the single-threaded timer wheel must produce
-    // the threaded digest at any worker count (the knob is inert for
-    // this engine — throughput tracks the in-flight cap instead), and
-    // it must not lose to the 1-worker threaded reference it replaces.
+    // Capped runs: a small per-worker window must not change a byte,
+    // and no event loop may overrun it.
     let el_low_workers = cfg.worker_counts.first().copied().unwrap_or(1);
     let el_high_workers = cfg.worker_counts.last().copied().unwrap_or(4).max(2);
     let mut el_runs = Vec::new();
-    let mut el_best_seconds = f64::INFINITY;
     let mut el_engine = EngineStats::default();
     for workers in [el_low_workers, el_high_workers] {
         let (seconds, el_digest, n_records, engine) = event_loop_run(&cfg, workers);
         assert_eq!(
             baseline_digest.as_ref(),
             Some(&el_digest),
-            "event-loop output diverged from the threaded baseline at workers={workers}"
+            "capped output diverged from the baseline at workers={workers}"
         );
         assert!(
             engine.in_flight_high_water <= EVENT_LOOP_CAP,
@@ -194,11 +189,10 @@ fn main() {
         );
         let records_per_sec = n_records as f64 / seconds;
         println!(
-            "  event_loop (workers={workers}, cap {EVENT_LOOP_CAP}): {seconds:.3}s, \
+            "  capped (workers={workers}, cap {EVENT_LOOP_CAP}): {seconds:.3}s, \
              {records_per_sec:.0} records/s, high water {}, {} cascades",
             engine.in_flight_high_water, engine.wheel_cascades
         );
-        el_best_seconds = el_best_seconds.min(seconds);
         el_engine = engine;
         el_runs.push(
             Json::obj()
@@ -211,22 +205,6 @@ fn main() {
                 ),
         );
     }
-    // Re-time the 1-worker threaded reference best-of-N so the engine
-    // comparison is noise-robust on both sides (world construction
-    // stays outside the timed region, as everywhere above).
-    let mut threaded_1w_seconds = f64::INFINITY;
-    for _ in 0..EVENT_LOOP_ROUNDS {
-        let (net, _population) = cfg.build_world();
-        let scanner = cfg.scanner(net, 1);
-        let (seconds, _) = time(|| scanner.scan_collect(&cfg.universe, cfg.seed));
-        threaded_1w_seconds = threaded_1w_seconds.min(seconds);
-    }
-    println!(
-        "  threaded reference (workers=1, best of {EVENT_LOOP_ROUNDS}): \
-         {threaded_1w_seconds:.3}s → event loop speedup {:.2}x",
-        threaded_1w_seconds / el_best_seconds
-    );
-
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -261,18 +239,12 @@ fn main() {
                 .set("max_in_flight", Json::int(EVENT_LOOP_CAP as i64))
                 .set("rounds", Json::int(EVENT_LOOP_ROUNDS as i64))
                 .set("runs", Json::Arr(el_runs))
-                .set("digest_matches_threaded", Json::Bool(true))
                 .set(
                     "in_flight_high_water",
                     Json::int(el_engine.in_flight_high_water as i64),
                 )
                 .set("timer_cascades", Json::int(el_engine.wheel_cascades as i64))
-                .set("timers_fired", Json::int(el_engine.timers_fired as i64))
-                .set("threaded_1worker_seconds", Json::Num(threaded_1w_seconds))
-                .set(
-                    "speedup_vs_threaded_1worker",
-                    Json::Num(threaded_1w_seconds / el_best_seconds),
-                ),
+                .set("timers_fired", Json::int(el_engine.timers_fired as i64)),
         );
     let path = write_bench_json("sweep", &out);
     println!("wrote {}", path.display());

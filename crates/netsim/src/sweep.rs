@@ -262,14 +262,15 @@ impl Iterator for PermutedRange {
 
 /// The permuted address walk of one sweep shard, with the flat-index →
 /// address mapping applied but *no* blocklist filtering, listener
-/// probing, or stats: the raw `(walk_step, addr)` sequence that both
-/// sweep drivers share.
+/// probing, or stats: the raw `(walk_step, addr)` sequence that every
+/// sweep driver shares.
 ///
-/// [`SynScanner::sweep_shard`] consumes it eagerly; the event-loop
-/// engine holds one as a *pausable cursor* so admission can stall under
-/// backpressure (bounded in-flight window) and a `SweepCheckpoint` can
-/// record exactly how far the walk got. Walk steps are globally unique
-/// and increasing per shard — the merge key for both engines.
+/// [`SynScanner::sweep_shard`] consumes it eagerly; the scanner's event
+/// loops each hold one as a *pausable cursor* so admission can stall
+/// under backpressure (bounded in-flight window) and a `SweepCheckpoint`
+/// can record exactly how far the emitted records got. Walk steps are
+/// globally unique and increasing per shard — the merge key for sharded
+/// scans.
 #[derive(Debug, Clone)]
 pub struct SweepWalk {
     shard: Option<PermutedShard>,

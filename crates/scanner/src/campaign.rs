@@ -142,7 +142,8 @@ impl Campaign {
     /// Runs the next weekly campaign: pins the clock to the week's
     /// epoch, calls `evolve` with the week index (0 for the initial
     /// campaign — evolution conventionally skips it), then sweeps
-    /// `universe` with a week-derived seed.
+    /// `universe` with a week-derived seed. This is
+    /// [`Self::run_week_resumable`] with a token that never fires.
     ///
     /// Panics if the previous campaign overran the week — a study whose
     /// sweeps are slower than its cadence has no well-defined weekly
@@ -151,41 +152,20 @@ impl Campaign {
     where
         F: FnOnce(u32),
     {
-        let week = self.weeks_run;
-        let target = self.epoch_micros + u64::from(week) * self.config.week_seconds * 1_000_000;
-        let clock = self.scanner.internet().clock();
-        assert!(
-            week == 0 || clock.now_micros() < target,
-            "week {week} campaign would start late: the previous sweep overran the \
-             {}s cadence",
-            self.config.week_seconds
-        );
-        clock.advance_to_micros(target);
-        evolve(week);
-        // A fresh permutation per week (the paper re-randomized each
-        // campaign), still a pure function of (seed, week).
-        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut records = Vec::new();
-        let summary = self
-            .scanner
-            .scan_with_certs(universe, week_seed, &self.certs, |r| records.push(r));
-        self.weeks_run += 1;
-        WeeklyScan {
-            week,
-            summary,
-            records,
+        match self.run_week_resumable(universe, seed, evolve, &CancelToken::new()) {
+            WeekOutcome::Complete(scan) => scan,
+            WeekOutcome::Aborted(_) => unreachable!("week with a fresh CancelToken cannot abort"),
         }
     }
 
-    /// [`Self::run_week`] on the event-driven engine with a
-    /// cancellation hook: the week can be aborted at any record
-    /// boundary and finished later with [`Self::resume_week`].
+    /// [`Self::run_week`] with a cancellation hook: the week can be
+    /// aborted at any record boundary and finished later with
+    /// [`Self::resume_week`].
     ///
-    /// Epoch pinning, evolution, and the week-derived seed are
-    /// identical to [`Self::run_week`]; an abort happens *after* both
-    /// the epoch jump and `evolve`, so the world is already in its
-    /// week-`k` state and must not be evolved again on resume.
-    /// `weeks_run` only advances when the week completes.
+    /// An abort happens *after* both the epoch jump and `evolve`, so the
+    /// world is already in its week-`k` state and must not be evolved
+    /// again on resume. `weeks_run` only advances when the week
+    /// completes.
     pub fn run_week_resumable<F>(
         &mut self,
         universe: &[Cidr],
@@ -207,8 +187,7 @@ impl Campaign {
         );
         clock.advance_to_micros(target);
         evolve(week);
-        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.finish_week(universe, week, week_seed, Vec::new(), None, cancel)
+        self.finish_week(universe, seed, Vec::new(), None, cancel)
     }
 
     /// Continues a week aborted by [`Self::run_week_resumable`] (or a
@@ -224,35 +203,34 @@ impl Campaign {
         checkpoint: WeekCheckpoint,
         cancel: &CancelToken,
     ) -> WeekOutcome {
-        let week = checkpoint.week;
         assert_eq!(
-            week, self.weeks_run,
-            "checkpoint is for week {week} but the campaign is at week {}",
-            self.weeks_run
+            checkpoint.week, self.weeks_run,
+            "checkpoint is for week {} but the campaign is at week {}",
+            checkpoint.week, self.weeks_run
         );
-        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.finish_week(
             universe,
-            week,
-            week_seed,
+            seed,
             checkpoint.records,
             Some(checkpoint.sweep),
             cancel,
         )
     }
 
-    /// Shared tail of the resumable paths: runs (or continues) the
-    /// event-loop scan, stitching `records` in front of whatever it
-    /// emits.
+    /// Shared tail of both paths: runs (or continues) the current
+    /// week's scan, stitching `records` in front of whatever it emits.
     fn finish_week(
         &mut self,
         universe: &[Cidr],
-        week: u32,
-        week_seed: u64,
+        seed: u64,
         mut records: Vec<ScanRecord>,
         resume: Option<SweepCheckpoint>,
         cancel: &CancelToken,
     ) -> WeekOutcome {
+        let week = self.weeks_run;
+        // A fresh permutation per week (the paper re-randomized each
+        // campaign), still a pure function of (seed, week).
+        let week_seed = seed ^ u64::from(week).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let outcome =
             self.scanner
                 .scan_resumable(universe, week_seed, &self.certs, resume, cancel, |r| {

@@ -11,7 +11,7 @@
 //!   default port, the probe-stage ladder, the connect-error taxonomy,
 //!   and the typed [`ProtocolPayload`] for one protocol;
 //!   [`SuiteRegistry`] maps ports to suites so one campaign sweeps
-//!   several protocols over the same engines;
+//!   several protocols over the same engine;
 //! * [`url`] — `opc.tcp://host:port/path` parsing and normalization,
 //!   the canonical form referral deduplication relies on;
 //! * [`pipeline`] — the campaign driver: zmap-style sweep streamed
@@ -20,11 +20,12 @@
 //!   targets after the sweep, with records flowing through a bounded
 //!   channel ([`Scanner::scan_stream`]) so memory stays constant at
 //!   Internet scale;
-//! * [`sched`] — the event-driven scan core: a hierarchical
-//!   [`TimerWheel`] multiplexing per-host probe state machines on one
-//!   thread, [`CancelToken`] cooperative cancellation, and
-//!   [`SweepCheckpoint`] abort/resume — byte-identical to the threaded
-//!   engine per seed at any in-flight cap;
+//! * [`sched`] — the scan engine every campaign runs on: a
+//!   hierarchical [`TimerWheel`] multiplexing per-host probe state
+//!   machines, one event loop per worker merged back into walk order,
+//!   [`CancelToken`] cooperative cancellation, and [`SweepCheckpoint`]
+//!   abort/resume — byte-identical per seed at any worker count and
+//!   in-flight cap;
 //! * [`campaign`] — the longitudinal driver: N weekly sweeps on one
 //!   strictly advancing clock, an evolve hook between campaigns, and a
 //!   study-wide shared [`CertStore`].
@@ -47,7 +48,7 @@ pub use pipeline::{FaultStats, ReferralStats, ScanOutcome, ScanStream, ScanSumma
 // individual stages are an implementation detail of a suite's ladder.
 pub use probe::{
     default_stack, ConfigError, Probe, ProbeContext, ProbeOutcome, RetryPolicy, ScanConfig,
-    ScanConfigBuilder, ScanEngine,
+    ScanConfigBuilder,
 };
 pub use record::{
     DiscoveredVia, EndpointSnapshot, HostOutcome, OpcUaPayload, ProtocolPayload, ScanRecord,

@@ -1,24 +1,24 @@
 //! The end-to-end measurement pipeline: zmap-style sweep → probe stack →
 //! streamed [`ScanRecord`]s.
 //!
-//! Records flow through a *bounded* channel ([`Scanner::scan_stream`]):
-//! the producer blocks when the consumer lags, so memory stays O(channel
-//! capacity) no matter how many of the 2³² addresses answer. For
-//! synchronous use (tests, small universes) [`Scanner::scan_with`] drives
-//! a callback on the caller's thread and [`Scanner::scan_collect`] gathers
-//! everything into a `Vec`.
+//! [`Scanner::scan_resumable`] is the one campaign driver; every other
+//! entry point runs it with a [`CancelToken`] that never fires.
+//! [`Scanner::scan_with`] hands records to a callback on the caller's
+//! thread, [`Scanner::scan_collect`] gathers them into a `Vec`, and
+//! [`Scanner::scan_stream`] pushes them through a *bounded* channel from
+//! a coordinator thread: the producer blocks when the consumer lags, so
+//! memory stays O(channel capacity) no matter how many of the 2³²
+//! addresses answer.
 //!
-//! ## Sharded scanning
+//! ## Workers
 //!
-//! [`ScanConfig::workers`] shards the campaign across N threads: every
-//! worker walks the *same* zmap permutation (the walk is a function of
-//! the seed alone) but probes only the steps `pos % workers == shard`,
-//! running its own probe stack. Records carry their global permutation
-//! step, and the coordinator merges the N sorted shard streams back into
-//! exact discovery order, so the output is **byte-identical for a fixed
-//! seed regardless of worker count**.
-//!
-//! Two invariants make that determinism hold:
+//! Probes run on [`crate::sched`]'s event loops. [`ScanConfig::workers`]
+//! runs N of them on N threads: every loop walks the *same* zmap
+//! permutation (the walk is a function of the seed alone) but admits
+//! only the steps `pos % workers == shard`, and an N-way merge joins the
+//! N sorted streams back into exact discovery order. The output is
+//! **byte-identical for a fixed seed regardless of worker count** (and
+//! of [`ScanConfig::max_in_flight`]), because:
 //!
 //! 1. every host is probed on an independent clock *fork* anchored at
 //!    the campaign epoch ([`netsim::VirtualClock::fork`] via
@@ -38,26 +38,21 @@
 //! everything the sweep already covered, checked against the blocklist,
 //! and probed breadth-first level by level up to
 //! [`ScanConfig::referral_depth`] /  [`ScanConfig::referral_budget`].
-//! Referral records carry [`DiscoveredVia::Referral`] provenance and are
-//! emitted after the sweep records, in deterministic queue order — so the
-//! full output stream stays byte-identical per seed at any worker count.
+//! A level's targets are shared out `i % workers` and merged back into
+//! queue order. Referral records carry [`DiscoveredVia::Referral`]
+//! provenance and are emitted after the sweep records, so the full
+//! output stream stays byte-identical per seed at any worker count.
 
-use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig, ScanEngine};
+use crate::probe::ScanConfig;
 use crate::record::{DiscoveredVia, ScanRecord};
-use crate::sched::{
-    CancelToken, EngineRun, EngineStats, EventLoop, Job, PendingUrl, SweepCheckpoint,
-};
-use crate::suite::{OpcUaSuite, ProtocolSuite};
+use crate::sched::{CancelToken, EngineStats, Job, PendingUrl, PhaseEnv, SweepCheckpoint};
+use crate::suite::ProtocolSuite;
 use crate::url::OpcUrl;
-use netsim::{
-    Blocklist, Cidr, Internet, Ipv4, SweepConfig, SweepStats, SweepWalk, SynScanner, VirtualClock,
-};
+use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepStats, SweepWalk, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ua-lint: allow(unordered-iteration) -- dedup membership only; checkpoint export sorts before emitting
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use ua_crypto::{CertStore, CertStoreStats};
 
@@ -195,11 +190,11 @@ pub struct ScanSummary {
 pub enum ScanOutcome {
     /// The scan ran to completion.
     Complete {
-        /// Campaign summary, byte-identical to the threaded engine's.
+        /// Campaign summary.
         summary: ScanSummary,
-        /// Event-loop scheduler telemetry for this call (timer counts,
-        /// in-flight high-water mark). Not part of the summary because
-        /// the summary must not depend on the engine.
+        /// Scheduler telemetry for this call (timer counts, in-flight
+        /// high-water mark). Not part of the summary because the
+        /// summary must not depend on the worker count or the cap.
         engine: EngineStats,
     },
     /// Cancellation was observed at a safe point. Pass the checkpoint
@@ -209,22 +204,6 @@ pub enum ScanOutcome {
         /// Where to pick the scan back up.
         checkpoint: Box<SweepCheckpoint>,
     },
-}
-
-/// One referral URL waiting to be classified: who announced it, what it
-/// said, and at which chain depth it would be probed.
-struct PendingReferral {
-    from: Ipv4,
-    url: String,
-    depth: u32,
-}
-
-/// A classified, accepted referral probe target.
-struct ReferralTarget {
-    addr: Ipv4,
-    port: u16,
-    from: Ipv4,
-    depth: u32,
 }
 
 /// The campaign driver.
@@ -256,71 +235,9 @@ impl Scanner {
         &self.internet
     }
 
-    /// Probes a single `(address, port)` target with the given probe
-    /// stack, returning the record. Exposed for targeted re-scans and
-    /// tests. Runs on the shared clock; campaign scans instead fork a
-    /// per-host clock (see [`Self::scan_with`]), and campaign referral
-    /// probes additionally carry [`DiscoveredVia::Referral`] provenance.
-    pub fn probe_host(
-        &self,
-        stack: &mut [Box<dyn Probe>],
-        addr: netsim::Ipv4,
-        port: u16,
-        seed: u64,
-    ) -> ScanRecord {
-        // Standalone probes intern into a throwaway store; campaign
-        // scans share one store across every probe (see scan_with).
-        let certs = CertStore::new();
-        let suite: Arc<dyn ProtocolSuite> = Arc::new(OpcUaSuite::new());
-        probe_host_on(
-            &self.internet,
-            &self.config,
-            &certs,
-            &suite,
-            stack,
-            addr,
-            port,
-            DiscoveredVia::Sweep,
-            seed,
-        )
-    }
-
-    /// Probes a target on an independent clock forked from `epoch`,
-    /// returning the record plus the virtual microseconds the probe
-    /// consumed. Record contents depend only on (host, port, seed,
-    /// epoch).
-    #[allow(clippy::too_many_arguments)]
-    fn probe_host_at_epoch(
-        &self,
-        epoch: &VirtualClock,
-        certs: &CertStore,
-        suite: &Arc<dyn ProtocolSuite>,
-        stack: &mut [Box<dyn Probe>],
-        addr: netsim::Ipv4,
-        port: u16,
-        via: DiscoveredVia,
-        seed: u64,
-    ) -> (ScanRecord, u64) {
-        let clock = epoch.fork();
-        let start = clock.now_micros();
-        let internet = self.internet.with_clock(clock.clone());
-        let record = probe_host_on(
-            &internet,
-            &self.config,
-            certs,
-            suite,
-            stack,
-            addr,
-            port,
-            via,
-            seed,
-        );
-        (record, clock.now_micros().saturating_sub(start))
-    }
-
     /// Runs the full campaign synchronously, handing each record to
-    /// `sink` as soon as its host is fully probed — in discovery order,
-    /// which is identical for every [`ScanConfig::workers`] setting.
+    /// `sink` as soon as it is final — in discovery order, which is
+    /// identical for every [`ScanConfig::workers`] setting.
     pub fn scan_with<F>(&self, universe: &[Cidr], seed: u64, sink: F) -> ScanSummary
     where
         F: FnMut(ScanRecord),
@@ -331,164 +248,44 @@ impl Scanner {
         self.scan_with_certs(universe, seed, &CertStore::new(), sink)
     }
 
-    /// [`Self::scan_with`] against a caller-owned certificate interner.
-    /// Longitudinal drivers (see [`crate::Campaign`]) pass the same
-    /// store to every weekly campaign: a certificate that survives the
-    /// week is parsed, thumbprinted, and verified exactly once for the
-    /// whole study, and `summary.certs` reports the *cumulative*
-    /// sighting/distinct counters across campaigns.
+    /// [`Self::scan_with`] against a caller-owned certificate interner:
+    /// a certificate seen by several campaigns sharing the store is
+    /// parsed, thumbprinted, and verified once, and `summary.certs`
+    /// reports the *cumulative* sighting/distinct counters.
     pub fn scan_with_certs<F>(
         &self,
         universe: &[Cidr],
         seed: u64,
         certs: &CertStore,
-        mut sink: F,
+        sink: F,
     ) -> ScanSummary
     where
         F: FnMut(ScanRecord),
     {
-        if self.config.engine == ScanEngine::EventLoop {
-            // The event-loop engine is the resumable path run to
-            // completion; a fresh token never cancels.
-            return match self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink)
-            {
-                ScanOutcome::Complete { summary, .. } => summary,
-                ScanOutcome::Aborted { .. } => {
-                    unreachable!("scan with a fresh CancelToken cannot abort")
-                }
-            };
-        }
-        let mut summary = ScanSummary {
-            started_unix: self.internet.clock().now_unix_seconds(),
-            ..ScanSummary::default()
-        };
-        // Every probed host gets a clock forked from this frozen epoch,
-        // so records cannot observe each other through shared time.
-        let epoch = self.internet.clock().fork();
-        let workers = self.config.effective_workers();
-        let mut probe_micros: u64 = 0;
-        let mut opcua_hosts: u64 = 0;
-        let mut non_opcua_hosts: u64 = 0;
-        let mut fault_stats = FaultStats::default();
-        let mut emit = |record: ScanRecord| {
-            if record.speaks() {
-                opcua_hosts += 1;
-            } else {
-                non_opcua_hosts += 1;
-            }
-            fault_stats.observe(&record);
-            sink(record);
-        };
-        // One full phase (sweep, then referral following for suites that
-        // have it) per registered suite, in ascending port order. Phases
-        // are independent — per-phase frontier and dedup state — so a
-        // mixed registry emits exactly the concatenation of the
-        // single-suite runs.
-        let mut sweep_total = SweepStats::default();
-        let mut referral_total = ReferralStats::default();
-        for (sweep_port, suite) in self.config.effective_suites() {
-            let follows = suite.follows_referrals();
-            // Referral URLs harvested from emitted records, in emission
-            // order — the deterministic seed of the referral queue.
-            let mut frontier: Vec<PendingReferral> = Vec::new();
-            let phase_sweep = {
-                let mut sweep_emit = |record: ScanRecord| {
-                    if follows {
-                        collect_referrals(suite.as_ref(), &record, &mut frontier);
-                    }
-                    emit(record);
-                };
-                if workers == 1 {
-                    // Single shard runs inline: the sweep streams
-                    // responsive addresses straight into the probe
-                    // stack, no threads.
-                    let syn = SynScanner::new(
-                        &self.internet,
-                        &self.blocklist,
-                        self.sweep_config(sweep_port),
-                    );
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut stack = suite.stack();
-                    syn.sweep_shard(universe, &mut rng, 0, 1, |_pos, addr| {
-                        let (record, micros) = self.probe_host_at_epoch(
-                            &epoch,
-                            certs,
-                            &suite,
-                            &mut stack,
-                            addr,
-                            sweep_port,
-                            DiscoveredVia::Sweep,
-                            seed ^ u64::from(addr.0),
-                        );
-                        probe_micros += micros;
-                        sweep_emit(record);
-                    })
-                } else {
-                    self.scan_sharded(
-                        universe,
-                        seed,
-                        workers,
-                        &epoch,
-                        certs,
-                        sweep_port,
-                        &suite,
-                        &mut probe_micros,
-                        &mut sweep_emit,
-                    )
-                }
-            };
-            sweep_total = sweep_total + phase_sweep;
-            if follows {
-                referral_total.absorb(self.follow_referrals(
-                    universe,
-                    seed,
-                    &epoch,
-                    certs,
-                    sweep_port,
-                    &suite,
-                    frontier,
-                    &mut probe_micros,
-                    &mut emit,
-                ));
+        match self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink) {
+            ScanOutcome::Complete { summary, .. } => summary,
+            ScanOutcome::Aborted { .. } => {
+                unreachable!("scan with a fresh CancelToken cannot abort")
             }
         }
-        summary.sweep = sweep_total;
-        summary.referrals = referral_total;
-        summary.opcua_hosts = opcua_hosts;
-        summary.non_opcua_hosts = non_opcua_hosts;
-        summary.faults = fault_stats;
-        summary.certs = certs.stats();
-        // Account campaign time once, from order-independent sums: SYN
-        // pacing in micros — integer-second division would stall the
-        // clock entirely for campaigns shorter than a second of probes —
-        // plus aggregate probe latency.
-        let paced_probes = summary.sweep.probes_sent + summary.referrals.followed;
-        let pacing_micros =
-            paced_probes.saturating_mul(1_000_000) / self.config.probes_per_second.max(1);
-        self.internet.clock().advance_micros(pacing_micros);
-        self.internet.clock().advance_micros(probe_micros);
-        summary.finished_unix = self.internet.clock().now_unix_seconds();
-        summary
     }
 
-    /// Runs the campaign on the event-driven engine (see
-    /// [`crate::sched`]) with cooperative cancellation and
-    /// deterministic abort/resume. Always uses the event loop
-    /// regardless of [`ScanConfig::engine`] — the threaded engine has
-    /// no checkpointable safe points.
+    /// Runs the campaign with cooperative cancellation and
+    /// deterministic abort/resume.
     ///
     /// * `resume: None` starts a fresh scan at the current campaign
     ///   clock instant; `Some(checkpoint)` continues an aborted one
-    ///   (same scanner, same universe, same seed — asserted).
+    ///   (same universe, same seed — asserted — and any worker count).
     /// * `cancel` is polled between timer firings during the sweep and
-    ///   at referral-level boundaries. On cancellation the scan returns
+    ///   at referral-level boundaries; a record budget
+    ///   ([`CancelToken::after_records`]) stops the sweep right after
+    ///   its last record. On cancellation the scan returns
     ///   [`ScanOutcome::Aborted`] *without* advancing the campaign
     ///   clock: in-flight probes are dropped fork-clocks and all, and
     ///   time is only accounted when a scan completes.
     /// * Records emitted before an abort are final. The concatenation
     ///   of the aborted run's records and the resumed run's records is
-    ///   byte-identical to an uninterrupted run (and to the threaded
-    ///   engine at any worker count).
+    ///   byte-identical to an uninterrupted run.
     pub fn scan_resumable<F>(
         &self,
         universe: &[Cidr],
@@ -501,317 +298,181 @@ impl Scanner {
     where
         F: FnMut(ScanRecord),
     {
-        // Rebuild (or initialize) the scan state. Everything an abort
-        // checkpointed is carried forward; a fresh scan starts from the
-        // shared campaign clock like the threaded engine does.
-        let mut sweep_done = false;
-        let mut suite_cursor: usize = 0;
-        let mut resume_filter: Option<ResumeFilter> = None;
-        let mut carried_sweep = SweepStats::default();
-        let mut opcua_hosts: u64 = 0;
-        let mut non_opcua_hosts: u64 = 0;
-        let mut probe_micros: u64 = 0;
-        let mut frontier: Vec<PendingReferral> = Vec::new();
-        let mut ref_stats = ReferralStats::default();
-        let mut fault_stats = FaultStats::default();
-        // ua-lint: allow(unordered-iteration) -- dedup membership; checkpoint_probed sorts before export
-        let mut probed: HashSet<(u32, u16)> = HashSet::new();
-        let (epoch, started_unix) = match resume {
-            None => (
-                self.internet.clock().fork(),
-                self.internet.clock().now_unix_seconds(),
-            ),
+        // The checkpoint *is* the scan state: a fresh scan starts from
+        // an empty one at the shared campaign clock.
+        let mut state = match resume {
             Some(cp) => {
                 assert_eq!(cp.seed, seed, "resume must use the checkpoint's seed");
-                sweep_done = cp.sweep_done;
-                suite_cursor = cp.suite_cursor;
-                if !cp.sweep_done {
-                    resume_filter = Some(ResumeFilter {
-                        next_step: cp.next_step,
-                        pending: cp.in_flight.iter().copied().collect(),
-                    });
-                }
-                carried_sweep = cp.sweep_stats;
-                opcua_hosts = cp.opcua_hosts;
-                non_opcua_hosts = cp.non_opcua_hosts;
-                probe_micros = cp.probe_micros;
-                frontier = cp
-                    .frontier
-                    .into_iter()
-                    .map(|p| PendingReferral {
-                        from: p.from,
-                        url: p.url,
-                        depth: p.depth,
-                    })
-                    .collect();
-                ref_stats = cp.referral_stats;
-                fault_stats = cp.fault_stats;
-                probed = cp
-                    .probed_referrals
-                    .iter()
-                    .map(|&(addr, port)| (addr.0, port))
-                    .collect();
-                (
-                    VirtualClock::starting_at_micros(cp.epoch_micros),
-                    cp.started_unix,
-                )
+                cp
             }
+            None => SweepCheckpoint {
+                seed,
+                epoch_micros: self.internet.clock().now_micros(),
+                started_unix: self.internet.clock().now_unix_seconds(),
+                suite_cursor: 0,
+                sweep_done: false,
+                next_step: 0,
+                sweep_stats: SweepStats::default(),
+                opcua_hosts: 0,
+                non_opcua_hosts: 0,
+                probe_micros: 0,
+                frontier: Vec::new(),
+                referral_stats: ReferralStats::default(),
+                fault_stats: FaultStats::default(),
+                probed_referrals: BTreeSet::new(),
+            },
         };
-        let epoch_micros = epoch.now_micros();
-        let mut engine = EventLoop::new(&self.internet, &self.config, certs, &epoch);
-        let checkpoint_frontier = |frontier: &[PendingReferral]| {
-            frontier
-                .iter()
-                .map(|p| PendingUrl {
-                    from: p.from,
-                    url: p.url.clone(),
-                    depth: p.depth,
-                })
-                .collect()
-        };
-        // ua-lint: allow(unordered-iteration) -- sorted here before it ever reaches a checkpoint
-        let checkpoint_probed = |probed: &HashSet<(u32, u16)>| {
-            let mut v: Vec<(Ipv4, u16)> = probed.iter().map(|&(a, p)| (Ipv4(a), p)).collect();
-            v.sort_by_key(|&(a, p)| (a.0, p));
-            v
-        };
+        // Every probed host gets a clock forked from this frozen epoch,
+        // so records cannot observe each other through shared time.
+        let epoch = VirtualClock::starting_at_micros(state.epoch_micros);
+        let workers = self.config.effective_workers();
+        let mut engine = EngineStats::default();
 
         // One full phase (sweep, then referral levels for suites that
-        // have them) per registered suite, in ascending port order —
-        // mirroring the threaded engine exactly. Phases already behind
-        // `suite_cursor` were completed by the aborted run.
+        // have them) per registered suite, in ascending port order.
+        // Phases are independent — per-phase frontier and dedup state —
+        // so a mixed registry emits exactly the concatenation of the
+        // single-suite runs.
         let suites = self.config.effective_suites();
-        let start_cursor = suite_cursor.min(suites.len());
-        let mut sweep_total = carried_sweep;
-        for (idx, (sweep_port, suite)) in suites.iter().enumerate().skip(start_cursor) {
-            let sweep_port = *sweep_port;
-            engine.set_suite(Arc::clone(suite));
+        while let Some((port, suite)) = suites.get(state.suite_cursor) {
+            let port = *port;
+            let env = PhaseEnv {
+                internet: &self.internet,
+                config: &self.config,
+                certs,
+                epoch: &epoch,
+                suite,
+            };
             let follows = suite.follows_referrals();
-            let phase_sweep_done = idx == start_cursor && sweep_done;
-            if !phase_sweep_done {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut jobs = SweepJobs {
-                    walk: SweepWalk::new(universe, &mut rng, 0, 1),
-                    internet: &self.internet,
-                    blocklist: &self.blocklist,
-                    port: sweep_port,
-                    seed,
-                    stats: SweepStats::default(),
-                    cursor: 0,
-                    resume: if idx == start_cursor {
-                        resume_filter.take()
-                    } else {
-                        None
+            if !state.sweep_done {
+                let resume_at = state.next_step;
+                let step = env.run_shards(
+                    workers,
+                    Some(cancel),
+                    |shard| SweepJobs {
+                        walk: SweepWalk::new(
+                            universe,
+                            &mut StdRng::seed_from_u64(seed),
+                            shard as u64,
+                            workers as u64,
+                        ),
+                        internet: &self.internet,
+                        blocklist: &self.blocklist,
+                        port,
+                        seed,
+                        resume_at,
+                        stats: SweepStats::default(),
                     },
-                };
-                let run = engine.run(&mut jobs, Some(cancel), &mut |_, record, micros| {
-                    probe_micros += micros;
-                    // ua-lint: allow(panic-hygiene) -- sweep admission only emits jobs with a listener
-                    let record = record.expect("sweep jobs always have a listener");
-                    if record.speaks() {
-                        opcua_hosts += 1;
-                    } else {
-                        non_opcua_hosts += 1;
-                    }
-                    fault_stats.observe(&record);
-                    if follows {
-                        collect_referrals(suite.as_ref(), &record, &mut frontier);
-                    }
-                    sink(record);
-                    cancel.notch();
-                });
-                match run {
-                    EngineRun::Cancelled { unemitted } => {
-                        return ScanOutcome::Aborted {
-                            checkpoint: Box::new(SweepCheckpoint {
-                                seed,
-                                epoch_micros,
-                                started_unix,
-                                suite_cursor: idx,
-                                sweep_done: false,
-                                next_step: jobs.cursor,
-                                in_flight: unemitted,
-                                sweep_stats: sweep_total + jobs.stats,
-                                opcua_hosts,
-                                non_opcua_hosts,
-                                probe_micros,
-                                frontier: checkpoint_frontier(&frontier),
-                                referral_stats: ref_stats,
-                                fault_stats,
-                                probed_referrals: checkpoint_probed(&probed),
-                            }),
-                        };
-                    }
-                    EngineRun::Complete => sweep_total = sweep_total + jobs.stats,
+                    &mut |pos, record, micros| {
+                        // ua-lint: allow(panic-hygiene) -- sweep admission only emits jobs with a listener
+                        let record = record.expect("sweep jobs always have a listener");
+                        state.probe_micros += micros;
+                        state.count(&record);
+                        if follows {
+                            collect_referrals(suite.as_ref(), &record, &mut state.frontier);
+                        }
+                        sink(record);
+                        state.next_step = pos + 1;
+                        cancel.notch();
+                        !cancel.is_cancelled()
+                    },
+                );
+                engine.absorb(step.engine);
+                if !step.complete {
+                    return ScanOutcome::Aborted {
+                        checkpoint: Box::new(state),
+                    };
                 }
+                for jobs in &step.jobs {
+                    state.sweep_stats = state.sweep_stats + jobs.stats;
+                }
+                state.sweep_done = true;
             }
 
             // Referral phase: levels are atomic (cancellation lands on
-            // level boundaries), targets within a level run on the wheel.
-            // Suites without referral following skip straight to the
-            // next phase — their frontier is never populated.
+            // level boundaries). Suites without referral following skip
+            // straight to the next phase.
             if follows {
                 loop {
                     if cancel.is_cancelled() {
                         return ScanOutcome::Aborted {
-                            checkpoint: Box::new(SweepCheckpoint {
-                                seed,
-                                epoch_micros,
-                                started_unix,
-                                suite_cursor: idx,
-                                sweep_done: true,
-                                next_step: 0,
-                                in_flight: Vec::new(),
-                                sweep_stats: sweep_total,
-                                opcua_hosts,
-                                non_opcua_hosts,
-                                probe_micros,
-                                frontier: checkpoint_frontier(&frontier),
-                                referral_stats: ref_stats,
-                                fault_stats,
-                                probed_referrals: checkpoint_probed(&probed),
-                            }),
+                            checkpoint: Box::new(state),
                         };
                     }
-                    if frontier.is_empty() {
+                    if state.frontier.is_empty() {
                         break;
                     }
-                    let level = self.classify_level(
-                        universe,
-                        sweep_port,
-                        &mut frontier,
-                        &mut ref_stats,
-                        &mut probed,
-                    );
-                    let mut jobs = level.iter().enumerate().map(|(i, t)| Job {
-                        ordinal: i as u64,
-                        addr: t.addr,
-                        port: t.port,
-                        via: DiscoveredVia::Referral {
-                            from: t.from,
-                            depth: t.depth,
-                        },
-                        seed: referral_seed(seed, t.addr, t.port),
-                        listening: self.internet.has_listener(t.addr, t.port),
-                    });
-                    let run = engine.run(&mut jobs, None, &mut |_, record, micros| {
-                        probe_micros += micros;
-                        match record {
-                            None => ref_stats.dead += 1,
-                            Some(record) => {
-                                if record.speaks() {
-                                    ref_stats.opcua_hosts += 1;
-                                    opcua_hosts += 1;
-                                } else {
-                                    ref_stats.non_opcua_hosts += 1;
-                                    non_opcua_hosts += 1;
+                    let level = self.classify_level(universe, port, seed, &mut state);
+                    let shards = workers.min(level.len()).max(1);
+                    let step = env.run_shards(
+                        shards,
+                        None,
+                        |shard| level.iter().skip(shard).step_by(shards).copied(),
+                        &mut |_, record, micros| {
+                            state.probe_micros += micros;
+                            match record {
+                                None => state.referral_stats.dead += 1,
+                                Some(record) => {
+                                    if record.speaks() {
+                                        state.referral_stats.opcua_hosts += 1;
+                                    } else {
+                                        state.referral_stats.non_opcua_hosts += 1;
+                                    }
+                                    state.count(&record);
+                                    collect_referrals(suite.as_ref(), &record, &mut state.frontier);
+                                    sink(record);
+                                    cancel.notch();
                                 }
-                                fault_stats.observe(&record);
-                                collect_referrals(suite.as_ref(), &record, &mut frontier);
-                                sink(record);
-                                cancel.notch();
                             }
-                        }
-                    });
-                    debug_assert!(matches!(run, EngineRun::Complete));
+                            true
+                        },
+                    );
+                    engine.absorb(step.engine);
                 }
             }
-            // The next phase deduplicates referrals afresh, exactly like
-            // the threaded engine's per-phase `follow_referrals` state.
-            probed.clear();
+            state.suite_cursor += 1;
+            state.sweep_done = false;
+            state.next_step = 0;
+            state.probed_referrals.clear();
         }
-        let sweep_stats = sweep_total;
 
-        // Completion: account campaign time exactly as the threaded
-        // engine does, from the same order-independent sums.
+        // Completion: account campaign time once, from order-independent
+        // sums: SYN pacing in micros — integer-second division would
+        // stall the clock entirely for campaigns shorter than a second of
+        // probes — plus aggregate probe latency.
         let mut summary = ScanSummary {
-            sweep: sweep_stats,
-            referrals: ref_stats,
-            opcua_hosts,
-            non_opcua_hosts,
+            sweep: state.sweep_stats,
+            referrals: state.referral_stats,
+            opcua_hosts: state.opcua_hosts,
+            non_opcua_hosts: state.non_opcua_hosts,
             certs: certs.stats(),
-            started_unix,
+            started_unix: state.started_unix,
             finished_unix: 0,
-            faults: fault_stats,
+            faults: state.fault_stats,
         };
         let paced_probes = summary.sweep.probes_sent + summary.referrals.followed;
         let pacing_micros =
             paced_probes.saturating_mul(1_000_000) / self.config.probes_per_second.max(1);
         self.internet.clock().advance_micros(pacing_micros);
-        self.internet.clock().advance_micros(probe_micros);
+        self.internet.clock().advance_micros(state.probe_micros);
         summary.finished_unix = self.internet.clock().now_unix_seconds();
-        ScanOutcome::Complete {
-            summary,
-            engine: engine.stats(),
-        }
+        ScanOutcome::Complete { summary, engine }
     }
 
-    /// The referral phase: classifies every announced URL, then probes
-    /// accepted targets breadth-first, level by level. Targets within a
-    /// level are probed across [`ScanConfig::workers`] threads and
-    /// merged back into queue order, so emission order — and therefore
-    /// the full record stream — is independent of the worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn follow_referrals<F>(
-        &self,
-        universe: &[Cidr],
-        seed: u64,
-        epoch: &VirtualClock,
-        certs: &CertStore,
-        sweep_port: u16,
-        suite: &Arc<dyn ProtocolSuite>,
-        mut frontier: Vec<PendingReferral>,
-        probe_micros: &mut u64,
-        mut emit: F,
-    ) -> ReferralStats
-    where
-        F: FnMut(ScanRecord),
-    {
-        let mut stats = ReferralStats::default();
-        // (address, port) pairs probed by the referral phase itself;
-        // sweep coverage is checked structurally (port + universe).
-        // ua-lint: allow(unordered-iteration) -- dedup membership only, never iterated
-        let mut probed: HashSet<(u32, u16)> = HashSet::new();
-        while !frontier.is_empty() {
-            let level =
-                self.classify_level(universe, sweep_port, &mut frontier, &mut stats, &mut probed);
-            for (maybe_record, micros) in
-                self.probe_referral_level(&level, epoch, certs, suite, seed)
-            {
-                *probe_micros += micros;
-                match maybe_record {
-                    None => stats.dead += 1,
-                    Some(record) => {
-                        if record.speaks() {
-                            stats.opcua_hosts += 1;
-                        } else {
-                            stats.non_opcua_hosts += 1;
-                        }
-                        collect_referrals(suite.as_ref(), &record, &mut frontier);
-                        emit(record);
-                    }
-                }
-            }
-        }
-        stats
-    }
-
-    /// Classifies one drained referral frontier into the accepted probe
-    /// targets for the next breadth-first level. This is the single
-    /// copy of the disposition logic (unfollowable → blocklist → dedup
-    /// → depth/budget) shared by the threaded referral phase and the
-    /// event-loop engine — one copy, so the two engines cannot drift.
+    /// Classifies the drained referral frontier into the probe jobs of
+    /// the next breadth-first level (ordinal = queue position):
+    /// unfollowable → blocklist → dedup → depth/budget, every announced
+    /// URL landing in exactly one [`ReferralStats`] bucket.
     fn classify_level(
         &self,
         universe: &[Cidr],
         sweep_port: u16,
-        frontier: &mut Vec<PendingReferral>,
-        stats: &mut ReferralStats,
-        // ua-lint: allow(unordered-iteration) -- dedup membership only, never iterated
-        probed: &mut HashSet<(u32, u16)>,
-    ) -> Vec<ReferralTarget> {
-        let mut level: Vec<ReferralTarget> = Vec::new();
-        for pending in frontier.drain(..) {
+        seed: u64,
+        state: &mut SweepCheckpoint,
+    ) -> Vec<Job> {
+        let stats = &mut state.referral_stats;
+        let mut level: Vec<Job> = Vec::new();
+        for pending in state.frontier.drain(..) {
             stats.urls_announced += 1;
             let Some((addr, port)) = OpcUrl::parse(&pending.url).ok().and_then(|u| u.target())
             else {
@@ -828,7 +489,7 @@ impl Scanner {
             // referral probes — this is what terminates A→B→A
             // loops.
             let swept = port == sweep_port && universe.iter().any(|c| c.contains(addr));
-            if swept || probed.contains(&(addr.0, port)) {
+            if swept || state.probed_referrals.contains(&(addr, port)) {
                 stats.already_probed += 1;
                 continue;
             }
@@ -838,182 +499,22 @@ impl Scanner {
                 stats.truncated += 1;
                 continue;
             }
-            probed.insert((addr.0, port));
+            state.probed_referrals.insert((addr, port));
             stats.followed += 1;
             stats.max_depth = stats.max_depth.max(pending.depth);
-            level.push(ReferralTarget {
+            level.push(Job {
+                ordinal: level.len() as u64,
                 addr,
                 port,
-                from: pending.from,
-                depth: pending.depth,
+                via: DiscoveredVia::Referral {
+                    from: pending.from,
+                    depth: pending.depth,
+                },
+                seed: referral_seed(seed, addr, port),
+                listening: self.internet.has_listener(addr, port),
             });
         }
         level
-    }
-
-    /// Probes one referral level, returning `(record, micros)` per
-    /// target in target order — `None` for dead targets (nothing
-    /// listening; charged one SYN timeout). With more than one worker,
-    /// targets are probed on `index % workers` threads; per-host clock
-    /// forks make the results order-independent, so placing them back by
-    /// index reproduces the sequential output exactly.
-    fn probe_referral_level(
-        &self,
-        targets: &[ReferralTarget],
-        epoch: &VirtualClock,
-        certs: &CertStore,
-        suite: &Arc<dyn ProtocolSuite>,
-        seed: u64,
-    ) -> Vec<(Option<ScanRecord>, u64)> {
-        let workers = self.config.effective_workers().min(targets.len().max(1));
-        let probe_one = |stack: &mut Vec<Box<dyn Probe>>, t: &ReferralTarget| {
-            if !self.internet.has_listener(t.addr, t.port) {
-                // Dead target: charge exactly what the failed connect
-                // costs under the simulator's TCP model — one RTT for a
-                // refused port on a live host, a full SYN timeout when
-                // no host answers — measured on a throwaway clock fork.
-                let clock = epoch.fork();
-                let start = clock.now_micros();
-                let _ = self.internet.with_clock(clock.clone()).connect(
-                    self.config.scanner_address,
-                    t.addr,
-                    t.port,
-                );
-                return (None, clock.now_micros().saturating_sub(start));
-            }
-            let via = DiscoveredVia::Referral {
-                from: t.from,
-                depth: t.depth,
-            };
-            let (record, micros) = self.probe_host_at_epoch(
-                epoch,
-                certs,
-                suite,
-                stack,
-                t.addr,
-                t.port,
-                via,
-                referral_seed(seed, t.addr, t.port),
-            );
-            (Some(record), micros)
-        };
-        if workers == 1 {
-            let mut stack = suite.stack();
-            return targets.iter().map(|t| probe_one(&mut stack, t)).collect();
-        }
-        let mut results: Vec<(Option<ScanRecord>, u64)> = Vec::new();
-        results.resize_with(targets.len(), || (None, 0));
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            for shard in 0..workers {
-                let tx = tx.clone();
-                let probe_one = &probe_one;
-                scope.spawn(move || {
-                    let mut stack = suite.stack();
-                    for (i, t) in targets.iter().enumerate().skip(shard).step_by(workers) {
-                        let _ = tx.send((i, probe_one(&mut stack, t)));
-                    }
-                });
-            }
-            drop(tx);
-            for (i, outcome) in rx {
-                results[i] = outcome;
-            }
-        });
-        results
-    }
-
-    /// The multi-worker engine: N scoped threads each sweep their shard
-    /// of the permutation and probe their hosts; the coordinator merges
-    /// the N position-sorted streams back into global discovery order.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_sharded<F>(
-        &self,
-        universe: &[Cidr],
-        seed: u64,
-        workers: usize,
-        epoch: &VirtualClock,
-        certs: &CertStore,
-        sweep_port: u16,
-        suite: &Arc<dyn ProtocolSuite>,
-        probe_micros: &mut u64,
-        mut emit: F,
-    ) -> SweepStats
-    where
-        F: FnMut(ScanRecord),
-    {
-        let capacity = self.config.effective_channel_capacity();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut rxs = Vec::with_capacity(workers);
-            for shard in 0..workers {
-                let (tx, rx) = mpsc::sync_channel::<ShardItem>(capacity);
-                rxs.push(rx);
-                let epoch = epoch.clone();
-                let suite = Arc::clone(suite);
-                handles.push(scope.spawn(move || {
-                    let syn = SynScanner::new(
-                        &self.internet,
-                        &self.blocklist,
-                        self.sweep_config(sweep_port),
-                    );
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut stack = suite.stack();
-                    syn.sweep_shard(
-                        universe,
-                        &mut rng,
-                        shard as u64,
-                        workers as u64,
-                        |pos, addr| {
-                            let (record, micros) = self.probe_host_at_epoch(
-                                &epoch,
-                                certs,
-                                &suite,
-                                &mut stack,
-                                addr,
-                                sweep_port,
-                                DiscoveredVia::Sweep,
-                                seed ^ u64::from(addr.0),
-                            );
-                            // A dropped coordinator means the scan was
-                            // abandoned; keep sweeping for the stats.
-                            let _ = tx.send((pos, record, micros));
-                        },
-                    )
-                }));
-            }
-            // N-way merge: each shard stream is sorted by permutation
-            // position and positions are globally unique, so repeatedly
-            // emitting the smallest head reproduces discovery order
-            // exactly. Blocking on one shard is fine — the others run
-            // ahead into their bounded buffers.
-            let mut heads: Vec<Option<ShardItem>> = rxs.iter().map(|rx| rx.recv().ok()).collect();
-            while let Some(next) = heads
-                .iter()
-                .enumerate()
-                .filter_map(|(i, h)| h.as_ref().map(|(pos, _, _)| (*pos, i)))
-                .min()
-                .map(|(_, i)| i)
-            {
-                // ua-lint: allow(panic-hygiene) -- `next` was selected because this head is Some
-                let (_pos, record, micros) = heads[next].take().expect("head present");
-                *probe_micros += micros;
-                emit(record);
-                heads[next] = rxs[next].recv().ok();
-            }
-            handles
-                .into_iter()
-                // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the coordinating thread
-                .map(|h| h.join().expect("scan shard panicked"))
-                .fold(SweepStats::default(), |acc, s| acc + s)
-        })
-    }
-
-    fn sweep_config(&self, port: u16) -> SweepConfig {
-        SweepConfig {
-            probes_per_second: self.config.probes_per_second,
-            port,
-        }
     }
 
     /// Convenience: runs [`Self::scan_with`] and collects all records.
@@ -1024,13 +525,13 @@ impl Scanner {
     }
 
     /// Runs the campaign on a coordinator thread (plus
-    /// [`ScanConfig::workers`] shard threads), streaming records through
-    /// a bounded channel. Iterate the returned [`ScanStream`] to consume
-    /// records as they are produced; call [`ScanStream::finish`] for the
-    /// summary. Record order is identical to [`Self::scan_with`] for any
-    /// worker count — shards merge back into discovery order.
+    /// [`ScanConfig::workers`] event-loop threads when there are more
+    /// than one), streaming records through a bounded channel. Iterate
+    /// the returned [`ScanStream`] to consume records as they are
+    /// produced; call [`ScanStream::finish`] for the summary. Record
+    /// order is identical to [`Self::scan_with`] for any worker count.
     pub fn scan_stream(self, universe: Vec<Cidr>, seed: u64) -> ScanStream {
-        let (tx, rx) = mpsc::sync_channel(self.config.channel_capacity.max(1));
+        let (tx, rx) = mpsc::sync_channel(self.config.effective_channel_capacity());
         let handle = std::thread::spawn(move || {
             self.scan_with(&universe, seed, |record| {
                 // A dropped receiver means the consumer stopped caring;
@@ -1045,52 +546,32 @@ impl Scanner {
     }
 }
 
-/// One merged unit from a shard: (global permutation step, record,
-/// virtual probe microseconds).
-type ShardItem = (u64, ScanRecord, u64);
-
-/// Resume filter over the permutation walk: steps before `next_step`
-/// were already examined by the aborted run — they are skipped unless
-/// listed in `pending` (admitted but never emitted, so they must be
-/// fully re-probed).
-struct ResumeFilter {
-    next_step: u64,
-    // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
-    pending: HashSet<u64>,
+impl SweepCheckpoint {
+    /// Folds one emitted record into the host and fault counters.
+    fn count(&mut self, record: &ScanRecord) {
+        if record.speaks() {
+            self.opcua_hosts += 1;
+        } else {
+            self.non_opcua_hosts += 1;
+        }
+        self.fault_stats.observe(record);
+    }
 }
 
-/// Admission-side adapter for the event-loop engine: walks the zmap
-/// permutation and replicates `SynScanner::sweep_shard`'s
-/// classification (blocklist → probe counted → listener check, in
-/// exactly that order) so the sweep counters stay byte-identical to the
-/// threaded engine's. Owns the counters and the walk cursor so the
-/// engine can checkpoint mid-walk.
+/// Admission side of one sweep shard: walks the shard's steps of the
+/// zmap permutation and classifies each address exactly like
+/// `netsim::SynScanner::sweep_shard` (blocklist → probe counted →
+/// listener check, in that order), so the counters sum to the sweep's.
+/// A resumed sweep recounts every step but admits only steps from
+/// `resume_at` on.
 struct SweepJobs<'a> {
     walk: SweepWalk,
     internet: &'a Internet,
     blocklist: &'a Blocklist,
     port: u16,
     seed: u64,
-    /// Counters for every step this iterator examined (resume catch-up
-    /// steps are *not* recounted — the checkpoint already has them).
+    resume_at: u64,
     stats: SweepStats,
-    /// First walk step not yet examined; becomes the checkpoint's
-    /// `next_step` on abort.
-    cursor: u64,
-    resume: Option<ResumeFilter>,
-}
-
-impl SweepJobs<'_> {
-    fn job(&self, pos: u64, addr: Ipv4) -> Job {
-        Job {
-            ordinal: pos,
-            addr,
-            port: self.port,
-            via: DiscoveredVia::Sweep,
-            seed: self.seed ^ u64::from(addr.0),
-            listening: true,
-        }
-    }
 }
 
 impl Iterator for SweepJobs<'_> {
@@ -1099,19 +580,6 @@ impl Iterator for SweepJobs<'_> {
     fn next(&mut self) -> Option<Job> {
         loop {
             let (pos, addr) = self.walk.next()?;
-            self.cursor = pos + 1;
-            if let Some(filter) = &self.resume {
-                if pos < filter.next_step {
-                    // Settled by the aborted run — its stats already
-                    // cover this step — unless it was still in flight,
-                    // in which case it is re-admitted (and only
-                    // re-admitted: no recounting).
-                    if filter.pending.contains(&pos) {
-                        return Some(self.job(pos, addr));
-                    }
-                    continue;
-                }
-            }
             if self.blocklist.contains(addr) {
                 self.stats.blocklisted += 1;
                 continue;
@@ -1119,7 +587,16 @@ impl Iterator for SweepJobs<'_> {
             self.stats.probes_sent += 1;
             if self.internet.has_listener(addr, self.port) {
                 self.stats.responsive += 1;
-                return Some(self.job(pos, addr));
+                if pos >= self.resume_at {
+                    return Some(Job {
+                        ordinal: pos,
+                        addr,
+                        port: self.port,
+                        via: DiscoveredVia::Sweep,
+                        seed: self.seed ^ u64::from(addr.0),
+                        listening: true,
+                    });
+                }
             }
         }
     }
@@ -1131,11 +608,11 @@ impl Iterator for SweepJobs<'_> {
 fn collect_referrals(
     suite: &dyn ProtocolSuite,
     record: &ScanRecord,
-    frontier: &mut Vec<PendingReferral>,
+    frontier: &mut Vec<PendingUrl>,
 ) {
     let depth = record.via.depth() + 1;
     for url in suite.referrals(record) {
-        frontier.push(PendingReferral {
+        frontier.push(PendingUrl {
             from: record.address,
             url: url.clone(),
             depth,
@@ -1148,48 +625,6 @@ fn collect_referrals(
 /// probe order or worker count.
 fn referral_seed(seed: u64, addr: Ipv4, port: u16) -> u64 {
     seed ^ u64::from(addr.0) ^ (u64::from(port) << 32)
-}
-
-/// Probes a `(addr, port)` target through `internet` (whichever clock it
-/// carries) with `suite`'s payload template and `stack`, filling in the
-/// transport accounting.
-#[allow(clippy::too_many_arguments)]
-fn probe_host_on(
-    internet: &Internet,
-    config: &ScanConfig,
-    certs: &CertStore,
-    suite: &Arc<dyn ProtocolSuite>,
-    stack: &mut [Box<dyn Probe>],
-    addr: netsim::Ipv4,
-    port: u16,
-    via: DiscoveredVia,
-    seed: u64,
-) -> ScanRecord {
-    let mut record = ScanRecord::for_target(
-        addr,
-        port,
-        via,
-        internet.as_number(addr),
-        internet.clock().now_unix_seconds(),
-    );
-    record.payload = suite.payload();
-    let mut ctx = ProbeContext::for_target(internet, config, certs, addr, port, seed);
-    ctx.suite = Arc::clone(suite);
-    for probe in stack.iter_mut() {
-        if probe.run(&mut ctx, &mut record) == ProbeOutcome::Stop {
-            break;
-        }
-    }
-    // Added, not assigned: stages that opened side connections (the
-    // vendor-fingerprint stage) have already folded their traffic in via
-    // `ScanRecord::account`.
-    if let Some(client) = &ctx.client {
-        record.requests += client.requests_sent();
-        let stats = client.stats();
-        record.tx_bytes += stats.tx_bytes;
-        record.rx_bytes += stats.rx_bytes;
-    }
-    record
 }
 
 /// Iterator over streamed scan records (see [`Scanner::scan_stream`]).

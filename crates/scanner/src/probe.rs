@@ -27,28 +27,6 @@ use ua_types::{
 /// campaigns can diff reported versions.
 const SERVER_SOFTWARE_VERSION_NODE: u32 = 2264;
 
-/// Which probe engine drives a campaign.
-///
-/// Both engines run the same stack over the same permutation with
-/// per-host clock forks, so output is byte-identical per seed; they
-/// differ only in *how* probes are multiplexed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanEngine {
-    /// The reference implementation: responsive hosts are sharded across
-    /// [`ScanConfig::workers`] OS threads, each running its probe stack
-    /// to completion with blocking I/O.
-    #[default]
-    Threaded,
-    /// The event-driven core: every probe is a state machine
-    /// (SYN → hello → endpoints → FindServers → session) multiplexed
-    /// over a hierarchical timer wheel on a single thread, with
-    /// admission bounded by [`ScanConfig::max_in_flight`]. Throughput
-    /// tracks the in-flight budget instead of the worker count
-    /// ([`ScanConfig::workers`] is ignored), and campaigns become
-    /// abortable/resumable via `scanner::sched`.
-    EventLoop,
-}
-
 /// Connect-phase retry/backoff policy: how hard the scanner fights a
 /// hostile network before writing a host off.
 ///
@@ -57,7 +35,7 @@ pub enum ScanEngine {
 /// pre-retry pipeline. All waiting happens on the probe's private clock
 /// fork and the backoff jitter derives from the per-target seed, so a
 /// hostile campaign is still a pure function of the campaign seed at
-/// any worker count, on either engine.
+/// any worker count and in-flight cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Connect attempts per target (0 is treated as 1). 1 = never
@@ -129,9 +107,12 @@ pub struct ScanConfig {
     /// only proceeds where servers advertise credential-less access).
     pub attempt_session: bool,
     /// Bounded capacity of the record channel in streaming scans (also
-    /// the per-shard buffer in sharded scans).
+    /// each worker's result buffer when several workers run).
     pub channel_capacity: usize,
-    /// Worker threads the campaign is sharded across. Output is
+    /// Event loops the campaign is sharded across: 1 runs inline on the
+    /// caller's thread; N runs N loops on N threads, loop `s` taking the
+    /// walk steps `pos % N == s` (and each referral level's targets
+    /// `i % N == s`), merged back into walk order. Output is
     /// byte-identical for a fixed seed regardless of this knob — it only
     /// changes how many cores the probe stacks use. 0 is treated as 1.
     pub workers: usize,
@@ -143,12 +124,10 @@ pub struct ScanConfig {
     /// safety budget against referral storms; targets beyond it are
     /// counted as truncated, never probed.
     pub referral_budget: usize,
-    /// Which probe engine drives the campaign. Output is byte-identical
-    /// per seed either way.
-    pub engine: ScanEngine,
-    /// Event-loop engine only: the bound on the admitted-but-unemitted
-    /// probe window (admission stalls when it is full — the engine's
-    /// backpressure against a slow record sink). 0 is treated as 1.
+    /// Per-worker bound on the admitted-but-unemitted probe window:
+    /// each event loop stalls admission while this many of its targets
+    /// are in flight (the backpressure against a slow record sink).
+    /// Output does not depend on it. 0 is treated as 1.
     pub max_in_flight: usize,
     /// Connect-phase retry/backoff policy (defaults to a single polite
     /// attempt — see [`RetryPolicy`]).
@@ -173,7 +152,6 @@ impl Default for ScanConfig {
             workers: 1,
             referral_depth: 4,
             referral_budget: 4096,
-            engine: ScanEngine::default(),
             max_in_flight: 256,
             retry: RetryPolicy::default(),
             suites: SuiteRegistry::new(),
@@ -183,7 +161,7 @@ impl Default for ScanConfig {
 
 impl ScanConfig {
     /// A validating builder over the default configuration — the
-    /// literal-free way to assemble the (by now) 14-field config. Plain
+    /// literal-free way to assemble the (by now) 13-field config. Plain
     /// struct literals over [`ScanConfig::default`] keep working; the
     /// builder adds up-front validation and does the zero-normalization
     /// once instead of at every use site.
@@ -193,8 +171,8 @@ impl ScanConfig {
         }
     }
 
-    /// Worker thread count with the "0 is treated as 1" normalization
-    /// applied — the single place both engines get it from.
+    /// Worker count with the "0 is treated as 1" normalization applied —
+    /// the single place the scan driver gets it from.
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
     }
@@ -301,7 +279,7 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Worker thread count (0 normalized to 1 at build).
+    /// Event-loop count (0 normalized to 1 at build).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -319,13 +297,7 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Which probe engine drives the campaign.
-    pub fn engine(mut self, engine: ScanEngine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
-    /// Event-loop in-flight cap (0 normalized to 1 at build).
+    /// Per-worker in-flight cap (0 normalized to 1 at build).
     pub fn max_in_flight(mut self, cap: usize) -> Self {
         self.cfg.max_in_flight = cap;
         self
@@ -351,8 +323,8 @@ impl ScanConfigBuilder {
 
     /// Validates and finishes the configuration. The zero-means-one
     /// knobs (`workers`, `max_in_flight`, `channel_capacity`,
-    /// `retry.max_attempts`) are normalized here, once, so engines can
-    /// rely on the invariant instead of re-checking at every use.
+    /// `retry.max_attempts`) are normalized here, once, so the driver
+    /// can rely on the invariant instead of re-checking at every use.
     pub fn build(self) -> Result<ScanConfig, ConfigError> {
         let mut cfg = self.cfg;
         cfg.workers = cfg.workers.max(1);
@@ -392,8 +364,8 @@ pub struct ProbeContext<'a> {
     /// Per-target nonce seed.
     pub seed: u64,
     /// The protocol suite driving this probe — owns the connect-error
-    /// classification (defaults to plain OPC UA; engines install the
-    /// registered suite before the first stage runs).
+    /// classification (defaults to plain OPC UA; the scan driver
+    /// installs the registered suite before the first stage runs).
     pub suite: Arc<dyn ProtocolSuite>,
 }
 
@@ -427,10 +399,9 @@ impl<'a> ProbeContext<'a> {
     /// them, throttle-aware pacing, and a [`HostOutcome`] verdict (plus
     /// attempt/backoff accounting) written to `record`.
     ///
-    /// Both engines call this through the shared probe stack, and every
-    /// wait lands on this probe's clock fork — exactly like probe
-    /// latency — so hostile campaigns stay byte-identical across
-    /// engines, worker counts, and in-flight caps.
+    /// Every wait lands on this probe's clock fork — exactly like probe
+    /// latency — so hostile campaigns stay byte-identical across worker
+    /// counts and in-flight caps.
     pub fn connect_with_retry(&self, record: &mut ScanRecord) -> Option<TcpStreamSim> {
         /// Salt for the per-target backoff-jitter stream ("RETRY"),
         /// keeping it independent of the nonce stream sharing the seed.
@@ -621,7 +592,7 @@ impl Probe for FindServersProbe {
 /// The combined discovery stage: [`EndpointsProbe`] then (only if
 /// endpoints succeeded) [`FindServersProbe`], as one [`Probe`]. Kept for
 /// custom stacks that want discovery as a single stage; the default
-/// stack runs the two halves separately so the event-loop engine gets a
+/// stack runs the two halves separately so the event loop gets a
 /// timer-wheel state per protocol round-trip.
 pub struct DiscoveryProbe;
 
@@ -765,7 +736,7 @@ pub fn classify_session_error(err: &ClientError) -> SessionOutcome {
 /// Behaviorally identical to the historical three-stage stack (the
 /// combined [`DiscoveryProbe`] stopped before FindServers whenever
 /// endpoints failed, exactly as the split stages compose), but each
-/// stage is now one state-machine step for the event-loop engine.
+/// stage is now one state-machine step for the event loop.
 pub fn default_stack() -> Vec<Box<dyn Probe>> {
     vec![
         Box::new(UacpProbe),

@@ -335,8 +335,8 @@ impl ScanRecord {
 
     /// A fresh record for an arbitrary `(address, port)` target with
     /// explicit discovery provenance. The payload defaults to the OPC
-    /// UA variant; engines driving another suite install that suite's
-    /// template ([`ProtocolPayload`]) before the first stage runs.
+    /// UA variant; the engine, driving another suite, installs that
+    /// suite's template ([`ProtocolPayload`]) before the first stage runs.
     pub fn for_target(
         address: Ipv4,
         port: u16,

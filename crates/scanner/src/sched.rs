@@ -1,37 +1,42 @@
-//! Event-driven scan core: per-host probe state machines multiplexed
-//! over a hierarchical timer wheel, with cooperative cancellation and
-//! bounded-window backpressure.
+//! The scan engine: per-host probe state machines multiplexed over a
+//! hierarchical timer wheel, sharded across worker threads, with
+//! cooperative cancellation and bounded-window backpressure.
 //!
-//! The threaded engine ([`crate::Scanner::scan_with_certs`] with
-//! [`crate::ScanEngine::Threaded`]) dedicates an OS thread per shard and
-//! blocks each thread through a whole probe. This module runs the same
-//! probe stack as interleaved state machines on **one** thread:
+//! Every campaign runs here. An event loop drives one shard of one
+//! phase step — the sweep, or one referral level — on one thread:
 //!
 //! * every admitted target gets a private [`VirtualClock`] fork of the
-//!   campaign epoch, so record contents stay a pure function of
-//!   `(host, port, seed, epoch)` — exactly the byte-identity contract
-//!   the threaded engine honors;
+//!   campaign epoch, so record contents are a pure function of
+//!   `(host, port, seed, epoch)` and never of probe order;
 //! * stage transitions are scheduled on a [`TimerWheel`] keyed by the
 //!   virtual time each stage consumed on its fork, so wheel order is the
 //!   order a real event loop would observe completions;
-//! * records are emitted strictly in admission (permutation-walk) order
-//!   through an in-order frontier, and admission stalls once
+//! * records leave strictly in admission order through an in-order
+//!   frontier, and admission stalls once
 //!   [`crate::ScanConfig::max_in_flight`] targets are in the window —
-//!   throughput tracks the in-flight budget, not a worker count;
-//! * a [`CancelToken`] aborts the loop between timer firings; everything
-//!   in flight is dropped (fork clocks and all — the campaign clock
-//!   never sees their time) and the admitted-but-unemitted window is
-//!   reported so a [`SweepCheckpoint`] can resume deterministically.
+//!   the backpressure against a slow record sink;
+//! * a [`CancelToken`] stops the loop between timer firings, or at the
+//!   very record whose emission cancels it; everything in flight is
+//!   dropped, fork clocks and all, so the campaign clock never sees
+//!   their time.
+//!
+//! [`crate::ScanConfig::workers`] sets how many loops share a step: with
+//! one worker the loop runs inline on the caller's thread; with N, N
+//! loops run on N threads — loop `s` takes the walk steps `pos % N == s`
+//! (each referral level's targets `i % N == s`) — and an N-way merge
+//! joins their streams back into walk order. The record stream, the
+//! summary, and every [`SweepCheckpoint`] are therefore identical at any
+//! worker count and in-flight cap.
 
 use crate::pipeline::ReferralStats;
 use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig};
 use crate::record::{DiscoveredVia, ScanRecord};
-use crate::suite::{OpcUaSuite, ProtocolSuite};
+use crate::suite::ProtocolSuite;
 use netsim::{Internet, Ipv4, SweepStats, TcpStreamSim, VirtualClock};
 // ua-lint: allow(unordered-iteration) -- wheel/engine maps are id-keyed lookups; emission order comes from the sequence cursor
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use ua_client::UaClient;
 use ua_crypto::CertStore;
 
@@ -83,11 +88,12 @@ impl CancelToken {
     }
 
     /// A token that cancels itself once `n` records have been emitted
-    /// by the scan it is passed to — the deterministic abort hook:
-    /// "stop after record 2 000" lands on the same record for the same
-    /// seed every run, which is what lets CI abort a sweep at ~50% and
+    /// by the scan it is passed to — the deterministic abort hook: a
+    /// sweep stops right after its `n`-th record, at any in-flight cap
+    /// and worker count, which is what lets CI abort a sweep at ~50% and
     /// diff the stitched abort+resume output byte-for-byte against an
-    /// uninterrupted run.
+    /// uninterrupted run. (Referral levels are atomic: a budget that
+    /// runs out inside one lands at the level's end.)
     pub fn after_records(n: u64) -> Self {
         CancelToken {
             cancelled: Arc::new(AtomicBool::new(false)),
@@ -428,16 +434,22 @@ pub struct PendingUrl {
     pub depth: u32,
 }
 
-/// Everything needed to resume an aborted scan deterministically.
+/// Everything needed to resume an aborted scan deterministically: a
+/// position in the merged record stream plus the counters of the
+/// records emitted before it.
 ///
-/// The checkpoint captures the scan at a *record boundary*: every
-/// record emitted before the abort is final, everything admitted but
-/// not yet emitted (`in_flight`) is discarded — fork clocks and all —
-/// and re-probed from scratch on resume. Because record contents are a
-/// pure function of `(host, port, seed, epoch)` and emission order is
-/// the permutation-walk order, the stitched stream
+/// Records leave the scan in permutation-walk order at any worker
+/// count, so "every sweep record before walk step `next_step`" names
+/// exactly the emitted prefix. Resume re-walks the current phase,
+/// recounts its sweep stats, and admits only steps from `next_step`
+/// on; whatever was in flight at the abort is re-probed from scratch.
+/// Because record contents are a pure function of
+/// `(host, port, seed, epoch)`, the stitched stream
 /// `aborted-run records ++ resumed-run records` is byte-identical to an
-/// uninterrupted run.
+/// uninterrupted run — and since nothing in the checkpoint names a
+/// shard, it resumes at any [`crate::ScanConfig::workers`] count.
+/// Referral levels are atomic: an abort in the referral phase lands
+/// between levels.
 ///
 /// One deliberate exception: the campaign-wide certificate interner
 /// ([`ua_crypto::CertStore`]) counts *work performed*, so certificates
@@ -466,15 +478,12 @@ pub struct SweepCheckpoint {
     /// True when the current phase's sweep finished and only its
     /// referral levels remain.
     pub sweep_done: bool,
-    /// First permutation-walk step the aborted run never examined.
-    /// Resume re-walks the permutation and treats earlier steps as
-    /// settled unless listed in `in_flight`.
+    /// The permutation-walk step after the last emitted sweep record of
+    /// the current phase (0 when none was emitted). Resume admits only
+    /// steps from here on.
     pub next_step: u64,
-    /// Walk steps that were admitted but not emitted when the abort
-    /// landed. Their probes are discarded wholesale and re-run on
-    /// resume (they are already counted in `sweep_stats`).
-    pub in_flight: Vec<u64>,
-    /// Sweep counters covering every examined step (`< next_step`).
+    /// Sweep counters of every phase whose sweep completed. A phase
+    /// aborted mid-sweep is recounted from scratch on resume.
     pub sweep_stats: SweepStats,
     /// OPC UA speakers among emitted records so far.
     pub opcua_hosts: u64,
@@ -491,25 +500,26 @@ pub struct SweepCheckpoint {
     /// resumed hostile sweeps stitch their [`crate::FaultStats`] exactly
     /// like the host counts.
     pub fault_stats: crate::pipeline::FaultStats,
-    /// `(address, port)` pairs already probed via referral, sorted for
-    /// reproducible printing.
-    pub probed_referrals: Vec<(Ipv4, u16)>,
+    /// `(address, port)` pairs the current phase already probed via
+    /// referral.
+    pub probed_referrals: BTreeSet<(Ipv4, u16)>,
 }
 
-/// Telemetry from one event-loop engine run. Deliberately **not** part
-/// of [`crate::ScanSummary`]: the summary must stay byte-identical
-/// across engines, and these numbers describe the scheduler, not the
-/// measurement.
+/// Scheduler telemetry of one scan call, summed over every event loop
+/// it ran (one per worker per sweep or referral level). Deliberately
+/// **not** part of [`crate::ScanSummary`]: the summary must not depend
+/// on the worker count or the in-flight cap, and these numbers
+/// describe the scheduler, not the measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Targets admitted into the in-flight window.
+    /// Targets admitted into an in-flight window.
     pub admitted: u64,
     /// Probes driven to completion (admitted minus aborted).
     pub completed: u64,
-    /// Peak size of the admitted-but-unemitted window; by construction
-    /// never exceeds [`crate::ScanConfig::max_in_flight`].
+    /// Peak size of any one event loop's admitted-but-unemitted window;
+    /// by construction never exceeds [`crate::ScanConfig::max_in_flight`].
     pub in_flight_high_water: usize,
-    /// Timers scheduled on the wheel.
+    /// Timers scheduled on the wheels.
     pub timers_scheduled: u64,
     /// Timers that fired.
     pub timers_fired: u64,
@@ -517,8 +527,23 @@ pub struct EngineStats {
     pub timers_cancelled: u64,
     /// Entries that cascaded between wheel levels.
     pub wheel_cascades: u64,
-    /// Virtual microseconds the engine's internal timeline covered.
+    /// Virtual microseconds the event loops' internal timelines covered.
     pub virtual_micros: u64,
+}
+
+impl EngineStats {
+    /// Folds another event loop's counters in: sums everything except
+    /// the high-water mark, which stays a per-loop maximum.
+    pub(crate) fn absorb(&mut self, other: EngineStats) {
+        self.admitted += other.admitted;
+        self.completed += other.completed;
+        self.in_flight_high_water = self.in_flight_high_water.max(other.in_flight_high_water);
+        self.timers_scheduled += other.timers_scheduled;
+        self.timers_fired += other.timers_fired;
+        self.timers_cancelled += other.timers_cancelled;
+        self.wheel_cascades += other.wheel_cascades;
+        self.virtual_micros += other.virtual_micros;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -530,24 +555,144 @@ pub struct EngineStats {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
     /// Emission key: walk step for sweep jobs, level index for
-    /// referral jobs. Must be strictly increasing per `run` call.
+    /// referral jobs. Strictly increasing within one event loop, and
+    /// unique across the shards of one run.
     pub ordinal: u64,
     pub addr: Ipv4,
     pub port: u16,
     pub via: DiscoveredVia,
     pub seed: u64,
     /// False for referral targets with no listener: resolved at
-    /// admission with a single timed connect, like the threaded path.
+    /// admission with a single timed connect.
     pub listening: bool,
 }
 
-/// How a `run` call ended.
-pub(crate) enum EngineRun {
+/// How an event loop's `run` call ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EngineRun {
     /// The job iterator was exhausted and every record emitted.
     Complete,
-    /// Cancellation observed; `unemitted` lists the ordinals that were
-    /// admitted but never emitted, in admission order.
-    Cancelled { unemitted: Vec<u64> },
+    /// Cancellation observed, or the emitter asked to stop; everything
+    /// in flight was dropped.
+    Cancelled,
+}
+
+/// What one run of a phase step — the sweep or one referral level —
+/// left behind.
+pub(crate) struct ShardRun<J> {
+    /// Every job of every shard was emitted.
+    pub complete: bool,
+    /// Each shard's job iterator after the run, in shard order (the
+    /// sweep's carry the shard's counters).
+    pub jobs: Vec<J>,
+    /// Scheduler telemetry summed over the shards.
+    pub engine: EngineStats,
+}
+
+/// One result leaving an event loop: ordinal, record (`None` for a dead
+/// referral target), and the virtual probe microseconds it consumed.
+type Emitted = (u64, Option<ScanRecord>, u64);
+
+/// Everything the event loops of one suite phase share.
+#[derive(Clone, Copy)]
+pub(crate) struct PhaseEnv<'a> {
+    pub internet: &'a Internet,
+    pub config: &'a ScanConfig,
+    pub certs: &'a CertStore,
+    /// Frozen campaign epoch every probe forks its private clock from.
+    pub epoch: &'a VirtualClock,
+    /// The suite whose stage ladder and payload template the phase runs.
+    pub suite: &'a Arc<dyn ProtocolSuite>,
+}
+
+impl PhaseEnv<'_> {
+    /// Runs one phase step on `shards` event loops, loop `s` driving the
+    /// jobs `jobs(s)` yields, and hands every result to `emit` strictly
+    /// in ordinal order. `emit` returns false to stop the step; when
+    /// `cancel` is `Some`, the loops also poll it between timer firings.
+    ///
+    /// One shard runs inline on the caller's thread. More run on scoped
+    /// threads, each feeding a bounded channel of
+    /// [`ScanConfig::channel_capacity`] results; the caller's thread
+    /// merges the N ordinal-sorted streams by always emitting the
+    /// smallest head, which reproduces the one-shard order exactly.
+    pub fn run_shards<J>(
+        &self,
+        shards: usize,
+        cancel: Option<&CancelToken>,
+        jobs: impl Fn(usize) -> J + Sync,
+        emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64) -> bool,
+    ) -> ShardRun<J>
+    where
+        J: Iterator<Item = Job> + Send,
+    {
+        if shards <= 1 {
+            let mut shard_jobs = jobs(0);
+            let mut engine = EventLoop::new(*self);
+            let run = engine.run(&mut shard_jobs, cancel, emit);
+            return ShardRun {
+                complete: run == EngineRun::Complete,
+                jobs: vec![shard_jobs],
+                engine: engine.stats(),
+            };
+        }
+        let capacity = self.config.effective_channel_capacity();
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(shards);
+            let mut rxs = Vec::with_capacity(shards);
+            for shard in 0..shards {
+                let (tx, rx) = mpsc::sync_channel::<Emitted>(capacity);
+                rxs.push(rx);
+                let (env, jobs) = (*self, &jobs);
+                handles.push(scope.spawn(move || {
+                    let mut shard_jobs = jobs(shard);
+                    let mut engine = EventLoop::new(env);
+                    // A closed channel means the merge stopped.
+                    let run =
+                        engine.run(&mut shard_jobs, cancel, &mut |ordinal, record, micros| {
+                            tx.send((ordinal, record, micros)).is_ok()
+                        });
+                    (run, shard_jobs, engine.stats())
+                }));
+            }
+            // N-way merge. Blocking on one shard is fine: the others run
+            // ahead into their bounded buffers. A shard only ends early
+            // after cancellation, so checking the token before every
+            // emission keeps a truncated shard from leaving a gap.
+            let mut heads: Vec<Option<Emitted>> = rxs.iter().map(|rx| rx.recv().ok()).collect();
+            let mut stopped = false;
+            while let Some(next) = heads
+                .iter()
+                .enumerate()
+                .filter_map(|(i, h)| h.as_ref().map(|(ordinal, _, _)| (*ordinal, i)))
+                .min()
+                .map(|(_, i)| i)
+            {
+                // ua-lint: allow(panic-hygiene) -- `next` was selected because this head is Some
+                let (ordinal, record, micros) = heads[next].take().expect("head present");
+                if cancel.is_some_and(CancelToken::is_cancelled) || !emit(ordinal, record, micros) {
+                    stopped = true;
+                    break;
+                }
+                heads[next] = rxs[next].recv().ok();
+            }
+            // Unblock shards waiting on a full channel, then join them.
+            drop(rxs);
+            let mut out = ShardRun {
+                complete: !stopped,
+                jobs: Vec::with_capacity(shards),
+                engine: EngineStats::default(),
+            };
+            for handle in handles {
+                // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the merging thread
+                let (run, shard_jobs, stats) = handle.join().expect("scan shard panicked");
+                out.complete &= run == EngineRun::Complete;
+                out.jobs.push(shard_jobs);
+                out.engine.absorb(stats);
+            }
+            out
+        })
+    }
 }
 
 /// A probe in flight: its private fork clock, network view, record
@@ -567,22 +712,10 @@ struct InFlight {
     charged: u64,
 }
 
-/// The single-threaded scan engine. One instance drives both the sweep
-/// and every referral level of a scan, so [`EngineStats`] covers the
-/// whole call to [`crate::Scanner::scan_resumable`].
-pub(crate) struct EventLoop<'a> {
-    internet: &'a Internet,
-    config: &'a ScanConfig,
-    certs: &'a CertStore,
-    epoch: &'a VirtualClock,
-    /// Mirrors the wheel's tick counter onto virtual time: the wheel is
-    /// "driven by" the campaign clock in the sense that one tick is one
-    /// virtual microsecond past the epoch.
-    engine_clock: VirtualClock,
-    epoch_micros: u64,
-    /// The suite whose phase the engine is currently driving; its stack
-    /// and payload template are installed by [`EventLoop::set_suite`].
-    suite: Arc<dyn ProtocolSuite>,
+/// The single-threaded scan engine: drives one shard of one phase step
+/// (see [`PhaseEnv::run_shards`]).
+struct EventLoop<'a> {
+    env: PhaseEnv<'a>,
     stack: Vec<Box<dyn Probe>>,
     wheel: TimerWheel<usize>,
     slots: Vec<Option<InFlight>>,
@@ -597,22 +730,9 @@ pub(crate) struct EventLoop<'a> {
 }
 
 impl<'a> EventLoop<'a> {
-    pub fn new(
-        internet: &'a Internet,
-        config: &'a ScanConfig,
-        certs: &'a CertStore,
-        epoch: &'a VirtualClock,
-    ) -> Self {
-        let suite: Arc<dyn ProtocolSuite> = Arc::new(OpcUaSuite::new());
+    fn new(env: PhaseEnv<'a>) -> Self {
         EventLoop {
-            internet,
-            config,
-            certs,
-            epoch,
-            engine_clock: epoch.fork(),
-            epoch_micros: epoch.now_micros(),
-            stack: suite.stack(),
-            suite,
+            stack: env.suite.stack(),
             wheel: TimerWheel::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -620,24 +740,12 @@ impl<'a> EventLoop<'a> {
             // ua-lint: allow(unordered-iteration) -- drained by sequence cursor, never iterated
             ready: HashMap::new(),
             stats: EngineStats::default(),
-            cap: config.effective_max_in_flight(),
+            cap: env.config.effective_max_in_flight(),
+            env,
         }
     }
 
-    /// Installs the suite whose phase the next [`EventLoop::run`] calls
-    /// drive: its stage ladder replaces the current one and its payload
-    /// template goes onto every subsequently admitted record. Must only
-    /// be called between runs (no probes in flight).
-    pub fn set_suite(&mut self, suite: Arc<dyn ProtocolSuite>) {
-        debug_assert!(
-            self.pending.is_empty(),
-            "suite change with probes in flight"
-        );
-        self.stack = suite.stack();
-        self.suite = suite;
-    }
-
-    pub fn stats(&self) -> EngineStats {
+    fn stats(&self) -> EngineStats {
         let mut stats = self.stats;
         stats.wheel_cascades = self.wheel.cascades();
         stats.virtual_micros = self.wheel.now();
@@ -646,22 +754,20 @@ impl<'a> EventLoop<'a> {
 
     /// Drives `jobs` to completion (or cancellation), calling
     /// `emit(ordinal, record, probe_micros)` strictly in ordinal order.
-    /// `record` is `None` for dead referral targets. When `cancel` is
-    /// `Some`, the token is polled between wheel firings.
-    pub fn run(
+    /// `record` is `None` for dead referral targets. The loop stops at
+    /// the first `emit` that returns false, and, when `cancel` is
+    /// `Some`, at the first timer firing that finds the token set.
+    fn run(
         &mut self,
         jobs: &mut dyn Iterator<Item = Job>,
         cancel: Option<&CancelToken>,
-        emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64),
+        emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64) -> bool,
     ) -> EngineRun {
         let mut exhausted = false;
         loop {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return EngineRun::Cancelled {
-                        unemitted: self.abort(),
-                    };
-                }
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                self.abort();
+                return EngineRun::Cancelled;
             }
             while !exhausted && self.pending.len() < self.cap {
                 match jobs.next() {
@@ -669,12 +775,14 @@ impl<'a> EventLoop<'a> {
                     None => exhausted = true,
                 }
             }
-            self.flush(emit);
+            if !self.flush(emit) {
+                self.abort();
+                return EngineRun::Cancelled;
+            }
             if exhausted && self.pending.is_empty() {
                 return EngineRun::Complete;
             }
-            if let Some((now, batch)) = self.wheel.expire_next() {
-                self.engine_clock.advance_to_micros(self.epoch_micros + now);
+            if let Some((_, batch)) = self.wheel.expire_next() {
                 self.stats.timers_fired += batch.len() as u64;
                 for slot in batch {
                     self.run_stage(slot);
@@ -697,27 +805,29 @@ impl<'a> EventLoop<'a> {
     /// Drops everything in flight. The fork clocks die with their
     /// probes, so none of their virtual time ever reaches the campaign
     /// clock — the invariant `week_epochs_strictly_advance` relies on.
-    fn abort(&mut self) -> Vec<u64> {
-        let unemitted: Vec<u64> = self.pending.drain(..).collect();
+    fn abort(&mut self) {
+        self.pending.clear();
         self.stats.timers_cancelled += self.wheel.clear() as u64;
         self.slots.clear();
         self.free.clear();
         self.ready.clear();
-        unemitted
     }
 
     fn admit(&mut self, job: Job) {
         self.stats.admitted += 1;
         self.pending.push_back(job.ordinal);
         self.stats.in_flight_high_water = self.stats.in_flight_high_water.max(self.pending.len());
+        let env = self.env;
 
         if !job.listening {
-            // Dead referral target: the threaded path charges one timed
-            // connect on a throwaway fork; replicate that exactly.
-            let clock = self.epoch.fork();
+            // Dead referral target: charge exactly what the failed
+            // connect costs under the simulator's TCP model — one RTT
+            // for a refused port on a live host, a full SYN timeout when
+            // no host answers — measured on a throwaway fork.
+            let clock = env.epoch.fork();
             let start = clock.now_micros();
-            let _ = self.internet.with_clock(clock.clone()).connect(
-                self.config.scanner_address,
+            let _ = env.internet.with_clock(clock.clone()).connect(
+                env.config.scanner_address,
                 job.addr,
                 job.port,
             );
@@ -727,12 +837,12 @@ impl<'a> EventLoop<'a> {
             return;
         }
 
-        let hint = self
+        let hint = env
             .internet
             .poll_connect(job.addr, job.port)
             .latency_hint_micros();
-        let clock = self.epoch.fork();
-        let net = self.internet.with_clock(clock.clone());
+        let clock = env.epoch.fork();
+        let net = env.internet.with_clock(clock.clone());
         let mut record = ScanRecord::for_target(
             job.addr,
             job.port,
@@ -740,7 +850,7 @@ impl<'a> EventLoop<'a> {
             net.as_number(job.addr),
             clock.now_unix_seconds(),
         );
-        record.payload = self.suite.payload();
+        record.payload = env.suite.payload();
         let flight = InFlight {
             ordinal: job.ordinal,
             addr: job.addr,
@@ -780,13 +890,13 @@ impl<'a> EventLoop<'a> {
         };
         let mut ctx = ProbeContext::for_target(
             &flight.net,
-            self.config,
-            self.certs,
+            self.env.config,
+            self.env.certs,
             flight.addr,
             flight.port,
             flight.seed,
         );
-        ctx.suite = Arc::clone(&self.suite);
+        ctx.suite = Arc::clone(self.env.suite);
         ctx.client = flight.client.take();
         let outcome = self.stack[flight.stage].run(&mut ctx, &mut flight.record);
         flight.client = ctx.client.take();
@@ -822,17 +932,19 @@ impl<'a> EventLoop<'a> {
 
     /// Emits the in-order frontier: records leave strictly in admission
     /// order, which is the permutation-walk order — the whole
-    /// byte-identity argument in one loop.
-    fn flush(&mut self, emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64)) {
+    /// byte-identity argument in one loop. Returns false as soon as
+    /// `emit` does, leaving the later ready records unemitted.
+    fn flush(&mut self, emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64) -> bool) -> bool {
         while let Some(&front) = self.pending.front() {
-            match self.ready.remove(&front) {
-                Some((record, micros)) => {
-                    self.pending.pop_front();
-                    emit(front, record, micros);
-                }
-                None => break,
+            let Some((record, micros)) = self.ready.remove(&front) else {
+                break;
+            };
+            self.pending.pop_front();
+            if !emit(front, record, micros) {
+                return false;
             }
         }
+        true
     }
 }
 

@@ -11,7 +11,7 @@
 //! suites that have it — referral following. [`SuiteRegistry`] maps
 //! ports to suites; a campaign with a non-empty registry sweeps the
 //! union of registered ports and drives each port's suite through the
-//! same engines, retry policy, and longitudinal machinery.
+//! same engine, retry policy, and longitudinal machinery.
 //!
 //! Two suites ship:
 //!
@@ -59,8 +59,9 @@ pub trait ProtocolSuite: Send + Sync {
     /// [`SuiteRegistry::with`] registers it under.
     fn default_port(&self) -> u16;
 
-    /// A fresh probe-stage ladder for one worker/shard. Stages may keep
-    /// per-target state; engines never share one stack across threads.
+    /// A fresh probe-stage ladder for one event loop. Stages may keep
+    /// per-target state; the engine never shares one stack across
+    /// threads.
     fn stack(&self) -> Vec<Box<dyn Probe>>;
 
     /// The payload template installed on every record this suite

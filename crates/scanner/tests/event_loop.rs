@@ -1,51 +1,73 @@
-//! Event-loop engine determinism: the single-threaded timer-wheel
-//! engine must produce byte-identical output to the threaded engine for
-//! a fixed seed — at any in-flight cap, through `scan_stream`'s bounded
-//! channel, and across an abort/resume cycle stitched back together.
+//! Scan-engine determinism: for a fixed seed, every worker count and
+//! in-flight cap must produce the 1-worker run's bytes — through
+//! `scan_with`, through `scan_stream`'s bounded channel, and across
+//! abort/resume cycles that may change the worker count between legs.
 
 use std::sync::Arc;
 
 use netsim::{Blocklist, Cidr, Internet, VirtualClock};
 use population::{synthesize, MiddleboxConfig, MiddleboxPlan, PopulationConfig, StrataMix};
 use scanner::{
-    CancelToken, RetryPolicy, ScanConfig, ScanEngine, ScanOutcome, ScanRecord, ScanSummary,
-    Scanner, SweepCheckpoint, WeekOutcome,
+    CancelToken, CertStore, RetryPolicy, ScanConfig, ScanOutcome, ScanRecord, ScanSummary, Scanner,
+    SweepCheckpoint, WeekOutcome,
 };
 
 const SEED: u64 = 20_200_209;
 
-/// A fresh, identically-seeded world per run: two scans over one shared
-/// net would advance the same virtual clock twice.
-fn build_world() -> (Internet, Vec<Cidr>) {
+/// The two worlds every contract is checked on: polite, and fronted by
+/// a seeded [`MiddleboxPlan`] (loss, tarpits, rate-limiting firewalls)
+/// scanned with the hostile retry policy.
+#[derive(Debug, Clone, Copy)]
+enum World {
+    Polite,
+    Hostile,
+}
+
+/// A fresh, identically-seeded world per call: two scans over one
+/// shared net would advance the same virtual clock twice. The hostile
+/// world is larger: at 60 hosts its middleboxes silence every referred
+/// server, and the referral phase under fire would emit no records.
+fn build(world: World) -> (Internet, Vec<Cidr>, Blocklist) {
     let net = Internet::new(VirtualClock::default());
     let universe: Vec<Cidr> = ["10.40.0.0/22", "172.28.0.0/23"]
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let cfg = PopulationConfig::new(SEED, universe.clone(), StrataMix::paper_like(60));
-    synthesize(&net, &cfg);
-    (net, universe)
-}
-
-fn scanner_with(engine: ScanEngine, workers: usize, max_in_flight: usize) -> (Scanner, Vec<Cidr>) {
-    let (net, universe) = build_world();
+    let hosts = match world {
+        World::Polite => 60,
+        World::Hostile => 150,
+    };
+    let cfg = PopulationConfig::new(SEED, universe.clone(), StrataMix::paper_like(hosts));
+    let pop = synthesize(&net, &cfg);
+    if let World::Hostile = world {
+        let plan = MiddleboxPlan::plan(&pop, &MiddleboxConfig::hostile(), SEED);
+        net.set_profiles(Arc::new(plan));
+    }
     let mut blocklist = Blocklist::new();
     blocklist.add_str("10.40.3.0/24").unwrap();
-    let config = ScanConfig {
-        engine,
+    (net, universe, blocklist)
+}
+
+fn config(world: World, workers: usize, max_in_flight: usize) -> ScanConfig {
+    ScanConfig {
         workers,
         max_in_flight,
+        retry: match world {
+            World::Polite => RetryPolicy::default(),
+            World::Hostile => RetryPolicy::hostile(),
+        },
         ..ScanConfig::default()
-    };
+    }
+}
+
+fn scanner_with(world: World, workers: usize, max_in_flight: usize) -> (Scanner, Vec<Cidr>) {
+    let (net, universe, blocklist) = build(world);
+    let config = config(world, workers, max_in_flight);
     (Scanner::new(net, blocklist, config), universe)
 }
 
-fn scan(
-    engine: ScanEngine,
-    workers: usize,
-    max_in_flight: usize,
-) -> (ScanSummary, Vec<ScanRecord>) {
-    let (scanner, universe) = scanner_with(engine, workers, max_in_flight);
+fn scan(world: World, workers: usize, max_in_flight: usize) -> (ScanSummary, Vec<ScanRecord>) {
+    let (scanner, universe) = scanner_with(world, workers, max_in_flight);
     let mut records = Vec::new();
     let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
     (summary, records)
@@ -67,194 +89,215 @@ fn assert_summary_matches_modulo_sightings(actual: &ScanSummary, expected: &Scan
     assert_eq!(actual.faults, expected.faults);
 }
 
-/// Same world as [`scanner_with`], but fronted by a seeded
-/// [`MiddleboxPlan`] and scanned with the hostile retry policy — the
-/// determinism contract must survive packet loss, tarpits and
-/// rate-limiting firewalls.
-fn hostile_scanner_with(
-    engine: ScanEngine,
-    workers: usize,
-    max_in_flight: usize,
-) -> (Scanner, Vec<Cidr>) {
-    let net = Internet::new(VirtualClock::default());
-    let universe: Vec<Cidr> = ["10.40.0.0/22", "172.28.0.0/23"]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-    let cfg = PopulationConfig::new(SEED, universe.clone(), StrataMix::paper_like(60));
-    let pop = synthesize(&net, &cfg);
-    let plan = MiddleboxPlan::plan(&pop, &MiddleboxConfig::hostile(), SEED);
-    net.set_profiles(Arc::new(plan));
-    let mut blocklist = Blocklist::new();
-    blocklist.add_str("10.40.3.0/24").unwrap();
-    let config = ScanConfig {
-        engine,
-        workers,
-        max_in_flight,
-        retry: RetryPolicy::hostile(),
-        ..ScanConfig::default()
-    };
-    (Scanner::new(net, blocklist, config), universe)
-}
-
-fn hostile_scan(
-    engine: ScanEngine,
-    workers: usize,
-    max_in_flight: usize,
-) -> (ScanSummary, Vec<ScanRecord>) {
-    let (scanner, universe) = hostile_scanner_with(engine, workers, max_in_flight);
-    let mut records = Vec::new();
-    let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
-    (summary, records)
-}
-
 #[test]
-fn event_loop_matches_threaded_at_any_in_flight_cap() {
-    let (threaded_summary, threaded_records) = scan(ScanEngine::Threaded, 1, 256);
+fn every_worker_count_and_cap_matches_one_worker() {
+    let (summary1, records1) = scan(World::Polite, 1, 256);
     assert!(
-        threaded_summary.referrals.followed > 0,
+        summary1.referrals.followed > 0,
         "world must exercise the referral phase, got {:?}",
-        threaded_summary.referrals
+        summary1.referrals
     );
-    for cap in [1usize, 4, 256] {
-        let (summary, records) = scan(ScanEngine::EventLoop, 1, cap);
-        assert_eq!(summary, threaded_summary, "max_in_flight={cap}");
-        assert_eq!(records, threaded_records, "max_in_flight={cap}");
+    for workers in [1usize, 4] {
+        for cap in [1usize, 4, 256] {
+            let (summary, records) = scan(World::Polite, workers, cap);
+            assert_eq!(summary, summary1, "workers={workers} max_in_flight={cap}");
+            assert_eq!(records, records1, "workers={workers} max_in_flight={cap}");
+        }
     }
-    // The event loop is single-threaded: `workers` must be inert.
-    let (summary, records) = scan(ScanEngine::EventLoop, 8, 64);
-    assert_eq!(summary, threaded_summary);
-    assert_eq!(records, threaded_records);
+    let (summary, records) = scan(World::Polite, 8, 64);
+    assert_eq!(summary, summary1);
+    assert_eq!(records, records1);
 }
 
 #[test]
-fn event_loop_matches_multiworker_threaded_through_scan_stream() {
-    let (threaded_summary, threaded_records) = scan(ScanEngine::Threaded, 4, 256);
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 32);
+fn multiworker_scan_stream_matches_one_worker() {
+    let (summary1, records1) = scan(World::Polite, 1, 256);
+    let (scanner, universe) = scanner_with(World::Polite, 4, 32);
     let mut stream = scanner.scan_stream(universe, SEED);
     let records: Vec<ScanRecord> = stream.by_ref().collect();
     let summary = stream.finish();
-    assert_eq!(summary, threaded_summary);
-    assert_eq!(records, threaded_records);
+    assert_eq!(summary, summary1);
+    assert_eq!(records, records1);
 }
 
 /// Backpressure must not deadlock even in the most constrained setup:
-/// a records channel of capacity 1 feeding a consumer, over an engine
-/// window of 1 probe — and the output order must still be exact.
+/// a records channel of capacity 1 feeding a consumer, over event-loop
+/// windows of 1 probe (and, with 4 workers, capacity-1 shard channels
+/// into the merge) — and the output order must still be exact.
 #[test]
 fn no_deadlock_at_capacity_one() {
-    let (_, expected) = scan(ScanEngine::Threaded, 1, 256);
-    let (net, universe) = build_world();
-    let mut blocklist = Blocklist::new();
-    blocklist.add_str("10.40.3.0/24").unwrap();
-    let config = ScanConfig {
-        engine: ScanEngine::EventLoop,
-        channel_capacity: 1,
-        max_in_flight: 1,
-        ..ScanConfig::default()
-    };
-    let scanner = Scanner::new(net, blocklist, config);
-    let mut stream = scanner.scan_stream(universe, SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    stream.finish();
-    assert_eq!(records, expected);
+    let (_, expected) = scan(World::Polite, 1, 256);
+    for workers in [1usize, 4] {
+        let (net, universe, blocklist) = build(World::Polite);
+        let config = ScanConfig {
+            workers,
+            channel_capacity: 1,
+            max_in_flight: 1,
+            ..ScanConfig::default()
+        };
+        let scanner = Scanner::new(net, blocklist, config);
+        let mut stream = scanner.scan_stream(universe, SEED);
+        let records: Vec<ScanRecord> = stream.by_ref().collect();
+        stream.finish();
+        assert_eq!(records, expected, "workers={workers}");
+    }
 }
 
 #[test]
 fn in_flight_high_water_respects_cap() {
-    for cap in [1usize, 4, 32] {
-        let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, cap);
-        let outcome = scanner.scan_resumable(
-            &universe,
-            SEED,
-            &scanner::CertStore::new(),
-            None,
-            &CancelToken::new(),
-            |_| {},
-        );
-        let ScanOutcome::Complete { engine, .. } = outcome else {
-            panic!("fresh token cannot abort");
-        };
-        assert!(engine.in_flight_high_water > 0);
-        assert!(
-            engine.in_flight_high_water <= cap,
-            "high water {} exceeds cap {cap}",
-            engine.in_flight_high_water
-        );
-        assert!(engine.admitted > 0);
-        assert_eq!(engine.admitted, engine.completed);
-        assert!(engine.timers_fired > 0);
-        assert_eq!(engine.timers_cancelled, 0);
-        // With a window of 4+, probes genuinely interleave: more than
-        // one stage chain shares the wheel, so the scheduler must have
-        // fired at least one timer per admitted probe.
-        assert!(engine.timers_fired >= engine.admitted);
+    for workers in [1usize, 4] {
+        for cap in [1usize, 4, 32] {
+            let (scanner, universe) = scanner_with(World::Polite, workers, cap);
+            let outcome = scanner.scan_resumable(
+                &universe,
+                SEED,
+                &CertStore::new(),
+                None,
+                &CancelToken::new(),
+                |_| {},
+            );
+            let ScanOutcome::Complete { engine, .. } = outcome else {
+                panic!("fresh token cannot abort");
+            };
+            assert!(engine.in_flight_high_water > 0);
+            assert!(
+                engine.in_flight_high_water <= cap,
+                "high water {} exceeds cap {cap} at workers={workers}",
+                engine.in_flight_high_water
+            );
+            assert!(engine.admitted > 0);
+            assert_eq!(engine.admitted, engine.completed);
+            assert!(engine.timers_fired > 0);
+            assert_eq!(engine.timers_cancelled, 0);
+            // Every admitted listening probe fires at least one timer;
+            // only dead referral targets resolve without one.
+            assert!(engine.timers_fired >= engine.admitted);
+        }
     }
 }
 
+/// `CancelToken::after_records(n)` stops the sweep on exactly its
+/// `n`-th record — not at the end of whatever run of completed records
+/// happened to be ready — at every cap and worker count.
+#[test]
+fn record_budget_stops_the_sweep_on_the_exact_record() {
+    let universe: Vec<Cidr> = vec!["10.48.0.0/21".parse().unwrap()];
+    let cfg = PopulationConfig::new(2020, universe.clone(), StrataMix::paper_like(80));
+    let world = || {
+        let net = Internet::new(VirtualClock::default());
+        synthesize(&net, &cfg);
+        net
+    };
+    let (_, expected) = Scanner::new(world(), Blocklist::new(), ScanConfig::default())
+        .scan_collect(&universe, 2020);
+    // Aborted scans never advance the clock, so they can share a world.
+    let net = world();
+    let sweep_records = expected.iter().filter(|r| !r.via.is_referral()).count();
+    for n in [1usize, 7] {
+        assert!(n < sweep_records);
+        for cap in [1usize, 4, 16, 256] {
+            for workers in [1usize, 4] {
+                let config = ScanConfig {
+                    workers,
+                    max_in_flight: cap,
+                    ..ScanConfig::default()
+                };
+                let scanner = Scanner::new(net.clone(), Blocklist::new(), config);
+                let mut emitted = Vec::new();
+                let outcome = scanner.scan_resumable(
+                    &universe,
+                    2020,
+                    &CertStore::new(),
+                    None,
+                    &CancelToken::after_records(n as u64),
+                    |r| emitted.push(r),
+                );
+                let ScanOutcome::Aborted { checkpoint } = outcome else {
+                    panic!("budget {n} must abort the sweep (cap {cap}, workers {workers})");
+                };
+                assert_eq!(
+                    emitted.len(),
+                    n,
+                    "budget {n} overshot at cap {cap}, workers {workers}"
+                );
+                assert_eq!(emitted[..], expected[..n]);
+                assert!(!checkpoint.sweep_done);
+            }
+        }
+    }
+}
+
+/// Runs a scan in legs over one world: every leg but the last aborts
+/// after its record budget, each leg resuming the previous one's
+/// checkpoint on a scanner with that leg's worker count. Returns the
+/// stitched stream, the last leg's summary, and every checkpoint.
+fn stitched(
+    world: World,
+    cap: usize,
+    legs: &[(usize, Option<u64>)],
+) -> (ScanSummary, Vec<ScanRecord>, Vec<SweepCheckpoint>) {
+    let (net, universe, blocklist) = build(world);
+    let certs = CertStore::new();
+    let mut records: Vec<ScanRecord> = Vec::new();
+    let mut checkpoints: Vec<SweepCheckpoint> = Vec::new();
+    for (i, &(workers, budget)) in legs.iter().enumerate() {
+        let scanner = Scanner::new(net.clone(), blocklist.clone(), config(world, workers, cap));
+        let token = budget.map_or_else(CancelToken::new, CancelToken::after_records);
+        let resume = checkpoints.last().cloned();
+        let before = records.len();
+        match scanner.scan_resumable(&universe, SEED, &certs, resume, &token, |r| records.push(r)) {
+            ScanOutcome::Aborted { checkpoint } => {
+                assert!(budget.is_some(), "leg {i} aborted without a budget");
+                // Records emitted before an abort are final, and the
+                // checkpoint carries exactly their fault tallies.
+                let mut faults = scanner::FaultStats::default();
+                for r in &records {
+                    faults.observe(r);
+                }
+                assert_eq!(checkpoint.fault_stats, faults, "leg {i}");
+                assert!(records.len() > before || checkpoint.sweep_done, "leg {i}");
+                checkpoints.push(*checkpoint);
+            }
+            ScanOutcome::Complete { summary, .. } => {
+                assert_eq!(i, legs.len() - 1, "leg {i} completed early");
+                return (summary, records, checkpoints);
+            }
+        }
+    }
+    panic!("the last leg must run to completion");
+}
+
+/// A checkpoint names a position in the merged stream, not a shard, so
+/// an abort at one worker count resumes at another.
 #[test]
 fn abort_resume_stitches_byte_identical() {
-    let (expected_summary, expected) = scan(ScanEngine::EventLoop, 1, 16);
+    let (expected_summary, expected) = scan(World::Polite, 1, 16);
     assert!(expected.len() > 10, "need a meaningful record stream");
 
-    // Abort mid-sweep, resume, abort again in the tail (nested aborts),
-    // resume to completion; the concatenation must be byte-identical.
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
-    let certs = scanner::CertStore::new();
-    let mut stitched: Vec<ScanRecord> = Vec::new();
-
-    let first = CancelToken::after_records(expected.len() as u64 / 2);
-    let outcome =
-        scanner.scan_resumable(&universe, SEED, &certs, None, &first, |r| stitched.push(r));
-    let ScanOutcome::Aborted { checkpoint } = outcome else {
-        panic!("budgeted token must abort mid-scan");
-    };
-    let emitted_at_abort = stitched.len();
-    assert!(emitted_at_abort >= expected.len() / 2);
-    assert!(emitted_at_abort < expected.len());
-    assert!(!checkpoint.sweep_done, "abort should land mid-sweep");
-    assert!(
-        checkpoint.in_flight.len() <= 16,
-        "in-flight window {} exceeds the cap",
-        checkpoint.in_flight.len()
+    // Abort mid-sweep at 4 workers, resume at 1, abort again in the tail
+    // (nested aborts), resume to completion at 4; the concatenation must
+    // be byte-identical.
+    let half = expected.len() as u64 / 2;
+    let rest = expected.len() as u64 - half - 1;
+    let (summary, records, checkpoints) = stitched(
+        World::Polite,
+        16,
+        &[(4, Some(half)), (1, Some(rest)), (4, None)],
     );
-    assert_eq!(checkpoint.seed, SEED);
-    // Emitted records are final: they are a prefix of the full stream.
-    assert_eq!(stitched[..], expected[..emitted_at_abort]);
-
-    let second = CancelToken::after_records((expected.len() - emitted_at_abort) as u64 - 1);
-    let outcome =
-        scanner.scan_resumable(&universe, SEED, &certs, Some(*checkpoint), &second, |r| {
-            stitched.push(r)
-        });
-    let checkpoint: SweepCheckpoint = match outcome {
-        ScanOutcome::Aborted { checkpoint } => *checkpoint,
-        ScanOutcome::Complete { .. } => panic!("second budgeted token must abort too"),
-    };
-    assert!(stitched.len() < expected.len());
-
-    let outcome = scanner.scan_resumable(
-        &universe,
-        SEED,
-        &certs,
-        Some(checkpoint),
-        &CancelToken::new(),
-        |r| stitched.push(r),
-    );
-    let ScanOutcome::Complete { summary, .. } = outcome else {
-        panic!("unbudgeted resume must complete");
-    };
-    assert_eq!(stitched, expected);
+    assert!(!checkpoints[0].sweep_done, "abort should land mid-sweep");
+    assert_eq!(checkpoints[0].seed, SEED);
+    assert!(checkpoints[0].next_step > 0);
+    assert_eq!(records, expected);
     assert_summary_matches_modulo_sightings(&summary, &expected_summary);
 }
 
-/// The tentpole contract under fire: with middleboxes injecting loss,
-/// tarpits and rate limits, both engines at any worker count must still
-/// emit byte-identical streams — and an abort/resume cycle must stitch
-/// exactly, fault counters included.
+/// The contract under fire: with middleboxes injecting loss, tarpits
+/// and rate limits, every worker count must still emit the 1-worker
+/// bytes — and an abort in the sweep must stitch exactly, fault counters
+/// included, whichever worker count resumes it.
 #[test]
 fn hostile_abort_resume_stitches_byte_identical() {
-    let (expected_summary, expected) = hostile_scan(ScanEngine::EventLoop, 1, 16);
+    let (expected_summary, expected) = scan(World::Hostile, 1, 16);
     assert!(expected.len() > 10, "need a meaningful record stream");
     // The hostile plan must actually bite: every non-Ok outcome class
     // the retry layer distinguishes has to appear in the stream.
@@ -267,84 +310,51 @@ fn hostile_abort_resume_stitches_byte_identical() {
         "retries never engaged: {faults:?}"
     );
     assert!(faults.backoff_micros > 0);
-
-    // Threaded engine, multi-worker: same bytes.
     for workers in [1usize, 4] {
-        let (summary, records) = hostile_scan(ScanEngine::Threaded, workers, 256);
+        let (summary, records) = scan(World::Hostile, workers, 256);
         assert_eq!(summary, expected_summary, "workers={workers}");
         assert_eq!(records, expected, "workers={workers}");
     }
 
-    // Abort mid-sweep under fire, then resume to completion.
-    let (scanner, universe) = hostile_scanner_with(ScanEngine::EventLoop, 1, 16);
-    let certs = scanner::CertStore::new();
-    let mut stitched: Vec<ScanRecord> = Vec::new();
-    let token = CancelToken::after_records(expected.len() as u64 / 2);
-    let outcome =
-        scanner.scan_resumable(&universe, SEED, &certs, None, &token, |r| stitched.push(r));
-    let ScanOutcome::Aborted { checkpoint } = outcome else {
-        panic!("budgeted token must abort mid-scan");
-    };
-    let emitted_at_abort = stitched.len();
-    assert!(emitted_at_abort < expected.len());
-    assert_eq!(stitched[..], expected[..emitted_at_abort]);
-    // Fault tallies for emitted records ride the checkpoint.
-    let mut at_abort = scanner::FaultStats::default();
-    for r in &stitched {
-        at_abort.observe(r);
+    let half = expected.len() as u64 / 2;
+    for (first, second) in [(4usize, 1usize), (1, 4)] {
+        let (summary, records, checkpoints) =
+            stitched(World::Hostile, 16, &[(first, Some(half)), (second, None)]);
+        assert!(!checkpoints[0].sweep_done, "abort should land mid-sweep");
+        assert_eq!(records, expected, "{first} → {second} workers");
+        assert_summary_matches_modulo_sightings(&summary, &expected_summary);
     }
-    assert_eq!(checkpoint.fault_stats, at_abort);
-
-    let outcome = scanner.scan_resumable(
-        &universe,
-        SEED,
-        &certs,
-        Some(*checkpoint),
-        &CancelToken::new(),
-        |r| stitched.push(r),
-    );
-    let ScanOutcome::Complete { summary, .. } = outcome else {
-        panic!("unbudgeted resume must complete");
-    };
-    assert_eq!(stitched, expected);
-    assert_summary_matches_modulo_sightings(&summary, &expected_summary);
 }
 
+/// Referral levels are atomic, so an abort in the referral phase lands
+/// between levels — and resumes exactly at any worker count, on both
+/// worlds.
 #[test]
 fn abort_during_referral_phase_resumes_exactly() {
-    let (expected_summary, expected) = scan(ScanEngine::EventLoop, 1, 256);
-    let referral_records = expected.iter().filter(|r| r.via.is_referral()).count();
-    assert!(referral_records > 0, "world must have referral hosts");
-
-    // Budget past the sweep so cancellation lands between referral
-    // levels.
-    let sweep_records = expected.len() - referral_records;
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 256);
-    let certs = scanner::CertStore::new();
-    let mut stitched: Vec<ScanRecord> = Vec::new();
-    let token = CancelToken::after_records(sweep_records as u64 + 1);
-    let outcome =
-        scanner.scan_resumable(&universe, SEED, &certs, None, &token, |r| stitched.push(r));
-    let ScanOutcome::Aborted { checkpoint } = outcome else {
-        panic!("budgeted token must abort");
-    };
-    assert!(
-        checkpoint.sweep_done,
-        "abort should land in the referral phase"
-    );
-    let outcome = scanner.scan_resumable(
-        &universe,
-        SEED,
-        &certs,
-        Some(*checkpoint),
-        &CancelToken::new(),
-        |r| stitched.push(r),
-    );
-    let ScanOutcome::Complete { summary, .. } = outcome else {
-        panic!("resume must complete");
-    };
-    assert_eq!(stitched, expected);
-    assert_summary_matches_modulo_sightings(&summary, &expected_summary);
+    for world in [World::Polite, World::Hostile] {
+        let (expected_summary, expected) = scan(world, 1, 256);
+        let referral_records = expected.iter().filter(|r| r.via.is_referral()).count();
+        assert!(
+            referral_records > 0,
+            "{world:?}: world must have referral hosts"
+        );
+        // Budget past the sweep so cancellation lands between referral
+        // levels.
+        let sweep_records = (expected.len() - referral_records) as u64;
+        for (first, second) in [(1usize, 1usize), (4, 1), (1, 4)] {
+            let (summary, records, checkpoints) = stitched(
+                world,
+                256,
+                &[(first, Some(sweep_records + 1)), (second, None)],
+            );
+            assert!(
+                checkpoints[0].sweep_done,
+                "{world:?}: abort should land in the referral phase"
+            );
+            assert_eq!(records, expected, "{world:?}: {first} → {second} workers");
+            assert_summary_matches_modulo_sightings(&summary, &expected_summary);
+        }
+    }
 }
 
 /// Satellite to the churn-agnostic-clock regression
@@ -357,14 +367,14 @@ fn aborted_week_leaves_campaign_clock_untouched() {
     use scanner::Campaign;
 
     let uninterrupted = {
-        let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
+        let (scanner, universe) = scanner_with(World::Polite, 1, 16);
         let mut campaign = Campaign::new(scanner);
         let w0 = campaign.run_week(&universe, SEED, |_| {});
         let w1 = campaign.run_week(&universe, SEED, |_| {});
         vec![w0, w1]
     };
 
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
+    let (scanner, universe) = scanner_with(World::Polite, 1, 16);
     let mut campaign = Campaign::new(scanner);
     let epoch_before = campaign.scanner().internet().clock().now_micros();
 
@@ -401,22 +411,20 @@ fn aborted_week_leaves_campaign_clock_untouched() {
 
 /// A `CancelGuard` dropped without disarming cancels the token — and a
 /// scan driven by that token winds down at the next safe point instead
-/// of running to completion.
+/// of running to completion, at any worker count.
 #[test]
 fn cancel_guard_aborts_scan_on_drop() {
-    let (scanner, universe) = scanner_with(ScanEngine::EventLoop, 1, 16);
-    let token = CancelToken::new();
-    {
-        let _guard = token.guard();
-        // Guard dropped here — e.g. an early return in a driver.
+    for workers in [1usize, 4] {
+        let (scanner, universe) = scanner_with(World::Polite, workers, 16);
+        let token = CancelToken::new();
+        {
+            let _guard = token.guard();
+            // Guard dropped here — e.g. an early return in a driver.
+        }
+        let outcome =
+            scanner.scan_resumable(&universe, SEED, &CertStore::new(), None, &token, |_| {
+                panic!("a pre-cancelled scan must not emit records")
+            });
+        assert!(matches!(outcome, ScanOutcome::Aborted { .. }));
     }
-    let outcome = scanner.scan_resumable(
-        &universe,
-        SEED,
-        &scanner::CertStore::new(),
-        None,
-        &token,
-        |_| panic!("a pre-cancelled scan must not emit records"),
-    );
-    assert!(matches!(outcome, ScanOutcome::Aborted { .. }));
 }

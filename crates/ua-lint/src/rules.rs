@@ -74,7 +74,7 @@ impl Rule {
             }
             Rule::NestedLock => {
                 "two .lock() calls in one function body; lock-order inversion deadlocks \
-                 netsim::Internet under the threaded engine"
+                 netsim::Internet under multi-worker scans"
             }
             Rule::Hermeticity => {
                 "non-path, non-workspace entries in any Cargo.toml dependency table; builds run \

@@ -2,17 +2,18 @@
 //! the stitched output is byte-identical to a run that was never
 //! interrupted.
 //!
-//! The event-loop engine (`scanner::sched`) polls a [`CancelToken`]
-//! between timer firings. `CancelToken::after_records(n)` arms a
-//! deterministic abort: for a fixed seed the scan stops on the same
-//! record every run, so this demo — and the CI gate that greps its
-//! output for `MISMATCH` — is reproducible.
+//! The scan engine (`scanner::sched`) polls a [`CancelToken`] between
+//! timer firings. `CancelToken::after_records(n)` arms a deterministic
+//! abort: for a fixed seed the scan stops right after record `n` every
+//! run, at any worker count, so this demo — and the CI gate that greps
+//! its output for `MISMATCH` — is reproducible.
 //!
 //! Two levels are exercised:
 //!
 //! 1. **Scanner**: `scan_resumable` aborted at ~50%, resumed from the
-//!    returned [`SweepCheckpoint`]; record streams must concatenate to
-//!    the uninterrupted stream.
+//!    returned [`SweepCheckpoint`] — once at the same worker count and
+//!    once at another; record streams must concatenate to the
+//!    uninterrupted stream.
 //! 2. **Campaign**: `run_week_resumable` aborted mid-week; the shared
 //!    campaign clock must not move, and `resume_week` must complete
 //!    the week byte-identically — plus the *following* week.
@@ -20,21 +21,31 @@
 //! ```sh
 //! cargo run --release --example abort_resume            # default seed
 //! cargo run --release --example abort_resume -- 1234    # custom seed
+//! cargo run --release --example abort_resume -- 2020 4  # 4 workers
 //! ```
+//!
+//! Stdout is byte-identical at any worker count (CI diffs 1 against 4);
+//! the scheduler telemetry, which does depend on it, goes to stderr.
 
 use opcua_study::prelude::*;
 
-fn build(seed: u64) -> (Scanner, Vec<Cidr>) {
+fn build(seed: u64, workers: usize) -> (Scanner, Vec<Cidr>) {
     let net = Internet::new(VirtualClock::default());
     let universe: Vec<Cidr> = vec!["10.48.0.0/21".parse().unwrap()];
     let cfg = PopulationConfig::new(seed, universe.clone(), StrataMix::paper_like(80));
     synthesize(&net, &cfg);
-    let config = ScanConfig {
-        engine: ScanEngine::EventLoop,
+    (
+        Scanner::new(net, Blocklist::new(), config(workers)),
+        universe,
+    )
+}
+
+fn config(workers: usize) -> ScanConfig {
+    ScanConfig {
+        workers,
         max_in_flight: 16,
         ..ScanConfig::default()
-    };
-    (Scanner::new(net, Blocklist::new(), config), universe)
+    }
 }
 
 fn check(label: &str, ok: bool) -> bool {
@@ -56,14 +67,13 @@ fn summaries_match(a: &ScanSummary, b: &ScanSummary) -> bool {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2020);
+    let mut args = std::env::args().skip(1);
+    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
     let mut all_ok = true;
 
     // --- Level 1: one scan, aborted at ~50% and resumed. -------------
-    let (scanner, universe) = build(seed);
+    let (scanner, universe) = build(seed, workers);
     let certs = CertStore::new();
     let mut baseline = Vec::new();
     let baseline_summary =
@@ -71,79 +81,74 @@ fn main() {
             baseline.push(r)
         }) {
             ScanOutcome::Complete { summary, engine } => {
-                println!(
-                    "baseline: {} records, in-flight high water {} (cap 16), \
-                 {} timers fired, {} wheel cascades",
-                    baseline.len(),
-                    engine.in_flight_high_water,
-                    engine.timers_fired,
-                    engine.wheel_cascades,
+                eprintln!(
+                    "scheduler: in-flight high water {} (cap 16 per worker), \
+                     {} timers fired, {} wheel cascades",
+                    engine.in_flight_high_water, engine.timers_fired, engine.wheel_cascades,
                 );
                 summary
             }
             ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed"),
         };
+    println!("baseline: {} records", baseline.len());
 
-    let (scanner, universe) = build(seed);
-    let certs = CertStore::new();
-    let mut stitched = Vec::new();
-    let token = CancelToken::after_records(baseline.len() as u64 / 2);
-    let checkpoint =
-        match scanner.scan_resumable(&universe, seed, &certs, None, &token, |r| stitched.push(r)) {
+    // Resume once at the aborting worker count, once at another: a
+    // checkpoint is a position in the merged record stream, so it does
+    // not care how many event loops produced it.
+    let other = if workers == 1 { 4 } else { 1 };
+    for (resume_workers, label) in [(workers, "same"), (other, "another")] {
+        let (scanner, universe) = build(seed, workers);
+        let certs = CertStore::new();
+        let mut stitched = Vec::new();
+        let token = CancelToken::after_records(baseline.len() as u64 / 2);
+        let checkpoint = match scanner
+            .scan_resumable(&universe, seed, &certs, None, &token, |r| stitched.push(r))
+        {
             ScanOutcome::Aborted { checkpoint } => checkpoint,
             ScanOutcome::Complete { .. } => unreachable!("budgeted token must abort"),
         };
-    println!(
-        "aborted after {} of {} records: checkpoint at walk step {}, {} probes in flight discarded",
-        stitched.len(),
-        baseline.len(),
-        checkpoint.next_step,
-        checkpoint.in_flight.len(),
-    );
-    let resumed_summary = match scanner.scan_resumable(
-        &universe,
-        seed,
-        &certs,
-        Some(*checkpoint),
-        &CancelToken::new(),
-        |r| stitched.push(r),
-    ) {
-        ScanOutcome::Complete { summary, .. } => summary,
-        ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed on resume"),
-    };
-    all_ok &= check("stitched record stream equals uninterrupted run", {
-        stitched == baseline
-    });
-    all_ok &= check(
-        "stitched summary equals uninterrupted run",
-        summaries_match(&resumed_summary, &baseline_summary),
-    );
+        println!(
+            "aborted after {} of {} records: checkpoint at walk step {}",
+            stitched.len(),
+            baseline.len(),
+            checkpoint.next_step,
+        );
+        let resumer = Scanner::new(
+            scanner.internet().clone(),
+            Blocklist::new(),
+            config(resume_workers),
+        );
+        let resumed_summary = match resumer.scan_resumable(
+            &universe,
+            seed,
+            &certs,
+            Some(*checkpoint),
+            &CancelToken::new(),
+            |r| stitched.push(r),
+        ) {
+            ScanOutcome::Complete { summary, .. } => summary,
+            ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed on resume"),
+        };
+        all_ok &= check(
+            &format!("stitched record stream equals uninterrupted run ({label} worker count)"),
+            stitched == baseline,
+        );
+        all_ok &= check(
+            &format!("stitched summary equals uninterrupted run ({label} worker count)"),
+            summaries_match(&resumed_summary, &baseline_summary),
+        );
+    }
 
     // --- Level 2: a weekly campaign aborted mid-week. -----------------
-    let weeks = |resumable: bool| {
-        let (scanner, universe) = build(seed);
+    let uninterrupted = {
+        let (scanner, universe) = build(seed, workers);
         let mut campaign = Campaign::new(scanner);
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            if resumable {
-                let half = CancelToken::after_records(40);
-                match campaign.run_week_resumable(&universe, seed, |_| {}, &half) {
-                    WeekOutcome::Complete(scan) => out.push(scan),
-                    WeekOutcome::Aborted(cp) => {
-                        match campaign.resume_week(&universe, seed, *cp, &CancelToken::new()) {
-                            WeekOutcome::Complete(scan) => out.push(scan),
-                            WeekOutcome::Aborted(_) => unreachable!("resume token never cancels"),
-                        }
-                    }
-                }
-            } else {
-                out.push(campaign.run_week(&universe, seed, |_| {}));
-            }
-        }
-        out
+        [
+            campaign.run_week(&universe, seed, |_| {}),
+            campaign.run_week(&universe, seed, |_| {}),
+        ]
     };
-    let uninterrupted = weeks(false);
-    let (scanner, universe) = build(seed);
+    let (scanner, universe) = build(seed, workers);
     let mut campaign = Campaign::new(scanner);
     let clock_before = campaign.scanner().internet().clock().now_micros();
     let token = CancelToken::after_records(40);

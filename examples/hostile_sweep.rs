@@ -16,18 +16,16 @@
 //! 3. **Undercount**: a polite single-attempt baseline misses hosts a
 //!    retrying scanner recovers — the bias the layer exists to fix.
 //! 4. **Determinism**: the hostile sweep is byte-identical across
-//!    engines and worker counts.
+//!    worker counts and in-flight caps.
 //!
 //! ```sh
-//! cargo run --release --example hostile_sweep                      # default seed
-//! cargo run --release --example hostile_sweep -- 1234              # custom seed
-//! cargo run --release --example hostile_sweep -- 2020 4            # 4 workers
-//! cargo run --release --example hostile_sweep -- 2020 1 event_loop # engine flip
+//! cargo run --release --example hostile_sweep             # default seed
+//! cargo run --release --example hostile_sweep -- 1234     # custom seed
+//! cargo run --release --example hostile_sweep -- 2020 4   # 4 workers
 //! ```
 //!
-//! The optional second/third arguments pick the worker count and scan
-//! engine for the *main* sweep; stdout must be byte-identical for any
-//! choice (CI diffs them).
+//! The optional second argument picks the worker count for the *main*
+//! sweep; stdout must be byte-identical for any choice (CI diffs them).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,8 +54,8 @@ fn sweep_mix() -> StrataMix {
 fn build(
     seed: u64,
     retry: RetryPolicy,
-    engine: ScanEngine,
     workers: usize,
+    max_in_flight: usize,
 ) -> (Scanner, Vec<Cidr>, Population, MiddleboxPlan) {
     let net = Internet::new(VirtualClock::default());
     let universe: Vec<Cidr> = vec!["10.60.0.0/21".parse().unwrap()];
@@ -66,8 +64,8 @@ fn build(
     let plan = MiddleboxPlan::plan(&population, &MiddleboxConfig::hostile(), seed);
     net.set_profiles(Arc::new(plan.clone()));
     let config = ScanConfig {
-        engine,
         workers,
+        max_in_flight,
         retry,
         ..ScanConfig::default()
     };
@@ -103,16 +101,13 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let engine = match std::env::args().nth(3).as_deref() {
-        Some("event_loop") => ScanEngine::EventLoop,
-        _ => ScanEngine::Threaded,
-    };
+    let default_cap = ScanConfig::default().max_in_flight;
     let mut all_ok = true;
     let budget = RetryPolicy::hostile().max_attempts;
 
     // --- The hostile sweep, against the planted oracle. --------------
     let (scanner, universe, population, plan) =
-        build(seed, RetryPolicy::hostile(), engine, workers);
+        build(seed, RetryPolicy::hostile(), workers, default_cap);
     let (summary, records) = scanner.scan_collect(&universe, seed);
     let faults = summary.faults;
     println!(
@@ -179,7 +174,7 @@ fn main() {
     );
 
     // --- The polite baseline undercounts. ----------------------------
-    let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), ScanEngine::EventLoop, 1);
+    let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), 1, default_cap);
     let (polite_summary, _) = polite.scan_collect(&universe_p, seed);
     println!(
         "polite baseline: {} ok vs {} ok with retries ({} hosts recovered by retrying)",
@@ -192,14 +187,13 @@ fn main() {
         polite_summary.faults.ok < faults.ok,
     );
 
-    // --- Byte identity across engines and worker counts. -------------
-    for (other_engine, other_workers, label) in [
-        (ScanEngine::Threaded, 4, "threaded, 4 workers"),
-        (ScanEngine::EventLoop, 1, "event loop"),
-        (ScanEngine::EventLoop, 8, "event loop (workers inert)"),
+    // --- Byte identity across worker counts and in-flight caps. -------
+    for (other_workers, cap, label) in [
+        (1, 1, "1 worker, in-flight cap 1"),
+        (4, default_cap, "4 workers"),
+        (8, 16, "8 workers, in-flight cap 16"),
     ] {
-        let (other, universe_o, _, _) =
-            build(seed, RetryPolicy::hostile(), other_engine, other_workers);
+        let (other, universe_o, _, _) = build(seed, RetryPolicy::hostile(), other_workers, cap);
         let (s, r) = other.scan_collect(&universe_o, seed);
         all_ok &= check(
             &format!("byte-identical under fire: {label}"),

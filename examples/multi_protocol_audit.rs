@@ -17,19 +17,18 @@
 //!    both ports — to exactly the vendor the synthesis planted.
 //! 4. **Composition**: the mixed-registry sweep equals the literal
 //!    concatenation of the single-suite sweeps.
-//! 5. **Determinism**: the campaign is byte-identical across engines
-//!    and worker counts.
+//! 5. **Determinism**: the campaign is byte-identical across worker
+//!    counts and in-flight caps.
 //!
 //! ```sh
-//! cargo run --release --example multi_protocol_audit                      # default seed
-//! cargo run --release --example multi_protocol_audit -- 1234              # custom seed
-//! cargo run --release --example multi_protocol_audit -- 2020 4            # 4 workers
-//! cargo run --release --example multi_protocol_audit -- 2020 1 event_loop # engine flip
+//! cargo run --release --example multi_protocol_audit            # default seed
+//! cargo run --release --example multi_protocol_audit -- 1234    # custom seed
+//! cargo run --release --example multi_protocol_audit -- 2020 4  # 4 workers
 //! ```
 //!
-//! The optional second/third arguments pick the worker count and scan
-//! engine for the *main* campaign; stdout must be byte-identical for
-//! any choice (CI diffs them).
+//! The optional second argument picks the worker count for the *main*
+//! campaign; stdout must be byte-identical for any choice (CI diffs
+//! them).
 
 use std::sync::Arc;
 
@@ -60,10 +59,10 @@ fn build(seed: u64) -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
-fn audit_config(engine: ScanEngine, workers: usize) -> ScanConfig {
+fn audit_config(workers: usize, max_in_flight: usize) -> ScanConfig {
     ScanConfig::builder()
-        .engine(engine)
         .workers(workers)
+        .max_in_flight(max_in_flight)
         .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
         .suite(
             DEFAULT_UATLS_PORT,
@@ -97,14 +96,11 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let engine = match std::env::args().nth(3).as_deref() {
-        Some("event_loop") => ScanEngine::EventLoop,
-        _ => ScanEngine::Threaded,
-    };
+    let default_cap = ScanConfig::default().max_in_flight;
     let mut all_ok = true;
 
     // --- The two-suite campaign, against the planted oracles. --------
-    let (summary, records, population, plan) = scan(seed, audit_config(engine, workers));
+    let (summary, records, population, plan) = scan(seed, audit_config(workers, default_cap));
 
     // Partition the records by typed payload. Exhaustive on purpose:
     // adding a suite must force this audit to account for its records
@@ -185,13 +181,13 @@ fn main() {
         records == concat,
     );
 
-    // --- Byte identity across engines and worker counts. -------------
-    for (other_engine, other_workers, label) in [
-        (ScanEngine::Threaded, 4, "threaded, 4 workers"),
-        (ScanEngine::EventLoop, 1, "event loop"),
-        (ScanEngine::EventLoop, 8, "event loop (workers inert)"),
+    // --- Byte identity across worker counts and in-flight caps. -------
+    for (other_workers, cap, label) in [
+        (1, 1, "1 worker, in-flight cap 1"),
+        (4, default_cap, "4 workers"),
+        (8, 16, "8 workers, in-flight cap 16"),
     ] {
-        let (s, r, _, _) = scan(seed, audit_config(other_engine, other_workers));
+        let (s, r, _, _) = scan(seed, audit_config(other_workers, cap));
         all_ok &= check(
             &format!("byte-identical: {label}"),
             s == summary && r == records,

@@ -32,8 +32,6 @@
 //! cargo run --release --example seven_month_study -- 1234 4        # seed, workers
 //! cargo run --release --example seven_month_study -- 1234 4 6      # ... 6 weeks
 //! cargo run --release --example seven_month_study -- 1234 4 6 lazy # ... lazy world
-//! cargo run --release --example seven_month_study -- 1234 4 6 eager event_loop
-//! #   ... timer-wheel engine; stdout byte-identical to threaded runs
 //! ```
 
 use assessment::{diff, HostObservation, LongitudinalAssessor, WeekDelta, WeekSnapshot};
@@ -96,19 +94,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(30)
         .max(1);
-    // Remaining args, position-free: "eager"/"lazy" selects the world
-    // materialization mode, "event_loop" the timer-wheel scan engine.
-    let rest: Vec<String> = args.collect();
-    let mode = rest
-        .iter()
-        .find(|a| a.as_str() != "event_loop")
-        .cloned()
-        .unwrap_or_else(|| "eager".into());
-    let engine = if rest.iter().any(|a| a == "event_loop") {
-        ScanEngine::EventLoop
-    } else {
-        ScanEngine::Threaded
-    };
+    // "eager"/"lazy" selects the world materialization mode.
+    let mode = args.next().unwrap_or_else(|| "eager".into());
 
     // 2020-02-09, the paper's first campaign.
     let net = Internet::new(VirtualClock::default());
@@ -126,7 +113,6 @@ fn main() {
 
     let scan_config = ScanConfig {
         workers,
-        engine,
         ..ScanConfig::default()
     };
     let mut campaign = Campaign::new(Scanner::new(net, Blocklist::new(), scan_config));

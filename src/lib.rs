@@ -32,17 +32,17 @@
 //!                 │              upgrade detection,         │
 //!                 │              deficit trajectories)      │
 //!                 ├─────────────────────────────────────────┤
-//!   measurement   │ scanner      two engines, one output:   │
-//!                 │              threaded (sharded sweep,   │
-//!                 │              ScanConfig::workers probe  │
-//!                 │              threads, merge by          │
-//!                 │              discovery order) and       │
-//!                 │              event loop (scanner::sched:│
-//!                 │              timer-wheel scheduler,     │
-//!                 │              per-host state machines,   │
-//!                 │              max_in_flight window,      │
+//!   measurement   │ scanner      one engine (scanner::      │
+//!                 │              sched): timer-wheel event  │
+//!                 │              loops of per-host state    │
+//!                 │              machines, max_in_flight    │
+//!                 │              window per loop;           │
+//!                 │              ScanConfig::workers loops  │
+//!                 │              on pos % N shards, merged  │
+//!                 │              in discovery order;        │
 //!                 │              CancelToken abort +        │
-//!                 │              SweepCheckpoint resume);   │
+//!                 │              SweepCheckpoint resume at  │
+//!                 │              any worker count;          │
 //!                 │              → LDS referral queue (url  │
 //!                 │              parse, dedup, depth/       │
 //!                 │              budget) → channel;         │
@@ -118,27 +118,28 @@
 //!
 //! ## Scaling knobs
 //!
-//! * **Worker count** — `ScanConfig::workers` shards the campaign
-//!   across N probe threads. The permuted universe is split
-//!   deterministically (`pos % workers`) and shard outputs merge back
-//!   into discovery order, so records, report, and summary are
-//!   byte-identical for a fixed seed at *any* worker count; only the
-//!   wall-clock changes. CI enforces this by diffing a 1-worker against
-//!   a 4-worker campaign.
-//! * **Scan engine** — `ScanConfig::engine` selects between the
-//!   thread-per-shard reference engine and `scanner::sched`'s
-//!   single-threaded event loop: per-host probe state machines
-//!   multiplexed over a hierarchical timer wheel, with
-//!   `ScanConfig::max_in_flight` bounding the admitted-but-unemitted
-//!   window (throughput tracks the in-flight budget, not a worker
-//!   count). Output is byte-identical between engines per seed, and
-//!   the event loop adds what threads cannot: cooperative
-//!   cancellation (`CancelToken`) and deterministic abort/resume
-//!   (`Scanner::scan_resumable` + `SweepCheckpoint`,
-//!   `Campaign::run_week_resumable` + `resume_week`) — an aborted
-//!   sweep consumes no campaign time and stitches byte-identically.
-//!   CI diffs event-loop runs against threaded ones and replays an
-//!   abort/resume cycle.
+//! * **Worker count** — every campaign runs on `scanner::sched`'s
+//!   event loops: per-host probe state machines multiplexed over a
+//!   hierarchical timer wheel. `ScanConfig::workers` runs N loops on N
+//!   threads; the permuted universe is split deterministically
+//!   (`pos % workers`, and each referral level `i % workers`) and the
+//!   loops' outputs merge back into discovery order, so records,
+//!   report, and summary are byte-identical for a fixed seed at *any*
+//!   worker count; only the wall-clock changes. One worker runs inline
+//!   on the caller's thread. CI enforces this by diffing 1-worker
+//!   against 4-worker campaigns.
+//! * **In-flight cap** — `ScanConfig::max_in_flight` bounds each
+//!   loop's admitted-but-unemitted window: admission stalls when it is
+//!   full, the backpressure against a slow record sink. Output does
+//!   not depend on it.
+//! * **Abort/resume** — every scan is resumable: a `CancelToken`
+//!   stops it at a safe point (`CancelToken::after_records(n)` right
+//!   after sweep record `n`), and `Scanner::scan_resumable` +
+//!   `SweepCheckpoint` (`Campaign::run_week_resumable` +
+//!   `resume_week` for weekly campaigns) pick it back up at any
+//!   worker count — an aborted sweep consumes no campaign time and
+//!   stitches byte-identically. CI replays an abort/resume cycle at 1
+//!   and 4 workers and diffs the two.
 //! * **Referral following** — after the sweep, the pipeline re-probes
 //!   every `host:port` that FindServers answers referred to (the
 //!   paper's 2020-05-04 scanner change): URLs are normalized through
@@ -208,7 +209,7 @@
 //!   tarpitted), and tallies the cost (`FaultStats`). Default policy
 //!   is one attempt: polite campaigns are byte-identical to the
 //!   pre-retry pipeline. Hostile sweeps stay byte-identical across
-//!   engines, worker counts, and abort/resume; CI replays
+//!   worker counts, in-flight caps, and abort/resume; CI replays
 //!   `examples/hostile_sweep.rs` against the planted truth and diffs
 //!   1-vs-4-worker hostile campaigns.
 //! * **Protocol suites** — `ScanConfig::suites` (or
@@ -226,8 +227,7 @@
 //!   anonymous inner servers and expired wrapper certificates —
 //!   `population::MultiProtoPlan` plants those strata with checkable
 //!   ground truth). CI replays `examples/multi_protocol_audit.rs`
-//!   against the planted truth and diffs it across engines and worker
-//!   counts.
+//!   against the planted truth and diffs it across worker counts.
 //! * **Invariant lints** — every determinism rule above is statically
 //!   checked by `crates/ua-lint`, a registry-dependency-free analyzer
 //!   with its own Rust lexer: no wall-clock reads or sleeps off the
@@ -280,9 +280,9 @@ pub mod prelude {
     pub use scanner::{
         Campaign, CampaignConfig, CancelToken, CertStore, DiscoveredVia, EngineStats, FaultStats,
         HostOutcome, OpcUaSuite, OpcUrl, ProtocolPayload, ProtocolSuite, ReferralStats,
-        RetryPolicy, ScanConfig, ScanEngine, ScanOutcome, ScanRecord, ScanSummary, Scanner,
-        SessionOutcome, SuiteRegistry, SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome,
-        WeeklyScan, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
+        RetryPolicy, ScanConfig, ScanOutcome, ScanRecord, ScanSummary, Scanner, SessionOutcome,
+        SuiteRegistry, SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome, WeeklyScan,
+        DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
     };
     pub use ua_crypto::Thumbprint;
     pub use ua_types::{MessageSecurityMode, SecurityPolicy, UserTokenType};
