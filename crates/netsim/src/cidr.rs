@@ -135,8 +135,9 @@ impl FromStr for Cidr {
 /// An opt-out blocklist of CIDR blocks with O(log n) lookups.
 #[derive(Debug, Clone, Default)]
 pub struct Blocklist {
-    // Sorted by base address; non-overlapping is not required, lookups
-    // scan neighbours.
+    // Canonical: sorted by base address, and no block lies inside
+    // another. CIDR blocks either nest or are disjoint, so at most one
+    // block can contain a given address.
     blocks: Vec<Cidr>,
 }
 
@@ -146,10 +147,19 @@ impl Blocklist {
         Self::default()
     }
 
-    /// Adds a block.
+    /// Adds a block. A block an existing one already covers changes
+    /// nothing; existing blocks the new one covers are merged into it.
     pub fn add(&mut self, block: Cidr) {
-        self.blocks.push(block);
-        self.blocks.sort_by_key(|b| b.base.0);
+        if self
+            .block_of(block.base)
+            .is_some_and(|b| b.prefix_len <= block.prefix_len)
+        {
+            return;
+        }
+        // Every block based inside the new one nests inside it.
+        let start = self.blocks.partition_point(|b| b.base.0 < block.base.0);
+        let end = self.blocks.partition_point(|b| b.base.0 <= block.last().0);
+        self.blocks.splice(start..end, [block]);
     }
 
     /// Parses and adds a block.
@@ -158,7 +168,8 @@ impl Blocklist {
         Ok(())
     }
 
-    /// Number of blocks.
+    /// Number of blocks, after nested blocks merged into the block
+    /// covering them.
     pub fn len(&self) -> usize {
         self.blocks.len()
     }
@@ -168,24 +179,23 @@ impl Blocklist {
         self.blocks.is_empty()
     }
 
-    /// Total number of excluded addresses (counting overlaps twice).
+    /// Total number of excluded addresses (each counted once, since the
+    /// blocks are disjoint).
     pub fn excluded_addresses(&self) -> u64 {
         self.blocks.iter().map(|b| b.size()).sum()
     }
 
     /// True if `addr` is blocklisted.
     pub fn contains(&self, addr: Ipv4) -> bool {
-        // Binary search for the last block whose base <= addr, then check
-        // it and earlier neighbours that could still cover addr (blocks
-        // are at most /0, so checking backwards until base > addr - max
-        // size is bounded; in practice opt-out lists are small and
-        // non-overlapping, so we check a handful).
+        self.block_of(addr).is_some()
+    }
+
+    /// The block containing `addr`, if any. The blocks are disjoint, so
+    /// only the one with the greatest base not above `addr` can.
+    fn block_of(&self, addr: Ipv4) -> Option<&Cidr> {
         let idx = self.blocks.partition_point(|b| b.base.0 <= addr.0);
-        self.blocks[..idx]
-            .iter()
-            .rev()
-            .take(32)
-            .any(|b| b.contains(addr))
+        let candidate = self.blocks.get(idx.checked_sub(1)?)?;
+        candidate.contains(addr).then_some(candidate)
     }
 }
 
@@ -266,6 +276,65 @@ mod tests {
         bl.add_str("10.5.0.0/16").unwrap();
         assert!(bl.contains(Ipv4::new(10, 5, 1, 1)));
         assert!(bl.contains(Ipv4::new(10, 99, 1, 1)));
+    }
+
+    #[test]
+    fn covering_block_far_below_still_matches() {
+        // 40 nested /24s sort between the /8 and the probed address;
+        // the covering /8 must still be found.
+        let mut bl = Blocklist::new();
+        bl.add_str("10.0.0.0/8").unwrap();
+        for i in 0..40u8 {
+            bl.add(Cidr::new(Ipv4::new(10, 0, i, 0), 24));
+        }
+        assert!(bl.contains(Ipv4::new(10, 1, 0, 0)));
+        assert!(bl.contains(Ipv4::new(10, 0, 39, 7)));
+        assert!(!bl.contains(Ipv4::new(11, 0, 0, 0)));
+        assert_eq!(bl.len(), 1);
+        assert_eq!(bl.excluded_addresses(), 1 << 24);
+
+        // Added the other way round, the /8 absorbs the /24s.
+        let mut bl = Blocklist::new();
+        for i in 0..40u8 {
+            bl.add(Cidr::new(Ipv4::new(10, 0, i, 0), 24));
+        }
+        bl.add_str("192.0.2.0/24").unwrap();
+        bl.add_str("10.0.0.0/8").unwrap();
+        assert!(bl.contains(Ipv4::new(10, 1, 0, 0)));
+        assert!(bl.contains(Ipv4::new(192, 0, 2, 1)));
+        assert_eq!(bl.len(), 2);
+        assert_eq!(bl.excluded_addresses(), (1 << 24) + 256);
+    }
+
+    #[test]
+    fn blocklist_matches_brute_force_membership() {
+        // Nested, equal-base, duplicate and disjoint blocks in one list.
+        let blocks = [
+            "10.0.4.0/24",
+            "10.0.0.0/22",
+            "10.0.0.0/24",
+            "10.0.0.0/22",
+            "10.0.8.0/21",
+            "10.0.12.128/25",
+            "10.0.16.0/32",
+            "10.0.0.0/23",
+            "10.0.20.0/22",
+        ];
+        let mut bl = Blocklist::new();
+        let mut added: Vec<Cidr> = Vec::new();
+        for s in blocks {
+            bl.add_str(s).unwrap();
+            added.push(s.parse().unwrap());
+            for a in 0..(1u32 << 15) {
+                let addr = Ipv4(Ipv4::new(10, 0, 0, 0).0 + a);
+                let want = added.iter().any(|c| c.contains(addr));
+                assert_eq!(bl.contains(addr), want, "{addr} after {s}");
+            }
+        }
+        let covered = (0..(1u32 << 15))
+            .filter(|&a| bl.contains(Ipv4(Ipv4::new(10, 0, 0, 0).0 + a)))
+            .count() as u64;
+        assert_eq!(bl.excluded_addresses(), covered);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::asn::AsRegistry;
 use crate::cidr::Ipv4;
 use crate::clock::VirtualClock;
 use crate::faults::{ConnectFate, CutConn, NetProfile, ProfileProvider, TarpitConn};
+use crate::sweep::SWEEP_BATCH;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -169,30 +170,51 @@ struct HostEntry {
     rtt_micros: u32,
 }
 
+/// What a SYN to one `(addr, port)` finds at a host the bound table does
+/// not hold: a [`HostResolver`]'s answer, one per address of a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortState {
+    /// No host at the address: the SYN times out.
+    NoHost,
+    /// A host, but nothing listens on the port: RST.
+    Closed,
+    /// Something listens on the port: SYN-ACK.
+    Open,
+}
+
 /// Lazily resolves hosts that are not (yet) in the bound host table.
 ///
 /// A resolver is the hook behind lazy world materialization: the sweep
-/// and the probe stack keep calling [`Internet::has_listener`] /
+/// and the probe stack keep SYN-probing and calling
 /// [`Internet::connect`] as if every host were pre-bound, and the
-/// resolver answers occupancy queries from a seeded predicate in O(1) —
-/// without allocating anything per address — then materializes (builds
-/// and binds) a host the first time a connection actually reaches it.
+/// resolver answers occupancy queries from a seeded predicate in O(1)
+/// per address — without allocating anything per address — then
+/// materializes (builds and binds) a host the first time a connection
+/// actually reaches it.
 ///
 /// Contract:
-/// * `host_exists` / `has_listener` must be side-effect free and cheap —
-///   they are called once per swept address.
+/// * `host_exists` / `syn_batch` must be side-effect free and cheap —
+///   the sweep hands every walked address that misses the bound table
+///   to `syn_batch`, [`crate::SWEEP_BATCH`] addresses per call.
+/// * Answers must be fixed for a scan's duration and consistent with
+///   what `materialize` binds, or probes become non-deterministic. The
+///   sweep classifies up to one batch of addresses ahead of admitting
+///   them for probing, so an answer given for an unbuilt host must
+///   still hold when its probe connects and materializes it.
 /// * `materialize` must leave the host bound on `net` before returning
 ///   (or do nothing if the address is actually empty); it is only called
 ///   after `host_exists` returned true, and must be idempotent — probe
 ///   workers race on it.
-/// * Answers must be consistent with what `materialize` binds, or probes
-///   become non-deterministic.
+/// * Never call a resolver while holding the host-table lock
+///   ([`Internet`] releases it first): `materialize` takes the
+///   resolver's own state lock and then the host-table write lock.
 pub trait HostResolver: Send + Sync {
     /// True if a host occupies `addr` (SYN would not time out).
     fn host_exists(&self, addr: Ipv4) -> bool;
-    /// True if something listens on `(addr, port)` — the sweep's SYN
-    /// probe. Must not materialize anything.
-    fn has_listener(&self, addr: Ipv4, port: u16) -> bool;
+    /// SYN-probes `port` on every address of `addrs` at once, writing
+    /// what `addrs[i]` answers to `states[i]` (the slices have equal
+    /// length). Must not materialize anything.
+    fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]);
     /// Builds and binds the host at `addr` onto `net` (first contact).
     fn materialize(&self, net: &Internet, addr: Ipv4);
 }
@@ -373,19 +395,82 @@ impl Internet {
     }
 
     /// SYN-probe semantics: does anything listen on `(addr, port)`?
-    /// (No clock cost — probe pacing is accounted by the sweep.)
-    ///
-    /// A materialized host answers from its bound service table; an
-    /// unmaterialized one from the resolver's O(1) predicate — the SYN
+    /// (No clock cost — probe pacing is accounted by the sweep.) The
+    /// sweep's batched SYN for a single address: a bound host answers
+    /// from its service table, any other from the resolver, and the SYN
     /// itself never materializes anything.
     pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
+        self.syn_one(addr, port).will_accept()
+    }
+
+    /// SYN-probes `port` on at most [`SWEEP_BATCH`] addresses in one
+    /// pass, writing what a fault-free connect to `addrs[i]` would do to
+    /// `polls[i]` (the slices have equal length): never
+    /// [`ConnectPoll::Throttled`] or [`ConnectPoll::Stalled`].
+    ///
+    /// A materialized host answers from its bound service table (with
+    /// its RTT). The addresses the table misses go to the lazy resolver
+    /// in one [`HostResolver::syn_batch`] call, after the table lock is
+    /// released. This is the only place that decides between the two,
+    /// for the sweep's [`crate::SweepCursor`], [`Internet::has_listener`]
+    /// and [`Internet::poll_connect`] alike. No clock cost, no side
+    /// effects.
+    pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], polls: &mut [ConnectPoll]) {
+        assert_eq!(addrs.len(), polls.len(), "one poll slot per address");
+        assert!(addrs.len() <= SWEEP_BATCH, "at most one sweep batch");
+        let no_route = ConnectPoll::NoRoute {
+            timeout_micros: SYN_TIMEOUT_MICROS,
+        };
+        // The misses collect on the stack: no allocation per batch.
+        let mut misses = [Ipv4(0); SWEEP_BATCH];
+        let mut missed = 0;
         {
             let hosts = self.hosts_read();
-            if let Some(h) = hosts.get(&addr.0) {
-                return h.services.contains_key(&port);
+            for (&addr, poll) in addrs.iter().zip(polls.iter_mut()) {
+                *poll = match hosts.get(&addr.0) {
+                    Some(host) => {
+                        let rtt_micros = Some(host.rtt_micros);
+                        if host.services.contains_key(&port) {
+                            ConnectPoll::Listening { rtt_micros }
+                        } else {
+                            ConnectPoll::Refused { rtt_micros }
+                        }
+                    }
+                    None => {
+                        misses[missed] = addr;
+                        missed += 1;
+                        no_route
+                    }
+                };
             }
         }
-        self.resolver().is_some_and(|r| r.has_listener(addr, port))
+        if missed == 0 {
+            return;
+        }
+        let Some(resolver) = self.resolver() else {
+            return;
+        };
+        let mut states = [PortState::NoHost; SWEEP_BATCH];
+        resolver.syn_batch(port, &misses[..missed], &mut states[..missed]);
+        // A bound host never answers NoRoute, so the NoRoute slots are
+        // exactly the misses, in order.
+        let miss_slots = polls.iter_mut().filter(|poll| **poll == no_route);
+        for (poll, state) in miss_slots.zip(&states[..missed]) {
+            *poll = match state {
+                PortState::NoHost => no_route,
+                PortState::Closed => ConnectPoll::Refused { rtt_micros: None },
+                PortState::Open => ConnectPoll::Listening { rtt_micros: None },
+            };
+        }
+    }
+
+    /// `syn_batch` for a single address.
+    fn syn_one(&self, addr: Ipv4, port: u16) -> ConnectPoll {
+        let mut poll = [ConnectPoll::NoRoute {
+            timeout_micros: SYN_TIMEOUT_MICROS,
+        }];
+        self.syn_batch(port, &[addr], &mut poll);
+        poll[0]
     }
 
     /// Number of *bound* hosts (lazy worlds: materialized so far).
@@ -405,36 +490,16 @@ impl Internet {
     /// without blocking, clock cost, or side effects.
     ///
     /// Mirrors `connect`'s decision tree — bound table first, then the
-    /// lazy resolver — but never materializes a host and never touches
-    /// the clock: it is safe to call once per admitted probe from the
-    /// event loop. See [`ConnectPoll`] for how the answer (and its
-    /// latency hint) is meant to be used.
+    /// lazy resolver, decided by the sweep's batched SYN — but never
+    /// materializes a host and never touches the clock: it is safe to
+    /// call once per admitted probe from the event loop. See
+    /// [`ConnectPoll`] for how the answer (and its latency hint) is
+    /// meant to be used.
     pub fn poll_connect(&self, to: Ipv4, port: u16) -> ConnectPoll {
-        let base = 'route: {
-            {
-                let hosts = self.hosts_read();
-                if let Some(host) = hosts.get(&to.0) {
-                    let rtt_micros = Some(host.rtt_micros);
-                    break 'route if host.services.contains_key(&port) {
-                        ConnectPoll::Listening { rtt_micros }
-                    } else {
-                        ConnectPoll::Refused { rtt_micros }
-                    };
-                }
-            }
-            if let Some(resolver) = self.resolver() {
-                if resolver.host_exists(to) {
-                    break 'route if resolver.has_listener(to, port) {
-                        ConnectPoll::Listening { rtt_micros: None }
-                    } else {
-                        ConnectPoll::Refused { rtt_micros: None }
-                    };
-                }
-            }
-            return ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS,
-            };
-        };
+        let base = self.syn_one(to, port);
+        if matches!(base, ConnectPoll::NoRoute { .. }) {
+            return base;
+        }
         // Routable: overlay the first attempt's middlebox fate, exactly
         // as the blocking `connect` (attempt 0) will resolve it.
         let profile = self.profile_of(to);
@@ -716,8 +781,14 @@ mod tests {
             fn host_exists(&self, addr: Ipv4) -> bool {
                 addr == self.target
             }
-            fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-                addr == self.target && port == 4840
+            fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
+                for (addr, state) in addrs.iter().zip(states) {
+                    *state = match (*addr == self.target, port == 4840) {
+                        (false, _) => PortState::NoHost,
+                        (true, false) => PortState::Closed,
+                        (true, true) => PortState::Open,
+                    };
+                }
             }
             fn materialize(&self, net: &Internet, addr: Ipv4) {
                 self.materialized.fetch_add(1, Ordering::SeqCst);
@@ -832,8 +903,14 @@ mod tests {
             fn host_exists(&self, addr: Ipv4) -> bool {
                 addr == self.target
             }
-            fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-                addr == self.target && port == 4840
+            fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
+                for (addr, state) in addrs.iter().zip(states) {
+                    *state = match (*addr == self.target, port == 4840) {
+                        (false, _) => PortState::NoHost,
+                        (true, false) => PortState::Closed,
+                        (true, true) => PortState::Open,
+                    };
+                }
             }
             fn materialize(&self, net: &Internet, addr: Ipv4) {
                 net.install_host(

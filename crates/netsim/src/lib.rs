@@ -14,7 +14,8 @@
 //! * [`stream`] — TCP-like client streams with latency and traffic
 //!   accounting;
 //! * [`sweep`] — zmap's cyclic-group address permutation and a SYN
-//!   scanner with blocklist and probe-rate modeling.
+//!   scanner with blocklist and probe-rate modeling; [`SweepCursor`] is
+//!   the one per-address sweep classifier every driver consumes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +36,11 @@ pub use faults::{
     TarpitProfile,
 };
 pub use internet::{
-    ConnectError, ConnectPoll, Connection, ConnectionOutput, HostResolver, Internet, Service,
-    SYN_TIMEOUT_MICROS,
+    ConnectError, ConnectPoll, Connection, ConnectionOutput, HostResolver, Internet, PortState,
+    Service, SYN_TIMEOUT_MICROS,
 };
 pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};
 pub use sweep::{
-    ipv4_permutation, CycleWalk, PermutedRange, SweepConfig, SweepResult, SweepStats, SweepWalk,
-    SynScanner,
+    ipv4_permutation, CycleWalk, PermutedRange, SweepConfig, SweepCursor, SweepResult, SweepStats,
+    SweepWalk, SynScanner, SWEEP_BATCH,
 };

@@ -9,9 +9,14 @@
 //! gated to benches), plus a bounded [`PermutedRange`] used to randomize
 //! scan order within configurable universes, and the [`SynScanner`]
 //! driver with blocklist and probe-rate accounting.
+//!
+//! The sweep's per-address classification — blocklist, probe counted,
+//! listener check — exists once, in [`SweepCursor`]. [`SynScanner`] and
+//! the scanner crate's event loops both consume it, so their
+//! [`SweepStats`] cannot drift apart.
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
-use crate::internet::Internet;
+use crate::internet::{ConnectPoll, Internet, SYN_TIMEOUT_MICROS};
 use rand::Rng;
 
 /// The zmap prime: smallest prime larger than 2³².
@@ -54,12 +59,51 @@ fn pow_mod(mut base: u64, mut exp: u64, m: u64) -> u64 {
     acc
 }
 
+/// Multiplication by a fixed factor modulo `p` without a division per
+/// step (Shoup's precomputed quotient): `quotient = ⌊factor·2⁶⁴ / p⌋`
+/// makes `mulhi(x, quotient)` the true quotient `⌊x·factor / p⌋` or one
+/// less, so one conditional subtract finishes the reduction. Exact for
+/// `x, factor < p < 2⁶³`.
+#[derive(Debug, Clone, Copy)]
+struct MulModFixed {
+    factor: u64,
+    quotient: u64,
+    p: u64,
+}
+
+impl MulModFixed {
+    fn new(factor: u64, p: u64) -> Self {
+        assert!(p < 1 << 63, "modulus must leave one bit of headroom");
+        assert!(factor < p, "factor must be reduced");
+        MulModFixed {
+            factor,
+            quotient: ((u128::from(factor) << 64) / u128::from(p)) as u64,
+            p,
+        }
+    }
+
+    /// `x·factor mod p`, for `x < p`.
+    fn apply(self, x: u64) -> u64 {
+        let q = ((u128::from(x) * u128::from(self.quotient)) >> 64) as u64;
+        // The true remainder is below 2p < 2⁶⁴, so wrapping arithmetic
+        // computes it exactly.
+        let r = x
+            .wrapping_mul(self.factor)
+            .wrapping_sub(q.wrapping_mul(self.p));
+        if r >= self.p {
+            r - self.p
+        } else {
+            r
+        }
+    }
+}
+
 /// A full-cycle walk over the multiplicative group mod a prime `p`:
 /// visits every value in `[1, p-1]` exactly once.
 #[derive(Debug, Clone)]
 pub struct CycleWalk {
     p: u64,
-    generator: u64,
+    step: MulModFixed,
     start: u64,
     current: u64,
     emitted: u64,
@@ -82,7 +126,7 @@ impl CycleWalk {
         let start = rng.gen_range(1..p);
         CycleWalk {
             p,
-            generator,
+            step: MulModFixed::new(generator, p),
             start,
             current: start,
             emitted: 0,
@@ -96,7 +140,7 @@ impl CycleWalk {
 
     /// The chosen primitive root.
     pub fn generator(&self) -> u64 {
-        self.generator
+        self.step.factor
     }
 
     /// The walk restricted to steps `offset, offset+stride, …` of the
@@ -110,10 +154,10 @@ impl CycleWalk {
         assert!(stride > 0, "stride must be positive");
         assert!(offset < stride, "offset within stride");
         let order = self.p - 1;
+        let generator = self.generator();
         StridedWalk {
-            p: self.p,
-            generator: pow_mod(self.generator, stride, self.p),
-            current: mul_mod(self.start, pow_mod(self.generator, offset, self.p), self.p),
+            step_by: MulModFixed::new(pow_mod(generator, stride, self.p), self.p),
+            current: mul_mod(self.start, pow_mod(generator, offset, self.p), self.p),
             step: offset,
             stride,
             remaining: if offset < order {
@@ -132,8 +176,7 @@ impl CycleWalk {
 /// deterministically.
 #[derive(Debug, Clone)]
 pub struct StridedWalk {
-    p: u64,
-    generator: u64,
+    step_by: MulModFixed,
     current: u64,
     step: u64,
     stride: u64,
@@ -148,7 +191,7 @@ impl Iterator for StridedWalk {
             return None;
         }
         let out = (self.step, self.current);
-        self.current = mul_mod(self.current, self.generator, self.p);
+        self.current = self.step_by.apply(self.current);
         self.step += self.stride;
         self.remaining -= 1;
         Some(out)
@@ -163,7 +206,7 @@ impl Iterator for CycleWalk {
             return None;
         }
         let out = self.current;
-        self.current = mul_mod(self.current, self.generator, self.p);
+        self.current = self.step.apply(self.current);
         self.emitted += 1;
         debug_assert!(self.emitted < self.p - 1 || self.current == self.start);
         Some(out)
@@ -262,15 +305,9 @@ impl Iterator for PermutedRange {
 
 /// The permuted address walk of one sweep shard, with the flat-index →
 /// address mapping applied but *no* blocklist filtering, listener
-/// probing, or stats: the raw `(walk_step, addr)` sequence that every
-/// sweep driver shares.
-///
-/// [`SynScanner::sweep_shard`] consumes it eagerly; the scanner's event
-/// loops each hold one as a *pausable cursor* so admission can stall
-/// under backpressure (bounded in-flight window) and a `SweepCheckpoint`
-/// can record exactly how far the emitted records got. Walk steps are
-/// globally unique and increasing per shard — the merge key for sharded
-/// scans.
+/// probing, or stats: the raw `(walk_step, addr)` sequence a
+/// [`SweepCursor`] classifies. Walk steps are globally unique and
+/// increasing per shard — the merge key for sharded scans.
 #[derive(Debug, Clone)]
 pub struct SweepWalk {
     shard: Option<PermutedShard>,
@@ -307,6 +344,126 @@ impl Iterator for SweepWalk {
             rem -= size;
         }
         unreachable!("index within total")
+    }
+}
+
+/// How many walked addresses a [`SweepCursor`] classifies at once: one
+/// host-table lock and at most one [`crate::HostResolver`] call per
+/// batch, instead of one of each per address.
+pub const SWEEP_BATCH: usize = 1024;
+
+/// The sweep's per-address classification over one shard's
+/// [`SweepWalk`] — blocklist → probe counted → listener check — yielding
+/// the responsive `(walk_step, addr)` pairs in walk order.
+///
+/// This is the only copy of that classification: [`SynScanner::sweep_shard`]
+/// drains a cursor, and the scanner's event loops each hold one as a
+/// *pausable* source of admissions, so admission can stall under
+/// backpressure (bounded in-flight window) and a `SweepCheckpoint` can
+/// record exactly how far the emitted records got.
+///
+/// The cursor walks [`SWEEP_BATCH`] addresses at a time, drops the
+/// blocklisted ones, and resolves the rest under one host-table lock
+/// plus at most one [`crate::HostResolver::syn_batch`] call. It
+/// therefore classifies up to one batch ahead of what it has yielded,
+/// and [`SweepCursor::stats`] counts every classified address; once the
+/// cursor is exhausted they equal a sweep's totals.
+pub struct SweepCursor<'a> {
+    walk: SweepWalk,
+    internet: &'a Internet,
+    blocklist: &'a Blocklist,
+    port: u16,
+    stats: SweepStats,
+    /// The current batch's probed addresses and their walk steps; after
+    /// classification, only the responsive ones, `next` onwards not yet
+    /// yielded.
+    steps: Vec<u64>,
+    addrs: Vec<Ipv4>,
+    polls: Vec<ConnectPoll>,
+    next: usize,
+}
+
+impl<'a> SweepCursor<'a> {
+    /// A cursor SYN-probing `port` along `walk`, skipping `blocklist`.
+    pub fn new(
+        internet: &'a Internet,
+        blocklist: &'a Blocklist,
+        port: u16,
+        walk: SweepWalk,
+    ) -> Self {
+        SweepCursor {
+            walk,
+            internet,
+            blocklist,
+            port,
+            stats: SweepStats::default(),
+            steps: Vec::with_capacity(SWEEP_BATCH),
+            addrs: Vec::with_capacity(SWEEP_BATCH),
+            polls: Vec::with_capacity(SWEEP_BATCH),
+            next: 0,
+        }
+    }
+
+    /// Counters over every address classified so far.
+    pub fn stats(&self) -> SweepStats {
+        self.stats
+    }
+
+    /// Classifies the next batch of the walk, keeping its responsive
+    /// addresses. False once the walk is exhausted.
+    fn refill(&mut self) -> bool {
+        self.steps.clear();
+        self.addrs.clear();
+        self.next = 0;
+        let mut walked = 0;
+        for (step, addr) in self.walk.by_ref().take(SWEEP_BATCH) {
+            walked += 1;
+            if self.blocklist.contains(addr) {
+                self.stats.blocklisted += 1;
+                continue;
+            }
+            self.steps.push(step);
+            self.addrs.push(addr);
+        }
+        if walked == 0 {
+            return false;
+        }
+        self.stats.probes_sent += self.addrs.len() as u64;
+        self.polls.resize(
+            self.addrs.len(),
+            ConnectPoll::NoRoute {
+                timeout_micros: SYN_TIMEOUT_MICROS,
+            },
+        );
+        self.internet
+            .syn_batch(self.port, &self.addrs, &mut self.polls);
+        let mut kept = 0;
+        for i in 0..self.addrs.len() {
+            if self.polls[i].will_accept() {
+                self.steps[kept] = self.steps[i];
+                self.addrs[kept] = self.addrs[i];
+                kept += 1;
+            }
+        }
+        self.steps.truncate(kept);
+        self.addrs.truncate(kept);
+        self.stats.responsive += kept as u64;
+        true
+    }
+}
+
+impl Iterator for SweepCursor<'_> {
+    type Item = (u64, Ipv4);
+
+    fn next(&mut self) -> Option<(u64, Ipv4)> {
+        while self.next == self.addrs.len() {
+            if !self.refill() {
+                return None;
+            }
+        }
+        let out = (self.steps[self.next], self.addrs[self.next]);
+        self.next += 1;
+        Some(out)
     }
 }
 
@@ -445,24 +602,14 @@ impl<'a> SynScanner<'a> {
     {
         // Concatenate blocks into one index space, then walk a
         // permutation of it (zmap's randomization property: no subnet is
-        // hammered in a burst). The walk itself is shared with the
-        // event-loop engine via `SweepWalk`; only the classification
-        // below (blocklist → probe → listener) lives here, and any
-        // second driver must replicate it in exactly this order for the
-        // stats to stay byte-identical.
-        let mut stats = SweepStats::default();
-        for (pos, addr) in SweepWalk::new(universe, rng, shard, shards) {
-            if self.blocklist.contains(addr) {
-                stats.blocklisted += 1;
-                continue;
-            }
-            stats.probes_sent += 1;
-            if self.internet.has_listener(addr, self.config.port) {
-                stats.responsive += 1;
-                on_responsive(pos, addr);
-            }
+        // hammered in a burst), classifying it through the cursor every
+        // sweep driver shares.
+        let walk = SweepWalk::new(universe, rng, shard, shards);
+        let mut cursor = SweepCursor::new(self.internet, self.blocklist, self.config.port, walk);
+        for (pos, addr) in cursor.by_ref() {
+            on_responsive(pos, addr);
         }
-        stats
+        cursor.stats()
     }
 }
 
@@ -815,6 +962,116 @@ mod tests {
         // An empty universe walks nowhere.
         let mut rng = StdRng::seed_from_u64(9);
         assert_eq!(SweepWalk::new(&[], &mut rng, 0, 1).count(), 0);
+    }
+
+    #[test]
+    fn walks_equal_the_u128_reference() {
+        // The reference walk: start·g^offset, then ×g^stride per step,
+        // reduced with a full u128 division.
+        fn reference(walk: &CycleWalk, offset: u64, stride: u64) -> impl Iterator<Item = u64> {
+            let (p, g) = (walk.p, walk.generator());
+            let by = pow_mod(g, stride, p);
+            let first = mul_mod(walk.start, pow_mod(g, offset, p), p);
+            std::iter::successors(Some(first), move |&x| Some(mul_mod(x, by, p)))
+        }
+        // Full cycles over small primes, up to the smallest one above
+        // 2²⁰ (the modulus of a /12 universe).
+        for p in [3u64, 11, 101, 65537, 1_048_583] {
+            let mut rng = StdRng::seed_from_u64(p);
+            let walk = CycleWalk::new(p, &mut rng);
+            let order = p - 1;
+            assert!(
+                walk.clone().eq(reference(&walk, 0, 1).take(order as usize)),
+                "p={p}"
+            );
+            for stride in [1u64, 3] {
+                for offset in 0..stride {
+                    let len = (order - offset).div_ceil(stride) as usize;
+                    assert!(
+                        walk.stride(offset, stride)
+                            .map(|(_, v)| v)
+                            .eq(reference(&walk, offset, stride).take(len)),
+                        "p={p} stride={stride} offset={offset}"
+                    );
+                }
+            }
+        }
+        // The zmap prime, where x·g needs more than 64 bits.
+        let mut rng = StdRng::seed_from_u64(2020);
+        let walk = CycleWalk::new(ZMAP_PRIME, &mut rng);
+        let steps = 1 << 20;
+        assert!(walk
+            .clone()
+            .take(steps)
+            .eq(reference(&walk, 0, 1).take(steps)));
+        for (offset, stride) in [(0u64, 1u64), (0, 3), (2, 3)] {
+            assert!(
+                walk.stride(offset, stride)
+                    .take(steps)
+                    .map(|(_, v)| v)
+                    .eq(reference(&walk, offset, stride).take(steps)),
+                "offset={offset} stride={stride}"
+            );
+        }
+    }
+
+    /// Answers from a fixed listener set, counting its calls.
+    struct CountingResolver {
+        listeners: HashSet<Ipv4>,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl crate::internet::HostResolver for CountingResolver {
+        fn host_exists(&self, addr: Ipv4) -> bool {
+            self.listeners.contains(&addr)
+        }
+        fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [crate::PortState]) {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            for (addr, state) in addrs.iter().zip(states) {
+                *state = match (self.listeners.contains(addr), port == 4840) {
+                    (false, _) => crate::PortState::NoHost,
+                    (true, false) => crate::PortState::Closed,
+                    (true, true) => crate::PortState::Open,
+                };
+            }
+        }
+        fn materialize(&self, _net: &Internet, _addr: Ipv4) {}
+    }
+
+    #[test]
+    fn resolver_is_consulted_once_per_batch() {
+        let universe: Cidr = "10.6.0.0/16".parse().unwrap();
+        let listeners: HashSet<Ipv4> = (0..40u32)
+            .map(|i| Ipv4(universe.base.0 + i * 1601 + 7))
+            .collect();
+        let resolver = Arc::new(CountingResolver {
+            listeners: listeners.clone(),
+            calls: Default::default(),
+        });
+        let net = Internet::new(VirtualClock::starting_at(0));
+        net.set_resolver(resolver.clone());
+        let blocklist = Blocklist::new();
+        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
+        let batches = (universe.size() as usize).div_ceil(SWEEP_BATCH);
+        for shards in [1u64, 4] {
+            resolver.calls.store(0, std::sync::atomic::Ordering::SeqCst);
+            let mut found = HashSet::new();
+            let mut stats = SweepStats::default();
+            for shard in 0..shards {
+                let mut rng = StdRng::seed_from_u64(17);
+                stats = stats
+                    + scanner.sweep_shard(&[universe], &mut rng, shard, shards, |_, addr| {
+                        found.insert(addr);
+                    });
+            }
+            assert_eq!(found, listeners, "shards={shards}");
+            assert_eq!(stats.probes_sent, universe.size(), "shards={shards}");
+            assert_eq!(
+                resolver.calls.load(std::sync::atomic::Ordering::SeqCst),
+                batches,
+                "shards={shards}: one resolver call per batch of {SWEEP_BATCH}"
+            );
+        }
     }
 
     #[test]

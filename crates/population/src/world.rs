@@ -29,7 +29,7 @@ use crate::{
     HostClass, HostDeployment, Population, PopulationConfig, SharedSecrets, Synthesizer,
     ACTUAL_KEY_BITS,
 };
-use netsim::{Cidr, HostResolver, Internet, Ipv4};
+use netsim::{Cidr, HostResolver, Internet, Ipv4, PortState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 // ua-lint: allow(unordered-iteration) -- maps/sets here are key-lookup only; every iterated collection is a Vec or BTreeSet
@@ -310,9 +310,9 @@ impl WorldCore {
     }
 
     /// The host currently occupying `addr`, if any — overlay first,
-    /// then the week-0 permutation. O(1), no allocation.
-    fn lookup(&self, addr: Ipv4) -> Option<u64> {
-        let st = self.state_read();
+    /// then the week-0 permutation. O(1), no allocation. Takes the
+    /// caller's state guard, so a batch of lookups locks once.
+    fn lookup(&self, st: &CoreState, addr: Ipv4) -> Option<u64> {
         match st.overlay.get(&addr.0) {
             Some(Occupancy::Occupied(id)) => Some(*id),
             Some(Occupancy::Vacated) => None,
@@ -785,19 +785,30 @@ impl HostResolver for WorldResolver {
     fn host_exists(&self, addr: Ipv4) -> bool {
         self.core
             .upgrade()
-            .is_some_and(|core| core.lookup(addr).is_some())
+            .is_some_and(|core| core.lookup(&core.state_read(), addr).is_some())
     }
 
-    fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-        self.core.upgrade().is_some_and(|core| {
-            core.lookup(addr)
-                .is_some_and(|id| core.state_read().fates[id as usize].port == port)
-        })
+    fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
+        let Some(core) = self.core.upgrade() else {
+            states.fill(PortState::NoHost);
+            return;
+        };
+        let st = core.state_read();
+        for (&addr, state) in addrs.iter().zip(states) {
+            *state = match core.lookup(&st, addr) {
+                None => PortState::NoHost,
+                Some(id) if st.fates[id as usize].port == port => PortState::Open,
+                Some(_) => PortState::Closed,
+            };
+        }
     }
 
     fn materialize(&self, _net: &Internet, addr: Ipv4) {
         if let Some(core) = self.core.upgrade() {
-            if let Some(id) = core.lookup(addr) {
+            // The read guard must be gone before `materialize` takes
+            // the write side.
+            let id = core.lookup(&core.state_read(), addr);
+            if let Some(id) = id {
                 core.materialize(id);
             }
         }
@@ -866,5 +877,164 @@ impl LazyWorld {
     /// host** — this is the audit/validation exit, not the fast path.
     pub fn population(&self) -> Population {
         self.core.population()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChurnConfig, EvolvingWorld, StrataMix};
+    use netsim::{
+        Blocklist, Connection, ConnectionOutput, Service, SweepCursor, SweepStats, SweepWalk,
+        VirtualClock, SWEEP_BATCH,
+    };
+
+    const EPOCH: u64 = 1_581_206_400;
+
+    /// 2048 + 256 + 32 addresses: not a multiple of [`SWEEP_BATCH`].
+    fn universe() -> Vec<Cidr> {
+        ["10.60.0.0/21", "10.60.16.0/24", "10.60.32.0/27"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect()
+    }
+
+    /// Holes over hosts and over empty space, in two of the blocks.
+    fn holed_blocklist() -> Blocklist {
+        let mut blocklist = Blocklist::new();
+        for block in ["10.60.1.0/26", "10.60.3.128/25", "10.60.16.64/27"] {
+            blocklist.add_str(block).unwrap();
+        }
+        blocklist
+    }
+
+    /// Every shard's batched classification equals a replay that asks
+    /// [`Internet::has_listener`] one walked address at a time. Returns
+    /// the single-shard responsive addresses.
+    fn assert_batches_match_replay(net: &Internet, blocklist: &Blocklist) -> Vec<Ipv4> {
+        let universe = universe();
+        assert_ne!(
+            universe.iter().map(Cidr::size).sum::<u64>() % SWEEP_BATCH as u64,
+            0
+        );
+        let mut responsive = Vec::new();
+        for shards in [1u64, 4] {
+            for shard in 0..shards {
+                let walk =
+                    || SweepWalk::new(&universe, &mut StdRng::seed_from_u64(9), shard, shards);
+                let mut cursor = SweepCursor::new(net, blocklist, 4840, walk());
+                let batched: Vec<(u64, Ipv4)> = cursor.by_ref().collect();
+                let mut replayed = Vec::new();
+                let mut stats = SweepStats::default();
+                for (pos, addr) in walk() {
+                    if blocklist.contains(addr) {
+                        stats.blocklisted += 1;
+                        continue;
+                    }
+                    stats.probes_sent += 1;
+                    if net.has_listener(addr, 4840) {
+                        stats.responsive += 1;
+                        replayed.push((pos, addr));
+                    }
+                }
+                assert_eq!(batched, replayed, "shard {shard}/{shards}");
+                assert_eq!(cursor.stats(), stats, "shard {shard}/{shards}");
+                if shards == 1 {
+                    responsive = batched.into_iter().map(|(_, addr)| addr).collect();
+                }
+            }
+        }
+        assert!(!responsive.is_empty());
+        responsive
+    }
+
+    /// Connects to every `stride`-th address, materializing those hosts.
+    fn touch(net: &Internet, addrs: &[Ipv4], stride: usize) {
+        for &addr in addrs.iter().step_by(stride) {
+            let _ = net.connect(Ipv4::new(192, 0, 2, 1), addr, 4840);
+        }
+    }
+
+    #[test]
+    fn batches_match_replay_on_a_partly_materialized_lazy_world() {
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let cfg = PopulationConfig::new(41, universe(), StrataMix::paper_like(80));
+        let world = LazyWorld::deploy(&net, &cfg);
+        let blocklist = holed_blocklist();
+        let responsive = assert_batches_match_replay(&net, &blocklist);
+        touch(&net, &responsive, 3);
+        assert!(world.stats().hosts_materialized > 0);
+        let after = assert_batches_match_replay(&net, &blocklist);
+        assert_eq!(after, responsive, "materialization changes no verdict");
+        // The holes hid some planted listeners.
+        let open = assert_batches_match_replay(&net, &Blocklist::new());
+        assert!(open.len() > responsive.len());
+    }
+
+    #[test]
+    fn batches_match_replay_after_churn_fills_the_overlay() {
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let cfg = PopulationConfig::new(43, universe(), StrataMix::paper_like(80));
+        let churn = ChurnConfig {
+            ip_move: 0.2,
+            departure: 0.1,
+            arrival: 0.15,
+            ..ChurnConfig::frozen()
+        };
+        let mut world = EvolvingWorld::new_lazy(&net, &cfg, churn);
+        let blocklist = holed_blocklist();
+        let responsive = assert_batches_match_replay(&net, &blocklist);
+        touch(&net, &responsive, 2);
+        for week in 1..=2 {
+            net.clock().advance_seconds(7 * 86_400);
+            world.evolve(week);
+        }
+        // Departures and moves leave `Vacated` overlay entries; moves
+        // and arrivals leave `Occupied` ones.
+        let history = world.history();
+        assert!(history.iter().any(|w| w.departures() > 0 && w.moves() > 0));
+        assert!(history.iter().any(|w| w.arrivals() > 0));
+        let moved = assert_batches_match_replay(&net, &blocklist);
+        touch(&net, &moved, 3);
+        assert_batches_match_replay(&net, &blocklist);
+    }
+
+    struct Nop;
+    impl Connection for Nop {
+        fn on_data(&mut self, _data: &[u8]) -> ConnectionOutput {
+            ConnectionOutput::empty()
+        }
+    }
+    impl Service for Nop {
+        fn open_connection(&self, _peer: Ipv4) -> Box<dyn Connection> {
+            Box::new(Nop)
+        }
+    }
+
+    #[test]
+    fn batches_match_replay_when_the_bound_table_overrides_the_resolver() {
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let cfg = PopulationConfig::new(47, universe(), StrataMix::paper_like(80));
+        let _world = LazyWorld::deploy(&net, &cfg);
+        let blocklist = holed_blocklist();
+        let planted = assert_batches_match_replay(&net, &blocklist);
+        // An eager listener where the resolver sees nothing, and an
+        // eager host with the port closed over a planted listener.
+        let extra = (0..256)
+            .map(|i| Ipv4(Ipv4::new(10, 60, 16, 0).0 + i))
+            .find(|&a| !blocklist.contains(a) && !net.host_exists(a))
+            .unwrap();
+        net.add_host(extra, 2_000);
+        net.bind(extra, 4840, Arc::new(Nop));
+        let shadowed = planted[planted.len() / 2];
+        net.install_host(
+            shadowed,
+            2_000,
+            vec![(80, Arc::new(Nop) as Arc<dyn Service>)],
+        );
+        let swept = assert_batches_match_replay(&net, &blocklist);
+        assert!(swept.contains(&extra));
+        assert!(!swept.contains(&shadowed));
+        assert_eq!(swept.len(), planted.len());
     }
 }

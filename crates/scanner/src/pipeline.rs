@@ -16,7 +16,11 @@
 //! runs N of them on N threads: every loop walks the *same* zmap
 //! permutation (the walk is a function of the seed alone) but admits
 //! only the steps `pos % workers == shard`, and an N-way merge joins the
-//! N sorted streams back into exact discovery order. The output is
+//! N sorted streams back into exact discovery order. Each loop's sweep
+//! admissions come from a [`netsim::SweepCursor`], the one copy of the
+//! sweep's per-address classification (blocklist → probe counted →
+//! listener check) that `netsim::SynScanner` drains too; it classifies
+//! [`netsim::SWEEP_BATCH`] walk steps per host-table lock. The output is
 //! **byte-identical for a fixed seed regardless of worker count** (and
 //! of [`ScanConfig::max_in_flight`]), because:
 //!
@@ -48,7 +52,7 @@ use crate::record::{DiscoveredVia, ScanRecord};
 use crate::sched::{CancelToken, EngineStats, Job, PendingUrl, PhaseEnv, SweepCheckpoint};
 use crate::suite::ProtocolSuite;
 use crate::url::OpcUrl;
-use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepStats, SweepWalk, VirtualClock};
+use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepCursor, SweepStats, SweepWalk, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -350,18 +354,20 @@ impl Scanner {
                     workers,
                     Some(cancel),
                     |shard| SweepJobs {
-                        walk: SweepWalk::new(
-                            universe,
-                            &mut StdRng::seed_from_u64(seed),
-                            shard as u64,
-                            workers as u64,
+                        cursor: SweepCursor::new(
+                            &self.internet,
+                            &self.blocklist,
+                            port,
+                            SweepWalk::new(
+                                universe,
+                                &mut StdRng::seed_from_u64(seed),
+                                shard as u64,
+                                workers as u64,
+                            ),
                         ),
-                        internet: &self.internet,
-                        blocklist: &self.blocklist,
                         port,
                         seed,
                         resume_at,
-                        stats: SweepStats::default(),
                     },
                     &mut |pos, record, micros| {
                         // ua-lint: allow(panic-hygiene) -- sweep admission only emits jobs with a listener
@@ -384,7 +390,7 @@ impl Scanner {
                     };
                 }
                 for jobs in &step.jobs {
-                    state.sweep_stats = state.sweep_stats + jobs.stats;
+                    state.sweep_stats = state.sweep_stats + jobs.cursor.stats();
                 }
                 state.sweep_done = true;
             }
@@ -558,47 +564,31 @@ impl SweepCheckpoint {
     }
 }
 
-/// Admission side of one sweep shard: walks the shard's steps of the
-/// zmap permutation and classifies each address exactly like
-/// `netsim::SynScanner::sweep_shard` (blocklist → probe counted →
-/// listener check, in that order), so the counters sum to the sweep's.
-/// A resumed sweep recounts every step but admits only steps from
-/// `resume_at` on.
+/// Admission side of one sweep shard: the shard's [`SweepCursor`] —
+/// netsim's one copy of the sweep classification, so the counters sum
+/// to the sweep's — turned into probe jobs. A resumed sweep recounts
+/// every step but admits only steps from `resume_at` on.
 struct SweepJobs<'a> {
-    walk: SweepWalk,
-    internet: &'a Internet,
-    blocklist: &'a Blocklist,
+    cursor: SweepCursor<'a>,
     port: u16,
     seed: u64,
     resume_at: u64,
-    stats: SweepStats,
 }
 
 impl Iterator for SweepJobs<'_> {
     type Item = Job;
 
     fn next(&mut self) -> Option<Job> {
-        loop {
-            let (pos, addr) = self.walk.next()?;
-            if self.blocklist.contains(addr) {
-                self.stats.blocklisted += 1;
-                continue;
-            }
-            self.stats.probes_sent += 1;
-            if self.internet.has_listener(addr, self.port) {
-                self.stats.responsive += 1;
-                if pos >= self.resume_at {
-                    return Some(Job {
-                        ordinal: pos,
-                        addr,
-                        port: self.port,
-                        via: DiscoveredVia::Sweep,
-                        seed: self.seed ^ u64::from(addr.0),
-                        listening: true,
-                    });
-                }
-            }
-        }
+        let resume_at = self.resume_at;
+        let (pos, addr) = self.cursor.find(|&(pos, _)| pos >= resume_at)?;
+        Some(Job {
+            ordinal: pos,
+            addr,
+            port: self.port,
+            via: DiscoveredVia::Sweep,
+            seed: self.seed ^ u64::from(addr.0),
+            listening: true,
+        })
     }
 }
 
