@@ -55,7 +55,7 @@ fn scan_derived_deltas_match_planted_ground_truth() {
         remediation: 0.1,
         regression: 0.1,
     };
-    let mut world = EvolvingWorld::new(&net, &cfg, churn);
+    let mut world = EvolvingWorld::new_lazy(&net, &cfg, churn);
     let scan_config = ScanConfig {
         workers: 2,
         ..ScanConfig::default()
@@ -119,7 +119,7 @@ fn frozen_world_yields_zero_churn_series() {
     let net = Internet::new(VirtualClock::default());
     let universe: Cidr = "10.81.0.0/23".parse().unwrap();
     let cfg = PopulationConfig::new(7, vec![universe], StrataMix::paper_like(30));
-    let mut world = EvolvingWorld::new(&net, &cfg, ChurnConfig::frozen());
+    let mut world = EvolvingWorld::new_lazy(&net, &cfg, ChurnConfig::frozen());
     let mut campaign = Campaign::new(Scanner::new(net, Blocklist::new(), ScanConfig::default()));
     let mut longitudinal = LongitudinalAssessor::new();
     for week in 0..3u32 {

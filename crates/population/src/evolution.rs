@@ -14,13 +14,13 @@
 //! draws every weekly decision from its own salted RNG stream, so the
 //! same seed replays the same seven months event for event regardless
 //! of scanner worker counts, wall-clock timing — or *materialization
-//! order*. That last property is what lets [`EvolvingWorld::new_lazy`]
-//! run the identical study over a million-address universe: weekly
-//! churn updates only a cheap per-host fate table, and the expensive
-//! material (keys, certificates, server cores) is built, with all past
-//! events replayed, the first time a probe reaches the host. The
-//! ground truth of every planted event is logged per week
-//! ([`WeekChurn`]) for the longitudinal assessment to validate against.
+//! order*. That last property is what lets [`EvolvingWorld`] run the
+//! study over a million-address universe: weekly churn updates only a
+//! cheap per-host fate table, and the expensive material (keys,
+//! certificates, server cores) is built, with all past events
+//! replayed, the first time a probe reaches the host. The ground truth
+//! of every planted event is logged per week ([`WeekChurn`]) for the
+//! longitudinal assessment to validate against.
 //!
 //! Two deliberate scope choices keep the referral topology analyzable:
 //! discovery servers (default-port LDS and chained LDS) never *depart*
@@ -259,7 +259,7 @@ pub(crate) fn parse_version(v: &str) -> Option<(u32, u32, u32)> {
 ///     vec!["10.0.0.0/22".parse().unwrap()],
 ///     StrataMix::paper_like(30),
 /// );
-/// let mut world = EvolvingWorld::new(&net, &cfg, ChurnConfig::default());
+/// let mut world = EvolvingWorld::new_lazy(&net, &cfg, ChurnConfig::default());
 /// let week0 = world.population().len();
 /// let churn = world.evolve(1).clone();
 /// assert_eq!(
@@ -275,22 +275,13 @@ pub struct EvolvingWorld {
 }
 
 impl EvolvingWorld {
-    /// Synthesizes the week-0 deployment onto `net` and wraps it in an
-    /// evolving world with the given churn model. Every host is built
-    /// and bound up front (the eager path).
-    pub fn new(net: &Internet, cfg: &PopulationConfig, churn: ChurnConfig) -> EvolvingWorld {
-        EvolvingWorld {
-            core: WorldCore::new(net, cfg, false),
-            churn,
-            week: 0,
-            history: Vec::new(),
-        }
-    }
-
-    /// Like [`EvolvingWorld::new`], but *lazy*: hosts materialize on
-    /// first probe contact, weekly churn updates only the cheap fate
-    /// table, and memory stays proportional to the hosts campaigns
-    /// actually touch — byte-identical observations to the eager path.
+    /// Deploys the week-0 world for `cfg` onto `net` (see
+    /// [`crate::LazyWorld::deploy`]) and wraps it in an evolving world
+    /// with the given churn model. Hosts materialize on first probe
+    /// contact, weekly churn updates only the cheap fate table, and
+    /// memory stays proportional to the hosts campaigns actually touch
+    /// (or the fleet, once a ground-truth exit such as
+    /// [`EvolvingWorld::population`] built it).
     ///
     /// ```
     /// use netsim::{Internet, VirtualClock};
@@ -309,7 +300,7 @@ impl EvolvingWorld {
     /// ```
     pub fn new_lazy(net: &Internet, cfg: &PopulationConfig, churn: ChurnConfig) -> EvolvingWorld {
         EvolvingWorld {
-            core: WorldCore::new(net, cfg, true),
+            core: WorldCore::new(net, cfg),
             churn,
             week: 0,
             history: Vec::new(),
@@ -326,23 +317,22 @@ impl EvolvingWorld {
         self.core.net()
     }
 
-    /// Materialization telemetry (all hosts, for [`EvolvingWorld::new`];
-    /// probed hosts only, for [`EvolvingWorld::new_lazy`]).
+    /// Materialization telemetry so far.
     pub fn stats(&self) -> MaterializationStats {
         self.core.stats()
     }
 
     /// Ground truth of the *living* population, in roster order.
-    /// **Materializes every living host** in a lazy world — this is
-    /// the audit exit, not the fast path.
+    /// **Materializes every living host** — this is the audit exit,
+    /// not the fast path.
     pub fn population(&self) -> Population {
         self.core.population()
     }
 
     /// The living hosts' full deployments, in roster order (current
-    /// state). **Materializes every living host** in a lazy world.
+    /// state). **Materializes every living host.**
     pub fn alive(&self) -> impl Iterator<Item = HostDeployment> {
-        self.core.alive_deps().into_iter()
+        self.core.map_alive(HostDeployment::clone).into_iter()
     }
 
     /// Number of living hosts (cheap: fate table only).
@@ -358,29 +348,27 @@ impl EvolvingWorld {
     /// The scanner-visible truth for every living host, in roster
     /// order — what a full campaign over the current week should
     /// observe (see [`TruthObservation`]). **Materializes every living
-    /// host** in a lazy world.
+    /// host.**
     pub fn observable_truth(&self) -> Vec<TruthObservation> {
-        self.alive()
-            .map(|dep| TruthObservation {
-                address: dep.truth.address,
-                port: dep.truth.port,
-                thumbprint: dep
-                    .config
-                    .certificate
-                    .as_ref()
-                    .map(|c| Thumbprint(c.thumbprint())),
-                software_version: (dep.config.token_types.contains(&UserTokenType::Anonymous)
-                    && !dep.config.broken_session_config)
-                    .then(|| dep.config.software_version.clone()),
-            })
-            .collect()
+        self.core.map_alive(|dep| TruthObservation {
+            address: dep.truth.address,
+            port: dep.truth.port,
+            thumbprint: dep
+                .config
+                .certificate
+                .as_ref()
+                .map(|c| Thumbprint(c.thumbprint())),
+            software_version: (dep.config.token_types.contains(&UserTokenType::Anonymous)
+                && !dep.config.broken_session_config)
+                .then(|| dep.config.software_version.clone()),
+        })
     }
 
     /// Advances the world by one week of churn. `week` must be the
     /// successor of the current week — the step is a deterministic
     /// function of `(seed, week, host id)`, so replaying the same seed
-    /// replays the same study, eagerly or lazily. Returns the planted
-    /// ground truth.
+    /// replays the same study, whichever hosts were built. Returns the
+    /// planted ground truth.
     ///
     /// Call *after* the campaign clock reached the new week's epoch:
     /// renewed certificates anchor their validity at the current
@@ -406,7 +394,7 @@ mod tests {
     fn world(seed: u64, churn: ChurnConfig, mix: StrataMix) -> EvolvingWorld {
         let net = Internet::new(VirtualClock::starting_at(1_581_206_400));
         let cfg = PopulationConfig::new(seed, vec!["10.0.0.0/20".parse().unwrap()], mix);
-        EvolvingWorld::new(&net, &cfg, churn)
+        EvolvingWorld::new_lazy(&net, &cfg, churn)
     }
 
     fn full(rate: &str) -> ChurnConfig {
@@ -629,6 +617,9 @@ mod tests {
             .with(HostClass::WideOpen, 4)
             .with(HostClass::DiscoveryServer, 1);
         let mut w = world(19, full("departure"), mix);
+        // Build the fleet first, so the host count below checks that
+        // departures unbind hosts.
+        w.population();
         let churn = w.evolve(1);
         // The LDS is exempt from departure.
         assert_eq!(churn.departures(), 4);

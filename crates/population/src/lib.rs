@@ -13,14 +13,15 @@
 //! deterministically for a fixed seed — and returns per-host ground
 //! truth so the `assessment` layer can be validated end to end.
 //!
-//! Worlds come in two flavors sharing one derivation: [`synthesize`]
-//! builds every host up front (eager), while [`LazyWorld`] registers an
-//! O(1) occupancy predicate and materializes a host only when a probe
-//! first reaches it — million-address universes cost memory
-//! proportional to the hosts a sweep actually touches. Every host is a
-//! pure function of `(seed, host id, week)` — an internal `WorldSpec`
-//! answers layout queries in O(1) and per-host RNG streams supply the
-//! material — so the two paths are byte-identical at any scanner
+//! There is one world engine. [`LazyWorld`] (and, week over week,
+//! [`EvolvingWorld`]) registers an O(1) occupancy predicate and
+//! materializes a host only when a probe first reaches it —
+//! million-address universes cost memory proportional to the hosts a
+//! sweep actually touches. [`synthesize`] is the same world with every
+//! host materialized up front. Every host is a pure function of
+//! `(seed, host id, week)` — an internal `WorldSpec` answers layout
+//! queries in O(1) and per-host RNG streams supply the material — so
+//! when a host is built never changes a byte a scanner sees, at any
 //! worker count.
 
 #![forbid(unsafe_code)]
@@ -547,8 +548,8 @@ fn plan_referrals(classes: &[HostClass], addresses: &[Ipv4], ports: &[u16]) -> V
 }
 
 /// Draws a universe address not yet in `used` (and reserves it).
-/// Shared by initial synthesis and the weekly evolution step (DHCP-style
-/// reassignment, arrivals).
+/// Shared by the weekly evolution step (DHCP-style reassignment,
+/// arrivals) and the TLS strata ([`MultiProtoPlan::deploy`]).
 pub(crate) fn pick_free_address(
     rng: &mut StdRng,
     universe: &[Cidr],
@@ -557,23 +558,9 @@ pub(crate) fn pick_free_address(
 ) -> Ipv4 {
     let sizes: Vec<u64> = universe.iter().map(Cidr::size).collect();
     let total: u64 = sizes.iter().sum();
-    // CIDR blocks are either disjoint or nested, so the number of
-    // *distinct* addresses is the size sum of the blocks not
-    // contained in another block. Guarding on `total` alone would
-    // loop forever on overlapping universes.
-    let distinct: u64 = universe
-        .iter()
-        .enumerate()
-        .filter(|(i, block)| {
-            !universe.iter().enumerate().any(|(j, outer)| {
-                i != &j
-                    && outer.contains(block.base)
-                    && (outer.prefix_len < block.prefix_len
-                        || (outer.prefix_len == block.prefix_len && j < *i))
-            })
-        })
-        .map(|(_, block)| block.size())
-        .sum();
+    // Guarding on `total` alone would loop forever on overlapping
+    // universes: only *distinct* addresses can be handed out.
+    let distinct: u64 = spec::canonical_blocks(universe).map(|b| b.size()).sum();
     assert!(
         (used.len() as u64) < distinct,
         "universe too small for population"
@@ -652,34 +639,13 @@ pub struct HostDeployment {
     pub service_seed: u64,
 }
 
-/// A fully materialized population: per-host deployments in roster
-/// order. (Weekly campaigns use [`evolution::EvolvingWorld`], which
-/// derives the same hosts through the shared world engine.)
-pub struct Deployment {
-    /// Per-host deployments, in deployment order.
-    pub hosts: Vec<HostDeployment>,
-    /// The universe hosts were placed into.
-    pub universe: Vec<Cidr>,
-}
-
-impl Deployment {
-    /// The ground-truth view of the deployment (what [`synthesize`]
-    /// returns).
-    pub fn population(&self) -> Population {
-        Population {
-            hosts: self.hosts.iter().map(|d| d.truth.clone()).collect(),
-            universe: self.universe.clone(),
-        }
-    }
-}
-
 /// Binds a deployment onto the network: (re)creates the host entry and
 /// its server core with the deployment's seeds. Idempotent — the
 /// evolution engine rebinds hosts whenever their material changes.
 pub(crate) fn bind_deployment(net: &Internet, dep: &HostDeployment, now: i64) {
     let core = ServerCore::new(dep.config.clone(), dep.space.clone(), dep.core_seed);
     core.set_time(now);
-    // One atomic host+listener insert: a lazy world materializes hosts
+    // One atomic host+listener insert: a world materializes hosts
     // while scanner workers are probing, and no worker may ever observe
     // a host without its service.
     net.install_host(
@@ -952,88 +918,13 @@ pub(crate) fn build_host(
     }
 }
 
-/// Renders host `id`'s symbolic referrals to URLs from the week-0
-/// layout. The self-referral is deliberately non-canonical
-/// (`OPC.TCP://…`, no trailing slash — URL-format variants the scanner
-/// must not treat as new servers), the dead port a stale registration,
-/// the internal name unresolvable.
-pub(crate) fn render_spec_refs(spec: &spec::WorldSpec, id: u64) -> Vec<String> {
-    spec.ref_specs(id)
-        .iter()
-        .map(|r| match r {
-            spec::RefSpec::Host(j) => {
-                format!("opc.tcp://{}:{}/", spec.address_of(*j), spec.port_of(*j))
-            }
-            spec::RefSpec::SelfNonCanonical => {
-                format!("OPC.TCP://{}:{}", spec.address_of(id), spec.port_of(id))
-            }
-            spec::RefSpec::DeadPort => {
-                format!(
-                    "opc.tcp://{}:{}/",
-                    spec.address_of(id),
-                    spec.sweep_port + 90
-                )
-            }
-            spec::RefSpec::Unresolvable => {
-                format!("opc.tcp://plant-lds-{id}.internal:{}/", spec.sweep_port)
-            }
-        })
-        .collect()
-}
-
-/// Builds host `id` in its week-0 state, entirely from the pure spec
-/// and the per-host RNG stream. Shared by the eager builder below and
-/// the lazy engine (`world::WorldCore`), which is what makes the two
-/// byte-identical.
-pub(crate) fn build_initial_host(
-    spec: &spec::WorldSpec,
-    shared: &SharedSecrets,
-    id: u64,
-    now: i64,
-) -> HostDeployment {
-    let mut syn = Synthesizer::for_host(spec.seed, id);
-    build_host(
-        &mut syn,
-        shared,
-        BuildParams {
-            class: spec.class_of(id),
-            address: spec.address_of(id),
-            port: spec.port_of(id),
-            referenced: render_spec_refs(spec, id),
-            id,
-            seed: spec.seed,
-            now,
-        },
-    )
-}
-
-/// Deploys `cfg.mix` onto `net` and returns the full deployment —
-/// ground truth plus the redeployable server material. Deterministic:
-/// the same seed and mix produce byte-identical deployments, eagerly
-/// here or lazily via [`LazyWorld`].
-pub fn synthesize_deployment(net: &Internet, cfg: &PopulationConfig) -> Deployment {
-    let now = net.clock().now_unix_seconds();
-    setup_registry(net, cfg);
-    let spec = spec::WorldSpec::new(cfg);
-    let shared = SharedSecrets::generate(&mut Synthesizer::for_shared(cfg.seed), now);
-    let mut hosts = Vec::with_capacity(spec.len() as usize);
-    for id in 0..spec.len() {
-        let dep = build_initial_host(&spec, &shared, id, now);
-        bind_deployment(net, &dep, now);
-        hosts.push(dep);
-    }
-    Deployment {
-        hosts,
-        universe: cfg.universe.clone(),
-    }
-}
-
-/// Deploys `cfg.mix` onto `net`, returning ground truth. Deterministic:
-/// the same seed and mix produce byte-identical deployments. (A thin
-/// wrapper over [`synthesize_deployment`], which additionally returns
-/// the redeployable server material.)
+/// Deploys `cfg.mix` onto `net`, returning ground truth: the world of
+/// [`LazyWorld::deploy`] with every host materialized and bound up
+/// front. Deterministic: the same seed and mix produce byte-identical
+/// deployments. Like `deploy`, it replaces any resolver on `net`, so a
+/// live world there loses its unbuilt hosts.
 pub fn synthesize(net: &Internet, cfg: &PopulationConfig) -> Population {
-    synthesize_deployment(net, cfg).population()
+    LazyWorld::deploy(net, cfg).population()
 }
 
 #[cfg(test)]
@@ -1129,6 +1020,17 @@ mod tests {
         }
     }
 
+    /// Every host of a deployed `cfg` world in roster order, as built by
+    /// the world engine — referral URLs included (`WorldSpec::ref_specs`
+    /// rendered by `WorldCore::render_refs`, the production wiring).
+    fn deployed(cfg: &PopulationConfig) -> Vec<HostDeployment> {
+        world::WorldCore::new(&test_net(), cfg).map_alive(HostDeployment::clone)
+    }
+
+    fn url_of(dep: &HostDeployment) -> String {
+        format!("opc.tcp://{}:{}/", dep.truth.address, dep.truth.port)
+    }
+
     #[test]
     fn referral_plan_reaches_every_hidden_host() {
         let mix = StrataMix::new()
@@ -1136,47 +1038,39 @@ mod tests {
             .with(HostClass::DiscoveryServer, 2)
             .with(HostClass::HiddenServer, 5)
             .with(HostClass::ChainedLds, 2);
-        let classes = mix.expand();
-        let addresses: Vec<Ipv4> = (0..classes.len())
-            .map(|i| Ipv4::new(10, 0, 0, 10 + i as u8))
-            .collect();
-        let ports: Vec<u16> = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                if c.referral_only() {
-                    4841 + i as u16
-                } else {
-                    4840
-                }
-            })
-            .collect();
-        let planned = plan_referrals(&classes, &addresses, &ports);
+        let deps = deployed(&PopulationConfig::new(5, universe(), mix));
+        let announces =
+            |dep: &HostDeployment, url: &String| dep.config.referenced_endpoints.contains(url);
 
         // Every hidden server and every chained LDS is announced
         // somewhere, with its real (non-default) port.
-        let all: Vec<&String> = planned.iter().flatten().collect();
-        for (j, class) in classes.iter().enumerate() {
-            if class.referral_only() {
-                let url = format!("opc.tcp://{}:{}/", addresses[j], ports[j]);
-                assert!(all.iter().any(|u| **u == url), "{url} never announced");
-            }
+        for dep in deps.iter().filter(|d| d.truth.class.referral_only()) {
+            let url = url_of(dep);
+            assert!(
+                deps.iter().any(|d| announces(d, &url)),
+                "{url} never announced"
+            );
         }
-        // Chained LDS loop back to their referrer and cycle among
-        // themselves.
-        let chained: Vec<usize> = classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == HostClass::ChainedLds)
-            .map(|(j, _)| j)
-            .collect();
-        for &c in &chained {
-            assert!(!planned[c].is_empty(), "chained LDS {c} refers to nothing");
-        }
-        // Plain servers and hidden servers announce nothing.
-        for (j, class) in classes.iter().enumerate() {
-            if matches!(class, HostClass::WideOpen | HostClass::HiddenServer) {
-                assert!(planned[j].is_empty());
+        for dep in &deps {
+            match dep.truth.class {
+                // Chained LDS loop back to a referrer that announces
+                // them (A→B→A) and cycle among themselves.
+                HostClass::ChainedLds => {
+                    let url = url_of(dep);
+                    for class in [HostClass::DiscoveryServer, HostClass::ChainedLds] {
+                        assert!(
+                            deps.iter().any(|d| d.truth.class == class
+                                && announces(d, &url)
+                                && announces(dep, &url_of(d))),
+                            "chained LDS {url} has no {class:?} loop"
+                        );
+                    }
+                }
+                // Plain servers and hidden servers announce nothing.
+                HostClass::WideOpen | HostClass::HiddenServer => {
+                    assert!(dep.config.referenced_endpoints.is_empty());
+                }
+                _ => {}
             }
         }
     }
@@ -1187,30 +1081,31 @@ mod tests {
         // reproduce the legacy global planner's round-robin wiring
         // exactly (random picks and decoys ride in front/behind it).
         let cfg = PopulationConfig::new(17, universe(), StrataMix::paper_like(40));
-        let spec = spec::WorldSpec::new(&cfg);
+        let deps = deployed(&cfg);
         let classes = cfg.mix.expand();
-        let addresses: Vec<Ipv4> = (0..spec.len()).map(|id| spec.address_of(id)).collect();
-        let ports: Vec<u16> = (0..spec.len()).map(|id| spec.port_of(id)).collect();
+        let addresses: Vec<Ipv4> = deps.iter().map(|d| d.truth.address).collect();
+        let ports: Vec<u16> = deps.iter().map(|d| d.truth.port).collect();
         let planned = plan_referrals(&classes, &addresses, &ports);
-        for id in 0..spec.len() {
-            let rendered = render_spec_refs(&spec, id);
-            match classes[id as usize] {
+        for (id, dep) in deps.iter().enumerate() {
+            let rendered = &dep.config.referenced_endpoints;
+            assert_eq!(dep.truth.class, classes[id], "class of {id}");
+            match classes[id] {
                 HostClass::ChainedLds => {
-                    assert_eq!(rendered, planned[id as usize], "chained LDS {id}");
+                    assert_eq!(rendered, &planned[id], "chained LDS {id}");
                 }
                 HostClass::DiscoveryServer => {
-                    let p = &planned[id as usize];
+                    let p = &planned[id];
                     let start = rendered.len() - 3 - p.len();
                     assert_eq!(&rendered[start..start + p.len()], p.as_slice(), "LDS {id}");
                     for url in &rendered[..start] {
                         assert!(
-                            classes.iter().enumerate().any(|(j, c)| {
+                            deps.iter().any(|d| {
                                 !matches!(
-                                    c,
+                                    d.truth.class,
                                     HostClass::DiscoveryServer
                                         | HostClass::HiddenServer
                                         | HostClass::ChainedLds
-                                ) && *url == format!("opc.tcp://{}:{}/", addresses[j], ports[j])
+                                ) && *url == url_of(d)
                             }),
                             "{url} is not a swept non-LDS server"
                         );
@@ -1230,11 +1125,11 @@ mod tests {
             .with(HostClass::WideOpen, 1)
             .with(HostClass::HiddenServer, 2)
             .with(HostClass::ChainedLds, 2);
-        let classes = mix.expand();
-        let addresses: Vec<Ipv4> = (0..5).map(|i| Ipv4::new(10, 0, 0, 1 + i)).collect();
-        let ports = vec![4840, 4842, 4843, 4848, 4849];
-        let planned = plan_referrals(&classes, &addresses, &ports);
-        assert!(planned.iter().all(Vec::is_empty));
+        let deps = deployed(&PopulationConfig::new(3, universe(), mix));
+        assert_eq!(deps.len(), 5);
+        assert!(deps
+            .iter()
+            .all(|d| d.config.referenced_endpoints.is_empty()));
     }
 
     #[test]

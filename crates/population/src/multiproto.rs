@@ -135,9 +135,10 @@ pub struct MultiProtoPlan {
 
 impl MultiProtoPlan {
     /// Deploys `config` onto `net`, placing hosts into `universe` at
-    /// addresses not already occupied. Deterministic: the same
-    /// `(universe, config, seed)` — over the same pre-existing host set
-    /// — always yields the same plan.
+    /// addresses not already occupied — by a bound host or by one a
+    /// world's resolver has planted but not built yet. Deterministic:
+    /// the same `(universe, config, seed)` — over the same pre-existing
+    /// host set — always yields the same plan.
     pub fn deploy(
         net: &Internet,
         universe: &[Cidr],
@@ -145,8 +146,10 @@ impl MultiProtoPlan {
         seed: u64,
     ) -> MultiProtoPlan {
         let now = net.clock().now_unix_seconds();
+        // Every drawn address stays reserved, taken or not, so a full
+        // universe ends in "universe too small" instead of spinning.
         // ua-lint: allow(unordered-iteration) -- membership-only reservation set, never iterated
-        let mut used: HashSet<u32> = net.host_addresses().iter().map(|a| a.0).collect();
+        let mut used: HashSet<u32> = HashSet::new();
         let mut rng = StdRng::seed_from_u64(crate::spec::mix64(seed ^ TLS_HOST_SALT));
         let mut hosts = Vec::with_capacity(config.total());
         let roster = TlsClass::ALL
@@ -161,7 +164,13 @@ impl MultiProtoPlan {
             })
             .enumerate();
         for (idx, class) in roster {
-            let address = pick_free_address(&mut rng, universe, &mut used);
+            // Occupied: bound, or planted by a world and not built yet.
+            let address = loop {
+                let address = pick_free_address(&mut rng, universe, &mut used);
+                if !net.host_exists(address) {
+                    break address;
+                }
+            };
             let truth = deploy_host(net, address, config.tls_port, class, idx, seed, now);
             hosts.push(truth);
         }
@@ -307,7 +316,7 @@ fn deploy_host(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, HostClass, PopulationConfig, StrataMix};
+    use crate::{synthesize, HostClass, LazyWorld, PopulationConfig, StrataMix};
     use netsim::VirtualClock;
 
     fn test_net() -> Internet {
@@ -343,6 +352,40 @@ mod tests {
             assert!(net_a.has_listener(h.address, 4843));
             assert!(!net_a.has_listener(h.address, 4840));
         }
+    }
+
+    #[test]
+    fn deploy_skips_planted_hosts_not_built_yet() {
+        let universe: Vec<Cidr> = vec!["10.60.0.0/24".parse().unwrap()];
+        let cfg = PopulationConfig::new(21, universe.clone(), StrataMix::paper_like(200));
+        let planted = synthesize(&test_net(), &cfg);
+        let net = test_net();
+        let world = LazyWorld::deploy(&net, &cfg);
+        let plan = MultiProtoPlan::deploy(&net, &universe, &MultiProtoConfig::sample(), 21);
+        assert_eq!(world.stats().hosts_materialized, 0);
+        assert_eq!(plan.hosts.len(), MultiProtoConfig::sample().total());
+        for h in &plan.hosts {
+            assert!(
+                planted.host(h.address).is_none(),
+                "TLS host on planted {}",
+                h.address
+            );
+        }
+    }
+
+    #[test]
+    fn bound_hosts_outside_the_universe_leave_its_capacity_alone() {
+        let net = test_net();
+        let mix = StrataMix::new().with(HostClass::WideOpen, 30);
+        synthesize(&net, &PopulationConfig::new(4, universe(), mix));
+        // 16 free addresses for 9 hosts, next to 30 bound elsewhere.
+        let tls_universe: Vec<Cidr> = vec!["10.70.0.0/28".parse().unwrap()];
+        let plan = MultiProtoPlan::deploy(&net, &tls_universe, &MultiProtoConfig::sample(), 4);
+        assert_eq!(plan.hosts.len(), MultiProtoConfig::sample().total());
+        assert!(plan
+            .hosts
+            .iter()
+            .all(|h| tls_universe[0].contains(h.address)));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! universe's distinct-address index space ([`AddrPerm`]): host `id`
 //! lives at the `perm(id)`-th address of the canonicalized universe,
 //! and an address occupancy query decrypts the flat index back to a
-//! candidate id. Both the eager builder ([`crate::synthesize_deployment`])
-//! and the lazy world derive addresses from the same permutation, so
-//! the two paths are byte-identical by construction.
+//! candidate id — the world engine's allocator and occupancy predicate
+//! in one.
 //!
 //! Referral wiring is derived per host by inverting the global
 //! round-robin plan of the pre-lazy `plan_referrals`: a discovery
@@ -35,8 +34,8 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 
 /// Per-host material seed: every RNG-derived field of host `id`
 /// (vendor, keys, certificates, address space, RTT) draws from a
-/// stream seeded by this — independent of synthesis order, so eager
-/// and lazy materialization produce identical hosts.
+/// stream seeded by this — independent of synthesis order, so a host
+/// is the same whenever it materializes.
 pub(crate) fn host_material_seed(seed: u64, id: u64) -> u64 {
     mix64(seed ^ id.wrapping_mul(0xA24B_AED4_963E_E407))
 }
@@ -47,7 +46,7 @@ const REFS_SALT: u64 = 0x5265_6653;
 /// The universe blocks that are not nested inside another block — the
 /// canonical disjoint set whose size sum is the number of *distinct*
 /// addresses. (CIDR blocks either nest or are disjoint.)
-pub(crate) fn canonical_blocks(universe: &[Cidr]) -> Vec<Cidr> {
+pub(crate) fn canonical_blocks(universe: &[Cidr]) -> impl Iterator<Item = Cidr> + '_ {
     universe
         .iter()
         .enumerate()
@@ -60,7 +59,6 @@ pub(crate) fn canonical_blocks(universe: &[Cidr]) -> Vec<Cidr> {
             })
         })
         .map(|(_, block)| *block)
-        .collect()
 }
 
 /// A seeded permutation of `[0, size)` with O(1) forward and inverse
@@ -164,8 +162,8 @@ pub(crate) enum RefSpec {
 /// population config alone. Everything is O(1) or O(#strata) per
 /// query; nothing is proportional to the universe size.
 pub(crate) struct WorldSpec {
-    pub(crate) seed: u64,
-    pub(crate) sweep_port: u16,
+    seed: u64,
+    sweep_port: u16,
     /// Canonical disjoint universe blocks, declaration order.
     blocks: Vec<Cidr>,
     /// Flat-index start of each canonical block (prefix sums).
@@ -183,7 +181,7 @@ pub(crate) struct WorldSpec {
 
 impl WorldSpec {
     pub(crate) fn new(cfg: &PopulationConfig) -> WorldSpec {
-        let blocks = canonical_blocks(&cfg.universe);
+        let blocks: Vec<Cidr> = canonical_blocks(&cfg.universe).collect();
         let mut block_starts = Vec::with_capacity(blocks.len());
         let mut distinct = 0u64;
         for block in &blocks {
@@ -235,7 +233,7 @@ impl WorldSpec {
     }
 
     /// Listening port of host `id` (non-default for referral-only
-    /// classes, same arithmetic as the eager builder used).
+    /// classes).
     pub(crate) fn port_of(&self, id: u64) -> u16 {
         match self.class_of(id) {
             HostClass::HiddenServer => self.sweep_port + 1 + (id % 7) as u16,

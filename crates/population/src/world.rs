@@ -1,18 +1,19 @@
-//! The unified world engine: host *fates* evolve cheaply every week,
-//! host *material* (keys, certificates, address spaces, server cores)
+//! The world engine: host *fates* evolve cheaply every week, host
+//! *material* (keys, certificates, address spaces, server cores)
 //! materializes only on first probe contact.
 //!
 //! [`WorldCore`] holds one [`HostFate`] per roster id — a few dozen
 //! bytes of class/address/liveness/event-log state — plus a memo of
-//! fully built [`HostDeployment`]s. The eager path materializes every
-//! fate up front (exactly the pre-lazy behavior); the lazy path
-//! registers a [`netsim::HostResolver`] so the sweep answers occupancy
-//! from the seeded predicate ([`crate::spec::WorldSpec`] week 0, an
-//! overlay map for churned addresses afterwards) and hosts are built
-//! the moment a connection first reaches them. Because every
-//! RNG-derived field is a pure function of `(seed, host id, week)`,
-//! both paths produce byte-identical worlds — the equivalence tests in
-//! the scanner crate diff full record streams to prove it.
+//! fully built [`HostDeployment`]s. It registers a
+//! [`netsim::HostResolver`] so the sweep answers occupancy from the
+//! seeded predicate ([`crate::spec::WorldSpec`] week 0, an overlay map
+//! for churned addresses afterwards) and hosts are built the moment a
+//! connection first reaches them. Every world is built this way;
+//! [`crate::synthesize`] just materializes the whole fleet at once.
+//! Because every RNG-derived field is a pure function of
+//! `(seed, host id, week)`, *when* a host is built never changes what
+//! it is — the equivalence tests in the scanner crate diff full record
+//! streams of fully built and never-forced worlds to prove it.
 //!
 //! Weekly churn splits the same way: *decisions* (who departs, moves,
 //! renews, upgrades, remediates) are drawn per `(seed, week, id,
@@ -41,8 +42,8 @@ use ua_server::{EndpointConfig, UserAccount};
 use ua_types::{MessageSecurityMode, NodeId, SecurityPolicy, UserTokenType, Variant};
 
 /// Per-event-kind RNG salts: each weekly decision draws from its own
-/// stream so lazy replay never has to skip draws another decision
-/// consumed.
+/// stream so replay at a later first build never has to skip draws
+/// another decision consumed.
 const SALT_DEPART: u64 = 0x4445_5054;
 const SALT_MOVE: u64 = 0x4D4F_5645;
 const SALT_RENEW: u64 = 0x524E_5557;
@@ -106,8 +107,9 @@ fn class_keygens(class: HostClass) -> u64 {
 }
 
 /// Materialization telemetry: how much of the world a campaign
-/// actually touched. In a lazy world `hosts_materialized` tracks
-/// responsive hosts, never the universe size.
+/// actually touched. `hosts_materialized` tracks the hosts probes
+/// reached (or the whole fleet, once a ground-truth exit built it),
+/// never the universe size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaterializationStats {
     /// Hosts built and bound so far (first probe contacts).
@@ -183,7 +185,8 @@ struct HostFate {
     has_none: bool,
     deploy_week: u32,
     /// Week whose epoch the bound server core's clock carries — the
-    /// last week the host was (re)bound in the eager path.
+    /// last week an event (re)bound the host, or would have, had it
+    /// been built.
     last_rebind_week: u32,
     refs: Vec<RefSpec>,
     events: Vec<MaterialEvent>,
@@ -208,7 +211,7 @@ struct CoreState {
     stats: MaterializationStats,
 }
 
-/// The engine shared by eager and lazy worlds. See the module docs.
+/// The engine behind every world. See the module docs.
 pub(crate) struct WorldCore {
     net: Internet,
     seed: u64,
@@ -216,12 +219,13 @@ pub(crate) struct WorldCore {
     universe: Vec<Cidr>,
     spec: WorldSpec,
     shared: SharedSecrets,
-    lazy: bool,
     state: RwLock<CoreState>,
 }
 
 impl WorldCore {
-    pub(crate) fn new(net: &Internet, cfg: &PopulationConfig, lazy: bool) -> Arc<WorldCore> {
+    /// Derives the week-0 fates for `cfg` and installs the world's
+    /// resolver on `net` (replacing any previous one). Builds nothing.
+    pub(crate) fn new(net: &Internet, cfg: &PopulationConfig) -> Arc<WorldCore> {
         let now = net.clock().now_unix_seconds();
         setup_registry(net, cfg);
         let spec = WorldSpec::new(cfg);
@@ -255,7 +259,6 @@ impl WorldCore {
             universe: cfg.universe.clone(),
             spec,
             shared,
-            lazy,
             state: RwLock::new(CoreState {
                 fates,
                 // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
@@ -268,13 +271,9 @@ impl WorldCore {
                 stats: MaterializationStats::default(),
             }),
         });
-        if lazy {
-            net.set_resolver(Arc::new(WorldResolver {
-                core: Arc::downgrade(&core),
-            }));
-        } else {
-            core.materialize_alive();
-        }
+        net.set_resolver(Arc::new(WorldResolver {
+            core: Arc::downgrade(&core),
+        }));
         core
     }
 
@@ -382,8 +381,12 @@ impl WorldCore {
     }
 
     /// Renders a host's symbolic referrals to URLs from *current*
-    /// addresses — identical to the eager path's rewrite-on-move end
-    /// state, since vacated addresses are never recycled.
+    /// addresses — identical to a built host's rewrite-on-move end
+    /// state, since vacated addresses are never recycled. The
+    /// self-referral is deliberately non-canonical (`OPC.TCP://…`, no
+    /// trailing slash — URL-format variants the scanner must not treat
+    /// as new servers), the dead port a stale registration, the
+    /// internal name unresolvable.
     fn render_refs(&self, st: &CoreState, id: u64) -> Vec<String> {
         let fate = &st.fates[id as usize];
         fate.refs
@@ -405,9 +408,8 @@ impl WorldCore {
     }
 
     /// Materializes every living host (ground-truth APIs need the full
-    /// fleet; in a lazy world call this only when you mean to pay for
-    /// it).
-    pub(crate) fn materialize_alive(&self) {
+    /// fleet; call this only when you mean to pay for it).
+    fn materialize_alive(&self) {
         let pending: Vec<u64> = {
             let st = self.state_read();
             (0..st.fates.len() as u64)
@@ -419,20 +421,21 @@ impl WorldCore {
         }
     }
 
-    /// Current deployments of every living host, roster order.
-    /// Materializes the fleet first.
-    pub(crate) fn alive_deps(&self) -> Vec<HostDeployment> {
+    /// Maps the current deployment of every living host, roster order,
+    /// under one state read lock — callers copy out only the fields
+    /// they need. Materializes the fleet first.
+    pub(crate) fn map_alive<T>(&self, f: impl Fn(&HostDeployment) -> T) -> Vec<T> {
         self.materialize_alive();
         let st = self.state_read();
         (0..st.fates.len() as u64)
             .filter(|id| st.fates[*id as usize].alive)
-            .map(|id| st.deps[&id].clone())
+            .map(|id| f(&st.deps[&id]))
             .collect()
     }
 
     pub(crate) fn population(&self) -> Population {
         Population {
-            hosts: self.alive_deps().iter().map(|d| d.truth.clone()).collect(),
+            hosts: self.map_alive(|dep| dep.truth.clone()),
             universe: self.universe.clone(),
         }
     }
@@ -581,7 +584,6 @@ impl WorldCore {
         if expected.fract() > 0.0 && arrivals_rng.gen_bool(expected.fract()) {
             n += 1;
         }
-        let mut arrived: Vec<u64> = Vec::new();
         for _ in 0..n {
             let class = crate::evolution::ARRIVAL_CLASSES
                 [st.arrival_cursor % crate::evolution::ARRIVAL_CLASSES.len()];
@@ -603,7 +605,6 @@ impl WorldCore {
                 refs: Vec::new(),
                 events: Vec::new(),
             });
-            arrived.push(id);
             log.events.push((id, ChurnEvent::Arrived { class }));
         }
 
@@ -641,23 +642,14 @@ impl WorldCore {
                 }
             }
         }
-        drop(st);
-
-        // Eager worlds bind arrivals immediately; lazy worlds leave
-        // them to first probe contact.
-        if !self.lazy {
-            for id in arrived {
-                self.materialize(id);
-            }
-        }
         log
     }
 }
 
 /// Applies one material event to a built deployment. Shared verbatim
-/// by the live path (eager worlds, already-materialized lazy hosts)
-/// and lazy replay — the byte-identity of the two paths rests on this
-/// being the only implementation. Returns keygens performed.
+/// by the live path (hosts already materialized when the event fires)
+/// and the replay at a later first build — their byte-identity rests
+/// on this being the only implementation. Returns keygens performed.
 fn apply_event(
     dep: &mut HostDeployment,
     ev: &MaterialEvent,
@@ -774,9 +766,11 @@ fn apply_event(
     }
 }
 
-/// The [`HostResolver`] a lazy [`WorldCore`] installs on its Internet.
-/// Holds the core weakly: when the world is dropped, the resolver
-/// answers "nothing there" instead of leaking the engine.
+/// The [`HostResolver`] every [`WorldCore`] installs on its Internet.
+/// Holds the core weakly: when the world is dropped (as
+/// [`crate::synthesize`] does once the fleet is bound), the resolver
+/// answers exactly like no resolver at all — "nothing there" — instead
+/// of leaking the engine.
 struct WorldResolver {
     core: Weak<WorldCore>,
 }
@@ -815,8 +809,8 @@ impl HostResolver for WorldResolver {
     }
 }
 
-/// A population deployed *lazily*: nothing is built until a probe
-/// actually reaches a host.
+/// A deployed population: nothing is built until a probe actually
+/// reaches a host.
 ///
 /// `deploy` derives the week-0 world as a pure specification (classes,
 /// ports, addresses, referral wiring) and installs an O(1) occupancy
@@ -824,11 +818,12 @@ impl HostResolver for WorldResolver {
 /// without allocating anything per address or per host. A sweep's SYN
 /// probes answer from the seeded predicate; the first full connection
 /// to a host runs `build_host` for exactly that host and binds it,
-/// after which the regular service table serves it. Byte-identical to
-/// [`crate::synthesize`] at any scanner worker count.
+/// after which the regular service table serves it.
+/// [`crate::synthesize`] is this world with every host materialized
+/// up front; scans of the two are byte-identical at any scanner worker
+/// count.
 ///
-/// For a lazily deployed *evolving* world, see
-/// [`crate::EvolvingWorld::new_lazy`].
+/// For an *evolving* world, see [`crate::EvolvingWorld::new_lazy`].
 ///
 /// ```
 /// use netsim::{Internet, VirtualClock};
@@ -850,11 +845,11 @@ pub struct LazyWorld {
 }
 
 impl LazyWorld {
-    /// Registers the lazy world for `cfg` on `net` (replaces any
-    /// previous resolver). No host material is built.
+    /// Registers the world for `cfg` on `net` (replaces any previous
+    /// resolver). No host material is built.
     pub fn deploy(net: &Internet, cfg: &PopulationConfig) -> LazyWorld {
         LazyWorld {
-            core: WorldCore::new(net, cfg, true),
+            core: WorldCore::new(net, cfg),
         }
     }
 
@@ -997,6 +992,42 @@ mod tests {
         let moved = assert_batches_match_replay(&net, &blocklist);
         touch(&net, &moved, 3);
         assert_batches_match_replay(&net, &blocklist);
+    }
+
+    #[test]
+    fn fate_tables_agree_with_build_host() {
+        let mix = HostClass::ALL
+            .into_iter()
+            .fold(StrataMix::new(), |mix, class| mix.with(class, 1));
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let core = WorldCore::new(&net, &PopulationConfig::new(53, universe(), mix));
+        let reused = &core.shared.reused_key.public.n;
+        let built = core.map_alive(|dep| {
+            let config = &dep.config;
+            (
+                dep.truth.class,
+                config.certificate.is_some(),
+                config
+                    .endpoints
+                    .iter()
+                    .any(|e| e.mode == MessageSecurityMode::None),
+                // Its own private key, not the shared reused one.
+                config
+                    .private_key
+                    .as_ref()
+                    .is_some_and(|key| key.public.n != *reused),
+            )
+        });
+        assert_eq!(built.len(), HostClass::ALL.len());
+        for (class, has_cert, offers_none, own_key) in built {
+            assert_eq!(class_has_certificate(class), has_cert, "{class:?}: cert");
+            assert_eq!(class_offers_none(class), offers_none, "{class:?}: None");
+            assert_eq!(
+                class_keygens(class),
+                u64::from(own_key),
+                "{class:?}: keygens"
+            );
+        }
     }
 
     struct Nop;

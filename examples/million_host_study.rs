@@ -1,23 +1,21 @@
 //! A 30-week longitudinal study over a **million-address universe** in
 //! bounded memory — the lazy-materialization showcase.
 //!
-//! The eager pipeline builds every deployment up front, so world-build
-//! cost and resident memory scale with the population *and* the
-//! address space bookkeeping around it. `EvolvingWorld::new_lazy`
-//! instead installs only a seeded occupancy predicate: the scanner
-//! sweeps all ~1M addresses of `10.0.0.0/12`, and a host is
-//! synthesized — keys, certificate, address space, referral wiring —
-//! the first time a probe actually reaches it, as a pure function of
-//! `(seed, host id, week)`. Resident cost tracks the ~120 responsive
-//! hosts, not the 1,048,576 addresses; CI runs this example under a
-//! hard `ulimit -v` to hold that claim.
+//! `EvolvingWorld::new_lazy` installs only a seeded occupancy
+//! predicate: the scanner sweeps all ~1M addresses of `10.0.0.0/12`,
+//! and a host is synthesized — keys, certificate, address space,
+//! referral wiring — the first time a probe actually reaches it, as a
+//! pure function of `(seed, host id, week)`. Resident cost tracks the
+//! ~120 responsive hosts, not the 1,048,576 addresses; CI runs this
+//! example under a hard `ulimit -v` to hold that claim.
 //!
 //! Two self-checks print `[ok]`/`[MISMATCH]` (CI greps for the
 //! latter):
 //!
-//! 1. **Equivalence** — on a small shared world, an eager and a lazy
-//!    deployment must produce byte-identical scan records.
-//! 2. **Frugality** — across the whole study the lazy world must have
+//! 1. **Equivalence** — on a small shared world, a fleet built up front
+//!    (`synthesize`, labelled "eager") and one built on first probe
+//!    contact ("lazy") must produce byte-identical scan records.
+//! 2. **Frugality** — across the whole study the world must have
 //!    materialized exactly the hosts that ever lived (initial
 //!    population + arrivals), and not one more.
 //!
@@ -39,7 +37,7 @@ fn main() {
         .unwrap_or(30)
         .max(1);
 
-    // ── Check 1: lazy is byte-identical to eager on a shared world ──
+    // ── Check 1: built on contact == built up front, shared world ───
     let check_universe: Cidr = "10.32.0.0/20".parse().unwrap();
     let check_cfg = PopulationConfig::new(seed, vec![check_universe], StrataMix::paper_like(60));
     let eager_net = Internet::new(VirtualClock::default());

@@ -18,20 +18,15 @@
 //! it).
 //!
 //! Deterministic: the same seed prints the same seven months, at any
-//! worker count (CI diffs a 1-worker against a 4-worker run).
-//!
-//! Deterministic across *materialization modes*, too: with `lazy` as
-//! the fourth argument the world is deployed through
-//! [`EvolvingWorld::new_lazy`] — hosts built on first probe contact —
-//! and stdout must stay byte-identical to the eager run (CI diffs the
-//! two); the materialization counters go to stderr so diffs stay
-//! clean.
+//! worker count (CI diffs a 1-worker against a 4-worker run). The world
+//! is deployed through [`EvolvingWorld::new_lazy`] — hosts built on
+//! first probe contact — and the materialization counters go to stderr
+//! so diffs stay clean.
 //!
 //! ```sh
-//! cargo run --release --example seven_month_study                  # 30 weeks
-//! cargo run --release --example seven_month_study -- 1234 4        # seed, workers
-//! cargo run --release --example seven_month_study -- 1234 4 6      # ... 6 weeks
-//! cargo run --release --example seven_month_study -- 1234 4 6 lazy # ... lazy world
+//! cargo run --release --example seven_month_study             # 30 weeks
+//! cargo run --release --example seven_month_study -- 1234 4   # seed, workers
+//! cargo run --release --example seven_month_study -- 1234 4 6 # ... 6 weeks
 //! ```
 
 use assessment::{diff, HostObservation, LongitudinalAssessor, WeekDelta, WeekSnapshot};
@@ -94,18 +89,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(30)
         .max(1);
-    // "eager"/"lazy" selects the world materialization mode.
-    let mode = args.next().unwrap_or_else(|| "eager".into());
 
     // 2020-02-09, the paper's first campaign.
     let net = Internet::new(VirtualClock::default());
     let universe: Cidr = "10.32.0.0/20".parse().unwrap();
     let cfg = PopulationConfig::new(seed, vec![universe], StrataMix::paper_like(60));
-    let mut world = match mode.as_str() {
-        "eager" => EvolvingWorld::new(&net, &cfg, ChurnConfig::default()),
-        "lazy" => EvolvingWorld::new_lazy(&net, &cfg, ChurnConfig::default()),
-        other => panic!("unknown mode {other:?}: expected \"eager\" or \"lazy\""),
-    };
+    let mut world = EvolvingWorld::new_lazy(&net, &cfg, ChurnConfig::default());
     println!(
         "seven-month study: {} hosts in {universe}, {weeks} weekly campaigns (seed {seed})",
         world.alive_count()
@@ -278,17 +267,14 @@ fn main() {
         println!("\n{mismatches} series diverge from ground truth");
     }
 
-    // Materialization counters go to stderr: stdout must stay
-    // byte-identical between the eager and lazy runs.
-    if mode == "lazy" {
-        let stats = world.stats();
-        eprintln!(
-            "lazy materialization: {} hosts built, {} keygens, \
-             ~{} bytes resident (peak ~{})",
-            stats.hosts_materialized,
-            stats.keygen_count,
-            stats.bytes_resident_estimate,
-            stats.peak_bytes_resident_estimate,
-        );
-    }
+    // Materialization counters go to stderr, outside the diffed output.
+    let stats = world.stats();
+    eprintln!(
+        "materialization: {} hosts built, {} keygens, \
+         ~{} bytes resident (peak ~{})",
+        stats.hosts_materialized,
+        stats.keygen_count,
+        stats.bytes_resident_estimate,
+        stats.peak_bytes_resident_estimate,
+    );
 }

@@ -69,14 +69,13 @@
 //!                 │              address permutation);      │
 //!                 │              LazyWorld: hosts built on  │
 //!                 │              first probe contact via    │
-//!                 │              netsim's resolver hook,    │
-//!                 │              byte-identical to eager;   │
+//!                 │              netsim's resolver hook —   │
+//!                 │              the one world engine;      │
 //!                 │              EvolvingWorld: weekly      │
 //!                 │              churn (IP moves, arrivals/ │
 //!                 │              departures, cert renewal,  │
 //!                 │              up/downgrades, deficit     │
-//!                 │              remediation/regression),   │
-//!                 │              eager or lazy;             │
+//!                 │              remediation/regression);   │
 //!                 │              MiddleboxPlan: planted     │
 //!                 │              fault strata with ground   │
 //!                 │              truth (terminal-fate       │
@@ -173,13 +172,14 @@
 //!   a host's full deployment — keys, certificate, address space,
 //!   referral wiring — is synthesized on *first probe contact* through
 //!   `netsim`'s `HostResolver` hook, as a pure function of
-//!   `(campaign seed, host id, week)`. Output is byte-identical to the
-//!   eager path at any worker count; resident memory tracks the hosts
-//!   probes actually reach, never the address space
-//!   (`MaterializationStats` reports hosts materialized, keys
-//!   generated, and the resident-bytes estimate; the `sweep` and
-//!   `longitudinal` benches record them, and CI runs a million-address
-//!   study under a hard `ulimit -v`).
+//!   `(campaign seed, host id, week)`. It is the only world engine:
+//!   `synthesize` is the same world with every host materialized up
+//!   front, and scans of the two are byte-identical at any worker
+//!   count; resident memory tracks the hosts probes actually reach,
+//!   never the address space (`MaterializationStats` reports hosts
+//!   materialized, keys generated, and the resident-bytes estimate;
+//!   the `sweep` and `longitudinal` benches record them, and CI runs a
+//!   million-address study under a hard `ulimit -v`).
 //! * **Longitudinal campaigns** — `population::EvolvingWorld` churns
 //!   the deployed fleet week over week (DHCP-style IP reassignment,
 //!   arrivals/departures, certificate renewal, software up/downgrades,
