@@ -5,10 +5,10 @@
 //! `x ← x·g mod p` visits every element of [1, p−1] exactly once in a
 //! pseudo-random order — full IPv4 coverage with O(1) state and no
 //! per-address bookkeeping. This module implements that construction
-//! (verified on small primes in tests; the full 2³² walk is available but
-//! gated to benches), plus a bounded [`PermutedRange`] used to randomize
-//! scan order within configurable universes, and the [`SynScanner`]
-//! driver with blocklist and probe-rate accounting.
+//! (verified on small primes in tests; the full 2³² walk is available
+//! but too long to run in them), plus a bounded [`PermutedRange`] used
+//! to randomize scan order within configurable universes, and the
+//! [`SynScanner`] driver with blocklist and probe-rate accounting.
 //!
 //! The sweep's per-address classification — blocklist, probe counted,
 //! listener check — exists once, in [`SweepCursor`]. [`SynScanner`] and
@@ -534,8 +534,8 @@ impl<'a> SynScanner<'a> {
     /// permuted order, advancing the virtual clock at the configured
     /// probe rate. This is the sweep the scanner's weekly campaign runs;
     /// the full 0.0.0.0/0 universe is the paper's actual configuration
-    /// and works identically (benches exercise a sampled slice for
-    /// wall-clock reasons — see DESIGN.md).
+    /// and works identically (the examples and perfbench sweep slices of
+    /// it, at most a /8, to keep runs short).
     pub fn sweep<R: Rng + ?Sized>(&self, universe: &[Cidr], rng: &mut R) -> SweepResult {
         let mut responsive = Vec::new();
         let stats = self.sweep_each(universe, rng, |addr| responsive.push(addr));

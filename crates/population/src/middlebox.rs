@@ -70,7 +70,7 @@ impl FaultStratum {
         FaultStratum::FirewalledPerm,
     ];
 
-    /// Short stable label for reports and bench JSON.
+    /// Short stable label for reports.
     pub fn label(self) -> &'static str {
         match self {
             FaultStratum::Polite => "polite",

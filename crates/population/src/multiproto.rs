@@ -59,7 +59,7 @@ impl TlsClass {
         TlsClass::ExpiredCert,
     ];
 
-    /// Short stable label for reports and bench JSON.
+    /// Short stable label for reports.
     pub fn label(self) -> &'static str {
         match self {
             TlsClass::Secure => "tls_secure",

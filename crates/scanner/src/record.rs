@@ -197,7 +197,7 @@ pub enum HostOutcome {
 }
 
 impl HostOutcome {
-    /// Short stable label for reports and bench JSON.
+    /// Short stable label for reports.
     pub fn label(self) -> &'static str {
         match self {
             HostOutcome::Ok => "ok",
@@ -279,7 +279,7 @@ impl Default for ProtocolPayload {
 }
 
 impl ProtocolPayload {
-    /// Stable suite label for reports and bench JSON.
+    /// Stable suite label for reports.
     pub fn protocol(&self) -> &'static str {
         match self {
             ProtocolPayload::OpcUa(_) => "opcua",

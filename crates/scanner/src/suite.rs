@@ -52,7 +52,7 @@ pub const DEFAULT_UATLS_PORT: u16 = 4843;
 /// [`ProtocolSuite::follows_referrals`] — feed
 /// [`ProtocolSuite::referrals`] into the breadth-first referral queue.
 pub trait ProtocolSuite: Send + Sync {
-    /// Stable suite name (reports, bench JSON, conformance harness).
+    /// Stable suite name (reports, conformance harness).
     fn name(&self) -> &'static str;
 
     /// The port this suite conventionally listens on — what

@@ -20,8 +20,8 @@ pub struct SharedFactor {
     pub factor: BigUint,
 }
 
-/// Naive O(n²) pairwise GCD scan. Exact and simple; used as the reference
-/// implementation and for the ablation benchmark.
+/// Naive O(n²) pairwise GCD scan. Exact and simple; the tests use it as
+/// the reference implementation for [`find_shared_factors`].
 pub fn pairwise_shared_factors(moduli: &[BigUint]) -> Vec<SharedFactor> {
     let mut out = Vec::new();
     for i in 0..moduli.len() {

@@ -20,7 +20,7 @@
 //!   ([`BigUint::mod_pow_legacy`], one Knuth division per step) only for
 //!   even moduli. RSA moduli are odd, so signature verification and the
 //!   Miller–Rabin witnesses of [`crate::prime`] always take the fast
-//!   path. `crates/bench`'s `crypto` gate keeps both paths measurable.
+//!   path. The legacy path stays as the randomized tests' reference.
 //!
 //! Division stays Knuth Algorithm D and GCD stays binary — correct for
 //! arbitrary sizes (tested up to 4096 bit) and auditable.
@@ -253,7 +253,7 @@ impl BigUint {
 
     /// `self * other` via schoolbook multiplication only, at any size.
     /// The O(n²) reference path — kept public so the randomized tests
-    /// and the `crypto` bench can cross-check Karatsuba against it.
+    /// can cross-check Karatsuba against it.
     pub fn mul_schoolbook(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
@@ -492,10 +492,9 @@ impl BigUint {
     /// `self^exponent mod modulus` via left-to-right square-and-multiply
     /// with a schoolbook multiply and a full Knuth division per step —
     /// the pre-Montgomery implementation, frozen (it deliberately does
-    /// *not* pick up the Karatsuba dispatch) so the `crypto` bench
-    /// measures the real before/after and the randomized tests have an
-    /// independent reference. Also the documented fallback for even
-    /// moduli, where [`Montgomery`] reduction is undefined.
+    /// *not* pick up the Karatsuba dispatch) so the randomized tests
+    /// have an independent reference. Also the documented fallback for
+    /// even moduli, where [`Montgomery`] reduction is undefined.
     pub fn mod_pow_legacy(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
         assert!(!modulus.is_zero(), "zero modulus");
         if modulus.is_one() {

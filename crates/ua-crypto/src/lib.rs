@@ -12,7 +12,8 @@
 //!   multiplication above [`bigint::KARATSUBA_THRESHOLD`], a dedicated
 //!   squaring path, and [`Montgomery`]-form windowed exponentiation for
 //!   odd moduli (the legacy division-per-step path stays available as
-//!   [`BigUint::mod_pow_legacy`] for even moduli and benchmarking);
+//!   [`BigUint::mod_pow_legacy`] for even moduli and as the randomized
+//!   tests' reference);
 //! * [`prime`] — Miller–Rabin primality testing and prime generation;
 //! * [`rsa`] — RSA keys, PKCS#1-style signatures, and encryption
 //!   (verification rides the Montgomery `mod_pow` path);

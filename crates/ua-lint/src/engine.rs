@@ -14,10 +14,6 @@ use crate::suppress::{self, Suppressions};
 /// summaries, or reports — the `unordered-iteration` rule's scope.
 const OUTPUT_PRODUCING: [&str; 3] = ["scanner", "assessment", "population"];
 
-/// The benchmark harness measures real time by design; wall-clock and
-/// panic-hygiene rules do not apply there.
-const BENCH_CRATE: &str = "bench";
-
 /// The vendored RNG shim defines the seeded API everything else uses.
 const RAND_CRATE: &str = "rand";
 
@@ -27,7 +23,6 @@ pub enum FileKind {
     Lib,
     Test,
     Example,
-    Bench,
 }
 
 /// Where a file sits in the workspace, for rule scoping.
@@ -48,8 +43,6 @@ pub fn classify(rel: &str) -> FileCtx {
         FileKind::Test
     } else if parts.contains(&"examples") {
         FileKind::Example
-    } else if parts.contains(&"benches") {
-        FileKind::Bench
     } else {
         FileKind::Lib
     };
@@ -64,22 +57,18 @@ pub fn applicable_rules(ctx: &FileCtx) -> Vec<Rule> {
     // Determinism rules apply to tests and examples too: a test that
     // sleeps or reads entropy flakes just as hard as a library that
     // does.
-    if ctx.crate_name != BENCH_CRATE {
-        rules.push(Rule::WallClock);
-    }
+    rules.push(Rule::WallClock);
     if ctx.crate_name != RAND_CRATE {
         rules.push(Rule::AmbientRandomness);
     }
     // Exhaustiveness over the payload enum matters wherever records are
-    // consumed — library, test, example, and bench code alike.
+    // consumed — library, test, and example code alike.
     rules.push(Rule::PayloadExhaustive);
     if ctx.kind == FileKind::Lib {
         if OUTPUT_PRODUCING.contains(&ctx.crate_name.as_str()) {
             rules.push(Rule::UnorderedIteration);
         }
-        if ctx.crate_name != BENCH_CRATE {
-            rules.push(Rule::PanicHygiene);
-        }
+        rules.push(Rule::PanicHygiene);
         rules.push(Rule::NestedLock);
     }
     rules
@@ -294,10 +283,7 @@ mod tests {
         );
         assert_eq!(classify("examples/quickstart.rs").kind, FileKind::Example);
         assert_eq!(classify("src/lib.rs").crate_name, "opcua-study");
-        assert_eq!(
-            classify("crates/bench/benches/sweep.rs").kind,
-            FileKind::Bench
-        );
+        assert_eq!(classify("perfbench/src/trace.rs").kind, FileKind::Lib);
     }
 
     #[test]
@@ -308,10 +294,12 @@ mod tests {
         assert!(r.contains(&Rule::PanicHygiene));
         assert!(r.contains(&Rule::WallClock));
 
-        let bench = classify("crates/bench/src/lib.rs");
-        let r = applicable_rules(&bench);
-        assert!(!r.contains(&Rule::WallClock));
-        assert!(!r.contains(&Rule::PanicHygiene));
+        // The benchmark gets no exemption: its one wall-clock read
+        // carries a per-site waiver like any other.
+        let perfbench = classify("perfbench/src/trace.rs");
+        let r = applicable_rules(&perfbench);
+        assert!(r.contains(&Rule::WallClock));
+        assert!(r.contains(&Rule::PanicHygiene));
 
         let test_file = classify("crates/netsim/tests/foo.rs");
         let r = applicable_rules(&test_file);

@@ -16,7 +16,7 @@
 //!
 //! | id | protects |
 //! |----|----------|
-//! | `wall-clock` | everything runs on `VirtualClock`; no `SystemTime`, `Instant::now`, `thread::sleep` outside `crates/bench` |
+//! | `wall-clock` | everything runs on `VirtualClock`; no `SystemTime`, `Instant::now`, `thread::sleep` |
 //! | `ambient-randomness` | all randomness derives from the campaign seed; no `from_entropy`, `thread_rng`, `OsRng`, `getrandom` |
 //! | `unordered-iteration` | no `HashMap`/`HashSet` in the output-producing crates (`scanner`, `assessment`, `population`) |
 //! | `panic-hygiene` | no unjustified `unwrap`/`expect("…")`/`panic!` in non-test library code |

@@ -56,8 +56,8 @@ impl Rule {
     pub fn summary(self) -> &'static str {
         match self {
             Rule::WallClock => {
-                "wall-clock time (SystemTime, Instant::now, thread::sleep) outside crates/bench; \
-                 every component must run on VirtualClock so campaigns replay byte-identically"
+                "wall-clock time (SystemTime, Instant::now, thread::sleep); every component \
+                 must run on VirtualClock so campaigns replay byte-identically"
             }
             Rule::AmbientRandomness => {
                 "entropy-seeded randomness (from_entropy, thread_rng, OsRng, getrandom); all \

@@ -5,8 +5,8 @@
 //! The scan engine (`scanner::sched`) polls a [`CancelToken`] between
 //! timer firings. `CancelToken::after_records(n)` arms a deterministic
 //! abort: for a fixed seed the scan stops right after record `n` every
-//! run, at any worker count, so this demo — and the CI gate that greps
-//! its output for `MISMATCH` — is reproducible.
+//! run, at any worker count, so this demo — and its golden stdout — is
+//! reproducible.
 //!
 //! Two levels are exercised:
 //!
@@ -24,8 +24,9 @@
 //! cargo run --release --example abort_resume -- 2020 4  # 4 workers
 //! ```
 //!
-//! Stdout is byte-identical at any worker count (CI diffs 1 against 4);
-//! the scheduler telemetry, which does depend on it, goes to stderr.
+//! Stdout is byte-identical at any worker count (`examples/golden.sh`
+//! checks the 1- and 4-worker runs against one golden file); the
+//! scheduler telemetry, which does depend on it, goes to stderr.
 
 use opcua_study::prelude::*;
 

@@ -6,7 +6,8 @@
 //! and assessed, then each finding is cross-checked against the
 //! deployment ground truth.
 //!
-//! Deterministic: the same seed prints the same numbers.
+//! Deterministic: the same seed prints the same numbers. Any
+//! `[MISMATCH]` makes the example exit 1.
 //!
 //! ```sh
 //! cargo run --release --example cert_hygiene            # default seed
@@ -57,8 +58,14 @@ fn main() {
     let report = assess(&records);
 
     // --- Walkthrough, one §5 finding at a time. ---
-    let check = |label: &str, found: usize, expected: usize| {
-        let mark = if found == expected { "ok" } else { "MISMATCH" };
+    let mut mismatches = 0usize;
+    let mut check = |label: &str, found: usize, expected: usize| {
+        let mark = if found == expected {
+            "ok"
+        } else {
+            mismatches += 1;
+            "MISMATCH"
+        };
         println!("  {label:<42} found {found:>3}, ground truth {expected:>3}  [{mark}]");
     };
 
@@ -138,4 +145,7 @@ fn main() {
     );
 
     println!("\n{report}");
+    if mismatches > 0 {
+        std::process::exit(1);
+    }
 }

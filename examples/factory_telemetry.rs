@@ -7,7 +7,8 @@
 //! executable maintenance methods) and the certificate-interning
 //! counters are cross-checked against the deployment ground truth.
 //!
-//! Deterministic: the same seed prints the same numbers.
+//! Deterministic: the same seed prints the same numbers. Any
+//! `[MISMATCH]` makes the example exit 1.
 //!
 //! ```sh
 //! cargo run --release --example factory_telemetry           # default seed
@@ -59,8 +60,14 @@ fn main() {
 
     let report = assess(&records);
 
-    let check = |label: &str, found: usize, expected: usize| {
-        let mark = if found == expected { "ok" } else { "MISMATCH" };
+    let mut mismatches = 0usize;
+    let mut check = |label: &str, found: usize, expected: usize| {
+        let mark = if found == expected {
+            "ok"
+        } else {
+            mismatches += 1;
+            "MISMATCH"
+        };
         println!("  {label:<44} found {found:>3}, ground truth {expected:>3}  [{mark}]");
     };
     let n = |class: HostClass| population.count(class);
@@ -146,4 +153,7 @@ fn main() {
     );
 
     println!("\n{report}");
+    if mismatches > 0 {
+        std::process::exit(1);
+    }
 }

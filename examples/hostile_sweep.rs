@@ -25,7 +25,9 @@
 //! ```
 //!
 //! The optional second argument picks the worker count for the *main*
-//! sweep; stdout must be byte-identical for any choice (CI diffs them).
+//! sweep; stdout must be byte-identical for any choice
+//! (`examples/golden.sh` checks the default and the 4-worker run against
+//! one golden file).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

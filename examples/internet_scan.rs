@@ -6,7 +6,8 @@
 //!
 //! Deterministic in the worker count too: sharded scans merge back into
 //! discovery order, so the printed output is byte-identical whether one
-//! worker runs the campaign or eight (CI diffs exactly that).
+//! worker runs the campaign or eight (`examples/golden.sh` checks the 1-
+//! and 4-worker runs against one golden file).
 //!
 //! ```sh
 //! cargo run --release --example internet_scan              # default seed
@@ -48,8 +49,8 @@ fn main() {
 
     // Stream records through the bounded channel while the scan runs,
     // sharded across `workers` event loops. The output below must not
-    // mention the worker count: CI diffs a 1-worker and a 4-worker run
-    // to enforce that determinism.
+    // mention the worker count: `examples/golden.sh` holds a 1-worker and
+    // a 4-worker run to one golden file.
     let config = ScanConfig {
         workers,
         ..ScanConfig::default()

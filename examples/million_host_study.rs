@@ -9,8 +9,8 @@
 //! ~120 responsive hosts, not the 1,048,576 addresses; CI runs this
 //! example under a hard `ulimit -v` to hold that claim.
 //!
-//! Two self-checks print `[ok]`/`[MISMATCH]` (CI greps for the
-//! latter):
+//! Two self-checks print `[ok]`/`[MISMATCH]`; any `[MISMATCH]` makes
+//! the example exit 1:
 //!
 //! 1. **Equivalence** — on a small shared world, a fleet built up front
 //!    (`synthesize`, labelled "eager") and one built on first probe
@@ -106,15 +106,12 @@ fn main() {
     let arrivals: usize = world.history().iter().map(|w| w.arrivals()).sum();
     let ever_alive = initial_hosts + arrivals;
     let stats = world.stats();
+    let frugal = stats.hosts_materialized == ever_alive as u64;
     println!(
         "\nhosts ever alive: {initial_hosts} initial + {arrivals} arrivals = {ever_alive}; \
          materialized {}  [{}]",
         stats.hosts_materialized,
-        if stats.hosts_materialized == ever_alive as u64 {
-            "ok"
-        } else {
-            "MISMATCH"
-        }
+        if frugal { "ok" } else { "MISMATCH" }
     );
     println!(
         "peak resident estimate ~{} KiB for a {}-address universe \
@@ -126,4 +123,7 @@ fn main() {
             .checked_div(stats.hosts_materialized)
             .unwrap_or(0),
     );
+    if !(identical && frugal) {
+        std::process::exit(1);
+    }
 }

@@ -27,8 +27,9 @@
 //! ```
 //!
 //! The optional second argument picks the worker count for the *main*
-//! campaign; stdout must be byte-identical for any choice (CI diffs
-//! them).
+//! campaign; stdout must be byte-identical for any choice
+//! (`examples/golden.sh` checks the default and the 4-worker run against
+//! one golden file).
 
 use std::sync::Arc;
 

@@ -14,14 +14,14 @@
 //!
 //! Every series is cross-checked against a ground-truth mirror built
 //! from the world's true state with the same diffing rules — any
-//! `[MISMATCH]` means the scanner lost track of the fleet (CI greps for
-//! it).
+//! `[MISMATCH]` means the scanner lost track of the fleet, and the
+//! example exits 1.
 //!
 //! Deterministic: the same seed prints the same seven months, at any
-//! worker count (CI diffs a 1-worker against a 4-worker run). The world
-//! is deployed through [`EvolvingWorld::new_lazy`] — hosts built on
-//! first probe contact — and the materialization counters go to stderr
-//! so diffs stay clean.
+//! worker count (`examples/golden.sh` holds the 1- and 4-worker runs to
+//! one golden file). The world is deployed through
+//! [`EvolvingWorld::new_lazy`] — hosts built on first probe contact —
+//! and the materialization counters go to stderr so diffs stay clean.
 //!
 //! ```sh
 //! cargo run --release --example seven_month_study             # 30 weeks
@@ -277,4 +277,7 @@ fn main() {
         stats.bytes_resident_estimate,
         stats.peak_bytes_resident_estimate,
     );
+    if mismatches > 0 {
+        std::process::exit(1);
+    }
 }

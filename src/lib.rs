@@ -158,7 +158,8 @@
 //!   multiplication above 32 limbs, a dedicated squaring path, and
 //!   Montgomery-form 4-bit-windowed `mod_pow` (zero divisions per
 //!   step; the pre-PR square-and-multiply survives as
-//!   `mod_pow_legacy` for even moduli and benchmarking). The scanner
+//!   `mod_pow_legacy` for even moduli and as the randomized tests'
+//!   reference). The scanner
 //!   interns certificates campaign-wide (`ua_crypto::CertStore`):
 //!   a certificate served by N hosts is parsed, thumbprinted, and
 //!   self-signature-checked once, the assessor folds over the shared
@@ -178,7 +179,8 @@
 //!   count; resident memory tracks the hosts probes actually reach,
 //!   never the address space (`MaterializationStats` reports hosts
 //!   materialized, keys generated, and the resident-bytes estimate;
-//!   the `sweep` and `longitudinal` benches record them, and CI runs a
+//!   `million_host_study` prints them into its golden output, perfbench
+//!   traces them as `population.materialize.*`, and CI runs that
 //!   million-address study under a hard `ulimit -v`).
 //! * **Longitudinal campaigns** — `population::EvolvingWorld` churns
 //!   the deployed fleet week over week (DHCP-style IP reassignment,
@@ -239,13 +241,16 @@
 //!   Deliberate exceptions are waived per site with
 //!   `// ua-lint: allow(<rule>) -- <why>` (see
 //!   `examples/README.md` § Invariants & lints).
-//! * **Perf trail** — `cargo bench --bench sweep|protocol|crypto|`
-//!   `ablation|figures|longitudinal` measures the pipeline and writes
-//!   `BENCH_<name>.json` (see `crates/bench`); CI runs
-//!   `sweep`+`ablation`+`crypto`+`longitudinal`, fails if Montgomery
-//!   ever loses to the legacy path, deduplication stops paying, or the
-//!   longitudinal churn rates collapse to zero, and uploads the
-//!   artifacts on every run.
+//! * **Golden output** — `examples/golden.sh` runs every example (at
+//!   its default arguments, most at 4 workers too) and diffs each run's
+//!   stdout byte for byte against `examples/golden/`; runs that must
+//!   print the same bytes share one file, and a run that exits nonzero
+//!   fails. CI runs it; `--bless` rewrites the goldens when an output
+//!   change is intended, so the change shows up as a golden diff.
+//! * **Perf trail** — `perfbench/` times one campaign end to end and
+//!   layer by layer (materialization and keygen, certificate interning,
+//!   each probe stage, batch GCD, the assessor), with the bounds
+//!   committed in `BENCHMARK.json`.
 //!
 //! See `examples/quickstart.rs`, `examples/internet_scan.rs`,
 //! `examples/deployment_audit.rs`, and `examples/seven_month_study.rs`
