@@ -13,6 +13,11 @@
 //! deterministically for a fixed seed — and returns per-host ground
 //! truth so the `assessment` layer can be validated end to end.
 //!
+//! What a host of a class *is* (endpoints, token types, accounts, key
+//! and certificate, discovery role, port) is one row of an internal
+//! class table that building a host, the world engine's per-host fates
+//! and the world layout all read.
+//!
 //! There is one world engine. [`LazyWorld`] (and, week over week,
 //! [`EvolvingWorld`]) registers an O(1) occupancy predicate and
 //! materializes a host only when a probe first reaches it —
@@ -124,9 +129,159 @@ impl HostClass {
     /// True for classes deployed on a non-default port, reachable only
     /// through LDS referrals.
     pub fn referral_only(self) -> bool {
-        matches!(self, HostClass::HiddenServer | HostClass::ChainedLds)
+        self.profile().referral_port.is_some()
+    }
+
+    /// What a host of this class is: the one table that building a
+    /// host, its fate in the world engine and the world layout read.
+    pub(crate) fn profile(self) -> ClassProfile {
+        use MessageSecurityMode::{Sign, SignAndEncrypt};
+        use SecurityPolicy::{Aes256Sha256RsaPss, Basic128Rsa15, Basic256, Basic256Sha256};
+        use UserTokenType::{Anonymous, UserName};
+        match self {
+            HostClass::WideOpen => ClassProfile {
+                tokens: &[Anonymous, UserName],
+                discovery_server: false,
+                ..LDS
+            },
+            HostClass::DeprecatedOnly => ClassProfile {
+                endpoints: &[(Sign, Basic128Rsa15), (SignAndEncrypt, Basic256)],
+                hash: HashAlgorithm::Sha1,
+                ..SERVER
+            },
+            HostClass::MixedLegacy => ClassProfile {
+                endpoints: &[NONE, (Sign, Basic256), (SignAndEncrypt, Basic256Sha256)],
+                tokens: &[Anonymous, UserName],
+                ..SERVER
+            },
+            HostClass::SecureModern => ClassProfile {
+                endpoints: &[(Sign, Basic256Sha256), (SignAndEncrypt, Basic256Sha256)],
+                ..SERVER
+            },
+            HostClass::SecureCa => ClassProfile {
+                endpoints: &[(SignAndEncrypt, Aes256Sha256RsaPss)],
+                tokens: &[UserName, UserTokenType::Certificate],
+                ca_issued: true,
+                ..SERVER
+            },
+            HostClass::ExpiredCert => ClassProfile {
+                expired: true,
+                ..SERVER
+            },
+            HostClass::WeakCert => ClassProfile {
+                key: Key::Own(1024),
+                hash: HashAlgorithm::Sha1,
+                ..SERVER
+            },
+            HostClass::ReusedCert => ClassProfile {
+                endpoints: &[(Sign, Basic256Sha256)],
+                key: Key::Reused,
+                ..SERVER
+            },
+            HostClass::SharedPrime => ClassProfile {
+                key: Key::SharedPrime,
+                ..SERVER
+            },
+            HostClass::BrokenSession => ClassProfile {
+                discovery_server: false,
+                broken_session: true,
+                ..LDS
+            },
+            HostClass::DiscoveryServer => LDS,
+            // A production server that registered with an LDS.
+            HostClass::HiddenServer => ClassProfile {
+                endpoints: &[NONE, (SignAndEncrypt, Basic256Sha256)],
+                tokens: &[Anonymous, UserName],
+                referral_port: Some((1, 7)),
+                ..SERVER
+            },
+            HostClass::ChainedLds => ClassProfile {
+                referral_port: Some((8, 3)),
+                ..LDS
+            },
+        }
     }
 }
+
+/// The completely insecure endpoint (mode, policy).
+const NONE: (MessageSecurityMode, SecurityPolicy) =
+    (MessageSecurityMode::None, SecurityPolicy::None);
+
+/// One row of the class table ([`HostClass::profile`]): all a host of
+/// the class is besides its random draws (vendor, key, address space).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ClassProfile {
+    /// Offered endpoints (mode, policy), in announcement order.
+    pub(crate) endpoints: &'static [(MessageSecurityMode, SecurityPolicy)],
+    /// Accepted user token types, in announcement order.
+    pub(crate) tokens: &'static [UserTokenType],
+    /// Whether the `operator` username account exists.
+    pub(crate) operator: bool,
+    /// Where the host's RSA key, and with it its certificate, comes from.
+    pub(crate) key: Key,
+    /// Signature hash of a freshly minted certificate.
+    pub(crate) hash: HashAlgorithm,
+    /// The simulated root CA issues the certificate (else self-signed).
+    pub(crate) ca_issued: bool,
+    /// The certificate's validity window ended before deployment.
+    pub(crate) expired: bool,
+    /// An LDS: announces referrals, serves no variables, never departs.
+    pub(crate) discovery_server: bool,
+    /// Anonymous access is advertised but session establishment fails.
+    pub(crate) broken_session: bool,
+    /// Referral-only: listens on sweep port + `base` + `id % spread`.
+    pub(crate) referral_port: Option<(u16, u16)>,
+}
+
+/// Where a host's RSA key comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Key {
+    /// No key and no certificate.
+    None,
+    /// A fresh key of this many nominal bits, in a minted certificate.
+    Own(u32),
+    /// A fresh key over [`SharedSecrets::shared_prime`], minted cert.
+    SharedPrime,
+    /// [`SharedSecrets::reused_key`] and its certificate.
+    Reused,
+}
+
+impl Key {
+    /// RSA key generations building a host with this key performs.
+    pub(crate) fn keygens(self) -> u64 {
+        u64::from(matches!(self, Key::Own(_) | Key::SharedPrime))
+    }
+}
+
+/// The row the server classes override: one SignAndEncrypt endpoint,
+/// username access, and a self-signed SHA-256 certificate over its own
+/// key, on the sweep port.
+const SERVER: ClassProfile = ClassProfile {
+    endpoints: &[(
+        MessageSecurityMode::SignAndEncrypt,
+        SecurityPolicy::Basic256Sha256,
+    )],
+    tokens: &[UserTokenType::UserName],
+    operator: true,
+    key: Key::Own(2048),
+    hash: HashAlgorithm::Sha256,
+    ca_issued: false,
+    expired: false,
+    discovery_server: false,
+    broken_session: false,
+    referral_port: None,
+};
+
+/// The discovery-server row: mode `None` only, anonymous access, no
+/// certificate.
+const LDS: ClassProfile = ClassProfile {
+    endpoints: &[NONE],
+    tokens: &[UserTokenType::Anonymous],
+    operator: false,
+    key: Key::None,
+    discovery_server: true,
+    ..SERVER
+};
 
 /// How many hosts of each class to deploy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -378,25 +533,30 @@ impl Synthesizer {
         RsaPrivateKey::generate(&mut self.rng, ACTUAL_KEY_BITS, nominal_bits)
     }
 
-    /// Self-signed cert with the given hash/validity/nominal key length.
+    /// A certificate for `key` with the given hash and validity window,
+    /// issued by the simulated root CA under `ca_key` or, without one,
+    /// self-signed.
     fn cert(
         &mut self,
         vendor: &'static str,
         uri: &str,
         hash: HashAlgorithm,
-        not_before: i64,
-        not_after: i64,
+        (not_before, not_after): (i64, i64),
         key: &RsaPrivateKey,
+        ca_key: Option<&RsaPrivateKey>,
     ) -> Certificate {
         self.serial += 1;
-        CertificateBuilder::new(DistinguishedName::new(
+        let builder = CertificateBuilder::new(DistinguishedName::new(
             format!("dev-{}", self.serial),
             vendor,
         ))
         .serial(self.serial)
         .validity(not_before, not_after)
-        .application_uri(uri)
-        .self_signed(hash, key)
+        .application_uri(uri);
+        match ca_key {
+            Some(ca_key) => builder.issued_by(hash, sim_root_ca(), ca_key, &key.public),
+            None => builder.self_signed(hash, key),
+        }
     }
 
     /// A small industrial address space; returns (space, vars, writable,
@@ -580,6 +740,12 @@ pub(crate) fn pick_free_address(
     }
 }
 
+/// The simulated root CA: the issuer of every certificate whose class
+/// row sets `ca_issued`.
+pub(crate) fn sim_root_ca() -> DistinguishedName {
+    DistinguishedName::new("Sim Root CA", "Sim Trust Services")
+}
+
 /// Cross-host secrets shared by several strata: the CA key behind
 /// [`HostClass::SecureCa`], the certificate and key every
 /// [`HostClass::ReusedCert`] host serves, and the prime factor the
@@ -602,9 +768,9 @@ impl SharedSecrets {
             reused_vendor,
             &reused_uri,
             HashAlgorithm::Sha256,
-            now - 3 * 365 * 86_400,
-            now + 5 * 365 * 86_400,
+            (now - 3 * 365 * 86_400, now + 5 * 365 * 86_400),
             &reused_key,
+            None,
         );
         let shared_prime = ua_crypto::generate_prime(&mut syn.rng, ACTUAL_KEY_BITS / 2);
         SharedSecrets {
@@ -674,9 +840,10 @@ pub(crate) struct BuildParams {
     pub(crate) now: i64,
 }
 
-/// Builds the deployment material for one host of `p.class`. Pure with
-/// respect to the synthesizer's RNG stream: the same stream position
-/// yields the same host.
+/// Builds the deployment material for one host of `p.class`, as its
+/// row of the class table ([`HostClass::profile`]) describes it. Pure
+/// with respect to the synthesizer's RNG stream: the same stream
+/// position yields the same host.
 pub(crate) fn build_host(
     syn: &mut Synthesizer,
     shared: &SharedSecrets,
@@ -691,180 +858,42 @@ pub(crate) fn build_host(
         seed,
         now,
     } = p;
+    let profile = class.profile();
     let (vendor, uri) = syn.vendor();
     let url = format!("opc.tcp://{address}:{port}/");
     let version = syn.software_version();
-    let valid = (now - 2 * 365 * 86_400, now + 4 * 365 * 86_400);
 
-    let mut certificate = None;
-    let mut private_key = None;
-    let mut endpoints = Vec::new();
-    let mut token_types = vec![UserTokenType::UserName];
-    let mut users = vec![UserAccount {
+    let private_key = match profile.key {
+        Key::None => None,
+        Key::Own(nominal_bits) => Some(syn.key(nominal_bits)),
+        Key::SharedPrime => Some(RsaPrivateKey::generate_with_shared_prime(
+            &mut syn.rng,
+            &shared.shared_prime,
+            ACTUAL_KEY_BITS / 2,
+            2048,
+        )),
+        Key::Reused => Some(shared.reused_key.clone()),
+    };
+    let certificate = private_key.as_ref().map(|key| {
+        if profile.key == Key::Reused {
+            return shared.reused_cert.clone();
+        }
+        let validity = if profile.expired {
+            // Expired a while before the scan.
+            (now - 4 * 365 * 86_400, now - 90 * 86_400)
+        } else {
+            (now - 2 * 365 * 86_400, now + 4 * 365 * 86_400)
+        };
+        let ca_key = profile.ca_issued.then_some(&shared.ca_key);
+        syn.cert(vendor, &uri, profile.hash, validity, key, ca_key)
+    });
+    let users = Vec::from_iter(profile.operator.then(|| UserAccount {
         name: "operator".into(),
         password: format!("pw-{id}"),
-    }];
-    let mut broken_session = false;
-    let mut is_discovery = false;
-    let mut reuse_group = None;
-    let mut shared_prime_group = None;
-
-    match class {
-        HostClass::WideOpen => {
-            endpoints.push(EndpointConfig::none());
-            token_types = vec![UserTokenType::Anonymous, UserTokenType::UserName];
-            users.clear();
-        }
-        HostClass::DeprecatedOnly => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::Sign,
-                SecurityPolicy::Basic128Rsa15,
-            ));
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256,
-            ));
-            let key = syn.key(2048);
-            certificate = Some(syn.cert(vendor, &uri, HashAlgorithm::Sha1, valid.0, valid.1, &key));
-            private_key = Some(key);
-        }
-        HostClass::MixedLegacy => {
-            endpoints.push(EndpointConfig::none());
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::Sign,
-                SecurityPolicy::Basic256,
-            ));
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            token_types = vec![UserTokenType::Anonymous, UserTokenType::UserName];
-            let key = syn.key(2048);
-            certificate =
-                Some(syn.cert(vendor, &uri, HashAlgorithm::Sha256, valid.0, valid.1, &key));
-            private_key = Some(key);
-        }
-        HostClass::SecureModern => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::Sign,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            let key = syn.key(2048);
-            certificate =
-                Some(syn.cert(vendor, &uri, HashAlgorithm::Sha256, valid.0, valid.1, &key));
-            private_key = Some(key);
-        }
-        HostClass::SecureCa => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Aes256Sha256RsaPss,
-            ));
-            token_types.push(UserTokenType::Certificate);
-            let key = syn.key(2048);
-            syn.serial += 1;
-            let cert = CertificateBuilder::new(DistinguishedName::new(
-                format!("dev-{}", syn.serial),
-                vendor,
-            ))
-            .serial(syn.serial)
-            .validity(valid.0, valid.1)
-            .application_uri(&uri)
-            .issued_by(
-                HashAlgorithm::Sha256,
-                DistinguishedName::new("Sim Root CA", "Sim Trust Services"),
-                &shared.ca_key,
-                &key.public,
-            );
-            certificate = Some(cert);
-            private_key = Some(key);
-        }
-        HostClass::ExpiredCert => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            let key = syn.key(2048);
-            // Expired a while before the scan.
-            certificate = Some(syn.cert(
-                vendor,
-                &uri,
-                HashAlgorithm::Sha256,
-                now - 4 * 365 * 86_400,
-                now - 90 * 86_400,
-                &key,
-            ));
-            private_key = Some(key);
-        }
-        HostClass::WeakCert => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            let key = syn.key(1024);
-            certificate = Some(syn.cert(vendor, &uri, HashAlgorithm::Sha1, valid.0, valid.1, &key));
-            private_key = Some(key);
-        }
-        HostClass::ReusedCert => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::Sign,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            certificate = Some(shared.reused_cert.clone());
-            private_key = Some(shared.reused_key.clone());
-            reuse_group = Some(0);
-        }
-        HostClass::SharedPrime => {
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            let key = RsaPrivateKey::generate_with_shared_prime(
-                &mut syn.rng,
-                &shared.shared_prime,
-                ACTUAL_KEY_BITS / 2,
-                2048,
-            );
-            certificate =
-                Some(syn.cert(vendor, &uri, HashAlgorithm::Sha256, valid.0, valid.1, &key));
-            private_key = Some(key);
-            shared_prime_group = Some(0);
-        }
-        HostClass::BrokenSession => {
-            endpoints.push(EndpointConfig::none());
-            token_types = vec![UserTokenType::Anonymous];
-            users.clear();
-            broken_session = true;
-        }
-        HostClass::DiscoveryServer | HostClass::ChainedLds => {
-            endpoints.push(EndpointConfig::none());
-            token_types = vec![UserTokenType::Anonymous];
-            users.clear();
-            is_discovery = true;
-        }
-        HostClass::HiddenServer => {
-            // A production server that registered with an LDS and
-            // listens on a non-default port: `None` plus a secure
-            // endpoint, anonymous allowed — same deficit surface the
-            // referral-discovered hosts showed in the wild.
-            endpoints.push(EndpointConfig::none());
-            endpoints.push(EndpointConfig::new(
-                MessageSecurityMode::SignAndEncrypt,
-                SecurityPolicy::Basic256Sha256,
-            ));
-            token_types = vec![UserTokenType::Anonymous, UserTokenType::UserName];
-            let key = syn.key(2048);
-            certificate =
-                Some(syn.cert(vendor, &uri, HashAlgorithm::Sha256, valid.0, valid.1, &key));
-            private_key = Some(key);
-        }
-    }
+    }));
 
     // Address space: discovery servers expose nothing of interest.
-    let (space, variables, writable, methods, executable) = if is_discovery {
+    let (space, variables, writable, methods, executable) = if profile.discovery_server {
         (
             SpaceBuilder::new(&[uri.as_str()], &version).finish(),
             0,
@@ -881,14 +910,18 @@ pub(crate) fn build_host(
         application_uri: uri.clone(),
         application_name: format!("{vendor} OPC UA Server"),
         endpoint_url: url,
-        endpoints,
-        token_types,
+        endpoints: profile
+            .endpoints
+            .iter()
+            .map(|&(mode, policy)| EndpointConfig::new(mode, policy))
+            .collect(),
+        token_types: profile.tokens.to_vec(),
         certificate,
         private_key,
         users,
         reject_foreign_certs: false,
-        broken_session_config: broken_session,
-        is_discovery_server: is_discovery,
+        broken_session_config: profile.broken_session,
+        is_discovery_server: profile.discovery_server,
         referenced_endpoints: referenced,
         software_version: version,
         max_references_per_browse: 64,
@@ -903,8 +936,8 @@ pub(crate) fn build_host(
             application_uri: uri,
             vendor,
             cert_thumbprint,
-            reuse_group,
-            shared_prime_group,
+            reuse_group: (profile.key == Key::Reused).then_some(0),
+            shared_prime_group: (profile.key == Key::SharedPrime).then_some(0),
             variables,
             writable_variables: writable,
             methods,
@@ -1216,6 +1249,31 @@ mod tests {
         let mix = StrataMix::new().with(HostClass::WideOpen, 9);
         let net = test_net();
         synthesize(&net, &PopulationConfig::new(3, universe, mix));
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep port 65530 too high for population")]
+    fn referral_strata_past_the_last_port_panic() {
+        // Hidden servers and chained LDS listen up to 10 ports above the
+        // sweep port, and discovery servers announce a dead decoy 90
+        // above it: none of that may wrap around to port 1.
+        let mut cfg = PopulationConfig::new(3, universe(), StrataMix::paper_like(30));
+        cfg.port = 65_530;
+        LazyWorld::deploy(&test_net(), &cfg);
+    }
+
+    #[test]
+    fn wide_open_mix_listens_on_the_last_port() {
+        let mut cfg =
+            PopulationConfig::new(3, universe(), StrataMix::new().with(HostClass::WideOpen, 3));
+        cfg.port = u16::MAX;
+        let net = test_net();
+        let pop = synthesize(&net, &cfg);
+        assert_eq!(pop.len(), 3);
+        for host in &pop.hosts {
+            assert_eq!(host.port, u16::MAX);
+            assert!(net.has_listener(host.address, u16::MAX));
+        }
     }
 
     #[test]

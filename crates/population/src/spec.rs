@@ -43,6 +43,17 @@ pub(crate) fn host_material_seed(seed: u64, id: u64) -> u64 {
 /// Salt for the discovery servers' random same-port referral picks.
 const REFS_SALT: u64 = 0x5265_6653;
 
+/// Port offset of a discovery server's dead referral decoy
+/// ([`RefSpec::DeadPort`]): sweep port + 90.
+pub(crate) const DEAD_PORT_OFFSET: u16 = 90;
+
+/// True for the hosts a discovery server picks its random referrals
+/// from: servers that are no LDS and listen on the sweep port.
+fn referral_candidate(class: HostClass) -> bool {
+    let profile = class.profile();
+    !profile.discovery_server && profile.referral_port.is_none()
+}
+
 /// The universe blocks that are not nested inside another block — the
 /// canonical disjoint set whose size sum is the number of *distinct*
 /// addresses. (CIDR blocks either nest or are disjoint.)
@@ -197,6 +208,25 @@ impl WorldSpec {
             total += n as u64;
         }
         assert!(total <= distinct, "universe too small for population");
+        // Every port the mix listens on or announces must fit: the
+        // referral-only ports and the discovery servers' dead decoy.
+        let top_offset = segments
+            .iter()
+            .filter(|&&(_, n)| n > 0)
+            .flat_map(|&(class, _)| {
+                let row = class.profile();
+                let listen = row.referral_port.map(|(base, spread)| base + spread - 1);
+                [listen, row.discovery_server.then_some(DEAD_PORT_OFFSET)]
+            })
+            .flatten()
+            .max()
+            .unwrap_or(0);
+        assert!(
+            cfg.port.checked_add(top_offset).is_some(),
+            "sweep port {} too high for population: its hosts use ports up to {} above it",
+            cfg.port,
+            top_offset
+        );
         WorldSpec {
             seed: cfg.seed,
             sweep_port: cfg.port,
@@ -235,10 +265,9 @@ impl WorldSpec {
     /// Listening port of host `id` (non-default for referral-only
     /// classes).
     pub(crate) fn port_of(&self, id: u64) -> u16 {
-        match self.class_of(id) {
-            HostClass::HiddenServer => self.sweep_port + 1 + (id % 7) as u16,
-            HostClass::ChainedLds => self.sweep_port + 8 + (id % 3) as u16,
-            _ => self.sweep_port,
+        match self.class_of(id).profile().referral_port {
+            Some((base, spread)) => self.sweep_port + base + (id % u64::from(spread)) as u16,
+            None => self.sweep_port,
         }
     }
 
@@ -318,12 +347,7 @@ impl WorldSpec {
     fn candidate_count(&self) -> u64 {
         self.segments
             .iter()
-            .filter(|(c, _)| {
-                !matches!(
-                    c,
-                    HostClass::DiscoveryServer | HostClass::HiddenServer | HostClass::ChainedLds
-                )
-            })
+            .filter(|(c, _)| referral_candidate(*c))
             .map(|(_, n)| n)
             .sum()
     }
@@ -332,10 +356,7 @@ impl WorldSpec {
     fn candidate(&self, k: u64) -> u64 {
         let mut remaining = k;
         for (s, &(c, n)) in self.segments.iter().enumerate() {
-            if matches!(
-                c,
-                HostClass::DiscoveryServer | HostClass::HiddenServer | HostClass::ChainedLds
-            ) {
+            if !referral_candidate(c) {
                 continue;
             }
             if remaining < n {

@@ -15,6 +15,9 @@
 //! it is — the equivalence tests in the scanner crate diff full record
 //! streams of fully built and never-forced worlds to prove it.
 //!
+//! A fate and the host built from it read one row of the class table
+//! (`HostClass::profile`): certificate, `None` endpoint, keygens, role.
+//!
 //! Weekly churn splits the same way: *decisions* (who departs, moves,
 //! renews, upgrades, remediates) are drawn per `(seed, week, id,
 //! event-kind)` and recorded as [`MaterialEvent`]s on the fate;
@@ -24,11 +27,11 @@
 //! the universe size.
 
 use crate::evolution::{host_week_seed, parse_version, ChurnConfig, ChurnEvent, WeekChurn};
-use crate::spec::{mix64, RefSpec, WorldSpec};
+use crate::spec::{mix64, RefSpec, WorldSpec, DEAD_PORT_OFFSET};
 use crate::{
-    bind_deployment, build_host, initial_version, pick_free_address, setup_registry, BuildParams,
-    HostClass, HostDeployment, Population, PopulationConfig, SharedSecrets, Synthesizer,
-    ACTUAL_KEY_BITS,
+    bind_deployment, build_host, initial_version, pick_free_address, setup_registry, sim_root_ca,
+    BuildParams, HostClass, HostDeployment, Key, Population, PopulationConfig, SharedSecrets,
+    Synthesizer, ACTUAL_KEY_BITS, NONE,
 };
 use netsim::{Cidr, HostResolver, Internet, Ipv4, PortState};
 use rand::rngs::StdRng;
@@ -66,44 +69,6 @@ const SLOT_REMED: u64 = 1;
 /// collision-free by construction.
 fn serial_for(id: u64, week: u32, slot: u64) -> u64 {
     (id + 1) * 1_000_000 + (week as u64) * 8 + slot
-}
-
-/// True if synthesis gives this class an application-instance
-/// certificate (mirrors `build_host` exactly).
-fn class_has_certificate(class: HostClass) -> bool {
-    !matches!(
-        class,
-        HostClass::WideOpen
-            | HostClass::BrokenSession
-            | HostClass::DiscoveryServer
-            | HostClass::ChainedLds
-    )
-}
-
-/// True if synthesis gives this class a mode-`None` endpoint (mirrors
-/// `build_host` exactly).
-fn class_offers_none(class: HostClass) -> bool {
-    matches!(
-        class,
-        HostClass::WideOpen
-            | HostClass::MixedLegacy
-            | HostClass::BrokenSession
-            | HostClass::DiscoveryServer
-            | HostClass::ChainedLds
-            | HostClass::HiddenServer
-    )
-}
-
-/// RSA key generations `build_host` performs for this class.
-fn class_keygens(class: HostClass) -> u64 {
-    match class {
-        HostClass::WideOpen
-        | HostClass::ReusedCert
-        | HostClass::BrokenSession
-        | HostClass::DiscoveryServer
-        | HostClass::ChainedLds => 0,
-        _ => 1,
-    }
 }
 
 /// Materialization telemetry: how much of the world a campaign
@@ -244,8 +209,8 @@ impl WorldCore {
                 port: spec.port_of(id),
                 alive: true,
                 version: initial_version(cfg.seed, id),
-                has_cert: class_has_certificate(class),
-                has_none: class_offers_none(class),
+                has_cert: class.profile().key != Key::None,
+                has_none: class.profile().endpoints.contains(&NONE),
                 deploy_week: 0,
                 last_rebind_week: 0,
                 refs: spec.ref_specs(id),
@@ -373,7 +338,7 @@ impl WorldCore {
                 now: week_nows[fate.deploy_week as usize],
             },
         );
-        let mut keygens = class_keygens(fate.class);
+        let mut keygens = fate.class.profile().key.keygens();
         for ev in &fate.events {
             keygens += apply_event(&mut dep, ev, id, &week_nows, &self.shared, self.seed);
         }
@@ -398,7 +363,8 @@ impl WorldCore {
                 }
                 RefSpec::SelfNonCanonical => format!("OPC.TCP://{}:{}", fate.address, fate.port),
                 RefSpec::DeadPort => {
-                    format!("opc.tcp://{}:{}/", fate.address, self.sweep_port + 90)
+                    let dead_port = self.sweep_port + DEAD_PORT_OFFSET;
+                    format!("opc.tcp://{}:{dead_port}/", fate.address)
                 }
                 RefSpec::Unresolvable => {
                     format!("opc.tcp://plant-lds-{id}.internal:{}/", self.sweep_port)
@@ -462,10 +428,9 @@ impl WorldCore {
                 continue;
             }
             let id = idx as u64;
-            let class = st.fates[idx].class;
-            let lds_like = matches!(class, HostClass::DiscoveryServer | HostClass::ChainedLds);
+            let lds = st.fates[idx].class.profile().discovery_server;
 
-            if !lds_like && event_rng(self.seed, week, id, SALT_DEPART).gen_bool(churn.departure) {
+            if !lds && event_rng(self.seed, week, id, SALT_DEPART).gen_bool(churn.departure) {
                 let addr = st.fates[idx].address;
                 st.overlay.insert(addr.0, Occupancy::Vacated);
                 st.fates[idx].alive = false;
@@ -546,7 +511,7 @@ impl WorldCore {
                 }
             }
 
-            if !lds_like {
+            if !lds {
                 let mut frng = event_rng(self.seed, week, id, SALT_FIX);
                 if st.fates[idx].has_none && frng.gen_bool(churn.remediation) {
                     let minted_cert = !st.fates[idx].has_cert;
@@ -598,8 +563,8 @@ impl WorldCore {
                 port: self.sweep_port,
                 alive: true,
                 version: initial_version(self.seed, id),
-                has_cert: class_has_certificate(class),
-                has_none: class_offers_none(class),
+                has_cert: class.profile().key != Key::None,
+                has_none: class.profile().endpoints.contains(&NONE),
                 deploy_week: week,
                 last_rebind_week: week,
                 refs: Vec::new(),
@@ -689,13 +654,8 @@ fn apply_event(
             // CA customers renew through their CA; everyone else
             // re-self-signs. Hash and key are kept, so a weak
             // certificate renews weak — §6 saw exactly that.
-            let cert = if dep.truth.class == HostClass::SecureCa {
-                builder.issued_by(
-                    hash,
-                    DistinguishedName::new("Sim Root CA", "Sim Trust Services"),
-                    &shared.ca_key,
-                    &key.public,
-                )
+            let cert = if dep.truth.class.profile().ca_issued {
+                builder.issued_by(hash, sim_root_ca(), &shared.ca_key, &key.public)
             } else {
                 builder.self_signed(hash, &key)
             };
@@ -994,40 +954,163 @@ mod tests {
         assert_batches_match_replay(&net, &blocklist);
     }
 
+    /// Every class as built, one host each: endpoints | tokens |
+    /// accounts | key and certificate | role and port offset. Written
+    /// out independently of the class table, so a change to what a
+    /// class is must show up here too.
+    const AS_BUILT: [&str; 13] = [
+        "WideOpen: None/None | Anonymous UserName | - | no cert | server +0",
+        "DeprecatedOnly: Sign/Basic128Rsa15 SignAndEncrypt/Basic256 | UserName | operator \
+         | own 2048-bit Sha1 self-signed | server +0",
+        "MixedLegacy: None/None Sign/Basic256 SignAndEncrypt/Basic256Sha256 \
+         | Anonymous UserName | operator | own 2048-bit Sha256 self-signed | server +0",
+        "SecureModern: Sign/Basic256Sha256 SignAndEncrypt/Basic256Sha256 | UserName | operator \
+         | own 2048-bit Sha256 self-signed | server +0",
+        "SecureCa: SignAndEncrypt/Aes256Sha256RsaPss | UserName Certificate | operator \
+         | own 2048-bit Sha256 CA-issued | server +0",
+        "ExpiredCert: SignAndEncrypt/Basic256Sha256 | UserName | operator \
+         | own 2048-bit Sha256 self-signed expired | server +0",
+        "WeakCert: SignAndEncrypt/Basic256Sha256 | UserName | operator \
+         | own 1024-bit Sha1 self-signed | server +0",
+        "ReusedCert: Sign/Basic256Sha256 | UserName | operator | reused cert | server +0",
+        "SharedPrime: SignAndEncrypt/Basic256Sha256 | UserName | operator \
+         | shared-prime 2048-bit Sha256 self-signed | server +0",
+        "BrokenSession: None/None | Anonymous | - | no cert | broken server +0",
+        "DiscoveryServer: None/None | Anonymous | - | no cert | LDS +0",
+        "HiddenServer: None/None SignAndEncrypt/Basic256Sha256 | Anonymous UserName | operator \
+         | own 2048-bit Sha256 self-signed | server +5",
+        "ChainedLds: None/None | Anonymous | - | no cert | LDS +8",
+    ];
+
+    /// One line of [`AS_BUILT`] from a built host.
+    fn as_built(dep: &HostDeployment, shared: &SharedSecrets, now: i64, sweep_port: u16) -> String {
+        let config = &dep.config;
+        let endpoints: Vec<String> = config
+            .endpoints
+            .iter()
+            .map(|e| format!("{:?}/{:?}", e.mode, e.policy))
+            .collect();
+        let tokens: Vec<String> = config
+            .token_types
+            .iter()
+            .map(|t| format!("{t:?}"))
+            .collect();
+        let users: Vec<&str> = config.users.iter().map(|u| u.name.as_str()).collect();
+        let cert = match &config.certificate {
+            None => "no cert".to_string(),
+            Some(cert) if *cert == shared.reused_cert => "reused cert".to_string(),
+            Some(cert) => format!(
+                "{} {}-bit {:?} {}{}",
+                match dep.truth.shared_prime_group {
+                    Some(_) => "shared-prime",
+                    None => "own",
+                },
+                cert.key_bits(),
+                cert.signature_hash(),
+                if cert.tbs.issuer == sim_root_ca() {
+                    "CA-issued"
+                } else {
+                    "self-signed"
+                },
+                if cert.is_valid_at(now) {
+                    ""
+                } else {
+                    " expired"
+                },
+            ),
+        };
+        let role = match (config.is_discovery_server, config.broken_session_config) {
+            (true, _) => "LDS",
+            (false, true) => "broken server",
+            (false, false) => "server",
+        };
+        format!(
+            "{:?}: {} | {} | {} | {cert} | {role} +{}",
+            dep.truth.class,
+            endpoints.join(" "),
+            tokens.join(" "),
+            if users.is_empty() {
+                "-".to_string()
+            } else {
+                users.join(" ")
+            },
+            dep.truth.port - sweep_port,
+        )
+    }
+
     #[test]
     fn fate_tables_agree_with_build_host() {
         let mix = HostClass::ALL
             .into_iter()
             .fold(StrataMix::new(), |mix, class| mix.with(class, 1));
         let net = Internet::new(VirtualClock::starting_at(EPOCH));
-        let core = WorldCore::new(&net, &PopulationConfig::new(53, universe(), mix));
+        let cfg = PopulationConfig::new(53, universe(), mix);
+        let core = WorldCore::new(&net, &cfg);
         let reused = &core.shared.reused_key.public.n;
-        let built = core.map_alive(|dep| {
-            let config = &dep.config;
-            (
-                dep.truth.class,
-                config.certificate.is_some(),
-                config
-                    .endpoints
-                    .iter()
-                    .any(|e| e.mode == MessageSecurityMode::None),
-                // Its own private key, not the shared reused one.
-                config
-                    .private_key
-                    .as_ref()
-                    .is_some_and(|key| key.public.n != *reused),
-            )
-        });
-        assert_eq!(built.len(), HostClass::ALL.len());
-        for (class, has_cert, offers_none, own_key) in built {
-            assert_eq!(class_has_certificate(class), has_cert, "{class:?}: cert");
-            assert_eq!(class_offers_none(class), offers_none, "{class:?}: None");
+        let mut built = Vec::new();
+        for (id, class) in HostClass::ALL.into_iter().enumerate() {
+            let row = class.profile();
+            let fate = core.state_read().fates[id].clone();
+            let (dep, keygens) = core.build_current(id as u64);
+            let (config, truth) = (&dep.config, &dep.truth);
+            let endpoints: Vec<_> = config
+                .endpoints
+                .iter()
+                .map(|e| (e.mode, e.policy))
+                .collect();
+            let offset = row
+                .referral_port
+                .map_or(0, |(base, spread)| base + id as u16 % spread);
+            // The row, field by field, is what was built.
             assert_eq!(
-                class_keygens(class),
-                u64::from(own_key),
-                "{class:?}: keygens"
+                (
+                    &endpoints[..],
+                    &config.token_types[..],
+                    !config.users.is_empty(),
+                    config.is_discovery_server,
+                    config.broken_session_config,
+                    truth.port,
+                    truth.reuse_group.is_some(),
+                    truth.shared_prime_group.is_some(),
+                    config.certificate.as_ref().map(|c| c.signature_hash()),
+                ),
+                (
+                    row.endpoints,
+                    row.tokens,
+                    row.operator,
+                    row.discovery_server,
+                    row.broken_session,
+                    cfg.port + offset,
+                    row.key == Key::Reused,
+                    row.key == Key::SharedPrime,
+                    (row.key != Key::None).then_some(row.hash),
+                ),
+                "{class:?}: row"
             );
+            assert_eq!(
+                class.referral_only(),
+                offset > 0,
+                "{class:?}: referral-only"
+            );
+            // What the fate and the keygen count read from the row: a
+            // certificate, a `None` endpoint, and a key of its own (not
+            // the shared reused one).
+            let own_key = config
+                .private_key
+                .as_ref()
+                .is_some_and(|key| key.public.n != *reused);
+            assert_eq!(
+                (fate.has_cert, fate.has_none, keygens),
+                (
+                    config.certificate.is_some(),
+                    endpoints.contains(&NONE),
+                    u64::from(own_key)
+                ),
+                "{class:?}: fate"
+            );
+            built.push(as_built(&dep, &core.shared, EPOCH as i64, cfg.port));
         }
+        assert_eq!(built, AS_BUILT);
     }
 
     struct Nop;

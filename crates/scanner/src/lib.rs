@@ -8,8 +8,8 @@
 //!   discovery (GetEndpoints + FindServers) → anonymous session with
 //!   budgeted traversal;
 //! * [`suite`] — the protocol layer: a [`ProtocolSuite`] bundles the
-//!   default port, the probe-stage ladder, the connect-error taxonomy,
-//!   and the typed [`ProtocolPayload`] for one protocol;
+//!   default port, the probe-stage ladder and the typed
+//!   [`ProtocolPayload`] for one protocol;
 //!   [`SuiteRegistry`] maps ports to suites so one campaign sweeps
 //!   several protocols over the same engine;
 //! * [`url`] — `opc.tcp://host:port/path` parsing and normalization,

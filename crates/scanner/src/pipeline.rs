@@ -93,24 +93,6 @@ pub struct ReferralStats {
     pub max_depth: u32,
 }
 
-impl ReferralStats {
-    /// Folds another phase's counters in. Multi-suite campaigns run one
-    /// referral phase per referral-capable suite and sum them; depths
-    /// take the max (the deepest chain any suite followed).
-    pub fn absorb(&mut self, other: ReferralStats) {
-        self.urls_announced += other.urls_announced;
-        self.unfollowable += other.unfollowable;
-        self.already_probed += other.already_probed;
-        self.blocklisted += other.blocklisted;
-        self.truncated += other.truncated;
-        self.followed += other.followed;
-        self.dead += other.dead;
-        self.opcua_hosts += other.opcua_hosts;
-        self.non_opcua_hosts += other.non_opcua_hosts;
-        self.max_depth = self.max_depth.max(other.max_depth);
-    }
-}
-
 /// Connect-phase fault accounting across a campaign: one
 /// [`HostOutcome`](crate::record::HostOutcome) bucket increment per
 /// emitted record, plus the retry layer's cost telemetry. Dead referral

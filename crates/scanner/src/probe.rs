@@ -4,11 +4,11 @@
 //! The default stack mirrors the paper's scanner (§4): UACP hello →
 //! GetEndpoints/FindServers over an insecure discovery channel → (where
 //! anonymous access is advertised) session establishment and a budgeted
-//! address-space traversal. Custom stacks can drop stages (discovery-only
-//! campaigns) or append new ones without touching the pipeline.
+//! address-space traversal. A suite's stack ([`ProtocolSuite::stack`])
+//! can drop stages or append new ones without touching the pipeline.
 
 use crate::record::{EndpointSnapshot, HostOutcome, ScanRecord, SessionOutcome, TraversalSummary};
-use crate::suite::{OpcUaSuite, ProtocolSuite, SuiteRegistry};
+use crate::suite::{classify_connect_error, OpcUaSuite, ProtocolSuite, SuiteRegistry};
 use crate::url::OpcUrl;
 use netsim::{ConnectError, Internet, Ipv4, TcpStreamSim};
 use rand::rngs::StdRng;
@@ -103,9 +103,6 @@ pub struct ScanConfig {
     pub client: ClientConfig,
     /// Budget for the traversal stage (Appendix A.2).
     pub budget: TraversalBudget,
-    /// Whether to attempt anonymous sessions at all (the paper's scanner
-    /// only proceeds where servers advertise credential-less access).
-    pub attempt_session: bool,
     /// Bounded capacity of the record channel in streaming scans (also
     /// each worker's result buffer when several workers run).
     pub channel_capacity: usize,
@@ -147,7 +144,6 @@ impl Default for ScanConfig {
             scanner_address: Ipv4::new(192, 0, 2, 1),
             client: ClientConfig::default(),
             budget: TraversalBudget::default(),
-            attempt_session: true,
             channel_capacity: 256,
             workers: 1,
             referral_depth: 4,
@@ -161,7 +157,7 @@ impl Default for ScanConfig {
 
 impl ScanConfig {
     /// A validating builder over the default configuration — the
-    /// literal-free way to assemble the (by now) 13-field config. Plain
+    /// literal-free way to assemble the (by now) 12-field config. Plain
     /// struct literals over [`ScanConfig::default`] keep working; the
     /// builder adds up-front validation and does the zero-normalization
     /// once instead of at every use site.
@@ -267,12 +263,6 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Whether to attempt anonymous sessions at all.
-    pub fn attempt_session(mut self, attempt: bool) -> Self {
-        self.cfg.attempt_session = attempt;
-        self
-    }
-
     /// Record-channel capacity (0 normalized to 1 at build).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.cfg.channel_capacity = capacity;
@@ -363,10 +353,6 @@ pub struct ProbeContext<'a> {
     pub client: Option<UaClient<TcpStreamSim>>,
     /// Per-target nonce seed.
     pub seed: u64,
-    /// The protocol suite driving this probe — owns the connect-error
-    /// classification (defaults to plain OPC UA; the scan driver
-    /// installs the registered suite before the first stage runs).
-    pub suite: Arc<dyn ProtocolSuite>,
 }
 
 impl<'a> ProbeContext<'a> {
@@ -390,7 +376,6 @@ impl<'a> ProbeContext<'a> {
             endpoint_url: format!("opc.tcp://{target}:{port}/"),
             client: None,
             seed,
-            suite: Arc::new(OpcUaSuite::new()),
         }
     }
 
@@ -440,9 +425,9 @@ impl<'a> ProbeContext<'a> {
                     return Some(stream);
                 }
                 Err(err) => {
-                    // The suite owns the error→outcome taxonomy; the
-                    // retry ladder only decides what is worth retrying.
-                    record.outcome = self.suite.classify_connect_error(err);
+                    // The shared taxonomy names the outcome; the retry
+                    // ladder only decides what is worth retrying.
+                    record.outcome = classify_connect_error(err);
                     match err {
                         // RST is an answer: retrying is pointless. A
                         // silent tarpit stalls every attempt
@@ -672,7 +657,7 @@ impl Probe for SessionProbe {
     }
 
     fn run(&mut self, ctx: &mut ProbeContext<'_>, record: &mut ScanRecord) -> ProbeOutcome {
-        if !ctx.config.attempt_session || !record.advertises_anonymous() {
+        if !record.advertises_anonymous() {
             record.opcua_mut().session = SessionOutcome::NotAttempted;
             return ProbeOutcome::Continue;
         }
@@ -743,16 +728,6 @@ pub fn default_stack() -> Vec<Box<dyn Probe>> {
         Box::new(EndpointsProbe),
         Box::new(FindServersProbe),
         Box::new(SessionProbe),
-    ]
-}
-
-/// A discovery-only stack (no session establishment), e.g. for strictly
-/// passive-characterization campaigns.
-pub fn discovery_stack() -> Vec<Box<dyn Probe>> {
-    vec![
-        Box::new(UacpProbe),
-        Box::new(EndpointsProbe),
-        Box::new(FindServersProbe),
     ]
 }
 

@@ -896,7 +896,6 @@ impl<'a> EventLoop<'a> {
             flight.port,
             flight.seed,
         );
-        ctx.suite = Arc::clone(self.env.suite);
         ctx.client = flight.client.take();
         let outcome = self.stack[flight.stage].run(&mut ctx, &mut flight.record);
         flight.client = ctx.client.take();

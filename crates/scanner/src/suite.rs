@@ -6,12 +6,14 @@
 //! TLS-wrapped IIoT protocols. A [`ProtocolSuite`] packages everything
 //! protocol-specific behind one trait: the default port, the probe-stage
 //! ladder (the existing [`Probe`] trait is the per-stage unit within a
-//! suite), the connect-error → [`HostOutcome`] taxonomy, the typed
-//! [`ProtocolPayload`] template carried on [`ScanRecord`], and — for
-//! suites that have it — referral following. [`SuiteRegistry`] maps
-//! ports to suites; a campaign with a non-empty registry sweeps the
-//! union of registered ports and drives each port's suite through the
-//! same engine, retry policy, and longitudinal machinery.
+//! suite), the typed [`ProtocolPayload`] template carried on
+//! [`ScanRecord`], and — for suites that have it — referral following.
+//! Connect errors map onto [`HostOutcome`] through one TCP-level
+//! taxonomy that every suite shares ([`classify_connect_error`]).
+//! [`SuiteRegistry`] maps ports to suites; a campaign with a non-empty
+//! registry sweeps the union of registered ports and drives each port's
+//! suite through the same engine, retry policy, and longitudinal
+//! machinery.
 //!
 //! Two suites ship:
 //!
@@ -68,14 +70,6 @@ pub trait ProtocolSuite: Send + Sync {
     /// probes, before the first stage runs.
     fn payload(&self) -> ProtocolPayload;
 
-    /// Maps a connect-phase error onto the reachability taxonomy. The
-    /// default is the shared TCP-level interpretation
-    /// ([`classify_connect_error`]); suites whose transport colors the
-    /// verdict differently override it.
-    fn classify_connect_error(&self, err: ConnectError) -> HostOutcome {
-        classify_connect_error(err)
-    }
-
     /// Whether this suite can announce further targets (OPC UA's
     /// FindServers referrals). Suites returning `false` never enter the
     /// referral phase.
@@ -90,8 +84,8 @@ pub trait ProtocolSuite: Send + Sync {
     }
 }
 
-/// The shared TCP-level connect-error taxonomy (what every suite means
-/// by refused/timeout/throttled/tarpitted unless it overrides).
+/// The TCP-level connect-error taxonomy every suite shares: what
+/// refused, timeout, throttled and tarpitted mean as a [`HostOutcome`].
 pub fn classify_connect_error(err: ConnectError) -> HostOutcome {
     match err {
         ConnectError::Refused => HostOutcome::Unreachable,
@@ -457,17 +451,6 @@ mod tests {
         assert_eq!(
             classify_connect_error(ConnectError::Stalled),
             HostOutcome::Tarpitted
-        );
-        // Both shipped suites use the shared taxonomy.
-        let opcua = OpcUaSuite::new();
-        let tls = UatTlsSuite::new();
-        assert_eq!(
-            opcua.classify_connect_error(ConnectError::Stalled),
-            HostOutcome::Tarpitted
-        );
-        assert_eq!(
-            tls.classify_connect_error(ConnectError::Refused),
-            HostOutcome::Unreachable
         );
     }
 

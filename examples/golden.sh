@@ -12,6 +12,10 @@
 # it; it refuses to bless a run that exits nonzero. Only stdout is
 # compared: abort_resume and seven_month_study print worker-dependent
 # telemetry to stderr.
+#
+# Every run executes under a 384 MiB address-space cap (ulimit -v), so
+# an allocation the size of a universe aborts it: the million-address
+# study must cost memory for the hosts it touches, not the addresses.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,7 +74,7 @@ while read -r group example args; do
   prev=$group
   # $args is split on purpose: it is the example's argument list.
   # shellcheck disable=SC2086
-  if ! "$bin/$example" $args </dev/null >"$tmp/stdout"; then
+  if ! (ulimit -v 393216; exec "$bin/$example" $args) </dev/null >"$tmp/stdout"; then
     echo "FAIL  $run: exited nonzero"
     failed=1
   elif $bless && $first; then

@@ -6,8 +6,9 @@
 //! and a host is synthesized — keys, certificate, address space,
 //! referral wiring — the first time a probe actually reaches it, as a
 //! pure function of `(seed, host id, week)`. Resident cost tracks the
-//! ~120 responsive hosts, not the 1,048,576 addresses; CI runs this
-//! example under a hard `ulimit -v` to hold that claim.
+//! ~120 responsive hosts, not the 1,048,576 addresses;
+//! `examples/golden.sh` runs this example under a hard 384 MiB
+//! `ulimit -v` to hold that claim.
 //!
 //! Two self-checks print `[ok]`/`[MISMATCH]`; any `[MISMATCH]` makes
 //! the example exit 1:

@@ -180,8 +180,9 @@
 //!   never the address space (`MaterializationStats` reports hosts
 //!   materialized, keys generated, and the resident-bytes estimate;
 //!   `million_host_study` prints them into its golden output, perfbench
-//!   traces them as `population.materialize.*`, and CI runs that
-//!   million-address study under a hard `ulimit -v`).
+//!   traces them as `population.materialize.*`, and
+//!   `examples/golden.sh` runs every example, that million-address
+//!   study included, under a hard 384 MiB `ulimit -v`).
 //! * **Longitudinal campaigns** — `population::EvolvingWorld` churns
 //!   the deployed fleet week over week (DHCP-style IP reassignment,
 //!   arrivals/departures, certificate renewal, software up/downgrades,
