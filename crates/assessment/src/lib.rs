@@ -32,6 +32,5 @@ pub use longitudinal::{
     WeekPoint, WeekSnapshot,
 };
 pub use report::{
-    assess, AssessmentReport, Assessor, HostReport, ReachabilityTally, ReuseCluster, SessionTally,
-    SharedPrimePair,
+    assess, AssessmentReport, Assessor, HostReport, ReuseCluster, SessionTally, SharedPrimePair,
 };

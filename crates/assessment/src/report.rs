@@ -3,7 +3,7 @@
 
 use crate::deficit::{host_deficits, Deficit};
 use netsim::Ipv4;
-use scanner::{DiscoveredVia, HostOutcome, ScanRecord, SessionOutcome, DEFAULT_OPCUA_PORT};
+use scanner::{DiscoveredVia, FaultStats, ScanRecord, SessionOutcome, DEFAULT_OPCUA_PORT};
 // ua-lint: allow(unordered-iteration) -- the one HashMap left is a lookup-only dedup index
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use ua_crypto::hash::to_hex;
@@ -70,49 +70,6 @@ pub struct SharedPrimePair {
     pub b: Ipv4,
 }
 
-/// Reachability tallies over *every* folded record — including hosts
-/// the probe stack never got a byte out of. On a polite (fault-free)
-/// network every record is [`HostOutcome::Ok`] and the tally is
-/// invisible in the rendered report; under middlebox fault injection it
-/// quantifies what the retry layer recovered and what it had to write
-/// off, per [`HostOutcome`] class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReachabilityTally {
-    /// Records that yielded a usable stream (OPC UA or not).
-    pub ok: usize,
-    /// Connection refused: a live address with no listener.
-    pub unreachable: usize,
-    /// Retry budget exhausted on silent SYN loss.
-    pub timed_out: usize,
-    /// Retry budget exhausted against a rate-limiting middlebox.
-    pub throttled: usize,
-    /// Accepted then stalled past the stage budget (tarpit).
-    pub tarpitted: usize,
-    /// Records whose host needed more than one connect attempt.
-    pub retried: usize,
-}
-
-impl ReachabilityTally {
-    /// Records written off without a usable stream.
-    pub fn unrecovered(&self) -> usize {
-        self.unreachable + self.timed_out + self.throttled + self.tarpitted
-    }
-
-    /// Folds one record's outcome into the tally.
-    fn observe(&mut self, record: &ScanRecord) {
-        match record.outcome {
-            HostOutcome::Ok => self.ok += 1,
-            HostOutcome::Unreachable => self.unreachable += 1,
-            HostOutcome::TimedOut => self.timed_out += 1,
-            HostOutcome::Throttled => self.throttled += 1,
-            HostOutcome::Tarpitted => self.tarpitted += 1,
-        }
-        if record.connect_attempts > 1 {
-            self.retried += 1;
-        }
-    }
-}
-
 /// Session-stage tallies (the paper's Table 2 columns).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionTally {
@@ -155,8 +112,11 @@ pub struct AssessmentReport {
     pub sessions: SessionTally,
     /// What following LDS referrals added on top of the sweep.
     pub referrals: ReferralSummary,
-    /// Per-[`HostOutcome`] reachability tallies over all records.
-    pub reachability: ReachabilityTally,
+    /// Reachability over *every* folded record, including hosts the
+    /// probe stack never got a byte out of: the same fold as the scan's
+    /// [`ScanSummary::faults`](scanner::ScanSummary::faults). The report
+    /// renders it only when a fault or a retry showed up.
+    pub reachability: FaultStats,
     /// Assessed hosts per protocol suite (`"opcua"`, `"uat-tls"`, …).
     pub protocol_hosts: BTreeMap<&'static str, usize>,
     /// Vendor breakdown recovered by the fingerprint stage (hosts per
@@ -214,7 +174,7 @@ pub struct Assessor {
     policy_distribution: BTreeMap<SecurityPolicy, usize>,
     token_distribution: BTreeMap<UserTokenType, usize>,
     sessions: SessionTally,
-    reachability: ReachabilityTally,
+    reachability: FaultStats,
     protocol_hosts: BTreeMap<&'static str, usize>,
     vendor_counts: BTreeMap<&'static str, usize>,
     unfingerprinted: usize,
@@ -509,7 +469,7 @@ impl std::fmt::Display for AssessmentReport {
         // Rendered only when the network bit: polite-campaign output is
         // byte-identical to the pre-fault-injection report.
         let reach = &self.reachability;
-        if reach.unrecovered() > 0 || reach.retried > 0 {
+        if reach.unrecovered() > 0 || reach.retried_hosts > 0 {
             writeln!(
                 f,
                 "  reachability: {} ok, {} unreachable, {} timed out, {} throttled, {} tarpitted ({} hosts needed retries)",
@@ -518,7 +478,7 @@ impl std::fmt::Display for AssessmentReport {
                 reach.timed_out,
                 reach.throttled,
                 reach.tarpitted,
-                reach.retried,
+                reach.retried_hosts,
             )?;
         }
 

@@ -41,6 +41,6 @@ pub use internet::{
 };
 pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};
 pub use sweep::{
-    ipv4_permutation, CycleWalk, PermutedRange, SweepConfig, SweepCursor, SweepResult, SweepStats,
-    SweepWalk, SynScanner, SWEEP_BATCH,
+    CycleWalk, PermutedRange, SweepConfig, SweepCursor, SweepStats, SweepWalk, SynScanner,
+    SWEEP_BATCH,
 };

@@ -5,10 +5,11 @@
 //! `x ← x·g mod p` visits every element of [1, p−1] exactly once in a
 //! pseudo-random order — full IPv4 coverage with O(1) state and no
 //! per-address bookkeeping. This module implements that construction
-//! (verified on small primes in tests; the full 2³² walk is available
-//! but too long to run in them), plus a bounded [`PermutedRange`] used
-//! to randomize scan order within configurable universes, and the
-//! [`SynScanner`] driver with blocklist and probe-rate accounting.
+//! (verified on small primes in tests; a [`SweepWalk`] over 0.0.0.0/0
+//! is the full 2³² walk, too long to run in them), plus a bounded
+//! [`PermutedRange`] used to randomize scan order within configurable
+//! universes, and the [`SynScanner`] driver with blocklist and
+//! probe-rate accounting.
 //!
 //! The sweep's per-address classification — blocklist, probe counted,
 //! listener check — exists once, in [`SweepCursor`]. [`SynScanner`] and
@@ -211,20 +212,6 @@ impl Iterator for CycleWalk {
         debug_assert!(self.emitted < self.p - 1 || self.current == self.start);
         Some(out)
     }
-}
-
-/// Full-IPv4 permutation exactly as zmap builds it: a [`CycleWalk`] over
-/// p = 2³² + 15 with group elements `v` mapped to the address `v - 1`,
-/// skipping the 14 elements above 2³².
-pub fn ipv4_permutation<R: Rng + ?Sized>(rng: &mut R) -> impl Iterator<Item = Ipv4> {
-    CycleWalk::new(ZMAP_PRIME, rng).filter_map(|v| {
-        let addr = v - 1;
-        if addr <= u32::MAX as u64 {
-            Some(Ipv4(addr as u32))
-        } else {
-            None
-        }
-    })
 }
 
 /// A random-order permutation of `[0, size)` built from a cycle walk over
@@ -486,23 +473,11 @@ impl Default for SweepConfig {
     }
 }
 
-/// Result of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Addresses with an open target port, in discovery order.
-    pub responsive: Vec<Ipv4>,
-    /// Probes sent (excluded addresses are not probed).
-    pub probes_sent: u64,
-    /// Addresses skipped due to the blocklist.
-    pub blocklisted: u64,
-}
-
-/// Aggregate accounting of a streamed sweep ([`SynScanner::sweep_each`]):
-/// everything [`SweepResult`] carries except the responsive addresses
-/// themselves, which are handed to the caller one by one instead of being
-/// collected. A full-IPv4 sweep finds tens of thousands of hosts; keeping
-/// them out of a `Vec` lets downstream stages start probing while the
-/// sweep is still walking the permutation.
+/// Aggregate accounting of a streamed sweep ([`SynScanner::sweep_each`]).
+/// The responsive addresses themselves are handed to the caller one by
+/// one instead of being collected: a full-IPv4 sweep finds tens of
+/// thousands of hosts, and keeping them out of a `Vec` lets downstream
+/// stages start probing while the sweep is still walking the permutation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Probes sent (excluded addresses are not probed).
@@ -531,26 +506,13 @@ impl<'a> SynScanner<'a> {
     }
 
     /// Probes every address of `universe` (a set of CIDR blocks) in
-    /// permuted order, advancing the virtual clock at the configured
-    /// probe rate. This is the sweep the scanner's weekly campaign runs;
-    /// the full 0.0.0.0/0 universe is the paper's actual configuration
-    /// and works identically (the examples and perfbench sweep slices of
-    /// it, at most a /8, to keep runs short).
-    pub fn sweep<R: Rng + ?Sized>(&self, universe: &[Cidr], rng: &mut R) -> SweepResult {
-        let mut responsive = Vec::new();
-        let stats = self.sweep_each(universe, rng, |addr| responsive.push(addr));
-        SweepResult {
-            responsive,
-            probes_sent: stats.probes_sent,
-            blocklisted: stats.blocklisted,
-        }
-    }
-
-    /// Streaming variant of [`Self::sweep`]: invokes `on_responsive` for
-    /// every address with an open target port, in discovery order, and
-    /// returns only the aggregate accounting. This is the probe API the
-    /// `scanner` crate's pipeline drives — responsive hosts flow into the
-    /// application-layer probes without an intermediate `Vec`.
+    /// permuted order, invokes `on_responsive` for every address with an
+    /// open target port, in discovery order, and advances the virtual
+    /// clock at the configured probe rate. Returns only the aggregate
+    /// accounting. The full 0.0.0.0/0 universe is the paper's actual
+    /// configuration and works identically: its walk is zmap's over
+    /// [`ZMAP_PRIME`] (the examples and perfbench sweep slices of it, at
+    /// most a /8, to keep runs short).
     pub fn sweep_each<R, F>(
         &self,
         universe: &[Cidr],
@@ -690,14 +652,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ipv4_permutation_prefix_has_no_duplicates() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let prefix: Vec<Ipv4> = ipv4_permutation(&mut rng).take(100_000).collect();
-        let unique: HashSet<Ipv4> = prefix.iter().copied().collect();
-        assert_eq!(unique.len(), prefix.len());
-    }
-
     struct Nop;
     impl Connection for Nop {
         fn on_data(&mut self, _d: &[u8]) -> ConnectionOutput {
@@ -709,6 +663,16 @@ mod tests {
         fn open_connection(&self, _peer: Ipv4) -> Box<dyn Connection> {
             Box::new(Nop)
         }
+    }
+
+    /// Runs [`SynScanner::sweep_each`] and collects the responsive
+    /// addresses in discovery order.
+    fn sweep(scanner: &SynScanner<'_>, universe: &[Cidr], seed: u64) -> (Vec<Ipv4>, SweepStats) {
+        let mut responsive = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stats = scanner.sweep_each(universe, &mut rng, |addr| responsive.push(addr));
+        assert_eq!(stats.responsive, responsive.len() as u64);
+        (responsive, stats)
     }
 
     #[test]
@@ -731,13 +695,12 @@ mod tests {
         net.bind(other, 80, Arc::new(NopService));
 
         let blocklist = Blocklist::new();
-        let mut rng = StdRng::seed_from_u64(3);
         let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let result = scanner.sweep(&[universe], &mut rng);
-        let found: HashSet<Ipv4> = result.responsive.iter().copied().collect();
+        let (responsive, stats) = sweep(&scanner, &[universe], 3);
+        let found: HashSet<Ipv4> = responsive.iter().copied().collect();
         assert_eq!(found, expected);
-        assert_eq!(result.probes_sent, universe.size());
-        assert_eq!(result.blocklisted, 0);
+        assert_eq!(stats.probes_sent, universe.size());
+        assert_eq!(stats.blocklisted, 0);
     }
 
     #[test]
@@ -750,15 +713,11 @@ mod tests {
 
         let mut blocklist = Blocklist::new();
         blocklist.add_str("10.1.0.32/27").unwrap(); // covers .32-.63
-        let mut rng = StdRng::seed_from_u64(4);
         let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let result = scanner.sweep(&[universe], &mut rng);
-        assert!(
-            result.responsive.is_empty(),
-            "opted-out host must not be probed"
-        );
-        assert_eq!(result.blocklisted, 32);
-        assert_eq!(result.probes_sent, 256 - 32);
+        let (responsive, stats) = sweep(&scanner, &[universe], 4);
+        assert!(responsive.is_empty(), "opted-out host must not be probed");
+        assert_eq!(stats.blocklisted, 32);
+        assert_eq!(stats.probes_sent, 256 - 32);
     }
 
     #[test]
@@ -767,7 +726,6 @@ mod tests {
         let net = Internet::new(clock.clone());
         let universe: Cidr = "10.2.0.0/16".parse().unwrap(); // 65536 probes
         let blocklist = Blocklist::new();
-        let mut rng = StdRng::seed_from_u64(5);
         let scanner = SynScanner::new(
             &net,
             &blocklist,
@@ -776,7 +734,7 @@ mod tests {
                 port: 4840,
             },
         );
-        scanner.sweep(&[universe], &mut rng);
+        sweep(&scanner, &[universe], 5);
         // 65536 probes at 1000/s = 65.536 s, accounted to the micro.
         assert_eq!(clock.now_micros(), 65_536_000);
         assert_eq!(clock.now_unix_seconds(), 65);
@@ -790,7 +748,6 @@ mod tests {
         let net = Internet::new(clock.clone());
         let universe: Cidr = "10.2.0.0/28".parse().unwrap();
         let blocklist = Blocklist::new();
-        let mut rng = StdRng::seed_from_u64(5);
         let scanner = SynScanner::new(
             &net,
             &blocklist,
@@ -799,34 +756,8 @@ mod tests {
                 port: 4840,
             },
         );
-        scanner.sweep(&[universe], &mut rng);
+        sweep(&scanner, &[universe], 5);
         assert_eq!(clock.now_micros(), 16_000);
-    }
-
-    #[test]
-    fn sweep_each_matches_collected_sweep() {
-        let net = Internet::new(VirtualClock::starting_at(0));
-        let universe: Cidr = "10.9.0.0/24".parse().unwrap();
-        for i in [3u32, 77, 200] {
-            let addr = Ipv4(universe.base.0 + i);
-            net.add_host(addr, 1000);
-            net.bind(addr, 4840, Arc::new(NopService));
-        }
-        let mut blocklist = Blocklist::new();
-        blocklist.add_str("10.9.0.64/26").unwrap(); // covers .64-.127 (77)
-        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-
-        let mut rng = StdRng::seed_from_u64(21);
-        let collected = scanner.sweep(&[universe], &mut rng);
-
-        let mut streamed = Vec::new();
-        let mut rng = StdRng::seed_from_u64(21);
-        let stats = scanner.sweep_each(&[universe], &mut rng, |a| streamed.push(a));
-
-        assert_eq!(streamed, collected.responsive);
-        assert_eq!(stats.probes_sent, collected.probes_sent);
-        assert_eq!(stats.blocklisted, collected.blocklisted);
-        assert_eq!(stats.responsive as usize, collected.responsive.len());
     }
 
     #[test]
@@ -1083,10 +1014,9 @@ mod tests {
         net.add_host(host, 0);
         net.bind(host, 4840, Arc::new(NopService));
         let blocklist = Blocklist::new();
-        let mut rng = StdRng::seed_from_u64(6);
         let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let result = scanner.sweep(&[a, b], &mut rng);
-        assert_eq!(result.responsive, vec![host]);
-        assert_eq!(result.probes_sent, 32);
+        let (responsive, stats) = sweep(&scanner, &[a, b], 6);
+        assert_eq!(responsive, vec![host]);
+        assert_eq!(stats.probes_sent, 32);
     }
 }

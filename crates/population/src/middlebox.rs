@@ -18,6 +18,7 @@
 //! references scanner types, so the dependency arrow stays
 //! population → netsim.
 
+use crate::spec::mix64;
 use crate::Population;
 use netsim::{ConnectFate, FirewallProfile, Ipv4, NetProfile, ProfileProvider, TarpitProfile};
 use rand::rngs::StdRng;
@@ -28,15 +29,6 @@ use std::collections::BTreeMap;
 /// must not correlate with the deployment streams sharing the seed.
 const HOST_FAULT_SALT: u64 = 0x0046_4155_4c54;
 const PREFIX_FAULT_SALT: u64 = 0x0046_572f_3234;
-
-/// SplitMix64 finalizer — decorrelates structured seed keys.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Which middlebox stratum a host landed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

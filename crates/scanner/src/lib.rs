@@ -20,9 +20,9 @@
 //!   targets after the sweep, with records flowing through a bounded
 //!   channel ([`Scanner::scan_stream`]) so memory stays constant at
 //!   Internet scale;
-//! * [`sched`] — the scan engine every campaign runs on: a
-//!   hierarchical [`TimerWheel`] multiplexing per-host probe state
-//!   machines, one event loop per worker merged back into walk order,
+//! * [`sched`] — the scan engine every campaign runs on: a timer heap
+//!   multiplexing per-host probe state machines, one event loop per
+//!   worker merged back into walk order,
 //!   [`CancelToken`] cooperative cancellation, and [`SweepCheckpoint`]
 //!   abort/resume — byte-identical per seed at any worker count and
 //!   in-flight cap;
@@ -54,9 +54,7 @@ pub use record::{
     DiscoveredVia, EndpointSnapshot, HostOutcome, OpcUaPayload, ProtocolPayload, ScanRecord,
     SessionOutcome, TraversalSummary, UatTlsPayload,
 };
-pub use sched::{
-    CancelGuard, CancelToken, EngineStats, PendingUrl, SweepCheckpoint, TimerId, TimerWheel,
-};
+pub use sched::{CancelGuard, CancelToken, EngineStats, PendingUrl, SweepCheckpoint};
 pub use suite::{
     classify_connect_error, OpcUaSuite, ProtocolSuite, SuiteRegistry, UatTlsSuite,
     VendorFingerprintProbe, DEFAULT_UATLS_PORT,

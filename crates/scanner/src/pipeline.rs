@@ -168,6 +168,18 @@ pub struct ScanSummary {
     pub faults: FaultStats,
 }
 
+impl ScanSummary {
+    /// Folds one emitted record into the host and fault counters.
+    fn count(&mut self, record: &ScanRecord) {
+        if record.speaks() {
+            self.opcua_hosts += 1;
+        } else {
+            self.non_opcua_hosts += 1;
+        }
+        self.faults.observe(record);
+    }
+}
+
 /// How [`Scanner::scan_resumable`] ended.
 // A transient return value, produced once per scan and immediately
 // destructured — the variant size gap costs nothing here.
@@ -231,24 +243,8 @@ impl Scanner {
         // One certificate interner per campaign, shared by all shards:
         // interned handles are pure functions of the DER bytes, so the
         // worker-count byte-identity guarantee survives interning.
-        self.scan_with_certs(universe, seed, &CertStore::new(), sink)
-    }
-
-    /// [`Self::scan_with`] against a caller-owned certificate interner:
-    /// a certificate seen by several campaigns sharing the store is
-    /// parsed, thumbprinted, and verified once, and `summary.certs`
-    /// reports the *cumulative* sighting/distinct counters.
-    pub fn scan_with_certs<F>(
-        &self,
-        universe: &[Cidr],
-        seed: u64,
-        certs: &CertStore,
-        sink: F,
-    ) -> ScanSummary
-    where
-        F: FnMut(ScanRecord),
-    {
-        match self.scan_resumable(universe, seed, certs, None, &CancelToken::new(), sink) {
+        let certs = CertStore::new();
+        match self.scan_resumable(universe, seed, &certs, None, &CancelToken::new(), sink) {
             ScanOutcome::Complete { summary, .. } => summary,
             ScanOutcome::Aborted { .. } => {
                 unreachable!("scan with a fresh CancelToken cannot abort")
@@ -294,17 +290,15 @@ impl Scanner {
             None => SweepCheckpoint {
                 seed,
                 epoch_micros: self.internet.clock().now_micros(),
-                started_unix: self.internet.clock().now_unix_seconds(),
+                summary: ScanSummary {
+                    started_unix: self.internet.clock().now_unix_seconds(),
+                    ..ScanSummary::default()
+                },
                 suite_cursor: 0,
                 sweep_done: false,
                 next_step: 0,
-                sweep_stats: SweepStats::default(),
-                opcua_hosts: 0,
-                non_opcua_hosts: 0,
                 probe_micros: 0,
                 frontier: Vec::new(),
-                referral_stats: ReferralStats::default(),
-                fault_stats: FaultStats::default(),
                 probed_referrals: BTreeSet::new(),
             },
         };
@@ -355,7 +349,7 @@ impl Scanner {
                         // ua-lint: allow(panic-hygiene) -- sweep admission only emits jobs with a listener
                         let record = record.expect("sweep jobs always have a listener");
                         state.probe_micros += micros;
-                        state.count(&record);
+                        state.summary.count(&record);
                         if follows {
                             collect_referrals(suite.as_ref(), &record, &mut state.frontier);
                         }
@@ -372,7 +366,7 @@ impl Scanner {
                     };
                 }
                 for jobs in &step.jobs {
-                    state.sweep_stats = state.sweep_stats + jobs.cursor.stats();
+                    state.summary.sweep = state.summary.sweep + jobs.cursor.stats();
                 }
                 state.sweep_done = true;
             }
@@ -399,14 +393,14 @@ impl Scanner {
                         &mut |_, record, micros| {
                             state.probe_micros += micros;
                             match record {
-                                None => state.referral_stats.dead += 1,
+                                None => state.summary.referrals.dead += 1,
                                 Some(record) => {
                                     if record.speaks() {
-                                        state.referral_stats.opcua_hosts += 1;
+                                        state.summary.referrals.opcua_hosts += 1;
                                     } else {
-                                        state.referral_stats.non_opcua_hosts += 1;
+                                        state.summary.referrals.non_opcua_hosts += 1;
                                     }
-                                    state.count(&record);
+                                    state.summary.count(&record);
                                     collect_referrals(suite.as_ref(), &record, &mut state.frontier);
                                     sink(record);
                                     cancel.notch();
@@ -428,21 +422,13 @@ impl Scanner {
         // sums: SYN pacing in micros — integer-second division would
         // stall the clock entirely for campaigns shorter than a second of
         // probes — plus aggregate probe latency.
-        let mut summary = ScanSummary {
-            sweep: state.sweep_stats,
-            referrals: state.referral_stats,
-            opcua_hosts: state.opcua_hosts,
-            non_opcua_hosts: state.non_opcua_hosts,
-            certs: certs.stats(),
-            started_unix: state.started_unix,
-            finished_unix: 0,
-            faults: state.fault_stats,
-        };
+        let mut summary = state.summary;
         let paced_probes = summary.sweep.probes_sent + summary.referrals.followed;
         let pacing_micros =
             paced_probes.saturating_mul(1_000_000) / self.config.probes_per_second.max(1);
         self.internet.clock().advance_micros(pacing_micros);
         self.internet.clock().advance_micros(state.probe_micros);
+        summary.certs = certs.stats();
         summary.finished_unix = self.internet.clock().now_unix_seconds();
         ScanOutcome::Complete { summary, engine }
     }
@@ -458,7 +444,7 @@ impl Scanner {
         seed: u64,
         state: &mut SweepCheckpoint,
     ) -> Vec<Job> {
-        let stats = &mut state.referral_stats;
+        let stats = &mut state.summary.referrals;
         let mut level: Vec<Job> = Vec::new();
         for pending in state.frontier.drain(..) {
             stats.urls_announced += 1;
@@ -531,18 +517,6 @@ impl Scanner {
             rx: Some(rx),
             handle: Some(handle),
         }
-    }
-}
-
-impl SweepCheckpoint {
-    /// Folds one emitted record into the host and fault counters.
-    fn count(&mut self, record: &ScanRecord) {
-        if record.speaks() {
-            self.opcua_hosts += 1;
-        } else {
-            self.non_opcua_hosts += 1;
-        }
-        self.fault_stats.observe(record);
     }
 }
 

@@ -577,8 +577,8 @@ impl Probe for FindServersProbe {
 /// The combined discovery stage: [`EndpointsProbe`] then (only if
 /// endpoints succeeded) [`FindServersProbe`], as one [`Probe`]. Kept for
 /// custom stacks that want discovery as a single stage; the default
-/// stack runs the two halves separately so the event loop gets a
-/// timer-wheel state per protocol round-trip.
+/// stack runs the two halves separately so the event loop arms one
+/// timer per protocol round-trip.
 pub struct DiscoveryProbe;
 
 impl Probe for DiscoveryProbe {

@@ -1,6 +1,6 @@
 //! The scan engine: per-host probe state machines multiplexed over a
-//! hierarchical timer wheel, sharded across worker threads, with
-//! cooperative cancellation and bounded-window backpressure.
+//! timer heap, sharded across worker threads, with cooperative
+//! cancellation and bounded-window backpressure.
 //!
 //! Every campaign runs here. An event loop drives one shard of one
 //! phase step — the sweep, or one referral level — on one thread:
@@ -8,13 +8,14 @@
 //! * every admitted target gets a private [`VirtualClock`] fork of the
 //!   campaign epoch, so record contents are a pure function of
 //!   `(host, port, seed, epoch)` and never of probe order;
-//! * stage transitions are scheduled on a [`TimerWheel`] keyed by the
-//!   virtual time each stage consumed on its fork, so wheel order is the
-//!   order a real event loop would observe completions;
-//! * records leave strictly in admission order through an in-order
-//!   frontier, and admission stalls once
-//!   [`crate::ScanConfig::max_in_flight`] targets are in the window —
-//!   the backpressure against a slow record sink;
+//! * stage transitions are timers on a min-heap keyed by the virtual
+//!   time each stage consumed on its fork, so firing order is the order
+//!   a real event loop would observe completions; timers sharing a
+//!   deadline fire as one batch in arming order;
+//! * admitted targets wait in an admission-ordered window, and records
+//!   leave from its front, so they leave strictly in admission order;
+//!   admission stalls once [`crate::ScanConfig::max_in_flight`] targets
+//!   are in the window — the backpressure against a slow record sink;
 //! * a [`CancelToken`] stops the loop between timer firings, or at the
 //!   very record whose emission cancels it; everything in flight is
 //!   dropped, fork clocks and all, so the campaign clock never sees
@@ -28,13 +29,13 @@
 //! summary, and every [`SweepCheckpoint`] are therefore identical at any
 //! worker count and in-flight cap.
 
-use crate::pipeline::ReferralStats;
+use crate::pipeline::ScanSummary;
 use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig};
 use crate::record::{DiscoveredVia, ScanRecord};
 use crate::suite::ProtocolSuite;
-use netsim::{Internet, Ipv4, SweepStats, TcpStreamSim, VirtualClock};
-// ua-lint: allow(unordered-iteration) -- wheel/engine maps are id-keyed lookups; emission order comes from the sequence cursor
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use netsim::{Internet, Ipv4, TcpStreamSim, VirtualClock};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
 use ua_client::UaClient;
@@ -93,10 +94,11 @@ impl CancelToken {
     /// and worker count, which is what lets CI abort a sweep at ~50% and
     /// diff the stitched abort+resume output byte-for-byte against an
     /// uninterrupted run. (Referral levels are atomic: a budget that
-    /// runs out inside one lands at the level's end.)
+    /// runs out inside one lands at the level's end.) A zero budget
+    /// starts cancelled, so the scan aborts before admitting anything.
     pub fn after_records(n: u64) -> Self {
         CancelToken {
-            cancelled: Arc::new(AtomicBool::new(false)),
+            cancelled: Arc::new(AtomicBool::new(n == 0)),
             budget: Arc::new(AtomicI64::new(n.min(i64::MAX as u64) as i64)),
         }
     }
@@ -168,253 +170,56 @@ impl Drop for CancelGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
+// Timers
 // ---------------------------------------------------------------------------
 
-/// Levels in the hierarchy; horizon is `64^8` ticks (≈ 2.8 · 10¹⁴ µs,
-/// about nine virtual years — far beyond any campaign).
-const WHEEL_LEVELS: usize = 8;
-/// Slots per level.
-const WHEEL_SLOTS: usize = 64;
-/// log2(WHEEL_SLOTS).
-const SLOT_BITS: u32 = 6;
-
-/// Handle for cancelling a scheduled timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
-#[derive(Debug)]
-struct TimerEntry<T> {
-    deadline: u64,
-    seq: u64,
-    id: u64,
-    value: T,
-}
-
-/// A hierarchical timer wheel (hashed-and-hierarchical, à la Varghese &
-/// Lauck): eight levels of 64 slots at 1 µs tick granularity. Near
-/// deadlines sit in level 0 where expiry is O(1); far deadlines park in
-/// coarser levels and *cascade* down as the wheel turns.
+/// One event loop's timers: a min-heap on `(deadline, arming sequence,
+/// slot)` at 1 µs tick granularity. A loop holds at most one timer per
+/// in-flight probe, so the heap stays [`crate::ScanConfig::max_in_flight`]
+/// entries deep. The guarantees the scan engine builds on:
 ///
-/// Determinism guarantees the scan engine builds on:
-///
-/// * expiry happens in non-decreasing deadline order;
-/// * timers sharing a deadline fire in one batch, ordered by insertion
-///   (same-tick FIFO) — even when some of them cascaded in from coarser
-///   levels and others were inserted at level 0 directly;
-/// * [`cancel`]led timers never fire and never perturb the order of the
-///   survivors.
-///
-/// [`cancel`]: TimerWheel::cancel
-#[derive(Debug)]
-pub struct TimerWheel<T> {
-    /// `levels[level][slot]` holds entries whose deadline lands in that
-    /// slot for the wheel's current rotation.
-    levels: Vec<Vec<Vec<TimerEntry<T>>>>,
-    /// One bit per slot, set while the slot holds any entries — lets
-    /// the expiry scan skip empty slots (the common case: a wheel of
-    /// 512 slots holding an in-flight window's worth of timers).
-    occupied: [u64; WHEEL_LEVELS],
+/// * timers fire in non-decreasing deadline order, and time only moves
+///   when a batch fires;
+/// * every timer sharing the earliest deadline fires in one batch, in
+///   arming order.
+#[derive(Debug, Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Deadline of the last batch fired (µs on the loop's timeline).
     now: u64,
-    next_seq: u64,
-    next_id: u64,
-    // ua-lint: allow(unordered-iteration) -- liveness membership only, never iterated
-    live: HashSet<u64>,
-    /// Cancelled entries not yet physically pruned from their slot.
-    /// While zero (the common case) expiry skips the prune pass.
-    cancelled_pending: usize,
-    cascades: u64,
+    armed: u64,
 }
 
-impl<T> TimerWheel<T> {
-    /// An empty wheel at tick 0.
-    pub fn new() -> Self {
-        TimerWheel {
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupied: [0; WHEEL_LEVELS],
-            now: 0,
-            next_seq: 0,
-            next_id: 0,
-            // ua-lint: allow(unordered-iteration) -- liveness membership only, never iterated
-            live: HashSet::new(),
-            cancelled_pending: 0,
-            cascades: 0,
-        }
+impl Timers {
+    /// Arms a timer for `slot`, `delay` µs after the last firing (at
+    /// least 1 µs after it).
+    fn arm(&mut self, delay: u64, slot: usize) {
+        self.heap
+            .push(Reverse((self.now + delay.max(1), self.armed, slot)));
+        self.armed += 1;
     }
 
-    /// Current wheel time in ticks (µs). Advances on expiry only.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Live (scheduled, not yet fired or cancelled) timer count.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True when no live timers remain.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// Number of entries that cascaded from a coarser level to a finer
-    /// one over the wheel's lifetime — the cost a hierarchical wheel
-    /// pays for O(1) insertion of far-future deadlines.
-    pub fn cascades(&self) -> u64 {
-        self.cascades
-    }
-
-    /// Schedules `value` to fire at absolute tick `deadline` (clamped to
-    /// `now` when already past). Returns a handle for [`cancel`].
-    ///
-    /// [`cancel`]: TimerWheel::cancel
-    pub fn insert(&mut self, deadline: u64, value: T) -> TimerId {
-        let deadline = deadline.max(self.now);
-        let id = self.next_id;
-        self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.insert(id);
-        self.place(TimerEntry {
-            deadline,
-            seq,
-            id,
-            value,
-        });
-        TimerId(id)
-    }
-
-    /// Files an entry into the finest level that can represent its
-    /// remaining delta. Used for both fresh inserts and cascades, so
-    /// `seq`/`id` survive re-homing.
-    fn place(&mut self, entry: TimerEntry<T>) {
-        let delta = entry.deadline - self.now;
-        let mut level = 0;
-        while level + 1 < WHEEL_LEVELS && delta >= 1u64 << (SLOT_BITS * (level as u32 + 1)) {
-            level += 1;
-        }
-        assert!(
-            delta < 1u64 << (SLOT_BITS * WHEEL_LEVELS as u32),
-            "timer deadline beyond wheel horizon"
-        );
-        let slot =
-            ((entry.deadline >> (SLOT_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push(entry);
-        self.occupied[level] |= 1 << slot;
-    }
-
-    /// Cancels a timer; true when it was still live. The entry is
-    /// pruned lazily — cancellation is O(1).
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        let was_live = self.live.remove(&id.0);
-        if was_live {
-            self.cancelled_pending += 1;
-        }
-        was_live
-    }
-
-    /// Drops every live timer, returning how many were dropped.
-    pub fn clear(&mut self) -> usize {
-        let dropped = self.live.len();
-        self.live.clear();
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
+    /// Fires the earliest deadline: moves `now` to it and returns every
+    /// slot armed for it, in arming order. `None` when nothing is armed.
+    fn fire(&mut self) -> Option<Vec<usize>> {
+        let Reverse((deadline, _, slot)) = self.heap.pop()?;
+        self.now = deadline;
+        let mut batch = vec![slot];
+        while let Some(&Reverse((next, _, slot))) = self.heap.peek() {
+            if next != deadline {
+                break;
             }
+            self.heap.pop();
+            batch.push(slot);
         }
-        self.occupied = [0; WHEEL_LEVELS];
-        self.cancelled_pending = 0;
+        Some(batch)
+    }
+
+    /// Drops every armed timer, returning how many were dropped.
+    fn clear(&mut self) -> usize {
+        let dropped = self.heap.len();
+        self.heap.clear();
         dropped
-    }
-
-    /// Advances to the next deadline with live timers and returns
-    /// `(deadline, values)` — all timers sharing that tick, in
-    /// insertion order. `None` when the wheel is empty.
-    pub fn expire_next(&mut self) -> Option<(u64, Vec<T>)> {
-        loop {
-            // Find the earliest live deadline, scanning coarse levels
-            // first so a tie between a parked (coarse) entry and a
-            // level-0 entry cascades the parked one down before firing
-            // — otherwise the batch would split a tick.
-            let mut min: Option<(u64, usize, usize)> = None;
-            for level in (0..WHEEL_LEVELS).rev() {
-                let mut bits = self.occupied[level];
-                while bits != 0 {
-                    let slot = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.cancelled_pending > 0 {
-                        let live = &self.live;
-                        let entries = &mut self.levels[level][slot];
-                        let before = entries.len();
-                        entries.retain(|e| live.contains(&e.id));
-                        self.cancelled_pending -= before - entries.len();
-                        if entries.is_empty() {
-                            self.occupied[level] &= !(1u64 << slot);
-                            continue;
-                        }
-                    }
-                    for e in &self.levels[level][slot] {
-                        if min.is_none_or(|(d, _, _)| e.deadline < d) {
-                            min = Some((e.deadline, level, slot));
-                        }
-                    }
-                }
-            }
-            let (deadline, level, slot) = min?;
-
-            if level == 0 {
-                self.now = self.now.max(deadline);
-                let entries = &mut self.levels[0][slot];
-                let mut batch = Vec::new();
-                let mut keep = Vec::new();
-                for e in entries.drain(..) {
-                    if e.deadline == deadline {
-                        batch.push(e);
-                    } else {
-                        // Same slot, later rotation: stays parked.
-                        keep.push(e);
-                    }
-                }
-                *entries = keep;
-                if self.levels[0][slot].is_empty() {
-                    self.occupied[0] &= !(1u64 << slot);
-                }
-                batch.sort_by_key(|e| e.seq);
-                for e in &batch {
-                    self.live.remove(&e.id);
-                }
-                return Some((deadline, batch.into_iter().map(|e| e.value).collect()));
-            }
-
-            // Cascade: advance to the start of the slot's window on
-            // this level, then re-home the in-window entries into finer
-            // levels. Entries in the slot that belong to a *later*
-            // rotation stay put.
-            let span = 1u64 << (SLOT_BITS * level as u32);
-            let window_start =
-                (deadline >> (SLOT_BITS * level as u32)) << (SLOT_BITS * level as u32);
-            self.now = self.now.max(window_start);
-            let entries = std::mem::take(&mut self.levels[level][slot]);
-            for e in entries {
-                if e.deadline < window_start + span {
-                    self.cascades += 1;
-                    self.place(e);
-                } else {
-                    self.levels[level][slot].push(e);
-                }
-            }
-            if self.levels[level][slot].is_empty() {
-                self.occupied[level] &= !(1u64 << slot);
-            }
-        }
-    }
-}
-
-impl<T> Default for TimerWheel<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -469,8 +274,12 @@ pub struct SweepCheckpoint {
     /// its private clock from. Resume reconstructs it with
     /// [`VirtualClock::starting_at_micros`].
     pub epoch_micros: u64,
-    /// `started_unix` the final summary must report.
-    pub started_unix: i64,
+    /// The campaign summary over the records emitted so far:
+    /// `started_unix`, host and fault counts, referral counters, and the
+    /// sweep counters of every phase whose sweep completed (a phase
+    /// aborted mid-sweep is recounted from scratch on resume).
+    /// Completion fills in `certs` and `finished_unix`.
+    pub summary: ScanSummary,
     /// Index (into [`crate::probe::ScanConfig::effective_suites`]) of
     /// the suite phase the abort landed in; earlier phases are complete
     /// and resume skips them entirely.
@@ -482,24 +291,11 @@ pub struct SweepCheckpoint {
     /// the current phase (0 when none was emitted). Resume admits only
     /// steps from here on.
     pub next_step: u64,
-    /// Sweep counters of every phase whose sweep completed. A phase
-    /// aborted mid-sweep is recounted from scratch on resume.
-    pub sweep_stats: SweepStats,
-    /// OPC UA speakers among emitted records so far.
-    pub opcua_hosts: u64,
-    /// Emitted records that failed the UACP hello.
-    pub non_opcua_hosts: u64,
     /// Per-host probe time (µs) of *emitted* records only — discarded
     /// in-flight probes never charge the campaign clock.
     pub probe_micros: u64,
     /// Referral URLs harvested from emitted records, not yet followed.
     pub frontier: Vec<PendingUrl>,
-    /// Referral-phase counters so far.
-    pub referral_stats: ReferralStats,
-    /// Connect-phase fault/retry counters over emitted records so far —
-    /// resumed hostile sweeps stitch their [`crate::FaultStats`] exactly
-    /// like the host counts.
-    pub fault_stats: crate::pipeline::FaultStats,
     /// `(address, port)` pairs the current phase already probed via
     /// referral.
     pub probed_referrals: BTreeSet<(Ipv4, u16)>,
@@ -519,15 +315,14 @@ pub struct EngineStats {
     /// Peak size of any one event loop's admitted-but-unemitted window;
     /// by construction never exceeds [`crate::ScanConfig::max_in_flight`].
     pub in_flight_high_water: usize,
-    /// Timers scheduled on the wheels.
+    /// Timers armed, one per scheduled probe stage.
     pub timers_scheduled: u64,
     /// Timers that fired.
     pub timers_fired: u64,
-    /// Timers dropped by cancellation.
+    /// Timers still armed when a loop aborted, dropped unfired.
     pub timers_cancelled: u64,
-    /// Entries that cascaded between wheel levels.
-    pub wheel_cascades: u64,
-    /// Virtual microseconds the event loops' internal timelines covered.
+    /// Virtual microseconds the event loops' internal timelines covered:
+    /// the sum over loops of each loop's last timer deadline.
     pub virtual_micros: u64,
 }
 
@@ -541,7 +336,6 @@ impl EngineStats {
         self.timers_scheduled += other.timers_scheduled;
         self.timers_fired += other.timers_fired;
         self.timers_cancelled += other.timers_cancelled;
-        self.wheel_cascades += other.wheel_cascades;
         self.virtual_micros += other.virtual_micros;
     }
 }
@@ -699,6 +493,8 @@ impl PhaseEnv<'_> {
 /// under construction, and position in the probe stack.
 struct InFlight {
     ordinal: u64,
+    /// Admission index within the loop: the probe's place in the window.
+    index: u64,
     addr: Ipv4,
     port: u16,
     seed: u64,
@@ -708,7 +504,7 @@ struct InFlight {
     record: ScanRecord,
     client: Option<UaClient<TcpStreamSim>>,
     stage: usize,
-    /// Fork-elapsed µs already reflected in wheel scheduling.
+    /// Fork-elapsed µs already reflected in timer scheduling.
     charged: u64,
 }
 
@@ -717,14 +513,14 @@ struct InFlight {
 struct EventLoop<'a> {
     env: PhaseEnv<'a>,
     stack: Vec<Box<dyn Probe>>,
-    wheel: TimerWheel<usize>,
+    timers: Timers,
     slots: Vec<Option<InFlight>>,
     free: Vec<usize>,
-    pending: VecDeque<u64>,
-    /// Completion buffer keyed by admission sequence; records leave in
-    /// cursor order, so the map's own order never shows.
-    // ua-lint: allow(unordered-iteration) -- drained by sequence cursor, never iterated
-    ready: HashMap<u64, (Option<ScanRecord>, u64)>,
+    /// Admitted, unemitted targets in admission order: `None` until the
+    /// target's result is in. Records leave from the front only.
+    window: VecDeque<Option<Emitted>>,
+    /// Results emitted so far: the admission index of the window's front.
+    emitted: u64,
     stats: EngineStats,
     cap: usize,
 }
@@ -733,12 +529,11 @@ impl<'a> EventLoop<'a> {
     fn new(env: PhaseEnv<'a>) -> Self {
         EventLoop {
             stack: env.suite.stack(),
-            wheel: TimerWheel::new(),
+            timers: Timers::default(),
             slots: Vec::new(),
             free: Vec::new(),
-            pending: VecDeque::new(),
-            // ua-lint: allow(unordered-iteration) -- drained by sequence cursor, never iterated
-            ready: HashMap::new(),
+            window: VecDeque::new(),
+            emitted: 0,
             stats: EngineStats::default(),
             cap: env.config.effective_max_in_flight(),
             env,
@@ -746,10 +541,10 @@ impl<'a> EventLoop<'a> {
     }
 
     fn stats(&self) -> EngineStats {
-        let mut stats = self.stats;
-        stats.wheel_cascades = self.wheel.cascades();
-        stats.virtual_micros = self.wheel.now();
-        stats
+        EngineStats {
+            virtual_micros: self.timers.now,
+            ..self.stats
+        }
     }
 
     /// Drives `jobs` to completion (or cancellation), calling
@@ -769,7 +564,7 @@ impl<'a> EventLoop<'a> {
                 self.abort();
                 return EngineRun::Cancelled;
             }
-            while !exhausted && self.pending.len() < self.cap {
+            while !exhausted && self.window.len() < self.cap {
                 match jobs.next() {
                     Some(job) => self.admit(job),
                     None => exhausted = true,
@@ -779,23 +574,19 @@ impl<'a> EventLoop<'a> {
                 self.abort();
                 return EngineRun::Cancelled;
             }
-            if exhausted && self.pending.is_empty() {
+            if exhausted && self.window.is_empty() {
                 return EngineRun::Complete;
             }
-            if let Some((_, batch)) = self.wheel.expire_next() {
+            if let Some(batch) = self.timers.fire() {
                 self.stats.timers_fired += batch.len() as u64;
                 for slot in batch {
                     self.run_stage(slot);
                 }
             } else {
-                // No timers armed: everything pending is resolved (the
+                // No timers armed: the window's front is resolved (the
                 // next flush drains it) or admission still has input.
                 debug_assert!(
-                    !exhausted
-                        || self
-                            .pending
-                            .front()
-                            .is_none_or(|o| self.ready.contains_key(o)),
+                    !exhausted || self.window.front().is_none_or(Option::is_some),
                     "event loop stalled with no timers and no ready frontier"
                 );
             }
@@ -806,17 +597,17 @@ impl<'a> EventLoop<'a> {
     /// probes, so none of their virtual time ever reaches the campaign
     /// clock — the invariant `week_epochs_strictly_advance` relies on.
     fn abort(&mut self) {
-        self.pending.clear();
-        self.stats.timers_cancelled += self.wheel.clear() as u64;
+        self.window.clear();
+        self.stats.timers_cancelled += self.timers.clear() as u64;
         self.slots.clear();
         self.free.clear();
-        self.ready.clear();
     }
 
     fn admit(&mut self, job: Job) {
+        let index = self.stats.admitted;
         self.stats.admitted += 1;
-        self.pending.push_back(job.ordinal);
-        self.stats.in_flight_high_water = self.stats.in_flight_high_water.max(self.pending.len());
+        self.window.push_back(None);
+        self.stats.in_flight_high_water = self.stats.in_flight_high_water.max(self.window.len());
         let env = self.env;
 
         if !job.listening {
@@ -832,8 +623,7 @@ impl<'a> EventLoop<'a> {
                 job.port,
             );
             let elapsed = clock.now_micros().saturating_sub(start);
-            self.ready.insert(job.ordinal, (None, elapsed));
-            self.stats.completed += 1;
+            self.finish(index, (job.ordinal, None, elapsed));
             return;
         }
 
@@ -853,6 +643,7 @@ impl<'a> EventLoop<'a> {
         record.payload = env.suite.payload();
         let flight = InFlight {
             ordinal: job.ordinal,
+            index,
             addr: job.addr,
             port: job.port,
             seed: job.seed,
@@ -874,19 +665,17 @@ impl<'a> EventLoop<'a> {
                 self.slots.len() - 1
             }
         };
-        self.wheel.insert(self.wheel.now() + hint.max(1), slot);
+        self.timers.arm(hint, slot);
         self.stats.timers_scheduled += 1;
     }
 
-    /// Runs one probe stage for the flight in `slot`, then either
-    /// schedules the next stage (at a deadline offset by the virtual
-    /// time this stage consumed on the flight's fork) or finalizes the
-    /// record into the ready map.
+    /// Runs one probe stage for the flight in `slot`, then either arms
+    /// the next stage's timer (delayed by the virtual time this stage
+    /// consumed on the flight's fork) or puts the finished record in its
+    /// window slot.
     fn run_stage(&mut self, slot: usize) {
-        let mut flight = match self.slots.get_mut(slot).and_then(Option::take) {
-            Some(flight) => flight,
-            // Slot was torn down by an abort racing a stale timer.
-            None => return,
+        let Some(mut flight) = self.slots[slot].take() else {
+            return;
         };
         let mut ctx = ProbeContext::for_target(
             &flight.net,
@@ -915,31 +704,33 @@ impl<'a> EventLoop<'a> {
                 flight.record.tx_bytes += stats.tx_bytes;
                 flight.record.rx_bytes += stats.rx_bytes;
             }
-            self.stats.completed += 1;
-            self.ready
-                .insert(flight.ordinal, (Some(flight.record), elapsed));
+            self.finish(flight.index, (flight.ordinal, Some(flight.record), elapsed));
             self.free.push(slot);
         } else {
             let delta = elapsed.saturating_sub(flight.charged);
             flight.charged = elapsed;
-            let deadline = self.wheel.now() + delta.max(1);
             self.slots[slot] = Some(flight);
-            self.wheel.insert(deadline, slot);
+            self.timers.arm(delta, slot);
             self.stats.timers_scheduled += 1;
         }
     }
 
-    /// Emits the in-order frontier: records leave strictly in admission
-    /// order, which is the permutation-walk order — the whole
+    /// Files the result of the target admitted `index`-th into its
+    /// window slot.
+    fn finish(&mut self, index: u64, result: Emitted) {
+        self.stats.completed += 1;
+        self.window[(index - self.emitted) as usize] = Some(result);
+    }
+
+    /// Emits the window's resolved front: records leave strictly in
+    /// admission order, which is the permutation-walk order — the whole
     /// byte-identity argument in one loop. Returns false as soon as
-    /// `emit` does, leaving the later ready records unemitted.
+    /// `emit` does, leaving the later results unemitted.
     fn flush(&mut self, emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64) -> bool) -> bool {
-        while let Some(&front) = self.pending.front() {
-            let Some((record, micros)) = self.ready.remove(&front) else {
-                break;
-            };
-            self.pending.pop_front();
-            if !emit(front, record, micros) {
+        while let Some((ordinal, record, micros)) = self.window.front_mut().and_then(Option::take) {
+            self.window.pop_front();
+            self.emitted += 1;
+            if !emit(ordinal, record, micros) {
                 return false;
             }
         }
@@ -994,96 +785,38 @@ mod tests {
     }
 
     #[test]
-    fn wheel_fires_in_deadline_order() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(50, "c");
-        wheel.insert(10, "a");
-        wheel.insert(30, "b");
-        assert_eq!(wheel.len(), 3);
-        assert_eq!(wheel.expire_next(), Some((10, vec!["a"])));
-        assert_eq!(wheel.now(), 10);
-        assert_eq!(wheel.expire_next(), Some((30, vec!["b"])));
-        assert_eq!(wheel.expire_next(), Some((50, vec!["c"])));
-        assert_eq!(wheel.now(), 50);
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.expire_next(), None);
+    fn timers_fire_by_deadline_then_arming_order() {
+        let mut timers = Timers::default();
+        timers.arm(50, 0);
+        timers.arm(10, 1);
+        timers.arm(30, 2);
+        timers.arm(10, 3);
+        // A zero delay still waits the one-µs minimum.
+        timers.arm(0, 4);
+        assert_eq!(timers.fire(), Some(vec![4]));
+        assert_eq!(timers.now, 1);
+        // Same deadline: one batch, in arming order.
+        assert_eq!(timers.fire(), Some(vec![1, 3]));
+        assert_eq!(timers.now, 10);
+        // Arming is relative to the last firing: 10 + 20 ties with 30,
+        // and fires after the timer armed earlier.
+        timers.arm(20, 5);
+        assert_eq!(timers.fire(), Some(vec![2, 5]));
+        assert_eq!(timers.fire(), Some(vec![0]));
+        assert_eq!(timers.now, 50);
+        assert_eq!(timers.fire(), None);
+        assert_eq!(timers.now, 50);
     }
 
     #[test]
-    fn wheel_same_tick_fifo_across_levels() {
-        let mut wheel = TimerWheel::new();
-        // "first" goes in at level 1 (delta 100 ≥ 64 from tick 0);
-        // after the wheel turns past 40, "second" lands at level 0 for
-        // the same deadline. The batch must still come out in
-        // insertion order, which forces a cascade of "first".
-        wheel.insert(100, "first");
-        wheel.insert(40, "warmup");
-        assert_eq!(wheel.expire_next(), Some((40, vec!["warmup"])));
-        wheel.insert(100, "second");
-        assert_eq!(wheel.expire_next(), Some((100, vec!["first", "second"])));
-        assert!(wheel.cascades() > 0);
-    }
-
-    #[test]
-    fn wheel_cancel_removes_without_reordering() {
-        let mut wheel = TimerWheel::new();
-        let _a = wheel.insert(10, "a");
-        let b = wheel.insert(20, "b");
-        let _c = wheel.insert(30, "c");
-        assert!(wheel.cancel(b));
-        assert!(!wheel.cancel(b), "second cancel is a no-op");
-        assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.expire_next(), Some((10, vec!["a"])));
-        assert_eq!(wheel.expire_next(), Some((30, vec!["c"])));
-        assert_eq!(wheel.expire_next(), None);
-    }
-
-    #[test]
-    fn wheel_far_future_cascades_down() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(1_000_000_000, "far");
-        wheel.insert(5, "near");
-        assert_eq!(wheel.expire_next(), Some((5, vec!["near"])));
-        assert_eq!(wheel.expire_next(), Some((1_000_000_000, vec!["far"])));
-        // 10^9 sits four levels up (64^4 ≈ 1.6·10^7 ≤ 10^9 < 64^5):
-        // reaching it takes at least one cascade per level crossed.
-        assert!(wheel.cascades() >= 3, "cascades: {}", wheel.cascades());
-        assert_eq!(wheel.now(), 1_000_000_000);
-    }
-
-    #[test]
-    fn wheel_clamps_past_deadlines_to_now() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(100, "late");
-        assert_eq!(wheel.expire_next(), Some((100, vec!["late"])));
-        wheel.insert(10, "stale");
-        // Clamped to now=100, fires immediately, time never rewinds.
-        assert_eq!(wheel.expire_next(), Some((100, vec!["stale"])));
-        assert_eq!(wheel.now(), 100);
-    }
-
-    #[test]
-    fn wheel_clear_reports_dropped() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(10, 1);
-        wheel.insert(20, 2);
-        let id = wheel.insert(30, 3);
-        wheel.cancel(id);
-        assert_eq!(wheel.clear(), 2);
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.expire_next(), None);
-    }
-
-    #[test]
-    fn wheel_same_slot_different_rotation_stays_parked() {
-        let mut wheel = TimerWheel::new();
-        // 69 parks at level 1 and later cascades into level-0 slot 5 —
-        // the slot 5 itself occupied one rotation earlier. The cascade
-        // must not disturb already-fired history, and each deadline
-        // fires exactly once.
-        wheel.insert(5, "near");
-        wheel.insert(64 + 5, "far");
-        assert_eq!(wheel.expire_next(), Some((5, vec!["near"])));
-        assert_eq!(wheel.expire_next(), Some((69, vec!["far"])));
+    fn timers_clear_reports_dropped() {
+        let mut timers = Timers::default();
+        timers.arm(10, 0);
+        timers.arm(20, 1);
+        timers.arm(20, 2);
+        assert_eq!(timers.fire(), Some(vec![0]));
+        assert_eq!(timers.clear(), 2);
+        assert_eq!(timers.clear(), 0);
+        assert_eq!(timers.fire(), None);
     }
 }

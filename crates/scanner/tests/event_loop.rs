@@ -193,7 +193,7 @@ fn record_budget_stops_the_sweep_on_the_exact_record() {
     // Aborted scans never advance the clock, so they can share a world.
     let net = world();
     let sweep_records = expected.iter().filter(|r| !r.via.is_referral()).count();
-    for n in [1usize, 7] {
+    for n in [0usize, 1, 7] {
         assert!(n < sweep_records);
         for cap in [1usize, 4, 16, 256] {
             for workers in [1usize, 4] {
@@ -222,6 +222,7 @@ fn record_budget_stops_the_sweep_on_the_exact_record() {
                 );
                 assert_eq!(emitted[..], expected[..n]);
                 assert!(!checkpoint.sweep_done);
+                assert_eq!(checkpoint.next_step == 0, n == 0);
             }
         }
     }
@@ -249,12 +250,20 @@ fn stitched(
             ScanOutcome::Aborted { checkpoint } => {
                 assert!(budget.is_some(), "leg {i} aborted without a budget");
                 // Records emitted before an abort are final, and the
-                // checkpoint carries exactly their fault tallies.
+                // checkpoint carries exactly their fault tallies and
+                // host counts.
                 let mut faults = scanner::FaultStats::default();
                 for r in &records {
                     faults.observe(r);
                 }
-                assert_eq!(checkpoint.fault_stats, faults, "leg {i}");
+                assert_eq!(checkpoint.summary.faults, faults, "leg {i}");
+                let speakers = records.iter().filter(|r| r.speaks()).count() as u64;
+                assert_eq!(checkpoint.summary.opcua_hosts, speakers, "leg {i}");
+                assert_eq!(
+                    checkpoint.summary.non_opcua_hosts,
+                    records.len() as u64 - speakers,
+                    "leg {i}"
+                );
                 assert!(records.len() > before || checkpoint.sweep_done, "leg {i}");
                 checkpoints.push(*checkpoint);
             }

@@ -256,6 +256,8 @@ fn planted_faults_classified_identically_for_both_suites() {
     assert!(summary.faults.retried_hosts > 0, "{:?}", summary.faults);
     assert!(summary.faults.unrecovered() > 0, "{:?}", summary.faults);
     assert!(summary.faults.connect_attempts <= records.len() as u64 * u64::from(budget));
+    // The report's reachability line folds the same records the same way.
+    assert_eq!(assess(&records).reachability, summary.faults);
 }
 
 #[test]

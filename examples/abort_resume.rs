@@ -83,9 +83,8 @@ fn main() {
         }) {
             ScanOutcome::Complete { summary, engine } => {
                 eprintln!(
-                    "scheduler: in-flight high water {} (cap 16 per worker), \
-                     {} timers fired, {} wheel cascades",
-                    engine.in_flight_high_water, engine.timers_fired, engine.wheel_cascades,
+                    "scheduler: in-flight high water {} (cap 16 per worker), {} timers fired",
+                    engine.in_flight_high_water, engine.timers_fired,
                 );
                 summary
             }

@@ -33,7 +33,7 @@
 //!                 │              deficit trajectories)      │
 //!                 ├─────────────────────────────────────────┤
 //!   measurement   │ scanner      one engine (scanner::      │
-//!                 │              sched): timer-wheel event  │
+//!                 │              sched): timer-heap event   │
 //!                 │              loops of per-host state    │
 //!                 │              machines, max_in_flight    │
 //!                 │              window per loop;           │
@@ -119,9 +119,9 @@
 //!
 //! * **Worker count** — every campaign runs on `scanner::sched`'s
 //!   event loops: per-host probe state machines multiplexed over a
-//!   hierarchical timer wheel. `ScanConfig::workers` runs N loops on N
-//!   threads; the permuted universe is split deterministically
-//!   (`pos % workers`, and each referral level `i % workers`) and the
+//!   timer heap. `ScanConfig::workers` runs N loops on N threads; the
+//!   permuted universe is split deterministically (`pos % workers`,
+//!   and each referral level `i % workers`) and the
 //!   loops' outputs merge back into discovery order, so records,
 //!   report, and summary are byte-identical for a fixed seed at *any*
 //!   worker count; only the wall-clock changes. One worker runs inline
@@ -275,7 +275,7 @@ pub use ua_types;
 pub mod prelude {
     pub use assessment::{
         assess, AssessmentReport, Assessor, Deficit, LongitudinalAssessor, LongitudinalReport,
-        ReachabilityTally, WeekDelta,
+        WeekDelta,
     };
     pub use netsim::{Blocklist, Cidr, Internet, Ipv4, NetProfile, VirtualClock};
     pub use population::{
