@@ -3,9 +3,13 @@
 //! category must be detected exactly where the ground truth says it is.
 
 use assessment::{assess, AssessmentReport, Deficit};
-use netsim::{Blocklist, Cidr, Internet, VirtualClock};
+use netsim::{Blocklist, Cidr, Internet, Ipv4, VirtualClock};
 use population::{synthesize, HostClass, Population, PopulationConfig, StrataMix};
-use scanner::{ScanConfig, ScanRecord, Scanner};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use scanner::{CertStore, EndpointSnapshot, ScanConfig, ScanRecord, Scanner};
+use ua_crypto::{BigUint, CertificateBuilder, DistinguishedName, HashAlgorithm, RsaPrivateKey};
+use ua_types::{MessageSecurityMode, SecurityPolicy};
 
 const UNIVERSE: &str = "10.0.0.0/20";
 
@@ -203,6 +207,48 @@ fn shared_prime_keys_found_by_batch_gcd() {
             .unwrap();
         assert!(!hr.deficits.contains(&Deficit::SharedPrimeKey));
     }
+}
+
+#[test]
+fn zero_modulus_certificate_is_assessed_not_fatal() {
+    // A server delivers whatever certificate bytes it likes, and the
+    // subject key's modulus is parsed as delivered, 0 included. Two
+    // hosts share one store: one serves a valid self-signed
+    // certificate, the other a copy whose modulus was set to 0. Both
+    // moduli reach the batch GCD, which must not divide by the zero.
+    let mut rng = StdRng::seed_from_u64(0x2e80);
+    let key = RsaPrivateKey::generate(&mut rng, 192, 2048);
+    let cert = CertificateBuilder::new(DistinguishedName::new("plc-1", "Acme"))
+        .self_signed(HashAlgorithm::Sha256, &key);
+    let mut zeroed = cert.clone();
+    zeroed.tbs.public_key.n = BigUint::zero();
+    let certs = CertStore::new();
+    let records: Vec<ScanRecord> = [cert.to_der(), zeroed.to_der()]
+        .iter()
+        .zip(1u8..)
+        .map(|(der, host)| {
+            let mut record = ScanRecord::new(Ipv4::new(10, 0, 0, host), 0, 0);
+            let payload = record.opcua_mut();
+            payload.hello_ok = true;
+            payload.endpoints = vec![EndpointSnapshot {
+                security_mode: MessageSecurityMode::SignAndEncrypt,
+                security_policy: Some(SecurityPolicy::Basic256Sha256),
+                security_policy_uri: Some(SecurityPolicy::Basic256Sha256.uri().into()),
+                token_types: Vec::new(),
+                certificate: Some(certs.intern(der)),
+                security_level: 0,
+            }];
+            record
+        })
+        .collect();
+    let zero_cert = records[1].certificates()[0];
+    assert_eq!(zero_cert.modulus(), Some(&BigUint::zero()));
+    assert!(!zero_cert.is_self_signed());
+
+    let report = assess(&records);
+    assert_eq!(report.hosts, 2);
+    assert_eq!(report.count(Deficit::SharedPrimeKey), 0);
+    assert!(report.shared_prime_pairs.is_empty());
 }
 
 #[test]

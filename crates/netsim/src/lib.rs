@@ -1,7 +1,7 @@
 //! # netsim
 //!
 //! A deterministic, in-memory IPv4 Internet: the substrate that stands in
-//! for the real Internet in this reproduction (see DESIGN.md).
+//! for the real Internet in this reproduction.
 //!
 //! * [`clock`] — virtual time (seven months pass in milliseconds);
 //! * [`cidr`] — addresses, CIDR blocks, opt-out blocklists;

@@ -3,9 +3,11 @@
 //! §5.3 of the paper: *"we have not found any evidence of key material that
 //! is subject to insufficient randomness by pairwise checking the keys of
 //! all received certificates for shared primes."* This module implements
-//! both the naive pairwise check and the scalable product-/remainder-tree
-//! batch GCD of Heninger et al. (USENIX Security 2012), which the paper
-//! cites as motivation (its reference \[27\]).
+//! both the naive pairwise check and the scalable batch GCD of Heninger et
+//! al. (USENIX Security 2012), which the paper cites as motivation (its
+//! reference \[27\]): a product tree over the moduli, then a remainder
+//! tree that hands every modulus the product of all the others, reduced
+//! modulo itself.
 
 use crate::bigint::BigUint;
 
@@ -43,99 +45,81 @@ pub fn pairwise_shared_factors(moduli: &[BigUint]) -> Vec<SharedFactor> {
 }
 
 /// The product tree over a set of moduli: level 0 holds the moduli,
-/// each level above holds pairwise products, the root their full
-/// product.
-///
-/// Built once per batch; the inner nodes use [`BigUint::mul`]'s
-/// Karatsuba path (tree nodes grow far past the threshold within a few
-/// levels) and the remainder-tree descent uses [`BigUint::sqr`] for the
-/// `child²` moduli. [`ProductTree::leaf_remainders`] ping-pongs between
-/// two reusable level buffers instead of allocating a fresh vector per
-/// level.
-#[derive(Debug, Clone)]
-pub struct ProductTree {
+/// each level above holds the products of sibling pairs (an odd last
+/// node is carried up unchanged), and the root their full product. The
+/// inner nodes grow far past the Karatsuba threshold within a few levels.
+struct ProductTree {
     levels: Vec<Vec<BigUint>>,
 }
 
 impl ProductTree {
-    /// Builds the tree bottom-up. Level 0 is `moduli` verbatim.
-    pub fn build(moduli: &[BigUint]) -> ProductTree {
-        let mut levels: Vec<Vec<BigUint>> = vec![moduli.to_vec()];
-        // ua-lint: allow(panic-hygiene) -- `levels` starts with one level and only grows
-        while levels.last().expect("at least one level").len() > 1 {
-            // ua-lint: allow(panic-hygiene) -- `levels` starts with one level and only grows
-            let prev = levels.last().expect("at least one level");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                if pair.len() == 2 {
-                    next.push(pair[0].mul(&pair[1]));
-                } else {
-                    next.push(pair[0].clone());
-                }
-            }
+    /// Builds the tree bottom-up. Level 0 is `moduli`.
+    fn build(moduli: Vec<BigUint>) -> ProductTree {
+        let mut levels = vec![moduli];
+        while let Some(prev) = levels.last().filter(|level| level.len() > 1) {
+            let next = prev
+                .chunks(2)
+                .map(|pair| match pair {
+                    [a, b] => a.mul(b),
+                    _ => pair[0].clone(),
+                })
+                .collect();
             levels.push(next);
         }
         ProductTree { levels }
     }
 
-    /// The product of all moduli.
-    pub fn root(&self) -> &BigUint {
-        // ua-lint: allow(panic-hygiene) -- `build` always leaves at least one level
-        &self.levels.last().expect("at least one level")[0]
-    }
-
-    /// Remainder-tree descent: returns `root mod n_i²` for every leaf,
-    /// by pushing `rem[child] = parent_rem mod child²` down the levels.
-    /// Two level buffers are reused (swap per level) so the descent
-    /// performs one allocation pair total, not one per level.
-    pub fn leaf_remainders(&self) -> Vec<BigUint> {
-        let mut cur: Vec<BigUint> = vec![self.root().clone()];
-        let mut next: Vec<BigUint> = Vec::new();
-        for level in (0..self.levels.len() - 1).rev() {
-            let nodes = &self.levels[level];
-            next.clear();
-            next.reserve(nodes.len());
-            for (i, node) in nodes.iter().enumerate() {
-                let parent = &cur[i / 2];
-                next.push(parent.rem(&node.sqr()));
-            }
-            std::mem::swap(&mut cur, &mut next);
+    /// For every leaf `n_i`, `(∏_{j≠i} n_j) mod n_i`, by a descent over
+    /// sibling products: the root gets 1 (nothing lies outside it), a
+    /// node `c` with sibling `s` gets `(r_parent · s) mod c`, and an odd
+    /// carried node inherits `r_parent`, since it equals its parent.
+    ///
+    /// Each step reduces `r_parent`, about twice the node's size, modulo
+    /// the node, multiplies by the sibling and reduces again: two
+    /// divisions of twice the node's size by the node. The classic
+    /// descent, `r_parent mod c²`, divides four times the node's size by
+    /// twice it and squares every node on top, so this does half the
+    /// division work.
+    fn cofactor_remainders(&self) -> Vec<BigUint> {
+        let mut rems = vec![BigUint::one()];
+        for level in self.levels.iter().rev().skip(1) {
+            rems = level
+                .iter()
+                .enumerate()
+                .map(|(i, node)| {
+                    let parent = &rems[i / 2];
+                    match level.get(i ^ 1) {
+                        Some(sibling) => parent.rem(node).mul(sibling).rem(node),
+                        None => parent.clone(),
+                    }
+                })
+                .collect();
         }
-        cur
+        rems
     }
 }
 
 /// Product-tree/remainder-tree batch GCD: returns, for each modulus `n_i`,
 /// `gcd(n_i, prod_{j != i} n_j)`. A result of 1 means no shared factor.
 ///
+/// A modulus of 0 (a certificate can deliver one) is left out of the
+/// product: it reports 0 and shares a factor with nothing, as in
+/// [`pairwise_shared_factors`].
+///
 /// Runs in quasi-linear big-number operations instead of the naive
 /// quadratic scan, and — fed the *deduplicated* moduli the incremental
 /// assessor accumulates — its input shrinks by exactly the certificate
 /// reuse factor the paper measured (§5.2).
 pub fn batch_gcd(moduli: &[BigUint]) -> Vec<BigUint> {
-    let n = moduli.len();
-    if n == 0 {
-        return Vec::new();
+    let live: Vec<usize> = (0..moduli.len())
+        .filter(|&i| !moduli[i].is_zero())
+        .collect();
+    let tree = ProductTree::build(live.iter().map(|&i| moduli[i].clone()).collect());
+    let mut gcds = vec![BigUint::zero(); moduli.len()];
+    for (&i, rem) in live.iter().zip(tree.cofactor_remainders()) {
+        gcds[i] = moduli[i].gcd(&rem);
     }
-    if n == 1 {
-        return vec![BigUint::one()];
-    }
-
-    let tree = ProductTree::build(moduli);
-    let rems = tree.leaf_remainders();
-
-    // gcd(n_i, rem_i / n_i)
-    moduli
-        .iter()
-        .zip(rems.iter())
-        .map(|(m, r)| {
-            if m.is_zero() {
-                return BigUint::zero();
-            }
-            let (q, _) = r.div_rem(m);
-            m.gcd(&q)
-        })
-        .collect()
+    gcds
 }
 
 /// Convenience wrapper: runs [`batch_gcd`] and expands hits into concrete
@@ -167,7 +151,7 @@ mod tests {
     use super::*;
     use crate::prime::generate_prime;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn moduli_with_share(seed: u64, count: usize) -> (Vec<BigUint>, usize, usize, BigUint) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -218,6 +202,58 @@ mod tests {
         let a = find_shared_factors(&moduli);
         let b = pairwise_shared_factors(&moduli);
         assert_eq!(a, b);
+        // Random sets of 1 to 40 moduli, odd counts among them, built
+        // from a small pool of 64-bit primes so that shared primes and
+        // duplicate moduli are common.
+        let mut rng = StdRng::seed_from_u64(17);
+        let pool: Vec<BigUint> = (0..24).map(|_| generate_prime(&mut rng, 64)).collect();
+        for _ in 0..40 {
+            let count = rng.gen_range(1..41usize);
+            let moduli: Vec<BigUint> = (0..count)
+                .map(|_| {
+                    let p = &pool[rng.gen_range(0..pool.len())];
+                    let q = &pool[rng.gen_range(0..pool.len())];
+                    p.mul(q)
+                })
+                .collect();
+            assert_eq!(
+                find_shared_factors(&moduli),
+                pairwise_shared_factors(&moduli)
+            );
+        }
+    }
+
+    #[test]
+    fn zero_and_one_moduli_pair_with_nothing() {
+        // A certificate can deliver a modulus of 0 or 1. Zero is left out
+        // of the product and reports 0; one divides everything but shares
+        // no factor above 1.
+        let zero = BigUint::zero();
+        let one = BigUint::one();
+        let fifteen = BigUint::from_u64(15);
+        assert_eq!(batch_gcd(std::slice::from_ref(&zero)), vec![zero.clone()]);
+        assert_eq!(
+            batch_gcd(&[zero.clone(), fifteen.clone()]),
+            vec![zero.clone(), one.clone()]
+        );
+        let (mut moduli, _, _, _) = moduli_with_share(18, 5);
+        for (i, m) in [zero.clone(), one.clone(), zero, one]
+            .into_iter()
+            .enumerate()
+        {
+            moduli.insert(3 * i, m);
+        }
+        let found = find_shared_factors(&moduli);
+        assert_eq!(found, pairwise_shared_factors(&moduli));
+        assert_eq!(found.len(), 1);
+        let gcds = batch_gcd(&moduli);
+        for (m, g) in moduli.iter().zip(&gcds) {
+            if m.is_zero() {
+                assert!(g.is_zero());
+            } else if m.is_one() {
+                assert!(g.is_one());
+            }
+        }
     }
 
     #[test]

@@ -12,18 +12,19 @@
 //!   [`crate::batch_gcd`](mod@crate::batch_gcd) multiplies thousands of
 //!   moduli into numbers far past the threshold;
 //! * [`BigUint::sqr`] exploits the symmetry of squaring (~1.5× cheaper
-//!   than a general multiply), which the remainder tree and modular
-//!   exponentiation hit on every step;
-//! * [`BigUint::mod_pow`] runs 4-bit-windowed exponentiation in a
+//!   than a general multiply);
+//! * [`BigUint::mod_pow`] runs sliding-window exponentiation in a
 //!   [`Montgomery`] context for odd moduli — zero divisions per step —
 //!   and falls back to the classic square-and-multiply
 //!   ([`BigUint::mod_pow_legacy`], one Knuth division per step) only for
-//!   even moduli. RSA moduli are odd, so signature verification and the
-//!   Miller–Rabin witnesses of [`crate::prime`] always take the fast
-//!   path. The legacy path stays as the randomized tests' reference.
+//!   even moduli. Moduli of up to four limbs (256 bits) run on a
+//!   fixed-width kernel over stack arrays. RSA moduli are odd, so signing
+//!   and verification take the fast path, and so do the Miller–Rabin
+//!   rounds of [`crate::prime`], which share one context per candidate.
+//!   The legacy path stays as the randomized tests' reference.
 //!
 //! Division stays Knuth Algorithm D and GCD stays binary — correct for
-//! arbitrary sizes (tested up to 4096 bit) and auditable.
+//! arbitrary sizes (tested up to 200 limbs) and auditable.
 
 use rand::Rng;
 use std::cmp::Ordering;
@@ -383,6 +384,17 @@ impl BigUint {
         (q, rem as u64)
     }
 
+    /// `self mod d` for a single limb, without allocating: what trial
+    /// division runs on every prime candidate.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        let rem = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &l| ((rem << 64) | l as u128) % d as u128);
+        rem as u64
+    }
+
     /// Knuth Algorithm D (TAOCP Vol. 2, 4.3.1) for multi-limb divisors.
     fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         // Normalize so the divisor's top limb has its high bit set.
@@ -412,32 +424,38 @@ impl BigUint {
                     break;
                 }
             }
-            // Multiply and subtract: u[j..j+n+1] -= qhat * v.
-            let mut borrow: i128 = 0;
-            let mut carry: u128 = 0;
-            for i in 0..n {
-                let p = qhat * v_limbs[i] as u128 + carry;
-                carry = p >> 64;
-                let sub = (u[j + i] as i128) - (p as u64 as i128) + borrow;
-                u[j + i] = sub as u64;
-                borrow = sub >> 64; // arithmetic shift: 0 or -1
+            // The correction loop leaves qhat below 2⁶⁴.
+            let mut qhat = qhat as u64;
+            // Multiply and subtract in place: window -= qhat * v.
+            let window = &mut u[j..=j + n];
+            let (low, top) = window.split_at_mut(n);
+            let mut carry = 0u64;
+            let mut borrow = false;
+            for (uj, &vi) in low.iter_mut().zip(v_limbs) {
+                let p = qhat as u128 * vi as u128 + carry as u128;
+                carry = (p >> 64) as u64;
+                let (d1, b1) = uj.overflowing_sub(p as u64);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *uj = d2;
+                borrow = b1 | b2;
             }
-            let sub = (u[j + n] as i128) - (carry as i128) + borrow;
-            u[j + n] = sub as u64;
-            borrow = sub >> 64;
+            let (d1, b1) = top[0].overflowing_sub(carry);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            top[0] = d2;
 
-            if borrow != 0 {
+            if b1 | b2 {
                 // qhat was one too large: add the divisor back.
                 qhat -= 1;
-                let mut carry = 0u128;
-                for i in 0..n {
-                    let s = u[j + i] as u128 + v_limbs[i] as u128 + carry;
-                    u[j + i] = s as u64;
-                    carry = s >> 64;
+                let mut carry = false;
+                for (uj, &vi) in low.iter_mut().zip(v_limbs) {
+                    let (s1, c1) = uj.overflowing_add(vi);
+                    let (s2, c2) = s1.overflowing_add(carry as u64);
+                    *uj = s2;
+                    carry = c1 | c2;
                 }
-                u[j + n] = u[j + n].wrapping_add(carry as u64);
+                top[0] = top[0].wrapping_add(carry as u64);
             }
-            q[j] = qhat as u64;
+            q[j] = qhat;
         }
 
         let mut quotient = BigUint { limbs: q };
@@ -470,8 +488,9 @@ impl BigUint {
     /// `self^exponent mod modulus`.
     ///
     /// Odd moduli (every RSA modulus, every Miller–Rabin candidate) run
-    /// 4-bit-windowed exponentiation in a [`Montgomery`] context — zero
-    /// divisions per square/multiply step. Even moduli fall back to
+    /// sliding-window exponentiation in a [`Montgomery`] context — zero
+    /// divisions per square/multiply step, and no allocation inside the
+    /// loop. Even moduli fall back to
     /// [`Self::mod_pow_legacy`], the classic square-and-multiply with a
     /// full division per step (Montgomery reduction needs
     /// `gcd(modulus, 2⁶⁴) = 1`).
@@ -813,6 +832,31 @@ fn sqr_limbs(a: &[u64]) -> Vec<u64> {
 // Montgomery modular arithmetic
 // ---------------------------------------------------------------------------
 
+/// Widest modulus, in limbs, that runs on the fixed-width stack kernel
+/// ([`FixedKernel`]): the population's 96-bit primes and 192-bit keys
+/// and the 256-bit server and client keys. Wider moduli run on the `Vec`
+/// kernel ([`VecKernel`]), the only one that fits them.
+const FIXED_LIMBS: usize = 4;
+
+/// Entries of a sliding-window table: the `2^(w−1)` odd powers of the
+/// widest window [`window_bits`] picks (6).
+const WINDOW_TABLE: usize = 32;
+
+/// Sliding-window width for an exponent of `bits` bits, for both
+/// kernels: the width that minimizes the `2^(w−1)` table multiplies plus
+/// about one multiply per `w + 1` exponent bits. Exponents of up to 23
+/// bits, the public exponent 65537 among them, take plain
+/// square-and-multiply.
+fn window_bits(bits: usize) -> usize {
+    match bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
+    }
+}
+
 /// Precomputed context for modular arithmetic over an **odd** modulus
 /// `n` in Montgomery form (`x·R mod n` with `R = 2^(64k)`, `k` the limb
 /// count of `n`).
@@ -824,15 +868,14 @@ fn sqr_limbs(a: &[u64]) -> Vec<u64> {
 /// [`BigUint::mod_pow`] beats [`BigUint::mod_pow_legacy`] by an order of
 /// magnitude at RSA sizes.
 ///
-/// [`Montgomery::pow`] runs left-to-right 4-bit-windowed exponentiation
-/// (a 16-entry table, four squarings plus at most one multiply per
-/// window) and reuses two scratch buffers across all steps, so a full
-/// 2048-bit exponentiation performs no allocation inside the loop.
+/// [`Montgomery::pow`] runs left-to-right sliding-window exponentiation
+/// over a table of odd powers, its width picked from the exponent length.
+/// Moduli of up to four limbs run on `[u64; k]` stack arrays, wider ones
+/// on `Vec`s that the loop reuses, so neither allocates inside the loop.
 #[derive(Debug, Clone)]
 pub struct Montgomery {
+    /// The modulus; its limbs are `n` (length `k`, top limb nonzero).
     modulus: BigUint,
-    /// Modulus limbs (length `k`, top limb nonzero).
-    n: Vec<u64>,
     /// `−n⁻¹ mod 2⁶⁴`.
     n0_inv: u64,
     /// `R² mod n`, zero-padded to `k` limbs.
@@ -861,7 +904,6 @@ impl Montgomery {
         r2.resize(k, 0);
         Some(Montgomery {
             modulus: modulus.clone(),
-            n: modulus.limbs.clone(),
             n0_inv: inv.wrapping_neg(),
             r2,
         })
@@ -872,124 +914,296 @@ impl Montgomery {
         &self.modulus
     }
 
-    /// Fused (FIOS-style) Montgomery multiplication:
-    /// `out = a·b·R⁻¹ mod n`. The multiply-accumulate and the reduction
-    /// run in one pass per outer limb with two independent carry
-    /// chains, halving the traversals of the scratch accumulator.
-    /// `a`, `b`, `out` are `k`-limb Montgomery-domain values; `t` is a
-    /// reusable scratch buffer of `k + 2` limbs.
-    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
-        let k = self.n.len();
-        let n = &self.n[..k];
-        let b = &b[..k];
-        let t = &mut t[..k + 1];
-        t.fill(0);
-        for &ai in &a[..k] {
-            // Column 0 decides the reduction multiplier m, chosen so the
-            // low limb of t + ai·b + m·n vanishes.
-            let c0 = t[0] as u128 + (ai as u128) * (b[0] as u128);
-            let m = (c0 as u64).wrapping_mul(self.n0_inv);
-            let r0 = (c0 as u64) as u128 + (m as u128) * (n[0] as u128);
-            debug_assert_eq!(r0 as u64, 0);
-            let mut carry_mul = c0 >> 64; // carry of the ai·b column sums
-            let mut carry_red = r0 >> 64; // carry of the m·n reduction
-            for j in 1..k {
-                let cur = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry_mul;
-                carry_mul = cur >> 64;
-                let red = (cur as u64) as u128 + (m as u128) * (n[j] as u128) + carry_red;
-                carry_red = red >> 64;
-                t[j - 1] = red as u64;
-            }
-            // Fold both carries into the (shifted) top; the CIOS bound
-            // t < 2n keeps the overflow limb in {0, 1}.
-            let top = t[k] as u128 + carry_mul + carry_red;
-            t[k - 1] = top as u64;
-            t[k] = (top >> 64) as u64;
-        }
-        // Result in t[0..k] with a possible overflow bit in t[k]:
-        // conditionally subtract n once.
-        let ge = t[k] != 0 || {
-            let mut ge = true; // equal counts as ≥
-            for j in (0..k).rev() {
-                match t[j].cmp(&n[j]) {
-                    Ordering::Greater => break,
-                    Ordering::Less => {
-                        ge = false;
-                        break;
-                    }
-                    Ordering::Equal => {}
-                }
-            }
-            ge
-        };
-        if ge {
-            let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = t[j].overflowing_sub(n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                out[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            debug_assert_eq!(borrow, t[k]);
-        } else {
-            out.copy_from_slice(&t[..k]);
-        }
-    }
-
-    /// `base^exponent mod n` via 4-bit-windowed Montgomery
-    /// exponentiation.
+    /// `base^exponent mod n` via sliding-window Montgomery
+    /// exponentiation, on the fixed-width kernel for moduli of up to four
+    /// limbs.
     pub fn pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         if exponent.is_zero() {
             return BigUint::one();
         }
-        let k = self.n.len();
-        let mut scratch = vec![0u64; k + 2];
-        let mut tmp = vec![0u64; k];
-
-        // Enter the Montgomery domain: x·R = mont_mul(x, R²).
-        let mut base_limbs = base.rem(&self.modulus).limbs;
-        base_limbs.resize(k, 0);
-        let mut base_m = vec![0u64; k];
-        self.mont_mul(&base_limbs, &self.r2, &mut scratch, &mut base_m);
-        let mut one_limbs = vec![0u64; k];
-        one_limbs[0] = 1;
-        let mut one_m = vec![0u64; k];
-        self.mont_mul(&one_limbs, &self.r2, &mut scratch, &mut one_m);
-
-        // table[w] = base^w in the Montgomery domain.
-        let mut table: Vec<Vec<u64>> = Vec::with_capacity(16);
-        table.push(one_m);
-        for w in 1..16 {
-            let mut next = vec![0u64; k];
-            self.mont_mul(&table[w - 1], &base_m, &mut scratch, &mut next);
-            table.push(next);
+        struct Pow<'a>(&'a BigUint, &'a BigUint);
+        impl KernelTask for Pow<'_> {
+            type Output = BigUint;
+            fn run<K: Kernel>(self, mut kernel: K) -> BigUint {
+                let base = kernel.enter(self.0);
+                let power = kernel.pow(&base, self.1);
+                kernel.leave(&power)
+            }
         }
+        self.run(Pow(base, exponent))
+    }
 
+    /// Runs `task` on the kernel the modulus width picks: the fixed-width
+    /// one for 1 to [`FIXED_LIMBS`] limbs, the `Vec` one above.
+    pub(crate) fn run<T: KernelTask>(&self, task: T) -> T::Output {
+        match self.modulus.limbs.len() {
+            1 => task.run(FixedKernel::<1>::new(self)),
+            2 => task.run(FixedKernel::<2>::new(self)),
+            3 => task.run(FixedKernel::<3>::new(self)),
+            FIXED_LIMBS => task.run(FixedKernel::<FIXED_LIMBS>::new(self)),
+            _ => task.run(VecKernel::new(self)),
+        }
+    }
+}
+
+/// A computation over one Montgomery context that is generic in the
+/// kernel, so [`Montgomery::run`] can pick the kernel by modulus width.
+pub(crate) trait KernelTask {
+    /// What the computation returns.
+    type Output;
+    /// Runs the computation on `kernel`.
+    fn run<K: Kernel>(self, kernel: K) -> Self::Output;
+}
+
+/// Montgomery arithmetic over one odd modulus `n`. Elements are fully
+/// reduced residues `x·R mod n`, so two elements are equal exactly when
+/// the values they represent are.
+pub(crate) trait Kernel {
+    /// A residue in the Montgomery domain.
+    type Elem: Clone + PartialEq;
+
+    /// An element to fill tables with before use; allocates nothing.
+    fn placeholder(&self) -> Self::Elem;
+
+    /// `a ← a·b·R⁻¹ mod n`.
+    fn mul_assign(&mut self, a: &mut Self::Elem, b: &Self::Elem);
+
+    /// `a ← a²·R⁻¹ mod n`.
+    fn sqr_assign(&mut self, a: &mut Self::Elem);
+
+    /// Enters the domain: `x·R mod n`, for any `x`.
+    fn enter(&mut self, x: &BigUint) -> Self::Elem;
+
+    /// Leaves the domain: `x·R⁻¹ mod n`.
+    fn leave(&mut self, x: &Self::Elem) -> BigUint;
+
+    /// `base^exponent`, all in the domain: left-to-right sliding windows
+    /// over a table of the odd powers `base^1, base^3, …`, each window
+    /// starting and ending on a set bit, so a `b`-bit exponent costs
+    /// about `b` squarings, `b / (w + 1)` multiplies and the `2^(w−1)`
+    /// table entries.
+    fn pow(&mut self, base: &Self::Elem, exponent: &BigUint) -> Self::Elem {
         let bits = exponent.bit_length();
-        let windows = bits.div_ceil(4);
-        let window_at = |w: usize| -> usize {
-            let bit = 4 * w;
-            let limb = bit / 64;
-            let shift = bit % 64; // 4 | 64, so a window never straddles limbs
-            ((exponent.limbs.get(limb).copied().unwrap_or(0) >> shift) & 0xF) as usize
-        };
-
-        let mut acc = table[window_at(windows - 1)].clone();
-        for w in (0..windows - 1).rev() {
-            for _ in 0..4 {
-                self.mont_mul(&acc, &acc, &mut scratch, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            let digit = window_at(w);
-            if digit != 0 {
-                self.mont_mul(&acc, &table[digit], &mut scratch, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+        let w = window_bits(bits);
+        // odd[i] = base^(2i+1).
+        let mut odd: [Self::Elem; WINDOW_TABLE] = std::array::from_fn(|_| self.placeholder());
+        odd[0] = base.clone();
+        if w > 1 {
+            let mut sq = base.clone();
+            self.sqr_assign(&mut sq);
+            for i in 1..1 << (w - 1) {
+                let mut next = odd[i - 1].clone();
+                self.mul_assign(&mut next, &sq);
+                odd[i] = next;
             }
         }
+        // Bits [top, bits) are consumed; `acc` is their power.
+        let mut acc: Option<Self::Elem> = None;
+        let mut top = bits;
+        while top > 0 {
+            if !exponent.bit(top - 1) {
+                if let Some(acc) = acc.as_mut() {
+                    self.sqr_assign(acc);
+                }
+                top -= 1;
+                continue;
+            }
+            // The window [low, top): at most w bits, lowest bit set.
+            let mut low = top.saturating_sub(w);
+            while !exponent.bit(low) {
+                low += 1;
+            }
+            let digit = (low..top)
+                .rev()
+                .fold(0usize, |d, b| d << 1 | exponent.bit(b) as usize);
+            match acc.as_mut() {
+                None => acc = Some(odd[digit >> 1].clone()),
+                Some(acc) => {
+                    for _ in low..top {
+                        self.sqr_assign(acc);
+                    }
+                    self.mul_assign(acc, &odd[digit >> 1]);
+                }
+            }
+            top = low;
+        }
+        match acc {
+            Some(acc) => acc,
+            None => self.enter(&BigUint::one()),
+        }
+    }
+}
 
-        // Leave the Montgomery domain: x = mont_mul(x·R, 1).
-        self.mont_mul(&acc, &one_limbs, &mut scratch, &mut tmp);
-        let mut out = BigUint { limbs: tmp };
+/// `t = a·b·R⁻¹ mod n`, fully reduced: the fused (FIOS-style) CIOS
+/// multiplication both kernels run. The multiply-accumulate and the
+/// reduction run in one pass per limb of `a` with two independent carry
+/// chains. `a`, `b` and `t` hold `k = n.len()` limbs; the overflow word
+/// `t[k]` lives in a local, since stable Rust has no `[u64; N + 1]`.
+/// Inlinable, so that each fixed-width kernel can get a copy for its
+/// constant `k`.
+#[inline]
+fn mont_mul(n: &[u64], n0_inv: u64, a: &[u64], b: &[u64], t: &mut [u64]) {
+    let k = n.len();
+    let (a, b, t) = (&a[..k], &b[..k], &mut t[..k]);
+    t.fill(0);
+    let mut t_hi = 0u64;
+    for &ai in a {
+        // Column 0 decides the reduction multiplier m, chosen so the
+        // low limb of t + ai·b + m·n vanishes.
+        let c0 = t[0] as u128 + (ai as u128) * (b[0] as u128);
+        let m = (c0 as u64).wrapping_mul(n0_inv);
+        let r0 = (c0 as u64) as u128 + (m as u128) * (n[0] as u128);
+        debug_assert_eq!(r0 as u64, 0);
+        let mut carry_mul = c0 >> 64; // carry of the ai·b column sums
+        let mut carry_red = r0 >> 64; // carry of the m·n reduction
+        for j in 1..k {
+            let cur = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry_mul;
+            carry_mul = cur >> 64;
+            let red = (cur as u64) as u128 + (m as u128) * (n[j] as u128) + carry_red;
+            carry_red = red >> 64;
+            t[j - 1] = red as u64;
+        }
+        // Fold both carries into the (shifted) top; the CIOS bound
+        // t < 2n keeps the overflow word in {0, 1}.
+        let top = t_hi as u128 + carry_mul + carry_red;
+        t[k - 1] = top as u64;
+        t_hi = (top >> 64) as u64;
+    }
+    // Conditionally subtract n once; equal counts as ≥.
+    let ge = t_hi != 0 || t.iter().rev().cmp(n.iter().rev()) != Ordering::Less;
+    if ge {
+        let mut borrow = false;
+        for (tj, &nj) in t.iter_mut().zip(n) {
+            let (d1, b1) = tj.overflowing_sub(nj);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            *tj = d2;
+            borrow = b1 | b2;
+        }
+        debug_assert_eq!(borrow as u64, t_hi);
+    }
+}
+
+/// The kernel for moduli of `N` ≤ [`FIXED_LIMBS`] limbs: elements are
+/// `[u64; N]` stack arrays, so no operation allocates, and the constant
+/// width lets the compiler unroll every limb loop.
+struct FixedKernel<'a, const N: usize> {
+    ctx: &'a Montgomery,
+    n: [u64; N],
+    r2: [u64; N],
+}
+
+impl<'a, const N: usize> FixedKernel<'a, N> {
+    /// Copies `ctx`'s modulus and `R²`; `ctx`'s modulus has `N` limbs.
+    fn new(ctx: &'a Montgomery) -> Self {
+        let mut n = [0u64; N];
+        n.copy_from_slice(&ctx.modulus.limbs);
+        let mut r2 = [0u64; N];
+        r2.copy_from_slice(&ctx.r2);
+        FixedKernel { ctx, n, r2 }
+    }
+
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut t = [0u64; N];
+        mont_mul(&self.n, self.ctx.n0_inv, a, b, &mut t);
+        t
+    }
+}
+
+impl<const N: usize> Kernel for FixedKernel<'_, N> {
+    type Elem = [u64; N];
+
+    fn placeholder(&self) -> [u64; N] {
+        [0; N]
+    }
+
+    fn mul_assign(&mut self, a: &mut [u64; N], b: &[u64; N]) {
+        *a = self.mul(a, b);
+    }
+
+    fn sqr_assign(&mut self, a: &mut [u64; N]) {
+        *a = self.mul(a, a);
+    }
+
+    fn enter(&mut self, x: &BigUint) -> [u64; N] {
+        let reduced;
+        let x = if x < &self.ctx.modulus {
+            x
+        } else {
+            reduced = x.rem(&self.ctx.modulus);
+            &reduced
+        };
+        let mut limbs = [0u64; N];
+        limbs[..x.limbs.len()].copy_from_slice(&x.limbs);
+        self.mul(&limbs, &self.r2)
+    }
+
+    fn leave(&mut self, x: &[u64; N]) -> BigUint {
+        let mut one = [0u64; N];
+        one[0] = 1;
+        let mut out = BigUint {
+            limbs: self.mul(x, &one).to_vec(),
+        };
+        out.normalize();
+        out
+    }
+}
+
+/// The kernel for moduli wider than [`FIXED_LIMBS`] limbs: elements are
+/// `k`-limb `Vec`s. Every multiply writes a scratch buffer and swaps it
+/// with its output, which leaves a `k`-limb buffer as the next scratch,
+/// so the exponentiation loop does not allocate.
+struct VecKernel<'a> {
+    ctx: &'a Montgomery,
+    scratch: Vec<u64>,
+}
+
+impl<'a> VecKernel<'a> {
+    fn new(ctx: &'a Montgomery) -> Self {
+        VecKernel {
+            ctx,
+            scratch: vec![0; ctx.r2.len()],
+        }
+    }
+
+    /// `scratch = a·b·R⁻¹ mod n`.
+    fn mul_to_scratch(&mut self, a: &[u64], b: &[u64]) {
+        let ctx = self.ctx;
+        mont_mul(&ctx.modulus.limbs, ctx.n0_inv, a, b, &mut self.scratch);
+    }
+}
+
+impl Kernel for VecKernel<'_> {
+    type Elem = Vec<u64>;
+
+    fn placeholder(&self) -> Vec<u64> {
+        Vec::new()
+    }
+
+    fn mul_assign(&mut self, a: &mut Vec<u64>, b: &Vec<u64>) {
+        self.mul_to_scratch(a, b);
+        std::mem::swap(a, &mut self.scratch);
+    }
+
+    fn sqr_assign(&mut self, a: &mut Vec<u64>) {
+        self.mul_to_scratch(a, a);
+        std::mem::swap(a, &mut self.scratch);
+    }
+
+    fn enter(&mut self, x: &BigUint) -> Vec<u64> {
+        let ctx = self.ctx;
+        let mut limbs = x.rem(&ctx.modulus).limbs;
+        limbs.resize(ctx.r2.len(), 0);
+        self.mul_to_scratch(&limbs, &ctx.r2);
+        std::mem::swap(&mut limbs, &mut self.scratch);
+        limbs
+    }
+
+    fn leave(&mut self, x: &Vec<u64>) -> BigUint {
+        let mut one = vec![0u64; x.len()];
+        one[0] = 1;
+        self.mul_to_scratch(x, &one);
+        std::mem::swap(&mut one, &mut self.scratch);
+        let mut out = BigUint { limbs: one };
         out.normalize();
         out
     }
@@ -1299,6 +1513,8 @@ mod tests {
         let (q2, r2) = a.div_rem(&BigUint::from_u64(0x1_0001));
         assert_eq!(q1, q2);
         assert_eq!(BigUint::from_u64(r1), r2);
+        assert_eq!(a.rem_u64(0x1_0001), r1);
+        assert_eq!(a.rem_u64(u64::MAX), a.div_rem_u64(u64::MAX).1);
     }
 
     #[test]
@@ -1310,5 +1526,81 @@ mod tests {
         let (q, r) = u.div_rem(&v);
         assert_eq!(q.mul(&v).add(&r), u);
         assert!(r < v);
+    }
+
+    /// `base^e` on one kernel for each exponent, through the domain and
+    /// back.
+    fn kernel_powers<K: Kernel>(mut kernel: K, base: &BigUint, exps: &[BigUint]) -> Vec<BigUint> {
+        let b = kernel.enter(base);
+        exps.iter()
+            .map(|e| {
+                let p = kernel.pow(&b, e);
+                kernel.leave(&p)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fixed_and_vec_kernels_agree_with_legacy() {
+        // Both kernels on the same moduli of 1 to 4 limbs, each at the
+        // top-limb extremes (top limb 1, or 3 for one limb, and all
+        // ones) and random, with exponents on both sides of the first
+        // window-width boundaries. Sized for Miri.
+        let mut rng = StdRng::seed_from_u64(0x6b65_726e);
+        for limbs in 1..=FIXED_LIMBS {
+            let low = BigUint::one()
+                .shl(64 * (limbs - 1))
+                .add(&BigUint::from_u64(3));
+            let high = BigUint::one().shl(64 * limbs).sub(&BigUint::one());
+            let random = BigUint::random_bits(&mut rng, 64 * limbs).add(&BigUint::one());
+            for n in [low, high, random] {
+                let n = if n.is_even() {
+                    n.sub(&BigUint::one())
+                } else {
+                    n
+                };
+                let ctx = Montgomery::new(&n).unwrap();
+                let base = BigUint::random_below(&mut rng, &n);
+                let mut exps: Vec<BigUint> = (1..=3).map(BigUint::from_u64).collect();
+                exps.extend([23, 24, 79, 80].map(|bits| BigUint::random_bits(&mut rng, bits)));
+                let legacy: Vec<BigUint> =
+                    exps.iter().map(|e| base.mod_pow_legacy(e, &n)).collect();
+                let fixed = match limbs {
+                    1 => kernel_powers(FixedKernel::<1>::new(&ctx), &base, &exps),
+                    2 => kernel_powers(FixedKernel::<2>::new(&ctx), &base, &exps),
+                    3 => kernel_powers(FixedKernel::<3>::new(&ctx), &base, &exps),
+                    _ => kernel_powers(FixedKernel::<4>::new(&ctx), &base, &exps),
+                };
+                assert_eq!(fixed, legacy, "fixed kernel, modulus {n}");
+                assert_eq!(
+                    kernel_powers(VecKernel::new(&ctx), &base, &exps),
+                    legacy,
+                    "Vec kernel, modulus {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_domain_roundtrip_and_exact_comparisons() {
+        // Entering and leaving the domain is the identity, inputs at or
+        // above the modulus are reduced, and equal values have equal
+        // elements: what Miller–Rabin's comparisons against 1 and n − 1
+        // rely on.
+        let n = BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffff3").unwrap();
+        let ctx = Montgomery::new(&n).unwrap();
+        let mut kernel = FixedKernel::<3>::new(&ctx);
+        let n_minus_1 = n.sub(&BigUint::one());
+        for x in [BigUint::zero(), BigUint::one(), n_minus_1.clone()] {
+            let m = kernel.enter(&x);
+            assert_eq!(kernel.leave(&m), x);
+            assert_eq!(kernel.enter(&x.add(&n)), m);
+        }
+        let mut minus_one = kernel.enter(&n_minus_1);
+        kernel.sqr_assign(&mut minus_one);
+        assert_eq!(minus_one, kernel.enter(&BigUint::one()));
+        let five = kernel.enter(&BigUint::from_u64(5));
+        let one = kernel.enter(&BigUint::one());
+        assert_eq!(kernel.pow(&five, &BigUint::zero()), one);
     }
 }

@@ -10,11 +10,14 @@
 //!
 //! * [`bigint`] — arbitrary-precision unsigned integers: Karatsuba
 //!   multiplication above [`bigint::KARATSUBA_THRESHOLD`], a dedicated
-//!   squaring path, and [`Montgomery`]-form windowed exponentiation for
-//!   odd moduli (the legacy division-per-step path stays available as
+//!   squaring path, and [`Montgomery`]-form sliding-window
+//!   exponentiation for odd moduli, on stack arrays up to four limbs
+//!   (the legacy division-per-step path stays available as
 //!   [`BigUint::mod_pow_legacy`] for even moduli and as the randomized
 //!   tests' reference);
-//! * [`prime`] — Miller–Rabin primality testing and prime generation;
+//! * [`prime`] — Miller–Rabin primality testing and prime generation,
+//!   with trial division on `u64` residues and one Montgomery context per
+//!   candidate;
 //! * [`rsa`] — RSA keys, PKCS#1-style signatures, and encryption
 //!   (verification rides the Montgomery `mod_pow` path);
 //! * [`hash`] — MD5 / SHA-1 / SHA-256, HMAC, and the OPC UA `P_SHA` KDF;
@@ -23,9 +26,9 @@
 //!   campaign-wide [`CertStore`] interner: a certificate served by N
 //!   hosts is parsed/thumbprinted/identity-checked once, not N times;
 //! * [`batch_gcd`](mod@batch_gcd) — pairwise and product-tree shared-prime detection
-//!   (Heninger et al.), used for the §5.3 weak-key analysis; the tree
-//!   runs on the Karatsuba/squaring kernels and consumes deduplicated
-//!   moduli.
+//!   (Heninger et al.), used for the §5.3 weak-key analysis; the product
+//!   tree runs on the Karatsuba kernel, the remainder tree descends over
+//!   sibling products, and the input is the deduplicated moduli.
 //!
 //! ## Security note
 //!
@@ -46,9 +49,7 @@ pub mod rsa;
 pub mod x509;
 
 pub use aes::{cbc_decrypt, cbc_encrypt, Aes, AesError};
-pub use batch_gcd::{
-    batch_gcd, find_shared_factors, pairwise_shared_factors, ProductTree, SharedFactor,
-};
+pub use batch_gcd::{batch_gcd, find_shared_factors, pairwise_shared_factors, SharedFactor};
 pub use bigint::{BigUint, Montgomery};
 pub use hash::{hmac, md5, p_sha, sha1, sha256, HashAlgorithm};
 pub use prime::{generate_prime, is_probable_prime};

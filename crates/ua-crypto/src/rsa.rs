@@ -6,10 +6,11 @@
 //!
 //! Every raw RSA operation (`m^e mod n`, `c^d mod n`) goes through
 //! [`BigUint::mod_pow`], which — RSA moduli being odd — always takes the
-//! windowed [`crate::bigint::Montgomery`] path: zero divisions per
-//! square/multiply step. At campaign scale this is what makes
-//! verifying thousands of certificate signatures (and the Miller–Rabin
-//! tests behind key generation) cheap.
+//! sliding-window [`crate::bigint::Montgomery`] path: zero divisions per
+//! square/multiply step, on stack arrays for moduli of up to 256 bits.
+//! At campaign scale this is what makes signing and verifying thousands
+//! of certificates cheap; the Miller–Rabin tests behind key generation
+//! run on the same kernels.
 //!
 //! # Nominal vs. actual key size
 //!
@@ -20,14 +21,14 @@
 //!
 //! * `nominal_bits` — the advertised modulus length that the assessment
 //!   pipeline sees and that Figure 4 buckets by;
-//! * the *actual* modulus, which may be smaller (default 256 bit) so that
-//!   millions of operations stay cheap.
+//! * the *actual* modulus, which is smaller so that millions of
+//!   operations stay cheap: 192 bits for the simulated fleet's keys, 256
+//!   bits for the default `ua-server` and `ua-client` keys.
 //!
 //! All arithmetic (sign/verify/encrypt/decrypt, shared-prime GCD) is real
 //! arithmetic on the actual modulus, so every code path a real key would
 //! take is exercised; only the magnitude is scaled. Tests exercise
-//! full-size (512/1024-bit actual) keys as well. This substitution is
-//! recorded in DESIGN.md.
+//! full-size (512/1024-bit actual) keys as well.
 //!
 //! # Padding
 //!
@@ -173,10 +174,10 @@ impl RsaPrivateKey {
         }
     }
 
-    /// Generates a key reusing a known prime `p` — used by the population
-    /// generator *not at all*, and by tests to validate that the batch-GCD
-    /// detector finds deliberately weak key pairs (the paper checked for
-    /// shared primes and found none; our fleet must also have none).
+    /// Generates a key reusing a known prime `shared_p`. The population
+    /// plants weak key pairs this way (its shared-prime hosts), so that
+    /// the batch-GCD check the paper ran, and found nothing with, has
+    /// something to find; tests use it the same way.
     pub fn generate_with_shared_prime<R: Rng + ?Sized>(
         rng: &mut R,
         shared_p: &BigUint,

@@ -6,7 +6,9 @@
 //! * `sqr` vs. `mul(self, self)`;
 //! * Montgomery `mod_pow` vs. the legacy square-and-multiply
 //!   `mod_pow_legacy` (odd moduli), plus the documented fallback for
-//!   even moduli;
+//!   even moduli, on both kernels (fixed-width up to 4 limbs, `Vec`
+//!   above) and across every sliding-window width;
+//! * Knuth division against the identity `q·v + r = u`, `r < v`;
 //! * edge cases: zero, one, modulus − 1, and single-limb extremes.
 
 use rand::rngs::StdRng;
@@ -103,6 +105,107 @@ fn montgomery_mod_pow_matches_legacy_on_odd_moduli() {
             base.mod_pow_legacy(&exponent, &modulus),
             "iteration {i}: {base}^{exponent} mod {modulus}"
         );
+    }
+}
+
+#[test]
+fn mod_pow_matches_legacy_at_every_limb_count() {
+    // 1 to 4 limbs run on the fixed-width kernel, 5 on the `Vec` one.
+    // Each width gets moduli at its top-limb extremes (top limb 1 and
+    // all ones) and random ones; exponents 0, 1 and 2, and random ones
+    // of every length around the window-width boundaries (23/24, 79/80,
+    // 239/240 and 671/672 bits).
+    let mut rng = StdRng::seed_from_u64(0x6c69_6d62);
+    let one = BigUint::one();
+    let mut exponents: Vec<BigUint> = (0..3).map(BigUint::from_u64).collect();
+    for boundary in [23usize, 79, 239, 671] {
+        for bits in boundary - 1..=boundary + 2 {
+            exponents.push(BigUint::random_bits(&mut rng, bits));
+        }
+    }
+    for limbs in 1..=5usize {
+        let top_one = one.shl(64 * (limbs - 1));
+        let low = BigUint::random_below(&mut rng, &top_one).add(&top_one);
+        let high = one.shl(64 * limbs).sub(&one);
+        let mut moduli = vec![low, high];
+        moduli.extend((0..2).map(|_| BigUint::random_bits(&mut rng, 64 * limbs)));
+        for modulus in moduli {
+            let modulus = if modulus.is_even() {
+                modulus.add(&one)
+            } else {
+                modulus
+            };
+            if modulus.is_one() {
+                continue;
+            }
+            let ctx = Montgomery::new(&modulus).expect("odd modulus");
+            let base = BigUint::random_below(&mut rng, &modulus);
+            for e in &exponents {
+                let reference = base.mod_pow_legacy(e, &modulus);
+                assert_eq!(
+                    base.mod_pow(e, &modulus),
+                    reference,
+                    "{base}^{e} mod {modulus}"
+                );
+                assert_eq!(
+                    ctx.pow(&base, e),
+                    reference,
+                    "{base}^{e} mod {modulus} (context)"
+                );
+            }
+        }
+    }
+}
+
+/// A limb drawn from values that stress carries and quotient estimates
+/// half of the time, and uniformly otherwise.
+fn edgy_limb(rng: &mut StdRng) -> u64 {
+    const EDGES: [u64; 6] = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
+    if rng.gen_bool(0.5) {
+        EDGES[rng.gen_range(0..EDGES.len())]
+    } else {
+        rng.gen()
+    }
+}
+
+/// The value of little-endian `limbs`.
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    let bytes: Vec<u8> = limbs.iter().rev().flat_map(|l| l.to_be_bytes()).collect();
+    BigUint::from_bytes_be(&bytes)
+}
+
+#[test]
+fn div_rem_satisfies_the_division_identity() {
+    // Mixed widths up to 200 limbs, checked against the identity, which
+    // uses only multiply and add, not the division under test. Edge-valued
+    // limbs drive Knuth's quotient estimate into its correction branch.
+    // Every fourth pair has the add-back shape: the divisor's top limbs
+    // are 2⁶³ and 0 above a nonzero tail, and the dividend's window at the
+    // first step is 2⁶³−1, 2⁶³ over zeros. The first quotient estimate,
+    // 2⁶⁴−1, survives the two-limb test and then overshoots by the tail.
+    let mut rng = StdRng::seed_from_u64(0x6469_7672);
+    for i in 0..1500 {
+        let vlimbs = rng.gen_range(1..120usize);
+        let ulimbs = rng.gen_range(1..201usize);
+        let (u, v) = if i % 4 == 0 && vlimbs >= 3 {
+            let mut v: Vec<u64> = (0..vlimbs - 2).map(|_| edgy_limb(&mut rng)).collect();
+            v[0] |= 1;
+            v.extend([0, 1 << 63]);
+            let mut u: Vec<u64> = (0..ulimbs).map(|_| edgy_limb(&mut rng)).collect();
+            u.extend(std::iter::repeat_n(0, vlimbs - 1));
+            u.extend([1 << 63, (1 << 63) - 1]);
+            (from_limbs(&u), from_limbs(&v))
+        } else {
+            let u: Vec<u64> = (0..ulimbs).map(|_| edgy_limb(&mut rng)).collect();
+            let v: Vec<u64> = (0..vlimbs).map(|_| edgy_limb(&mut rng)).collect();
+            (from_limbs(&u), from_limbs(&v))
+        };
+        if v.is_zero() {
+            continue;
+        }
+        let (q, r) = u.div_rem(&v);
+        assert!(r < v, "iteration {i}: remainder not below divisor");
+        assert_eq!(q.mul(&v).add(&r), u, "iteration {i}: {u} / {v}");
     }
 }
 

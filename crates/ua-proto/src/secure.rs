@@ -12,8 +12,7 @@
 //! * **Symmetric** (`MSG`/`CLO` chunks): HMAC + AES-CBC with keys derived
 //!   from the exchanged nonces via `P_SHA`.
 //!
-//! Deviation from the spec, recorded in DESIGN.md: padding for encrypted
-//! chunks uses the cipher layer's PKCS#7 instead of OPC UA's explicit
+//! Deviation from the spec: padding for encrypted chunks uses the cipher layer's PKCS#7 instead of OPC UA's explicit
 //! `PaddingSize` scheme. The byte layout is otherwise faithful.
 
 use ua_crypto::{cbc_decrypt, cbc_encrypt, hmac, p_sha, Certificate, HashAlgorithm, RsaPrivateKey};

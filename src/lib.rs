@@ -155,11 +155,13 @@
 //!   and emits the report; `assess()` is the batch wrapper. Streaming
 //!   consumers never buffer records.
 //! * **Campaign-scale crypto** — `ua-crypto` runs Karatsuba
-//!   multiplication above 32 limbs, a dedicated squaring path, and
-//!   Montgomery-form 4-bit-windowed `mod_pow` (zero divisions per
-//!   step; the pre-PR square-and-multiply survives as
-//!   `mod_pow_legacy` for even moduli and as the randomized tests'
-//!   reference). The scanner
+//!   multiplication above 32 limbs and Montgomery-form sliding-window
+//!   `mod_pow` (zero divisions per step, on stack arrays for moduli of
+//!   up to 256 bits; the square-and-multiply with a division per step
+//!   survives as `mod_pow_legacy` for even moduli and as the randomized
+//!   tests' reference). Miller–Rabin shares one Montgomery context per
+//!   candidate, and batch GCD descends a remainder tree of sibling
+//!   products. The scanner
 //!   interns certificates campaign-wide (`ua_crypto::CertStore`):
 //!   a certificate served by N hosts is parsed, thumbprinted, and
 //!   self-signature-checked once, the assessor folds over the shared
