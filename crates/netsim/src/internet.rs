@@ -91,87 +91,14 @@ impl std::error::Error for ConnectError {}
 /// the virtual cost [`Internet::connect`] charges on [`ConnectError::NoRoute`].
 pub const SYN_TIMEOUT_MICROS: u64 = 1_000_000;
 
-/// Fallback latency hint for hosts the resolver knows but the bound
-/// table has never seen: their true RTT is decided at materialization,
-/// so a non-blocking poll can only guess. Scheduling-only — the hint
-/// never reaches a record.
-const DEFAULT_RTT_HINT_MICROS: u64 = 10_000;
-
-/// The *predicted* outcome of a connect, answered without blocking,
-/// without advancing any clock, and without materializing lazy hosts.
-///
-/// This is the non-blocking half of the event-loop engine's SYN stage:
-/// [`Internet::poll_connect`] tells the scheduler what a
-/// [`Internet::connect`] to the same `(addr, port)` *will* do and
-/// roughly when, so a timer can be armed for the completion; the
-/// blocking [`Internet::connect`] on the probe's private clock fork
-/// remains the completion path that actually pays the latency (and, for
-/// lazy worlds, materializes the host). Because the hint only schedules
-/// engine wake-ups — never record contents — an imprecise hint for an
-/// unmaterialized host cannot break byte-identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectPoll {
-    /// A listener accepts: the handshake will complete after one RTT.
-    /// `rtt_micros` is `None` when only the lazy resolver knows the host
-    /// (its RTT is fixed at materialization time).
-    Listening {
-        /// Round-trip time, if the host is already bound.
-        rtt_micros: Option<u32>,
-    },
-    /// The host is up but nothing listens on the port: RST after one RTT.
-    Refused {
-        /// Round-trip time, if the host is already bound.
-        rtt_micros: Option<u32>,
-    },
-    /// Nothing answers at the address: SYN timeout.
-    NoRoute {
-        /// How long the scanner will wait before giving up.
-        timeout_micros: u64,
-    },
-    /// A rate-limiting firewall will eat the SYN: no stream, only the
-    /// penalty wait ([`ConnectError::Throttled`]).
-    Throttled {
-        /// Virtual microseconds the penalty costs the scanner.
-        penalty_micros: u64,
-    },
-    /// A silent tarpit will accept and then stall
-    /// ([`ConnectError::Stalled`]).
-    Stalled {
-        /// Virtual microseconds until the scanner gives up on the
-        /// stalled connection (RTT plus the stall budget).
-        micros: u64,
-    },
-}
-
-impl ConnectPoll {
-    /// True if a blocking connect would succeed.
-    pub fn will_accept(&self) -> bool {
-        matches!(self, ConnectPoll::Listening { .. })
-    }
-
-    /// How many virtual microseconds until the connect attempt resolves
-    /// (handshake completes, RST arrives, the SYN times out, or a fault
-    /// burns its budget). Used by the event loop to arm completion
-    /// timers.
-    pub fn latency_hint_micros(&self) -> u64 {
-        match self {
-            ConnectPoll::Listening { rtt_micros } | ConnectPoll::Refused { rtt_micros } => {
-                rtt_micros.map_or(DEFAULT_RTT_HINT_MICROS, u64::from)
-            }
-            ConnectPoll::NoRoute { timeout_micros } => *timeout_micros,
-            ConnectPoll::Throttled { penalty_micros } => *penalty_micros,
-            ConnectPoll::Stalled { micros } => *micros,
-        }
-    }
-}
-
 struct HostEntry {
     services: HashMap<u16, Arc<dyn Service>>,
     rtt_micros: u32,
 }
 
-/// What a SYN to one `(addr, port)` finds at a host the bound table does
-/// not hold: a [`HostResolver`]'s answer, one per address of a batch.
+/// What a SYN to one `(addr, port)` finds: the answer of the sweep's
+/// batched SYN, and of a [`HostResolver`] for the hosts the bound table
+/// does not hold, one per address of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortState {
     /// No host at the address: the SYN times out.
@@ -329,11 +256,6 @@ impl Internet {
         self.registry_read().as_number(addr)
     }
 
-    /// Runs `f` with read access to the AS registry.
-    pub fn with_registry<T>(&self, f: impl FnOnce(&AsRegistry) -> T) -> T {
-        f(&self.registry_read())
-    }
-
     /// Adds (or replaces) a host with the given round-trip time.
     pub fn add_host(&self, addr: Ipv4, rtt_micros: u32) {
         self.hosts_write().insert(
@@ -400,46 +322,38 @@ impl Internet {
     /// from its service table, any other from the resolver, and the SYN
     /// itself never materializes anything.
     pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
-        self.syn_one(addr, port).will_accept()
+        let mut state = [PortState::NoHost];
+        self.syn_batch(port, &[addr], &mut state);
+        state[0] == PortState::Open
     }
 
     /// SYN-probes `port` on at most [`SWEEP_BATCH`] addresses in one
-    /// pass, writing what a fault-free connect to `addrs[i]` would do to
-    /// `polls[i]` (the slices have equal length): never
-    /// [`ConnectPoll::Throttled`] or [`ConnectPoll::Stalled`].
+    /// pass, writing what `addrs[i]` answers to `states[i]` (the slices
+    /// have equal length). Middlebox faults play no part: they strike a
+    /// connect attempt, not the sweep's SYN.
     ///
-    /// A materialized host answers from its bound service table (with
-    /// its RTT). The addresses the table misses go to the lazy resolver
-    /// in one [`HostResolver::syn_batch`] call, after the table lock is
+    /// A materialized host answers from its bound service table. The
+    /// addresses the table misses go to the lazy resolver in one
+    /// [`HostResolver::syn_batch`] call, after the table lock is
     /// released. This is the only place that decides between the two,
-    /// for the sweep's [`crate::SweepCursor`], [`Internet::has_listener`]
-    /// and [`Internet::poll_connect`] alike. No clock cost, no side
-    /// effects.
-    pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], polls: &mut [ConnectPoll]) {
-        assert_eq!(addrs.len(), polls.len(), "one poll slot per address");
+    /// for the sweep's [`crate::SweepCursor`] and
+    /// [`Internet::has_listener`] alike. No clock cost, no side effects.
+    pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
+        assert_eq!(addrs.len(), states.len(), "one state slot per address");
         assert!(addrs.len() <= SWEEP_BATCH, "at most one sweep batch");
-        let no_route = ConnectPoll::NoRoute {
-            timeout_micros: SYN_TIMEOUT_MICROS,
-        };
         // The misses collect on the stack: no allocation per batch.
         let mut misses = [Ipv4(0); SWEEP_BATCH];
         let mut missed = 0;
         {
             let hosts = self.hosts_read();
-            for (&addr, poll) in addrs.iter().zip(polls.iter_mut()) {
-                *poll = match hosts.get(&addr.0) {
-                    Some(host) => {
-                        let rtt_micros = Some(host.rtt_micros);
-                        if host.services.contains_key(&port) {
-                            ConnectPoll::Listening { rtt_micros }
-                        } else {
-                            ConnectPoll::Refused { rtt_micros }
-                        }
-                    }
+            for (&addr, state) in addrs.iter().zip(states.iter_mut()) {
+                *state = match hosts.get(&addr.0) {
+                    Some(host) if host.services.contains_key(&port) => PortState::Open,
+                    Some(_) => PortState::Closed,
                     None => {
                         misses[missed] = addr;
                         missed += 1;
-                        no_route
+                        PortState::NoHost
                     }
                 };
             }
@@ -450,27 +364,16 @@ impl Internet {
         let Some(resolver) = self.resolver() else {
             return;
         };
-        let mut states = [PortState::NoHost; SWEEP_BATCH];
-        resolver.syn_batch(port, &misses[..missed], &mut states[..missed]);
-        // A bound host never answers NoRoute, so the NoRoute slots are
+        let mut answers = [PortState::NoHost; SWEEP_BATCH];
+        resolver.syn_batch(port, &misses[..missed], &mut answers[..missed]);
+        // A bound host never answers NoHost, so the NoHost slots are
         // exactly the misses, in order.
-        let miss_slots = polls.iter_mut().filter(|poll| **poll == no_route);
-        for (poll, state) in miss_slots.zip(&states[..missed]) {
-            *poll = match state {
-                PortState::NoHost => no_route,
-                PortState::Closed => ConnectPoll::Refused { rtt_micros: None },
-                PortState::Open => ConnectPoll::Listening { rtt_micros: None },
-            };
+        let miss_slots = states
+            .iter_mut()
+            .filter(|state| **state == PortState::NoHost);
+        for (state, answer) in miss_slots.zip(&answers[..missed]) {
+            *state = *answer;
         }
-    }
-
-    /// `syn_batch` for a single address.
-    fn syn_one(&self, addr: Ipv4, port: u16) -> ConnectPoll {
-        let mut poll = [ConnectPoll::NoRoute {
-            timeout_micros: SYN_TIMEOUT_MICROS,
-        }];
-        self.syn_batch(port, &[addr], &mut poll);
-        poll[0]
     }
 
     /// Number of *bound* hosts (lazy worlds: materialized so far).
@@ -484,47 +387,6 @@ impl Internet {
         let mut v: Vec<Ipv4> = self.hosts_read().keys().map(|&ip| Ipv4(ip)).collect();
         v.sort();
         v
-    }
-
-    /// Predicts what [`Internet::connect`] to `(to, port)` would do,
-    /// without blocking, clock cost, or side effects.
-    ///
-    /// Mirrors `connect`'s decision tree — bound table first, then the
-    /// lazy resolver, decided by the sweep's batched SYN — but never
-    /// materializes a host and never touches the clock: it is safe to
-    /// call once per admitted probe from the event loop. See
-    /// [`ConnectPoll`] for how the answer (and its latency hint) is
-    /// meant to be used.
-    pub fn poll_connect(&self, to: Ipv4, port: u16) -> ConnectPoll {
-        let base = self.syn_one(to, port);
-        if matches!(base, ConnectPoll::NoRoute { .. }) {
-            return base;
-        }
-        // Routable: overlay the first attempt's middlebox fate, exactly
-        // as the blocking `connect` (attempt 0) will resolve it.
-        let profile = self.profile_of(to);
-        if profile.is_polite() {
-            return base;
-        }
-        match profile.connect_fate(0) {
-            ConnectFate::Deliver => base,
-            ConnectFate::SynLost => ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS,
-            },
-            ConnectFate::Throttled { penalty_micros } => ConnectPoll::Throttled { penalty_micros },
-            ConnectFate::Tarpit(tarpit) => match base {
-                // A silent tarpit (no dribble) fails the connect after
-                // RTT + stall; a dribbling one hands out a stream like
-                // any listener — it just never says anything useful.
-                ConnectPoll::Listening { rtt_micros } if tarpit.dribble_bytes == 0 => {
-                    ConnectPoll::Stalled {
-                        micros: rtt_micros.map_or(DEFAULT_RTT_HINT_MICROS, u64::from)
-                            + tarpit.stall_micros,
-                    }
-                }
-                other => other,
-            },
-        }
     }
 
     /// Route resolution, the fault-free half of a connect: what the
@@ -747,6 +609,13 @@ mod tests {
         let before = clock.now_micros();
         let _ = net.connect(Ipv4::new(1, 1, 1, 1), ip, 4840).unwrap();
         assert!(clock.now_micros() >= before + 50_000);
+        // A closed port costs exactly the RTT its RST takes.
+        let before = clock.now_micros();
+        assert_eq!(
+            net.connect(Ipv4::new(1, 1, 1, 1), ip, 80).err(),
+            Some(ConnectError::Refused)
+        );
+        assert_eq!(clock.now_micros() - before, 50_000);
     }
 
     #[test]
@@ -834,117 +703,6 @@ mod tests {
             net.connect(Ipv4::new(1, 1, 1, 1), Ipv4::new(10, 9, 9, 8), 4840)
                 .err(),
             Some(ConnectError::NoRoute)
-        );
-    }
-
-    #[test]
-    fn poll_connect_predicts_connect_without_side_effects() {
-        let clock = VirtualClock::starting_at(0);
-        let net = Internet::new(clock.clone());
-        let ip = Ipv4::new(198, 51, 100, 7);
-        net.add_host(ip, 12_000);
-        net.bind(ip, 4840, Arc::new(Echo));
-        let from = Ipv4::new(1, 1, 1, 1);
-
-        // Listening: hint equals the RTT the blocking connect charges.
-        let poll = net.poll_connect(ip, 4840);
-        assert_eq!(
-            poll,
-            ConnectPoll::Listening {
-                rtt_micros: Some(12_000)
-            }
-        );
-        assert!(poll.will_accept());
-        let before = clock.now_micros();
-        let stream = net.connect(from, ip, 4840).unwrap();
-        assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
-        assert_eq!(u64::from(stream.rtt_micros()), poll.latency_hint_micros());
-
-        // Refused: same RTT, RST path.
-        let poll = net.poll_connect(ip, 80);
-        assert_eq!(
-            poll,
-            ConnectPoll::Refused {
-                rtt_micros: Some(12_000)
-            }
-        );
-        let before = clock.now_micros();
-        assert_eq!(net.connect(from, ip, 80).err(), Some(ConnectError::Refused));
-        assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
-
-        // NoRoute: hint equals the SYN timeout the blocking path pays.
-        let ghost = Ipv4::new(9, 9, 9, 9);
-        let poll = net.poll_connect(ghost, 4840);
-        assert_eq!(
-            poll,
-            ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS
-            }
-        );
-        let before = clock.now_micros();
-        assert_eq!(
-            net.connect(from, ghost, 4840).err(),
-            Some(ConnectError::NoRoute)
-        );
-        assert_eq!(clock.now_micros() - before, SYN_TIMEOUT_MICROS);
-
-        // Polling never advanced the clock itself.
-        let before = clock.now_micros();
-        let _ = net.poll_connect(ip, 4840);
-        assert_eq!(clock.now_micros(), before);
-    }
-
-    #[test]
-    fn poll_connect_answers_from_resolver_without_materializing() {
-        struct LazyEcho {
-            target: Ipv4,
-        }
-        impl HostResolver for LazyEcho {
-            fn host_exists(&self, addr: Ipv4) -> bool {
-                addr == self.target
-            }
-            fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
-                for (addr, state) in addrs.iter().zip(states) {
-                    *state = match (*addr == self.target, port == 4840) {
-                        (false, _) => PortState::NoHost,
-                        (true, false) => PortState::Closed,
-                        (true, true) => PortState::Open,
-                    };
-                }
-            }
-            fn materialize(&self, net: &Internet, addr: Ipv4) {
-                net.install_host(
-                    addr,
-                    5_000,
-                    vec![(4840, Arc::new(Echo) as Arc<dyn Service>)],
-                );
-            }
-        }
-        let net = Internet::new(VirtualClock::starting_at(0));
-        let target = Ipv4::new(10, 9, 9, 9);
-        net.set_resolver(Arc::new(LazyEcho { target }));
-
-        // Known to the resolver, not yet bound: Listening, RTT unknown,
-        // and *nothing* materializes.
-        assert_eq!(
-            net.poll_connect(target, 4840),
-            ConnectPoll::Listening { rtt_micros: None }
-        );
-        assert_eq!(
-            net.poll_connect(target, 80),
-            ConnectPoll::Refused { rtt_micros: None }
-        );
-        assert_eq!(net.host_count(), 0);
-        // The unknown-RTT hint still schedules something sensible.
-        assert!(net.poll_connect(target, 4840).latency_hint_micros() > 0);
-
-        // After first contact the bound table answers with the real RTT.
-        let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
-        assert_eq!(
-            net.poll_connect(target, 4840),
-            ConnectPoll::Listening {
-                rtt_micros: Some(5_000)
-            }
         );
     }
 
@@ -1075,86 +833,6 @@ mod tests {
             Some(ConnectError::NoRoute)
         );
         assert_eq!(clock.now_micros() - before, SYN_TIMEOUT_MICROS);
-    }
-
-    #[test]
-    fn poll_connect_predicts_faulted_connects() {
-        use crate::faults::{FirewallProfile, NetProfile, StaticProfiles, TarpitProfile};
-        let clock = VirtualClock::starting_at(0);
-        let net = Internet::new(clock.clone());
-        let from = Ipv4::new(1, 1, 1, 1);
-        let rtt = 10_000_u32;
-        let throttled = Ipv4::new(10, 1, 0, 1);
-        let silent_tarpit = Ipv4::new(10, 1, 0, 2);
-        let lossy = Ipv4::new(10, 1, 0, 3);
-        for ip in [throttled, silent_tarpit, lossy] {
-            net.add_host(ip, rtt);
-            net.bind(ip, 4840, Arc::new(Echo));
-        }
-        let stall = 5_000_000_u64;
-        let penalty = 2_000_000_u64;
-        let profiles = StaticProfiles::new()
-            .with(
-                throttled,
-                NetProfile {
-                    firewall: Some(FirewallProfile {
-                        strikes: 1,
-                        penalty_micros: penalty,
-                    }),
-                    ..NetProfile::polite()
-                },
-            )
-            .with(
-                silent_tarpit,
-                NetProfile {
-                    tarpit: Some(TarpitProfile {
-                        stall_micros: stall,
-                        dribble_bytes: 0,
-                    }),
-                    ..NetProfile::polite()
-                },
-            )
-            .with(
-                lossy,
-                NetProfile {
-                    fault_seed: 7,
-                    syn_loss_permille: 1000,
-                    ..NetProfile::polite()
-                },
-            );
-        net.set_profiles(Arc::new(profiles));
-
-        // Each poll's hint equals the blocking attempt-0 cost, and the
-        // poll itself never advances the clock.
-        for (ip, want) in [
-            (
-                throttled,
-                ConnectPoll::Throttled {
-                    penalty_micros: penalty,
-                },
-            ),
-            (
-                silent_tarpit,
-                ConnectPoll::Stalled {
-                    micros: u64::from(rtt) + stall,
-                },
-            ),
-            (
-                lossy,
-                ConnectPoll::NoRoute {
-                    timeout_micros: SYN_TIMEOUT_MICROS,
-                },
-            ),
-        ] {
-            let before = clock.now_micros();
-            let poll = net.poll_connect(ip, 4840);
-            assert_eq!(clock.now_micros(), before);
-            assert_eq!(poll, want);
-            assert!(!poll.will_accept());
-            let before = clock.now_micros();
-            assert!(net.connect_attempt(from, ip, 4840, 0).is_err());
-            assert_eq!(clock.now_micros() - before, poll.latency_hint_micros());
-        }
     }
 
     #[test]

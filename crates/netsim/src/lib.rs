@@ -36,8 +36,8 @@ pub use faults::{
     TarpitProfile,
 };
 pub use internet::{
-    ConnectError, ConnectPoll, Connection, ConnectionOutput, HostResolver, Internet, PortState,
-    Service, SYN_TIMEOUT_MICROS,
+    ConnectError, Connection, ConnectionOutput, HostResolver, Internet, PortState, Service,
+    SYN_TIMEOUT_MICROS,
 };
 pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};
 pub use sweep::{

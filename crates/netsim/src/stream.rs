@@ -109,14 +109,6 @@ impl TcpStreamSim {
         self.stats
     }
 
-    /// The connection's round-trip time — the latency every
-    /// request/response pair on this stream pays. Lets the event-loop
-    /// scheduler cross-check [`crate::ConnectPoll`] hints against the
-    /// stream the blocking connect actually produced.
-    pub fn rtt_micros(&self) -> u32 {
-        self.rtt_micros
-    }
-
     /// Virtual milliseconds since the connection opened.
     pub fn age_millis(&self) -> u64 {
         (self.clock.now_micros() - self.stats.opened_at_micros) / 1000

@@ -17,7 +17,7 @@
 //! [`SweepStats`] cannot drift apart.
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
-use crate::internet::{ConnectPoll, Internet, SYN_TIMEOUT_MICROS};
+use crate::internet::{Internet, PortState};
 use rand::Rng;
 
 /// The zmap prime: smallest prime larger than 2³².
@@ -366,7 +366,7 @@ pub struct SweepCursor<'a> {
     /// yielded.
     steps: Vec<u64>,
     addrs: Vec<Ipv4>,
-    polls: Vec<ConnectPoll>,
+    states: Vec<PortState>,
     next: usize,
 }
 
@@ -386,7 +386,7 @@ impl<'a> SweepCursor<'a> {
             stats: SweepStats::default(),
             steps: Vec::with_capacity(SWEEP_BATCH),
             addrs: Vec::with_capacity(SWEEP_BATCH),
-            polls: Vec::with_capacity(SWEEP_BATCH),
+            states: Vec::with_capacity(SWEEP_BATCH),
             next: 0,
         }
     }
@@ -416,17 +416,12 @@ impl<'a> SweepCursor<'a> {
             return false;
         }
         self.stats.probes_sent += self.addrs.len() as u64;
-        self.polls.resize(
-            self.addrs.len(),
-            ConnectPoll::NoRoute {
-                timeout_micros: SYN_TIMEOUT_MICROS,
-            },
-        );
+        self.states.resize(self.addrs.len(), PortState::NoHost);
         self.internet
-            .syn_batch(self.port, &self.addrs, &mut self.polls);
+            .syn_batch(self.port, &self.addrs, &mut self.states);
         let mut kept = 0;
         for i in 0..self.addrs.len() {
-            if self.polls[i].will_accept() {
+            if self.states[i] == PortState::Open {
                 self.steps[kept] = self.steps[i];
                 self.addrs[kept] = self.addrs[i];
                 kept += 1;

@@ -329,9 +329,10 @@ impl StrataMix {
 
     /// A mix whose class shares roughly follow the paper's findings:
     /// ~40 % discovery servers; among the actual servers ~26 % offer only
-    /// `None`, ~45 % offer deprecated policies, half allow anonymous
-    /// access, and certificate-hygiene deficits appear in small but
-    /// non-zero numbers.
+    /// `None`, about a third offer deprecated policies (32 % of the
+    /// non-discovery servers at `paper_like(300)`, below the paper's
+    /// 45 %), half allow anonymous access, and certificate-hygiene
+    /// deficits appear in small but non-zero numbers.
     ///
     /// `total` is clamped to a minimum of 30 so every stratum is
     /// represented at least once — check [`StrataMix::total`] on the

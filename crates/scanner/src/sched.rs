@@ -8,10 +8,13 @@
 //! * every admitted target gets a private [`VirtualClock`] fork of the
 //!   campaign epoch, so record contents are a pure function of
 //!   `(host, port, seed, epoch)` and never of probe order;
-//! * stage transitions are timers on a min-heap keyed by the virtual
-//!   time each stage consumed on its fork, so firing order is the order
-//!   a real event loop would observe completions; timers sharing a
-//!   deadline fire as one batch in arming order;
+//! * a target's first stage is armed at admission, at the minimum
+//!   delay: nothing about its connect is predicted, because the stage
+//!   pays the connect's cost on its own fork;
+//! * later stage transitions are timers on a min-heap keyed by the
+//!   virtual time each stage consumed on its fork, so firing order is
+//!   the order a real event loop would observe completions; timers
+//!   sharing a deadline fire as one batch in arming order;
 //! * admitted targets wait in an admission-ordered window, and records
 //!   leave from its front, so they leave strictly in admission order;
 //!   admission stalls once [`crate::ScanConfig::max_in_flight`] targets
@@ -603,6 +606,9 @@ impl<'a> EventLoop<'a> {
         self.free.clear();
     }
 
+    /// Admits `job` at the window's back. A dead referral target is
+    /// resolved on the spot; a listening one becomes a flight whose
+    /// first stage is armed now, at the minimum delay.
     fn admit(&mut self, job: Job) {
         let index = self.stats.admitted;
         self.stats.admitted += 1;
@@ -627,10 +633,6 @@ impl<'a> EventLoop<'a> {
             return;
         }
 
-        let hint = env
-            .internet
-            .poll_connect(job.addr, job.port)
-            .latency_hint_micros();
         let clock = env.epoch.fork();
         let net = env.internet.with_clock(clock.clone());
         let mut record = ScanRecord::for_target(
@@ -665,7 +667,10 @@ impl<'a> EventLoop<'a> {
                 self.slots.len() - 1
             }
         };
-        self.timers.arm(hint, slot);
+        // The first stage is armed at the minimum delay: nothing is
+        // predicted, because that stage's fork clock pays the connect's
+        // RTT, timeout or fault cost, and the next timer is delayed by it.
+        self.timers.arm(0, slot);
         self.stats.timers_scheduled += 1;
     }
 

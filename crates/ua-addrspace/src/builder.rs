@@ -9,10 +9,13 @@ use crate::node::{Node, NodeAccess};
 use crate::space::AddressSpace;
 use ua_types::{NodeId, QualifiedName, Variant};
 
+/// Namespace index of every node the builder adds: the first extra
+/// namespace.
+const NAMESPACE: u16 = 1;
+
 /// Builds an [`AddressSpace`] incrementally.
 pub struct SpaceBuilder {
     space: AddressSpace,
-    namespace: u16,
 }
 
 impl SpaceBuilder {
@@ -26,23 +29,16 @@ impl SpaceBuilder {
         );
         SpaceBuilder {
             space: AddressSpace::new(extra_namespaces, software_version),
-            namespace: 1,
         }
-    }
-
-    /// Switches the namespace index for subsequently added nodes.
-    pub fn in_namespace(mut self, index: u16) -> Self {
-        self.namespace = index;
-        self
     }
 
     /// Adds a folder under `parent` (or Objects when `None`), returning
     /// its id.
     pub fn folder(&mut self, parent: Option<&NodeId>, name: &str) -> NodeId {
-        let id = NodeId::string(self.namespace, name);
+        let id = NodeId::string(NAMESPACE, name);
         self.space.insert(Node::object(
             id.clone(),
-            QualifiedName::new(self.namespace, name),
+            QualifiedName::new(NAMESPACE, name),
             NodeId::numeric(0, ids::TYPE_FOLDER),
         ));
         let parent = parent
@@ -61,10 +57,10 @@ impl SpaceBuilder {
         value: Variant,
         access: NodeAccess,
     ) -> NodeId {
-        let id = NodeId::string(self.namespace, name);
+        let id = NodeId::string(NAMESPACE, name);
         self.space.insert(Node::variable(
             id.clone(),
-            QualifiedName::new(self.namespace, name),
+            QualifiedName::new(NAMESPACE, name),
             value,
             access,
         ));
@@ -75,10 +71,10 @@ impl SpaceBuilder {
 
     /// Adds a method under `parent`.
     pub fn method(&mut self, parent: &NodeId, name: &str, anonymous_executable: bool) -> NodeId {
-        let id = NodeId::string(self.namespace, name);
+        let id = NodeId::string(NAMESPACE, name);
         self.space.insert(Node::method(
             id.clone(),
-            QualifiedName::new(self.namespace, name),
+            QualifiedName::new(NAMESPACE, name),
             anonymous_executable,
         ));
         self.space

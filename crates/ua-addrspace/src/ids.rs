@@ -20,13 +20,9 @@ pub const SERVER_BUILD_INFO: u32 = 2260;
 /// Server_ServerStatus_BuildInfo_SoftwareVersion — the field the paper
 /// watches for software updates across weekly scans (§5.5).
 pub const SERVER_SOFTWARE_VERSION: u32 = 2264;
-/// Server_GetMonitoredItems method (an example of a standard method).
-pub const SERVER_GET_MONITORED_ITEMS: u32 = 11492;
 
 /// Reference type: Organizes.
 pub const REF_ORGANIZES: u32 = 35;
-/// Reference type: HasTypeDefinition.
-pub const REF_HAS_TYPE_DEFINITION: u32 = 40;
 /// Reference type: HasProperty.
 pub const REF_HAS_PROPERTY: u32 = 46;
 /// Reference type: HasComponent.
@@ -36,8 +32,6 @@ pub const REF_HAS_COMPONENT: u32 = 47;
 pub const TYPE_FOLDER: u32 = 61;
 /// Type definition: BaseDataVariableType.
 pub const TYPE_BASE_DATA_VARIABLE: u32 = 63;
-/// Type definition: PropertyType.
-pub const TYPE_PROPERTY: u32 = 68;
 
 /// The standard namespace URI (index 0 on every server).
 pub const NS0_URI: &str = "http://opcfoundation.org/UA/";

@@ -309,22 +309,6 @@ impl AddressSpace {
         StatusCode::GOOD
     }
 
-    /// Count of variable nodes.
-    pub fn variable_count(&self) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.node_class == NodeClass::Variable)
-            .count()
-    }
-
-    /// Count of method nodes.
-    pub fn method_count(&self) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.node_class == NodeClass::Method)
-            .count()
-    }
-
     /// Effective access summary for `user`: (readable variables,
     /// writable variables, executable methods).
     pub fn access_summary(&self, user: &UserClass) -> (usize, usize, usize) {

@@ -5,11 +5,8 @@ use netsim::{ByteStream, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ua_crypto::{Certificate, RsaPrivateKey};
-use ua_proto::chunk::{chunk_message, Reassembler};
-use ua_proto::secure::{
-    derive_keys, open_asymmetric, open_symmetric, policy_crypto, seal_asymmetric, DerivedKeys,
-    SequenceHeader,
-};
+use ua_proto::chunk::SecureChannel;
+use ua_proto::secure::{open_asymmetric, policy_crypto, seal_asymmetric, SequenceHeader};
 use ua_proto::services::*;
 use ua_proto::transport::{FrameReader, Hello, TransportMessage};
 use ua_types::*;
@@ -30,8 +27,6 @@ pub struct ClientConfig {
     /// Delay between consecutive requests to one server, in virtual
     /// milliseconds (the paper used 500 ms).
     pub politeness_delay_millis: u64,
-    /// Payload bytes per outgoing chunk.
-    pub chunk_body: usize,
 }
 
 impl Default for ClientConfig {
@@ -43,23 +38,8 @@ impl Default for ClientConfig {
             certificate: None,
             private_key: None,
             politeness_delay_millis: 500,
-            chunk_body: 8192,
         }
     }
-}
-
-struct Channel {
-    id: u32,
-    token_id: u32,
-    policy: SecurityPolicy,
-    mode: MessageSecurityMode,
-    /// Keys for messages the client sends.
-    local_keys: Option<DerivedKeys>,
-    /// Keys for messages the server sends.
-    remote_keys: Option<DerivedKeys>,
-    next_sequence: u32,
-    next_request_id: u32,
-    reassembler: Reassembler,
 }
 
 struct SessionHandle {
@@ -72,7 +52,10 @@ pub struct UaClient<S: ByteStream> {
     clock: VirtualClock,
     config: ClientConfig,
     rng: StdRng,
-    channel: Option<Channel>,
+    channel: Option<SecureChannel>,
+    /// Request id of the next service request; every `open_channel`
+    /// restarts it at 2, after the `OPN` request's 1.
+    next_request_id: u32,
     session: Option<SessionHandle>,
     requests_sent: u64,
     first_request_done: bool,
@@ -87,6 +70,7 @@ impl<S: ByteStream> UaClient<S> {
             config,
             rng: StdRng::seed_from_u64(seed),
             channel: None,
+            next_request_id: 2,
             session: None,
             requests_sent: 0,
             first_request_done: false,
@@ -128,25 +112,6 @@ impl<S: ByteStream> UaClient<S> {
             .unwrap_or(NodeId::NULL)
     }
 
-    /// Collects all currently available reply bytes into frames.
-    fn drain_frames(&mut self) -> Result<Vec<Vec<u8>>, ClientError> {
-        let mut reader = FrameReader::new();
-        let mut frames = Vec::new();
-        loop {
-            match self.stream.recv() {
-                Ok(Some(bytes)) => reader.push(&bytes),
-                Ok(None) => break,
-                // Peer closed: anything already queued (e.g. a final ERR
-                // before the RST) is still parsed below.
-                Err(netsim::StreamError::Closed) => break,
-            }
-        }
-        while let Some(frame) = reader.next_raw_frame()? {
-            frames.push(frame);
-        }
-        Ok(frames)
-    }
-
     /// UACP handshake: HEL → ACK.
     pub fn handshake(&mut self, endpoint_url: &str) -> Result<(), ClientError> {
         self.politeness_pause();
@@ -155,14 +120,8 @@ impl<S: ByteStream> UaClient<S> {
             ..Hello::default()
         });
         self.stream.send(&hello.encode())?;
-        let frames = self.drain_frames()?;
-        let frame = frames.first().ok_or(ClientError::NoReply)?;
-        match TransportMessage::decode(frame)? {
+        match TransportMessage::decode(&receive(&mut self.stream)?[0])? {
             TransportMessage::Acknowledge(_) => Ok(()),
-            TransportMessage::Error(e) => Err(ClientError::Remote {
-                status: e.error,
-                reason: e.reason,
-            }),
             _ => Err(ClientError::UnexpectedResponse),
         }
     }
@@ -214,18 +173,8 @@ impl<S: ByteStream> UaClient<S> {
         )?;
         self.stream.send(&raw)?;
 
-        let frames = self.drain_frames()?;
-        let frame = frames.first().ok_or(ClientError::NoReply)?;
-        if &frame[0..3] == b"ERR" {
-            return match TransportMessage::decode(frame)? {
-                TransportMessage::Error(e) => Err(ClientError::Remote {
-                    status: e.error,
-                    reason: e.reason,
-                }),
-                _ => Err(ClientError::UnexpectedResponse),
-            };
-        }
-        let opened = open_asymmetric(self.config.private_key.as_ref(), frame)?;
+        let frames = receive(&mut self.stream)?;
+        let opened = open_asymmetric(self.config.private_key.as_ref(), &frames[0])?;
         let response = match ServiceBody::decode_all(&opened.opened.body)? {
             ServiceBody::OpenSecureChannelResponse(r) => r,
             ServiceBody::ServiceFault(f) => {
@@ -234,25 +183,15 @@ impl<S: ByteStream> UaClient<S> {
             _ => return Err(ClientError::UnexpectedResponse),
         };
 
-        let (local_keys, remote_keys) = match (&client_nonce, &response.server_nonce) {
-            (Some(cn), Some(sn)) if policy != SecurityPolicy::None => {
-                // Client keys: P_SHA(secret=serverNonce, seed=clientNonce).
-                (derive_keys(policy, sn, cn), derive_keys(policy, cn, sn))
-            }
-            _ => (None, None),
-        };
-
-        self.channel = Some(Channel {
-            id: response.security_token.channel_id,
-            token_id: response.security_token.token_id,
+        self.channel = Some(SecureChannel::new(
+            response.security_token.channel_id,
+            response.security_token.token_id,
             policy,
             mode,
-            local_keys,
-            remote_keys,
-            next_sequence: 2,
-            next_request_id: 2,
-            reassembler: Reassembler::new(4096, 16 * 1024 * 1024),
-        });
+            client_nonce.as_deref(),
+            response.server_nonce.as_deref(),
+        ));
+        self.next_request_id = 2;
         Ok(())
     }
 
@@ -264,51 +203,15 @@ impl<S: ByteStream> UaClient<S> {
             .channel
             .as_mut()
             .ok_or(ClientError::BadState("no open channel"))?;
-        let request_id = channel.next_request_id;
-        channel.next_request_id += 1;
-        let first_seq = channel.next_sequence;
-        let chunks = chunk_message(
-            channel.policy,
-            channel.mode,
-            channel.local_keys.as_ref(),
-            channel.id,
-            channel.token_id,
-            first_seq,
-            request_id,
-            &body.encode_to_vec(),
-            self.config.chunk_body,
-        )?;
-        channel.next_sequence = first_seq + chunks.len() as u32;
-        let policy = channel.policy;
-        let mode = channel.mode;
-
-        for chunk in &chunks {
-            self.stream.send(chunk)?;
+        let request_id = self.next_request_id;
+        self.next_request_id += 1;
+        // One `send` per chunk: the stream charges latency per segment.
+        for chunk in channel.seal(request_id, &body.encode_to_vec())? {
+            self.stream.send(&chunk)?;
         }
-
-        let frames = self.drain_frames()?;
-        if frames.is_empty() {
-            return Err(ClientError::NoReply);
-        }
-        // ua-lint: allow(panic-hygiene) -- the open-channel check above makes this infallible
-        let channel = self.channel.as_mut().expect("channel still open");
         let mut assembled = None;
-        for frame in &frames {
-            if &frame[0..3] == b"ERR" {
-                return match TransportMessage::decode(frame)? {
-                    TransportMessage::Error(e) => Err(ClientError::Remote {
-                        status: e.error,
-                        reason: e.reason,
-                    }),
-                    _ => Err(ClientError::UnexpectedResponse),
-                };
-            }
-            let opened = open_symmetric(policy, mode, channel.remote_keys.as_ref(), frame)?;
-            if let Some(msg) = channel
-                .reassembler
-                .push(opened.chunk, opened.sequence, &opened.body)
-                .map_err(|_| ClientError::UnexpectedResponse)?
-            {
+        for frame in receive(&mut self.stream)? {
+            if let Some(msg) = channel.open(&frame)? {
                 assembled = Some(msg);
             }
         }
@@ -512,4 +415,37 @@ impl<S: ByteStream> UaClient<S> {
         self.session = None;
         Ok(())
     }
+}
+
+/// Receives the server's reply: every frame it has sent so far, at least
+/// one. An empty reply is [`ClientError::NoReply`], and an `ERR` frame
+/// anywhere in it ends the exchange as [`ClientError::Remote`].
+fn receive<S: ByteStream>(stream: &mut S) -> Result<Vec<Vec<u8>>, ClientError> {
+    let mut reader = FrameReader::new();
+    loop {
+        match stream.recv() {
+            Ok(Some(bytes)) => reader.push(&bytes),
+            Ok(None) => break,
+            // Peer closed: anything already queued (e.g. a final ERR
+            // before the RST) is still parsed below.
+            Err(netsim::StreamError::Closed) => break,
+        }
+    }
+    let mut frames = Vec::new();
+    while let Some(frame) = reader.next_raw_frame()? {
+        frames.push(frame);
+    }
+    if let Some(err) = frames.iter().find(|frame| frame.starts_with(b"ERR")) {
+        return Err(match TransportMessage::decode(err)? {
+            TransportMessage::Error(e) => ClientError::Remote {
+                status: e.error,
+                reason: e.reason,
+            },
+            _ => ClientError::UnexpectedResponse,
+        });
+    }
+    if frames.is_empty() {
+        return Err(ClientError::NoReply);
+    }
+    Ok(frames)
 }

@@ -5,6 +5,7 @@
 //! error type preserves where in the exchange a host failed.
 
 use netsim::StreamError;
+use ua_proto::chunk::OpenError;
 use ua_proto::secure::SecureError;
 use ua_types::{CodecError, StatusCode};
 
@@ -50,6 +51,20 @@ impl From<CodecError> for ClientError {
 impl From<SecureError> for ClientError {
     fn from(e: SecureError) -> Self {
         ClientError::Secure(e)
+    }
+}
+
+/// A reply chunk that fails verification is a secure-channel failure,
+/// as Table 2 counts it; one naming another channel, or one reassembly
+/// refuses, is a malformed reply.
+impl From<OpenError> for ClientError {
+    fn from(e: OpenError) -> Self {
+        match e {
+            OpenError::Secure(e) => ClientError::Secure(e),
+            OpenError::WrongChannel(_) | OpenError::Reassembly(_) => {
+                ClientError::UnexpectedResponse
+            }
+        }
     }
 }
 

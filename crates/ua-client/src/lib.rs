@@ -4,6 +4,11 @@
 //! channels (all six policies), sessions with every identity-token type,
 //! discovery, attribute services, and a budgeted recursive address-space
 //! traversal — everything the paper's zgrab2 module does (§4).
+//!
+//! The client runs the `OPN` exchange itself; the established channel is
+//! a [`ua_proto::SecureChannel`], the same type `ua-server` keeps for
+//! its end, so both ends derive keys, number, chunk and reassemble by
+//! one set of rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -285,6 +290,70 @@ mod tests {
             .call(NodeId::string(1, "Plant"), NodeId::string(1, "AddEndpoint"))
             .unwrap();
         assert_eq!(result.status_code, StatusCode::GOOD);
+    }
+
+    /// A server that opens a `None` channel as id 7 and then answers
+    /// every `MSG` on channel 8.
+    struct StrayChannel;
+
+    impl netsim::Connection for StrayChannel {
+        fn on_data(&mut self, data: &[u8]) -> netsim::ConnectionOutput {
+            use ua_proto::chunk::SecureChannel;
+            use ua_proto::secure::{seal_asymmetric, SequenceHeader};
+            use ua_proto::services::*;
+            use ua_proto::transport::{Acknowledge, TransportMessage};
+            let reply = match &data[..3] {
+                b"HEL" => TransportMessage::Acknowledge(Acknowledge::default()).encode(),
+                b"OPN" => {
+                    let body = ServiceBody::OpenSecureChannelResponse(OpenSecureChannelResponse {
+                        response_header: ResponseHeader::good(1, UaDateTime::NULL),
+                        server_protocol_version: 0,
+                        security_token: ChannelSecurityToken {
+                            channel_id: 7,
+                            token_id: 1,
+                            created_at: UaDateTime::NULL,
+                            revised_lifetime: 3_600_000,
+                        },
+                        server_nonce: None,
+                    });
+                    let seq = SequenceHeader {
+                        sequence_number: 1,
+                        request_id: 1,
+                    };
+                    let mut rng = StdRng::seed_from_u64(0);
+                    let policy = SecurityPolicy::None;
+                    let body = body.encode_to_vec();
+                    seal_asymmetric(&mut rng, policy, None, None, None, 7, seq, &body).unwrap()
+                }
+                _ => {
+                    let body = ServiceBody::GetEndpointsResponse(GetEndpointsResponse {
+                        response_header: ResponseHeader::good(2, UaDateTime::NULL),
+                        endpoints: vec![],
+                    });
+                    let mode = MessageSecurityMode::None;
+                    SecureChannel::new(8, 1, SecurityPolicy::None, mode, None, None)
+                        .seal(2, &body.encode_to_vec())
+                        .unwrap()
+                        .concat()
+                }
+            };
+            netsim::ConnectionOutput::reply(reply)
+        }
+    }
+
+    #[test]
+    fn reply_on_another_channel_rejected() {
+        let clock = VirtualClock::starting_at(0);
+        let stream = netsim::LoopbackStream::new(clock.clone(), Box::new(StrayChannel));
+        let mut client = UaClient::new(stream, clock, ClientConfig::default(), 1);
+        client.handshake(URL).unwrap();
+        client
+            .open_channel(SecurityPolicy::None, MessageSecurityMode::None, None)
+            .unwrap();
+        assert_eq!(
+            client.get_endpoints(URL).unwrap_err(),
+            ClientError::UnexpectedResponse
+        );
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!   [`KARATSUBA_THRESHOLD`] limbs — the product tree of
 //!   [`crate::batch_gcd`](mod@crate::batch_gcd) multiplies thousands of
 //!   moduli into numbers far past the threshold;
-//! * [`BigUint::sqr`] exploits the symmetry of squaring (~1.5× cheaper
-//!   than a general multiply);
 //! * [`BigUint::mod_pow`] runs sliding-window exponentiation in a
 //!   [`Montgomery`] context for odd moduli — zero divisions per step —
 //!   and falls back to the classic square-and-multiply
@@ -60,17 +58,6 @@ impl BigUint {
         } else {
             BigUint { limbs: vec![v] }
         }
-    }
-
-    /// Builds from a `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut out = BigUint {
-            limbs: vec![lo, hi],
-        };
-        out.normalize();
-        out
     }
 
     /// Builds from big-endian bytes (leading zeros allowed).
@@ -261,21 +248,6 @@ impl BigUint {
         }
         let mut r = BigUint {
             limbs: schoolbook_mul(&self.limbs, &other.limbs),
-        };
-        r.normalize();
-        r
-    }
-
-    /// `self * self`, exploiting the symmetry of squaring: the cross
-    /// products `aᵢ·aⱼ` (i≠j) are computed once and doubled, roughly
-    /// 1.5× cheaper than `self.mul(self)`. Karatsuba-split above the
-    /// threshold like [`Self::mul`].
-    pub fn sqr(&self) -> BigUint {
-        if self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut r = BigUint {
-            limbs: sqr_limbs(&self.limbs),
         };
         r.normalize();
         r
@@ -682,53 +654,6 @@ fn schoolbook_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Schoolbook square: cross products computed once and doubled, then the
-/// diagonal squares added — ~1.5× cheaper than `schoolbook_mul(a, a)`.
-fn schoolbook_sqr(a: &[u64]) -> Vec<u64> {
-    let n = a.len();
-    let mut out = vec![0u64; 2 * n];
-    // Off-diagonal products a[i]·a[j], i < j.
-    for i in 0..n {
-        if a[i] == 0 {
-            continue;
-        }
-        let mut carry = 0u128;
-        for j in (i + 1)..n {
-            let cur = out[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry;
-            out[i + j] = cur as u64;
-            carry = cur >> 64;
-        }
-        out[i + n] = carry as u64;
-    }
-    // Double them.
-    let carry = shl1_in_place(&mut out);
-    debug_assert_eq!(carry, 0);
-    // Add the diagonal squares.
-    let mut carry = 0u64;
-    for (i, &ai) in a.iter().enumerate() {
-        let sq = (ai as u128) * (ai as u128);
-        let lo = out[2 * i] as u128 + (sq as u64 as u128) + carry as u128;
-        out[2 * i] = lo as u64;
-        let hi = out[2 * i + 1] as u128 + ((sq >> 64) as u64 as u128) + (lo >> 64);
-        out[2 * i + 1] = hi as u64;
-        carry = (hi >> 64) as u64;
-    }
-    debug_assert_eq!(carry, 0);
-    out
-}
-
-/// Shifts the limbs left by one bit in place, returning the bit
-/// carried out of the top.
-fn shl1_in_place(limbs: &mut [u64]) -> u64 {
-    let mut carry = 0u64;
-    for limb in limbs.iter_mut() {
-        let next = *limb >> 63;
-        *limb = (*limb << 1) | carry;
-        carry = next;
-    }
-    carry
-}
-
 /// Limb-wise sum of two slices (lengths may differ).
 fn add_slices(a: &[u64], b: &[u64]) -> Vec<u64> {
     let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
@@ -802,26 +727,6 @@ fn mul_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
     sub_in_place(&mut z1, &z0);
     sub_in_place(&mut z1, &z2);
     let mut out = vec![0u64; a.len() + b.len()];
-    add_at(&mut out, &z0, 0);
-    add_at(&mut out, &z1, split);
-    add_at(&mut out, &z2, 2 * split);
-    out
-}
-
-/// Karatsuba-split squaring; output has exactly `2 * a.len()` limbs.
-fn sqr_limbs(a: &[u64]) -> Vec<u64> {
-    if a.len() < KARATSUBA_THRESHOLD {
-        return schoolbook_sqr(a);
-    }
-    let split = a.len() / 2;
-    let (a0, a1) = a.split_at(split);
-    let z0 = sqr_limbs(a0);
-    let z2 = sqr_limbs(a1);
-    // (a0 + a1·B^s)² = z0 + 2·a0·a1·B^s + z2·B^(2s)
-    let mut z1 = mul_limbs(a0, a1);
-    let carry = shl1_in_place(&mut z1);
-    z1.push(carry);
-    let mut out = vec![0u64; 2 * a.len()];
     add_at(&mut out, &z0, 0);
     add_at(&mut out, &z1, split);
     add_at(&mut out, &z2, 2 * split);

@@ -160,11 +160,6 @@ impl<'a> Reader<'a> {
         self.pos >= self.data.len()
     }
 
-    /// Peeks the next tag without consuming.
-    pub fn peek_tag(&self) -> Option<u8> {
-        self.data.get(self.pos).copied()
-    }
-
     /// Reads the next TLV, returning `(tag, contents)`.
     pub fn any(&mut self) -> Result<(u8, &'a [u8]), DerError> {
         let tag = *self.data.get(self.pos).ok_or(DerError::Truncated)?;

@@ -261,7 +261,6 @@ pub struct CertificateBuilder {
     not_after: i64,
     application_uri: String,
     dns_names: Vec<String>,
-    is_ca: bool,
 }
 
 impl CertificateBuilder {
@@ -274,7 +273,6 @@ impl CertificateBuilder {
             not_after: i64::MAX,
             application_uri: String::new(),
             dns_names: Vec::new(),
-            is_ca: false,
         }
     }
 
@@ -300,12 +298,6 @@ impl CertificateBuilder {
     /// Adds a DNS name to subjectAltName.
     pub fn dns_name(mut self, name: impl Into<String>) -> Self {
         self.dns_names.push(name.into());
-        self
-    }
-
-    /// Marks the certificate as a CA certificate.
-    pub fn ca(mut self, is_ca: bool) -> Self {
-        self.is_ca = is_ca;
         self
     }
 
@@ -343,7 +335,8 @@ impl CertificateBuilder {
             public_key: subject_public.clone(),
             application_uri: self.application_uri,
             dns_names: self.dns_names,
-            is_ca: self.is_ca,
+            // Every certificate the simulation signs is an end entity.
+            is_ca: false,
         };
         let signature = issuer_key.sign(hash, &tbs.encode());
         Certificate { tbs, signature }

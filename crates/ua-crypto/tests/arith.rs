@@ -3,7 +3,6 @@
 //!
 //! * Karatsuba `mul` vs. schoolbook `mul_schoolbook` (widths straddling
 //!   the Karatsuba threshold in both balanced and lopsided shapes);
-//! * `sqr` vs. `mul(self, self)`;
 //! * Montgomery `mod_pow` vs. the legacy square-and-multiply
 //!   `mod_pow_legacy` (odd moduli), plus the documented fallback for
 //!   even moduli, on both kernels (fixed-width up to 4 limbs, `Vec`
@@ -66,18 +65,6 @@ fn karatsuba_handles_lopsided_operands() {
         let b = random_exact(&mut rng, narrow);
         assert_eq!(a.mul(&b), a.mul_schoolbook(&b));
     }
-}
-
-#[test]
-fn sqr_matches_self_multiplication() {
-    let mut rng = StdRng::seed_from_u64(0x7371_7200);
-    for i in 0..1000 {
-        let w = mixed_widths(&mut rng);
-        let a = random_exact(&mut rng, w);
-        assert_eq!(a.sqr(), a.mul(&a), "iteration {i}: {a}²");
-    }
-    assert_eq!(BigUint::zero().sqr(), BigUint::zero());
-    assert_eq!(BigUint::one().sqr(), BigUint::one());
 }
 
 #[test]

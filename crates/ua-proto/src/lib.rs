@@ -10,7 +10,9 @@
 //!   [`services::ServiceBody`] dispatcher;
 //! * [`secure`] — asymmetric (`OPN`, RSA) and symmetric (`MSG`,
 //!   HMAC + AES-CBC) chunk protection with `P_SHA` key derivation;
-//! * [`chunk`] — chunking and bounded reassembly;
+//! * [`chunk`] — [`SecureChannel`], one end of an established channel
+//!   and the one implementation of its rules for client and server:
+//!   key direction, sequence numbers, chunking and bounded reassembly;
 //! * [`uatls`] — the `uat-tls` prologue framing (TLS-wrapped opc.tcp,
 //!   after "Missed Opportunities");
 //! * [`fingerprint`] — the vendor error-taxonomy quirk table the
@@ -29,11 +31,10 @@ pub mod services;
 pub mod transport;
 pub mod uatls;
 
-pub use chunk::{chunk_message, AssembledMessage, Reassembler, ReassemblyError};
+pub use chunk::{AssembledMessage, OpenError, ReassemblyError, SecureChannel};
 pub use secure::{
-    derive_keys, hash_for, open_asymmetric, open_symmetric, policy_crypto, seal_asymmetric,
-    seal_symmetric, AsymmetricSecurityHeader, DerivedKeys, OpenedAsymmetric, OpenedChunk,
-    PolicyCrypto, SecureError, SequenceHeader,
+    hash_for, open_asymmetric, policy_crypto, seal_asymmetric, AsymmetricSecurityHeader,
+    OpenedAsymmetric, OpenedChunk, PolicyCrypto, SecureError, SequenceHeader,
 };
 pub use services::ServiceBody;
 pub use transport::{

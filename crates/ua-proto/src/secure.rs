@@ -10,7 +10,9 @@
 //!   foreign certificates abort (the "Secure Channel" rejections of
 //!   Table 2).
 //! * **Symmetric** (`MSG`/`CLO` chunks): HMAC + AES-CBC with keys derived
-//!   from the exchanged nonces via `P_SHA`.
+//!   from the exchanged nonces via `P_SHA`. Only
+//!   [`crate::chunk::SecureChannel`] derives these keys and seals or
+//!   opens these chunks.
 //!
 //! Deviation from the spec: padding for encrypted chunks uses the cipher layer's PKCS#7 instead of OPC UA's explicit
 //! `PaddingSize` scheme. The byte layout is otherwise faithful.
@@ -133,7 +135,7 @@ pub fn hash_for(policy_hash: PolicyHash) -> HashAlgorithm {
 
 /// One side's symmetric key set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DerivedKeys {
+pub(crate) struct DerivedKeys {
     /// HMAC signing key.
     pub signing: Vec<u8>,
     /// AES encryption key.
@@ -145,7 +147,11 @@ pub struct DerivedKeys {
 /// Derives one side's keys per Part 6 §6.7.5: the *remote* nonce is the
 /// P_SHA secret and the *local* nonce the seed for keys protecting
 /// locally-sent messages.
-pub fn derive_keys(policy: SecurityPolicy, secret: &[u8], seed: &[u8]) -> Option<DerivedKeys> {
+pub(crate) fn derive_keys(
+    policy: SecurityPolicy,
+    secret: &[u8],
+    seed: &[u8],
+) -> Option<DerivedKeys> {
     let params = policy_crypto(policy)?;
     let total = params.sig_key_len + params.enc_key_len + params.iv_len;
     let material = p_sha(params.kdf_hash, secret, seed, total);
@@ -224,7 +230,7 @@ impl UaDecode for AsymmetricSecurityHeader {
 /// with HMAC appended (Sign/SignAndEncrypt) and `seq..` encrypted
 /// (SignAndEncrypt).
 #[allow(clippy::too_many_arguments)]
-pub fn seal_symmetric(
+pub(crate) fn seal_symmetric(
     policy: SecurityPolicy,
     mode: MessageSecurityMode,
     keys: Option<&DerivedKeys>,
@@ -319,7 +325,7 @@ pub struct OpenedChunk {
 }
 
 /// Verifies and decrypts a symmetric chunk produced by [`seal_symmetric`].
-pub fn open_symmetric(
+pub(crate) fn open_symmetric(
     policy: SecurityPolicy,
     mode: MessageSecurityMode,
     keys: Option<&DerivedKeys>,

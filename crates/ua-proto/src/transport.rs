@@ -103,6 +103,9 @@ pub const HEADER_SIZE: usize = 8;
 /// order of magnitude).
 pub const MAX_MESSAGE_SIZE: u32 = 16 * 1024 * 1024;
 
+/// Most chunks we accept for one message, announced in `HEL`/`ACK`.
+pub(crate) const MAX_CHUNK_COUNT: u32 = 4096;
+
 impl MessageHeader {
     /// Encodes the header.
     pub fn encode(&self, w: &mut Encoder) {
@@ -154,7 +157,7 @@ impl Default for Hello {
             receive_buffer_size: 65_536,
             send_buffer_size: 65_536,
             max_message_size: MAX_MESSAGE_SIZE,
-            max_chunk_count: 4096,
+            max_chunk_count: MAX_CHUNK_COUNT,
             endpoint_url: None,
         }
     }
@@ -204,7 +207,7 @@ impl Default for Acknowledge {
             receive_buffer_size: 65_536,
             send_buffer_size: 65_536,
             max_message_size: MAX_MESSAGE_SIZE,
-            max_chunk_count: 4096,
+            max_chunk_count: MAX_CHUNK_COUNT,
         }
     }
 }
@@ -424,17 +427,9 @@ impl FrameReader {
 
     /// Tries to extract the next complete message.
     pub fn next_message(&mut self) -> Result<Option<TransportMessage>, CodecError> {
-        if self.buf.len() < HEADER_SIZE {
-            return Ok(None);
-        }
-        let mut r = Decoder::new(&self.buf);
-        let header = MessageHeader::decode(&mut r)?;
-        let size = header.size as usize;
-        if self.buf.len() < size {
-            return Ok(None);
-        }
-        let frame: Vec<u8> = self.buf.drain(..size).collect();
-        TransportMessage::decode(&frame).map(Some)
+        self.next_raw_frame()?
+            .map(|frame| TransportMessage::decode(&frame))
+            .transpose()
     }
 }
 

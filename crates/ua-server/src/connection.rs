@@ -1,25 +1,19 @@
 //! The per-connection protocol state machine: HEL/ACK, secure-channel
-//! establishment, and secured service exchange.
+//! establishment, and secured service exchange over a
+//! [`SecureChannel`].
 
 use crate::core::{ChannelContext, ServerCore};
 use netsim::{Connection, ConnectionOutput, Ipv4, Service};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use ua_crypto::Certificate;
-use ua_proto::chunk::{chunk_message, Reassembler};
-use ua_proto::secure::{
-    derive_keys, open_asymmetric, open_symmetric, policy_crypto, seal_asymmetric, DerivedKeys,
-    SequenceHeader,
-};
+use ua_proto::chunk::{OpenError, SecureChannel};
+use ua_proto::secure::{open_asymmetric, policy_crypto, seal_asymmetric, SequenceHeader};
 use ua_proto::services::{
     ChannelSecurityToken, OpenSecureChannelResponse, ResponseHeader, ServiceBody,
 };
 use ua_proto::transport::{Acknowledge, ErrorMessage, FrameReader, TransportMessage};
 use ua_types::{MessageSecurityMode, SecurityPolicy, StatusCode, UaDecode, UaEncode};
-
-/// Service payload bytes per outgoing chunk.
-const CHUNK_BODY: usize = 8192;
 
 /// Network-facing OPC UA server: implements [`netsim::Service`].
 pub struct UaServerService {
@@ -51,26 +45,12 @@ impl Service for UaServerService {
     }
 }
 
-struct ChannelState {
-    id: u32,
-    token_id: u32,
-    policy: SecurityPolicy,
-    mode: MessageSecurityMode,
-    /// Keys for messages the *server* sends.
-    local_keys: Option<DerivedKeys>,
-    /// Keys for messages the *client* sends.
-    remote_keys: Option<DerivedKeys>,
-    client_certificate: Option<Certificate>,
-    next_sequence: u32,
-    reassembler: Reassembler,
-}
-
 /// One accepted connection.
 pub struct ServerConnection {
     core: Arc<ServerCore>,
     frames: FrameReader,
     got_hello: bool,
-    channel: Option<ChannelState>,
+    channel: Option<SecureChannel>,
     rng: StdRng,
 }
 
@@ -222,22 +202,16 @@ impl ServerConnection {
             );
         }
 
-        // Nonce handling and key derivation.
-        let (server_nonce, local_keys, remote_keys) = if policy == SecurityPolicy::None {
-            (None, None, None)
-        } else {
-            // ua-lint: allow(panic-hygiene) -- every policy except None has crypto parameters
-            let params = policy_crypto(policy).expect("non-None policy has parameters");
-            let client_nonce = match &request.client_nonce {
-                Some(n) if n.len() == params.nonce_len => n.clone(),
+        // Nonce handling: a secured channel needs a client nonce of the
+        // policy's length, and answers with its own.
+        let server_nonce = match policy_crypto(policy) {
+            None => None,
+            Some(params) => match &request.client_nonce {
+                Some(n) if n.len() == params.nonce_len => {
+                    Some(self.core.random_bytes(params.nonce_len))
+                }
                 _ => return self.transport_error(StatusCode::BAD_NONCE_INVALID, "bad nonce"),
-            };
-            let server_nonce = self.core.random_bytes(params.nonce_len);
-            // Client keys: P_SHA(secret=serverNonce, seed=clientNonce);
-            // server keys: the reverse (Part 6 §6.7.5).
-            let remote = derive_keys(policy, &server_nonce, &client_nonce);
-            let local = derive_keys(policy, &client_nonce, &server_nonce);
-            (Some(server_nonce), local, remote)
+            },
         };
 
         let channel_id = self.core.next_channel_id();
@@ -284,56 +258,42 @@ impl ServerConnection {
             }
         };
 
-        self.channel = Some(ChannelState {
-            id: channel_id,
+        self.channel = Some(SecureChannel::new(
+            channel_id,
             token_id,
             policy,
             mode,
-            local_keys,
-            remote_keys,
-            client_certificate: opened.sender_certificate,
-            next_sequence: 2,
-            reassembler: Reassembler::new(4096, 16 * 1024 * 1024),
-        });
+            server_nonce.as_deref(),
+            request.client_nonce.as_deref(),
+        ));
         FrameResult::Reply(reply)
     }
 
     fn handle_msg(&mut self, frame: &[u8]) -> FrameResult {
-        // Decrypt/verify with the channel's client keys, reassemble,
-        // dispatch, and seal the response with the server keys.
-        let (policy, mode, channel_id) = match &self.channel {
-            Some(c) => (c.policy, c.mode, c.id),
-            None => {
-                return self
-                    .transport_error(StatusCode::BAD_SECURE_CHANNEL_ID_INVALID, "MSG before OPN")
-            }
+        // Open and reassemble on the channel, dispatch, and seal the
+        // response on it.
+        let Some(channel) = self.channel.as_mut() else {
+            return self
+                .transport_error(StatusCode::BAD_SECURE_CHANNEL_ID_INVALID, "MSG before OPN");
         };
-        // ua-lint: allow(panic-hygiene) -- the MSG-before-OPN check above makes this infallible
-        let channel = self.channel.as_mut().expect("checked above");
-        let opened = match open_symmetric(policy, mode, channel.remote_keys.as_ref(), frame) {
-            Ok(o) => o,
-            Err(_) => {
-                return self.transport_error(
-                    StatusCode::BAD_SECURITY_CHECKS_FAILED,
-                    "message security failure",
-                )
-            }
-        };
-        if opened.channel_id != channel_id {
-            return self.transport_error(
-                StatusCode::BAD_SECURE_CHANNEL_ID_INVALID,
-                "wrong channel id",
-            );
-        }
-        let assembled = match channel
-            .reassembler
-            .push(opened.chunk, opened.sequence, &opened.body)
-        {
+        let assembled = match channel.open(frame) {
             Ok(Some(m)) => m,
             Ok(None) => return FrameResult::Silent,
-            Err(_) => {
-                return self
-                    .transport_error(StatusCode::BAD_TCP_MESSAGE_TOO_LARGE, "reassembly failure")
+            Err(e) => {
+                let (status, reason) = match e {
+                    OpenError::Secure(_) => (
+                        StatusCode::BAD_SECURITY_CHECKS_FAILED,
+                        "message security failure",
+                    ),
+                    OpenError::WrongChannel(_) => (
+                        StatusCode::BAD_SECURE_CHANNEL_ID_INVALID,
+                        "wrong channel id",
+                    ),
+                    OpenError::Reassembly(_) => {
+                        (StatusCode::BAD_TCP_MESSAGE_TOO_LARGE, "reassembly failure")
+                    }
+                };
+                return self.transport_error(status, reason);
             }
         };
 
@@ -348,34 +308,14 @@ impl ServerConnection {
         }
 
         let ctx = ChannelContext {
-            policy,
-            mode,
-            client_certificate_der: channel.client_certificate.as_ref().map(|c| c.to_der()),
+            policy: channel.policy(),
+            mode: channel.mode(),
         };
         let response = self.core.handle_service(request, &ctx);
-        let body = response.encode_to_vec();
-
-        // ua-lint: allow(panic-hygiene) -- the channel was checked open at the top of this handler
-        let channel = self.channel.as_mut().expect("still open");
-        let first_seq = channel.next_sequence;
-        let chunks = match chunk_message(
-            policy,
-            mode,
-            channel.local_keys.as_ref(),
-            channel.id,
-            channel.token_id,
-            first_seq,
-            assembled.request_id,
-            &body,
-            CHUNK_BODY,
-        ) {
-            Ok(c) => c,
-            Err(_) => {
-                return self.transport_error(StatusCode::BAD_ENCODING_ERROR, "cannot seal response")
-            }
-        };
-        channel.next_sequence = first_seq + chunks.len() as u32;
-        FrameResult::Reply(chunks.concat())
+        match channel.seal(assembled.request_id, &response.encode_to_vec()) {
+            Ok(chunks) => FrameResult::Reply(chunks.concat()),
+            Err(_) => self.transport_error(StatusCode::BAD_ENCODING_ERROR, "cannot seal response"),
+        }
     }
 
     fn transport_error(&self, status: StatusCode, reason: &str) -> FrameResult {

@@ -27,8 +27,6 @@ pub struct ChannelContext {
     pub policy: SecurityPolicy,
     /// Channel mode.
     pub mode: MessageSecurityMode,
-    /// The client certificate presented during OPN (if any).
-    pub client_certificate_der: Option<Vec<u8>>,
 }
 
 struct Session {
@@ -108,16 +106,6 @@ impl ServerCore {
     fn now(&self) -> UaDateTime {
         // ua-lint: allow(panic-hygiene) -- poisoned clock cell: a handler panicked; propagate it
         UaDateTime::from_unix_seconds(*self.clock_unix_seconds.lock().unwrap())
-    }
-
-    /// Read access to the address space.
-    pub fn with_space<T>(&self, f: impl FnOnce(&AddressSpace) -> T) -> T {
-        f(&self.space_read())
-    }
-
-    /// Write access to the address space (population evolution, writes).
-    pub fn with_space_mut<T>(&self, f: impl FnOnce(&mut AddressSpace) -> T) -> T {
-        f(&mut self.space_write())
     }
 
     /// Allocates a fresh secure-channel id.

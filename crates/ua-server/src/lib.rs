@@ -9,7 +9,8 @@
 //! * [`config::ServerConfig`] — everything an operator can get wrong;
 //! * [`core::ServerCore`] — shared state and service dispatch;
 //! * [`connection`] — the per-connection byte-level state machine
-//!   plugged into [`netsim::Service`];
+//!   plugged into [`netsim::Service`]; its established channel is a
+//!   [`ua_proto::SecureChannel`], the type `ua-client` keeps for its end;
 //! * [`tls`] — the `uat-tls` wrapper planting the TLS-fronted
 //!   deployments of "Missed Opportunities" (expired or absent wrapper
 //!   certificates over an unchanged inner server).
@@ -35,7 +36,8 @@ mod tests {
     use rand::SeedableRng;
     use ua_addrspace::{NodeAccess, SpaceBuilder};
     use ua_crypto::{CertificateBuilder, DistinguishedName, HashAlgorithm, RsaPrivateKey};
-    use ua_proto::secure::{open_asymmetric, open_symmetric, SequenceHeader};
+    use ua_proto::chunk::SecureChannel;
+    use ua_proto::secure::{open_asymmetric, SequenceHeader};
     use ua_proto::services::*;
     use ua_proto::transport::{Hello, TransportMessage};
     use ua_types::*;
@@ -82,8 +84,8 @@ mod tests {
         }
     }
 
-    /// Opens an insecure channel, returning the channel id.
-    fn open_none_channel(stream: &mut LoopbackStream) -> u32 {
+    /// Opens an insecure channel, returning the client's end of it.
+    fn open_none_channel(stream: &mut LoopbackStream) -> SecureChannel {
         let req = ServiceBody::OpenSecureChannelRequest(OpenSecureChannelRequest {
             request_header: RequestHeader::new(NodeId::NULL, 1, UaDateTime::NULL),
             client_protocol_version: 0,
@@ -111,42 +113,30 @@ mod tests {
         let reply = stream.recv().unwrap().unwrap();
         let opened = open_asymmetric(None, &reply).unwrap();
         match ServiceBody::decode_all(&opened.opened.body).unwrap() {
-            ServiceBody::OpenSecureChannelResponse(r) => r.security_token.channel_id,
+            ServiceBody::OpenSecureChannelResponse(r) => SecureChannel::new(
+                r.security_token.channel_id,
+                r.security_token.token_id,
+                SecurityPolicy::None,
+                MessageSecurityMode::None,
+                None,
+                None,
+            ),
             other => panic!("expected OPN response, got {other:?}"),
         }
     }
 
     fn send_service(
         stream: &mut LoopbackStream,
-        channel_id: u32,
-        seq: u32,
+        channel: &mut SecureChannel,
+        request_id: u32,
         body: ServiceBody,
     ) -> ServiceBody {
-        let raw = ua_proto::secure::seal_symmetric(
-            SecurityPolicy::None,
-            MessageSecurityMode::None,
-            None,
-            ua_proto::transport::MessageType::Msg,
-            ua_proto::transport::ChunkKind::Final,
-            channel_id,
-            1,
-            SequenceHeader {
-                sequence_number: seq,
-                request_id: seq,
-            },
-            &body.encode_to_vec(),
-        )
-        .unwrap();
-        stream.send(&raw).unwrap();
+        for chunk in channel.seal(request_id, &body.encode_to_vec()).unwrap() {
+            stream.send(&chunk).unwrap();
+        }
         let reply = stream.recv().unwrap().unwrap();
-        let opened = open_symmetric(
-            SecurityPolicy::None,
-            MessageSecurityMode::None,
-            None,
-            &reply,
-        )
-        .unwrap();
-        ServiceBody::decode_all(&opened.body).unwrap()
+        let message = channel.open(&reply).unwrap().expect("one-chunk reply");
+        ServiceBody::decode_all(&message.body).unwrap()
     }
 
     #[test]
@@ -173,10 +163,10 @@ mod tests {
     fn get_endpoints_over_none_channel() {
         let mut s = wide_open_stream();
         hello(&mut s);
-        let ch = open_none_channel(&mut s);
+        let mut ch = open_none_channel(&mut s);
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             2,
             ServiceBody::GetEndpointsRequest(GetEndpointsRequest {
                 request_header: RequestHeader::new(NodeId::NULL, 2, UaDateTime::NULL),
@@ -202,12 +192,12 @@ mod tests {
     fn anonymous_session_browse_read() {
         let mut s = wide_open_stream();
         hello(&mut s);
-        let ch = open_none_channel(&mut s);
+        let mut ch = open_none_channel(&mut s);
 
         // CreateSession.
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             2,
             ServiceBody::CreateSessionRequest(CreateSessionRequest {
                 request_header: RequestHeader::new(NodeId::NULL, 2, UaDateTime::NULL),
@@ -229,7 +219,7 @@ mod tests {
         // ActivateSession (anonymous).
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             3,
             ServiceBody::ActivateSessionRequest(ActivateSessionRequest {
                 request_header: RequestHeader::new(token.clone(), 3, UaDateTime::NULL),
@@ -247,7 +237,7 @@ mod tests {
         // Browse Objects.
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             4,
             ServiceBody::BrowseRequest(BrowseRequest {
                 request_header: RequestHeader::new(token.clone(), 4, UaDateTime::NULL),
@@ -269,7 +259,7 @@ mod tests {
         // Read the inflow variable.
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             5,
             ServiceBody::ReadRequest(ReadRequest {
                 request_header: RequestHeader::new(token, 5, UaDateTime::NULL),
@@ -298,10 +288,10 @@ mod tests {
         cfg.endpoints.push(EndpointConfig::none());
         let mut s = open_server(cfg);
         hello(&mut s);
-        let ch = open_none_channel(&mut s);
+        let mut ch = open_none_channel(&mut s);
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             2,
             ServiceBody::CreateSessionRequest(CreateSessionRequest {
                 request_header: RequestHeader::new(NodeId::NULL, 2, UaDateTime::NULL),
@@ -321,7 +311,7 @@ mod tests {
         };
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             3,
             ServiceBody::ActivateSessionRequest(ActivateSessionRequest {
                 request_header: RequestHeader::new(token, 3, UaDateTime::NULL),
@@ -347,10 +337,10 @@ mod tests {
     fn browse_requires_activated_session() {
         let mut s = wide_open_stream();
         hello(&mut s);
-        let ch = open_none_channel(&mut s);
+        let mut ch = open_none_channel(&mut s);
         let resp = send_service(
             &mut s,
-            ch,
+            &mut ch,
             2,
             ServiceBody::BrowseRequest(BrowseRequest {
                 request_header: RequestHeader::new(NodeId::NULL, 2, UaDateTime::NULL),
