@@ -328,7 +328,9 @@ impl StrataMix {
     }
 
     /// A mix whose class shares roughly follow the paper's findings:
-    /// ~40 % discovery servers; among the actual servers ~26 % offer only
+    /// about a third discovery servers (34 %: 96 `DiscoveryServer` and
+    /// 6 `ChainedLds` hosts at `paper_like(300)`, 2720 of 8000 at
+    /// `paper_like(8000)`); among the actual servers ~26 % offer only
     /// `None`, about a third offer deprecated policies (32 % of the
     /// non-discovery servers at `paper_like(300)`, below the paper's
     /// 45 %), half allow anonymous access, and certificate-hygiene
@@ -339,7 +341,7 @@ impl StrataMix {
     /// result rather than assuming the requested count.
     pub fn paper_like(total: usize) -> Self {
         let t = total.max(30);
-        let servers = t * 3 / 5; // ~60 % actual servers, rest LDS
+        let servers = t * 3 / 5; // 60 % default-port servers; LDS and hidden ones are the rest
         let wide_open = (servers * 26 / 100).max(1);
         let deprecated = (servers * 18 / 100).max(1);
         let mixed = (servers * 18 / 100).max(1);
@@ -789,15 +791,22 @@ impl SharedSecrets {
 /// redeploys hosts week over week — IP reassignment, certificate
 /// renewal, software upgrades, deficit remediation — without touching
 /// the synthesis logic.
+///
+/// The config and the space are stored once: the server core bound
+/// from this deployment holds the same two `Arc`s, and so does every
+/// clone of it. A change goes through [`Arc::make_mut`], which copies
+/// whatever is still shared, so neither side ever sees the other's
+/// writes: material events change the deployment and rebind, and a
+/// Write served by the core changes only the core's copy.
 #[derive(Clone)]
 pub struct HostDeployment {
     /// What the scanner should find on this host.
     pub truth: HostGroundTruth,
     /// The deployed server configuration (endpoints, tokens,
     /// certificate, referrals, software version).
-    pub config: ServerConfig,
+    pub config: Arc<ServerConfig>,
     /// The served address space.
-    pub space: AddressSpace,
+    pub space: Arc<AddressSpace>,
     /// Simulated round-trip time in microseconds.
     pub rtt_micros: u32,
     /// Seed of the server core (session ids, nonces).
@@ -807,10 +816,15 @@ pub struct HostDeployment {
 }
 
 /// Binds a deployment onto the network: (re)creates the host entry and
-/// its server core with the deployment's seeds. Idempotent — the
-/// evolution engine rebinds hosts whenever their material changes.
+/// its server core with the deployment's seeds, sharing the
+/// deployment's config and space. Idempotent — the evolution engine
+/// rebinds hosts whenever their material changes.
 pub(crate) fn bind_deployment(net: &Internet, dep: &HostDeployment, now: i64) {
-    let core = ServerCore::new(dep.config.clone(), dep.space.clone(), dep.core_seed);
+    let core = ServerCore::new(
+        Arc::clone(&dep.config),
+        Arc::clone(&dep.space),
+        dep.core_seed,
+    );
     core.set_time(now);
     // One atomic host+listener insert: a world materializes hosts
     // while scanner workers are probing, and no worker may ever observe
@@ -944,8 +958,8 @@ pub(crate) fn build_host(
             methods,
             executable_methods: executable,
         },
-        config,
-        space,
+        config: Arc::new(config),
+        space: Arc::new(space),
         rtt_micros: rtt,
         core_seed: seed ^ id.wrapping_mul(0x9E37),
         service_seed: seed ^ 0xC0FFEE ^ id,

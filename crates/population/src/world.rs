@@ -75,41 +75,55 @@ fn serial_for(id: u64, week: u32, slot: u64) -> u64 {
 /// actually touched. `hosts_materialized` tracks the hosts probes
 /// reached (or the whole fleet, once a ground-truth exit built it),
 /// never the universe size.
+///
+/// The resident estimate is the sum over materialized hosts of what
+/// each one holds: its deployment record, its address space (node
+/// table, references, id → index map, namespace array) and its server
+/// config (strings, endpoint and token lists, users, certificate and
+/// private key). The space and config are counted once, although the
+/// bound server core shares them. Each part is charged a fixed size
+/// plus the lengths of what it owns, so the figure follows neither the
+/// standard library's growth policy nor the toolchain's layouts;
+/// allocator slack, hash-table buckets, the server core's session
+/// state and the network's host entry are not in it. A host's figure
+/// is taken when it materializes, follows every change churn makes to
+/// it, and is taken back when it departs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaterializationStats {
     /// Hosts built and bound so far (first probe contacts).
     pub hosts_materialized: u64,
     /// RSA key generations performed (the dominant build cost).
     pub keygen_count: u64,
-    /// Rough bytes resident in materialized host material right now.
+    /// Bytes resident in materialized host material right now (see
+    /// the type docs for what is counted).
     pub bytes_resident_estimate: u64,
     /// High-water mark of `bytes_resident_estimate`.
     pub peak_bytes_resident_estimate: u64,
 }
 
-/// Rough per-host residency: certificate DER, referral strings, and a
-/// per-node constant for the served address space.
+impl MaterializationStats {
+    /// Moves one host's share of the estimate from `before` to `after`
+    /// bytes (0 while the host is not built) and raises the peak.
+    fn recharge(&mut self, before: u64, after: u64) {
+        self.bytes_resident_estimate = self.bytes_resident_estimate + after - before;
+        self.peak_bytes_resident_estimate = self
+            .peak_bytes_resident_estimate
+            .max(self.bytes_resident_estimate);
+    }
+}
+
+/// What a [`HostDeployment`] record itself is charged: its size on
+/// 64-bit targets, fixed so the estimate does not move with the
+/// toolchain (the footprint test checks the estimate against the live
+/// heap).
+const DEPLOYMENT_BYTES: usize = 176;
+
+/// One host's resident bytes, as [`MaterializationStats`] counts them.
 fn estimate_resident_bytes(dep: &HostDeployment) -> u64 {
-    let cert = dep
-        .config
-        .certificate
-        .as_ref()
-        .map(|c| c.to_der().len() as u64)
-        .unwrap_or(0);
-    let refs: u64 = dep
-        .config
-        .referenced_endpoints
-        .iter()
-        .map(|u| u.len() as u64)
-        .sum();
-    512 + cert
-        + refs
-        + 96 * (dep.truth.variables + dep.truth.methods) as u64
-        + if dep.config.private_key.is_some() {
-            192
-        } else {
-            0
-        }
+    (DEPLOYMENT_BYTES
+        + dep.truth.application_uri.len()
+        + dep.config.resident_bytes()
+        + dep.space.resident_bytes()) as u64
 }
 
 /// What the overlay map says about an address the base permutation
@@ -174,6 +188,22 @@ struct CoreState {
     week_nows: Vec<i64>,
     arrival_cursor: usize,
     stats: MaterializationStats,
+}
+
+impl CoreState {
+    /// Applies `change` to host `id` if it is materialized, keeping the
+    /// resident estimate in step with what the host holds afterwards.
+    fn change_host<T>(
+        &mut self,
+        id: u64,
+        change: impl FnOnce(&mut HostDeployment) -> T,
+    ) -> Option<T> {
+        let dep = self.deps.get_mut(&id)?;
+        let before = estimate_resident_bytes(dep);
+        let out = change(dep);
+        self.stats.recharge(before, estimate_resident_bytes(dep));
+        Some(out)
+    }
 }
 
 /// The engine behind every world. See the module docs.
@@ -300,14 +330,9 @@ impl WorldCore {
             return;
         }
         let bind_now = st.week_nows[st.fates[id as usize].last_rebind_week as usize];
-        let bytes = estimate_resident_bytes(&dep);
         st.stats.hosts_materialized += 1;
         st.stats.keygen_count += keygens;
-        st.stats.bytes_resident_estimate += bytes;
-        st.stats.peak_bytes_resident_estimate = st
-            .stats
-            .peak_bytes_resident_estimate
-            .max(st.stats.bytes_resident_estimate);
+        st.stats.recharge(0, estimate_resident_bytes(&dep));
         bind_deployment(&self.net, &dep, bind_now);
         st.deps.insert(id, dep);
     }
@@ -436,10 +461,7 @@ impl WorldCore {
                 st.fates[idx].alive = false;
                 if let Some(dep) = st.deps.remove(&id) {
                     self.net.remove_host(addr);
-                    st.stats.bytes_resident_estimate = st
-                        .stats
-                        .bytes_resident_estimate
-                        .saturating_sub(estimate_resident_bytes(&dep));
+                    st.stats.recharge(estimate_resident_bytes(&dep), 0);
                 }
                 log.events.push((id, ChurnEvent::Departed));
                 continue;
@@ -454,9 +476,11 @@ impl WorldCore {
                 st.fates[idx].address = to;
                 st.fates[idx].last_rebind_week = week;
                 let ev = MaterialEvent::Moved { from, to };
-                if let Some(dep) = st.deps.get_mut(&id) {
+                let applied = st.change_host(id, |dep| {
                     self.net.remove_host(from);
-                    apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
+                    apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
+                });
+                if applied.is_some() {
                     rebind.insert(id);
                 }
                 st.fates[idx].events.push(ev);
@@ -469,8 +493,10 @@ impl WorldCore {
             {
                 let ev = MaterialEvent::Renewed { week };
                 st.fates[idx].last_rebind_week = week;
-                if let Some(dep) = st.deps.get_mut(&id) {
-                    apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
+                let applied = st.change_host(id, |dep| {
+                    apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
+                });
+                if applied.is_some() {
                     rebind.insert(id);
                 }
                 st.fates[idx].events.push(ev);
@@ -497,8 +523,10 @@ impl WorldCore {
                     st.fates[idx].version = to.clone();
                     st.fates[idx].last_rebind_week = week;
                     let ev = MaterialEvent::SetVersion { to: to.clone() };
-                    if let Some(dep) = st.deps.get_mut(&id) {
-                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
+                    let applied = st.change_host(id, |dep| {
+                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
+                    });
+                    if applied.is_some() {
                         rebind.insert(id);
                     }
                     st.fates[idx].events.push(ev);
@@ -519,8 +547,10 @@ impl WorldCore {
                     st.fates[idx].has_cert = true;
                     st.fates[idx].last_rebind_week = week;
                     let ev = MaterialEvent::Remediated { week, minted_cert };
-                    if let Some(dep) = st.deps.get_mut(&id) {
-                        let minted = apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
+                    let minted = st.change_host(id, |dep| {
+                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
+                    });
+                    if let Some(minted) = minted {
                         st.stats.keygen_count += minted;
                         rebind.insert(id);
                     }
@@ -530,8 +560,10 @@ impl WorldCore {
                     st.fates[idx].has_none = true;
                     st.fates[idx].last_rebind_week = week;
                     let ev = MaterialEvent::Regressed;
-                    if let Some(dep) = st.deps.get_mut(&id) {
-                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed);
+                    let applied = st.change_host(id, |dep| {
+                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
+                    });
+                    if applied.is_some() {
                         rebind.insert(id);
                     }
                     st.fates[idx].events.push(ev);
@@ -592,8 +624,10 @@ impl WorldCore {
                 if mentions {
                     st.fates[idx].last_rebind_week = week;
                     let urls = st.deps.contains_key(&id).then(|| self.render_refs(&st, id));
-                    if let (Some(urls), Some(dep)) = (urls, st.deps.get_mut(&id)) {
-                        dep.config.referenced_endpoints = urls;
+                    if let Some(urls) = urls {
+                        st.change_host(id, |dep| {
+                            Arc::make_mut(&mut dep.config).referenced_endpoints = urls;
+                        });
                         rebind.insert(id);
                     }
                 }
@@ -623,26 +657,27 @@ fn apply_event(
     shared: &SharedSecrets,
     seed: u64,
 ) -> u64 {
+    // Every event changes the config; copy it if the bound core still
+    // shares it (the caller rebinds).
+    let config = Arc::make_mut(&mut dep.config);
     match ev {
         MaterialEvent::Moved { from, to, .. } => {
             dep.truth.address = *to;
             let old_pat = format!("://{from}:");
             let new_pat = format!("://{to}:");
-            dep.config.endpoint_url = dep.config.endpoint_url.replace(&old_pat, &new_pat);
+            config.endpoint_url = config.endpoint_url.replace(&old_pat, &new_pat);
             0
         }
         MaterialEvent::Renewed { week } => {
             let now = week_nows[*week as usize];
-            let old = dep
-                .config
+            let old = config
                 .certificate
                 .as_ref()
                 // ua-lint: allow(panic-hygiene) -- renewal events are only recorded for cert-bearing fates
                 .expect("renewal requires a certificate");
             let subject = old.tbs.subject.clone();
             let hash = old.signature_hash();
-            let key = dep
-                .config
+            let key = config
                 .private_key
                 .clone()
                 // ua-lint: allow(panic-hygiene) -- build_host always pairs a certificate with its key
@@ -660,13 +695,12 @@ fn apply_event(
                 builder.self_signed(hash, &key)
             };
             dep.truth.cert_thumbprint = Some(cert.thumbprint());
-            dep.config.certificate = Some(cert);
+            config.certificate = Some(cert);
             0
         }
         MaterialEvent::SetVersion { to, .. } => {
-            dep.config.software_version = to.clone();
-            if let Some(node) = dep
-                .space
+            config.software_version = to.clone();
+            if let Some(node) = Arc::make_mut(&mut dep.space)
                 .get_mut(&NodeId::numeric(0, ids::SERVER_SOFTWARE_VERSION))
             {
                 node.value = Some(Variant::String(Some(to.clone())));
@@ -675,11 +709,11 @@ fn apply_event(
         }
         MaterialEvent::Remediated { week, minted_cert } => {
             let now = week_nows[*week as usize];
-            dep.config
+            config
                 .endpoints
                 .retain(|e| e.mode != MessageSecurityMode::None);
-            if dep.config.endpoints.is_empty() {
-                dep.config.endpoints.push(EndpointConfig::new(
+            if config.endpoints.is_empty() {
+                config.endpoints.push(EndpointConfig::new(
                     MessageSecurityMode::SignAndEncrypt,
                     SecurityPolicy::Basic256Sha256,
                 ));
@@ -699,17 +733,17 @@ fn apply_event(
                 .application_uri(&dep.truth.application_uri)
                 .self_signed(HashAlgorithm::Sha256, &key);
                 dep.truth.cert_thumbprint = Some(cert.thumbprint());
-                dep.config.certificate = Some(cert);
-                dep.config.private_key = Some(key);
+                config.certificate = Some(cert);
+                config.private_key = Some(key);
             }
-            dep.config
+            config
                 .token_types
                 .retain(|t| *t != UserTokenType::Anonymous);
-            if dep.config.token_types.is_empty() {
-                dep.config.token_types.push(UserTokenType::UserName);
+            if config.token_types.is_empty() {
+                config.token_types.push(UserTokenType::UserName);
             }
-            if dep.config.users.is_empty() {
-                dep.config.users.push(UserAccount {
+            if config.users.is_empty() {
+                config.users.push(UserAccount {
                     name: "operator".into(),
                     password: format!("pw-{id}"),
                 });
@@ -717,9 +751,9 @@ fn apply_event(
             u64::from(*minted_cert)
         }
         MaterialEvent::Regressed => {
-            dep.config.endpoints.push(EndpointConfig::none());
-            if !dep.config.token_types.contains(&UserTokenType::Anonymous) {
-                dep.config.token_types.insert(0, UserTokenType::Anonymous);
+            config.endpoints.push(EndpointConfig::none());
+            if !config.token_types.contains(&UserTokenType::Anonymous) {
+                config.token_types.insert(0, UserTokenType::Anonymous);
             }
             0
         }
@@ -1111,6 +1145,109 @@ mod tests {
             built.push(as_built(&dep, &core.shared, EPOCH as i64, cfg.port));
         }
         assert_eq!(built, AS_BUILT);
+    }
+
+    #[test]
+    fn bound_cores_share_the_deployment_and_a_write_copies_the_space() {
+        use ua_addrspace::UserClass;
+        use ua_client::{ClientConfig, UaClient};
+        use ua_proto::services::IdentityToken;
+        use ua_types::{AttributeId, NodeClass, StatusCode};
+
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let mix = StrataMix::new().with(HostClass::WideOpen, 6);
+        let core = WorldCore::new(&net, &PopulationConfig::new(61, universe(), mix));
+        core.materialize_alive();
+        let dep = {
+            let st = core.state_read();
+            // Each host's config and space: the world's copy is the
+            // bound core's.
+            for id in 0..6 {
+                let dep = &st.deps[&id];
+                assert!(Arc::strong_count(&dep.space) >= 2, "host {id}: space");
+                assert!(Arc::strong_count(&dep.config) >= 2, "host {id}: config");
+            }
+            (0..6)
+                .map(|id| st.deps[&id].clone())
+                .find(|dep| dep.truth.writable_variables > 0)
+                .expect("a WideOpen host with a writable variable")
+        };
+        let var = dep
+            .space
+            .iter()
+            .find(|n| {
+                n.node_class == NodeClass::Variable
+                    && n.access.user_access_level(&UserClass::Anonymous).writable()
+            })
+            .unwrap()
+            .node_id()
+            .clone();
+        let deployed = dep.space.get(&var).unwrap().value.clone();
+        let written = Variant::String(Some("written".into()));
+        assert_ne!(deployed, Some(written.clone()));
+        let sharers = Arc::strong_count(&dep.space);
+
+        let url = dep.config.endpoint_url.clone();
+        let stream = net
+            .connect(Ipv4::new(192, 0, 2, 1), dep.truth.address, dep.truth.port)
+            .unwrap();
+        let mut client = UaClient::new(stream, net.clock().clone(), ClientConfig::default(), 5);
+        client.handshake(&url).unwrap();
+        client
+            .open_channel(SecurityPolicy::None, MessageSecurityMode::None, None)
+            .unwrap();
+        client.create_session(&url).unwrap();
+        client
+            .activate_session(IdentityToken::Anonymous {
+                policy_id: Some("anonymous".into()),
+            })
+            .unwrap();
+        assert_eq!(
+            client.write(var.clone(), written.clone()).unwrap(),
+            StatusCode::GOOD
+        );
+        let read = client
+            .read(vec![(var.clone(), AttributeId::Value)])
+            .unwrap();
+        assert_eq!(read[0].value, Some(written));
+
+        // The write went to the core's own copy: the deployment's space
+        // lost one sharer and still holds the deployed value.
+        assert_eq!(Arc::strong_count(&dep.space), sharers - 1);
+        assert_eq!(dep.space.get(&var).unwrap().value, deployed);
+        let st = core.state_read();
+        let id = (0..6).find(|id| st.deps[id].truth.address == dep.truth.address);
+        assert!(Arc::ptr_eq(&st.deps[&id.unwrap()].space, &dep.space));
+    }
+
+    #[test]
+    fn resident_estimate_follows_churn() {
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let cfg = PopulationConfig::new(5, universe(), StrataMix::paper_like(60));
+        let core = WorldCore::new(&net, &cfg);
+        core.materialize_alive();
+        // Every kind of event, often enough that each week has some.
+        let churn = ChurnConfig {
+            ip_move: 0.2,
+            departure: 0.1,
+            arrival: 0.1,
+            renewal: 0.3,
+            upgrade: 0.3,
+            downgrade: 0.3,
+            remediation: 0.3,
+            regression: 0.3,
+        };
+        for week in 1..=4 {
+            net.clock().advance_seconds(7 * 86_400);
+            core.evolve_week(week, &churn);
+            core.materialize_alive();
+            let st = core.state_read();
+            let held: u64 = (0..st.fates.len() as u64)
+                .filter_map(|id| st.deps.get(&id))
+                .map(estimate_resident_bytes)
+                .sum();
+            assert_eq!(st.stats.bytes_resident_estimate, held, "week {week}");
+        }
     }
 
     struct Nop;

@@ -39,13 +39,12 @@ impl SpaceBuilder {
         self.space.insert(Node::object(
             id.clone(),
             QualifiedName::new(NAMESPACE, name),
-            NodeId::numeric(0, ids::TYPE_FOLDER),
+            ids::TYPE_FOLDER,
         ));
         let parent = parent
             .cloned()
             .unwrap_or_else(|| NodeId::numeric(0, ids::OBJECTS_FOLDER));
-        self.space
-            .add_reference(&parent, ids::REF_ORGANIZES, id.clone());
+        self.space.add_reference(&parent, ids::REF_ORGANIZES, &id);
         id
     }
 
@@ -65,7 +64,7 @@ impl SpaceBuilder {
             access,
         ));
         self.space
-            .add_reference(parent, ids::REF_HAS_COMPONENT, id.clone());
+            .add_reference(parent, ids::REF_HAS_COMPONENT, &id);
         id
     }
 
@@ -78,12 +77,13 @@ impl SpaceBuilder {
             anonymous_executable,
         ));
         self.space
-            .add_reference(parent, ids::REF_HAS_COMPONENT, id.clone());
+            .add_reference(parent, ids::REF_HAS_COMPONENT, &id);
         id
     }
 
-    /// Finishes building.
-    pub fn finish(self) -> AddressSpace {
+    /// Finishes building, with every table trimmed to its length.
+    pub fn finish(mut self) -> AddressSpace {
+        self.space.trim();
         self.space
     }
 }
@@ -115,10 +115,9 @@ mod tests {
         let space = b.finish();
 
         // Objects -> Server + Plant.
-        let objects = space.browse(&NodeId::numeric(0, ids::OBJECTS_FOLDER));
-        assert_eq!(objects.references.len(), 2);
-        let pumps_out = space.browse(&NodeId::string(1, "Pumps"));
-        assert_eq!(pumps_out.references.len(), 3);
+        let browsed = |id: &NodeId| space.browse(id).unwrap().count();
+        assert_eq!(browsed(&NodeId::numeric(0, ids::OBJECTS_FOLDER)), 2);
+        assert_eq!(browsed(&NodeId::string(1, "Pumps")), 3);
         // Anonymous cannot execute FlushPipes.
         assert_eq!(
             space.call_method(&NodeId::string(1, "FlushPipes"), &UserClass::Anonymous),

@@ -13,6 +13,17 @@
 //!   skeleton (Root/Objects/Server incl. `SoftwareVersion`), browsing,
 //!   attribute reads, writes, and method calls, all user-aware;
 //! * [`builder`] — convenience construction of industrial object trees.
+//!
+//! A simulated world is mostly address spaces, so the store is
+//! compact. Nodes sit in one table indexed by `u32`, in insertion
+//! order, with one `NodeId` → index map; a node stores its id once.
+//! References name their type by its namespace-0 number and their
+//! target by table index, so they cannot dangle and a browse reads
+//! each target without another lookup. DisplayName is derived from
+//! BrowseName rather than stored, and type definitions are
+//! namespace-0 numbers. [`SpaceBuilder::finish`] trims every table to
+//! its length, and [`AddressSpace::resident_bytes`] accounts for what
+//! a space holds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,5 +34,5 @@ pub mod node;
 pub mod space;
 
 pub use builder::SpaceBuilder;
-pub use node::{Node, NodeAccess, Reference, UserClass};
-pub use space::{AddressSpace, BrowseOutcome};
+pub use node::{Node, NodeAccess, UserClass};
+pub use space::AddressSpace;

@@ -113,50 +113,59 @@ impl NodeAccess {
     }
 }
 
-/// A typed reference to another node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reference {
-    /// Reference type (e.g. Organizes, HasComponent).
-    pub reference_type: NodeId,
-    /// Target node.
-    pub target: NodeId,
-    /// Forward (source → target) or inverse.
-    pub is_forward: bool,
+/// A typed reference from one node to another, as the owning node
+/// stores it: the reference type is a namespace-0 numeric id and the
+/// target is the other node's index in the
+/// [`AddressSpace`](crate::AddressSpace)'s table, so a reference never
+/// dangles and costs 12 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Reference {
+    /// Reference type (e.g. [`crate::ids::REF_ORGANIZES`]).
+    pub(crate) reference_type: u32,
+    /// Index of the other node.
+    pub(crate) target: u32,
+    /// Forward (this node → target) or inverse.
+    pub(crate) is_forward: bool,
 }
 
 /// A node in the address space.
+///
+/// The node stores its [`NodeId`] once; the space's id → index map
+/// holds the only other copy. DisplayName is not stored: every
+/// constructor sets it to the BrowseName's text, so
+/// [`Node::display_name`] derives it. The type definition is a
+/// namespace-0 numeric id (0 for none). The space keys the node by its
+/// id and links its references by table index
+/// ([`crate::AddressSpace::add_reference`]), so the id is read-only
+/// ([`Node::node_id`]) and the references are reached by browsing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    /// Unique id.
-    pub node_id: NodeId,
-    /// Browse name (namespace-qualified).
+    node_id: NodeId,
+    /// Browse name (namespace-qualified); DisplayName follows it.
     pub browse_name: QualifiedName,
-    /// Display name.
-    pub display_name: LocalizedText,
     /// Node class.
     pub node_class: NodeClass,
     /// Current value (variables only).
     pub value: Option<Variant>,
     /// Access configuration.
     pub access: NodeAccess,
-    /// Outgoing/incoming references.
-    pub references: Vec<Reference>,
-    /// HasTypeDefinition target (folders/variables).
-    pub type_definition: NodeId,
+    /// HasTypeDefinition target: a namespace-0 numeric id, 0 for none.
+    pub type_definition: u32,
+    pub(crate) references: Vec<Reference>,
 }
 
 impl Node {
-    /// Creates an object node.
-    pub fn object(node_id: NodeId, browse_name: QualifiedName, type_definition: NodeId) -> Self {
+    /// Creates an object node of the namespace-0 type `type_definition`
+    /// (0 for none).
+    pub fn object(node_id: NodeId, browse_name: QualifiedName, type_definition: u32) -> Self {
         Node {
             node_id,
-            display_name: LocalizedText::new(browse_name.name.clone().unwrap_or_default()),
             browse_name,
             node_class: NodeClass::Object,
             value: None,
             access: NodeAccess::read_only(),
-            references: Vec::new(),
             type_definition,
+            references: Vec::new(),
         }
     }
 
@@ -169,13 +178,12 @@ impl Node {
     ) -> Self {
         Node {
             node_id,
-            display_name: LocalizedText::new(browse_name.name.clone().unwrap_or_default()),
             browse_name,
             node_class: NodeClass::Variable,
             value: Some(value),
             access,
+            type_definition: crate::ids::TYPE_BASE_DATA_VARIABLE,
             references: Vec::new(),
-            type_definition: NodeId::numeric(0, crate::ids::TYPE_BASE_DATA_VARIABLE),
         }
     }
 
@@ -183,14 +191,23 @@ impl Node {
     pub fn method(node_id: NodeId, browse_name: QualifiedName, anonymous_executable: bool) -> Self {
         Node {
             node_id,
-            display_name: LocalizedText::new(browse_name.name.clone().unwrap_or_default()),
             browse_name,
             node_class: NodeClass::Method,
             value: None,
             access: NodeAccess::method(anonymous_executable),
+            type_definition: 0,
             references: Vec::new(),
-            type_definition: NodeId::NULL,
         }
+    }
+
+    /// The node's id.
+    pub fn node_id(&self) -> &NodeId {
+        &self.node_id
+    }
+
+    /// DisplayName: the BrowseName's text, without a locale.
+    pub fn display_name(&self) -> LocalizedText {
+        LocalizedText::new(self.browse_name.name.clone().unwrap_or_default())
     }
 }
 
@@ -251,9 +268,10 @@ mod tests {
         let o = Node::object(
             NodeId::numeric(2, 1),
             QualifiedName::new(2, "Device"),
-            NodeId::numeric(0, crate::ids::TYPE_FOLDER),
+            crate::ids::TYPE_FOLDER,
         );
         assert_eq!(o.node_class, NodeClass::Object);
+        assert_eq!(o.display_name(), LocalizedText::new("Device"));
         let v = Node::variable(
             NodeId::string(2, "m3InflowPerHour"),
             QualifiedName::new(2, "m3InflowPerHour"),

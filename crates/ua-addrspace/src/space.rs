@@ -1,26 +1,26 @@
 //! The address-space store: browsing, reads, writes, calls — all
 //! user-aware.
+//!
+//! Nodes live in one table in insertion order, and one `NodeId` →
+//! index map finds them. References name their target by index, so a
+//! browse reaches each target node without hashing its id again.
 
 use crate::ids;
 use crate::node::{Node, NodeAccess, Reference, UserClass};
 use std::collections::HashMap;
-use ua_types::{AttributeId, DataValue, NodeClass, NodeId, QualifiedName, StatusCode, Variant};
+use ua_types::{
+    AttributeId, DataValue, Identifier, NodeClass, NodeId, QualifiedName, StatusCode, Variant,
+};
 
-/// Result of browsing one node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BrowseOutcome {
-    /// Status (e.g. `BAD_NODE_ID_UNKNOWN`).
-    pub status: StatusCode,
-    /// References from the node, in insertion order.
-    pub references: Vec<Reference>,
-}
-
-/// An OPC UA address space.
+/// An OPC UA address space: a table of [`Node`]s indexed by `u32` in
+/// insertion order, one `NodeId` → index map, and the namespace
+/// array. Iteration and browse order are insertion order, so both are
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct AddressSpace {
     namespaces: Vec<String>,
-    nodes: HashMap<NodeId, Node>,
-    insertion_order: Vec<NodeId>,
+    nodes: Vec<Node>,
+    index: HashMap<NodeId, u32>,
 }
 
 impl AddressSpace {
@@ -30,109 +30,87 @@ impl AddressSpace {
     pub fn new(extra_namespaces: &[&str], software_version: &str) -> Self {
         let mut namespaces = vec![ids::NS0_URI.to_string()];
         namespaces.extend(extra_namespaces.iter().map(|s| s.to_string()));
-
-        let mut space = AddressSpace {
-            namespaces: namespaces.clone(),
-            nodes: HashMap::new(),
-            insertion_order: Vec::new(),
-        };
-
-        let folder_type = NodeId::numeric(0, ids::TYPE_FOLDER);
-        space.insert(Node::object(
-            NodeId::numeric(0, ids::ROOT_FOLDER),
-            QualifiedName::new(0, "Root"),
-            folder_type.clone(),
-        ));
-        space.insert(Node::object(
-            NodeId::numeric(0, ids::OBJECTS_FOLDER),
-            QualifiedName::new(0, "Objects"),
-            folder_type.clone(),
-        ));
-        space.insert(Node::object(
-            NodeId::numeric(0, ids::TYPES_FOLDER),
-            QualifiedName::new(0, "Types"),
-            folder_type.clone(),
-        ));
-        space.insert(Node::object(
-            NodeId::numeric(0, ids::VIEWS_FOLDER),
-            QualifiedName::new(0, "Views"),
-            folder_type,
-        ));
-        let root = NodeId::numeric(0, ids::ROOT_FOLDER);
-        space.add_reference(
-            &root,
-            ids::REF_ORGANIZES,
-            NodeId::numeric(0, ids::OBJECTS_FOLDER),
-        );
-        space.add_reference(
-            &root,
-            ids::REF_ORGANIZES,
-            NodeId::numeric(0, ids::TYPES_FOLDER),
-        );
-        space.add_reference(
-            &root,
-            ids::REF_ORGANIZES,
-            NodeId::numeric(0, ids::VIEWS_FOLDER),
-        );
-
-        // Server object with NamespaceArray and SoftwareVersion.
-        space.insert(Node::object(
-            NodeId::numeric(0, ids::SERVER),
-            QualifiedName::new(0, "Server"),
-            NodeId::NULL,
-        ));
-        space.add_reference(
-            &NodeId::numeric(0, ids::OBJECTS_FOLDER),
-            ids::REF_ORGANIZES,
-            NodeId::numeric(0, ids::SERVER),
-        );
         let ns_array = Variant::Array(
             namespaces
                 .iter()
                 .map(|n| Variant::String(Some(n.clone())))
                 .collect(),
         );
+
+        let mut space = AddressSpace {
+            namespaces,
+            nodes: Vec::new(),
+            index: HashMap::new(),
+        };
+        let ns0 = |id| NodeId::numeric(0, id);
+        for (id, name) in [
+            (ids::ROOT_FOLDER, "Root"),
+            (ids::OBJECTS_FOLDER, "Objects"),
+            (ids::TYPES_FOLDER, "Types"),
+            (ids::VIEWS_FOLDER, "Views"),
+        ] {
+            space.insert(Node::object(
+                ns0(id),
+                QualifiedName::new(0, name),
+                ids::TYPE_FOLDER,
+            ));
+        }
+        for folder in [ids::OBJECTS_FOLDER, ids::TYPES_FOLDER, ids::VIEWS_FOLDER] {
+            space.add_reference(&ns0(ids::ROOT_FOLDER), ids::REF_ORGANIZES, &ns0(folder));
+        }
+
+        // Server object with NamespaceArray and SoftwareVersion.
+        space.insert(Node::object(
+            ns0(ids::SERVER),
+            QualifiedName::new(0, "Server"),
+            0,
+        ));
+        space.add_reference(
+            &ns0(ids::OBJECTS_FOLDER),
+            ids::REF_ORGANIZES,
+            &ns0(ids::SERVER),
+        );
         space.insert(Node::variable(
-            NodeId::numeric(0, ids::SERVER_NAMESPACE_ARRAY),
+            ns0(ids::SERVER_NAMESPACE_ARRAY),
             QualifiedName::new(0, "NamespaceArray"),
             ns_array,
             NodeAccess::read_only(),
         ));
         space.add_reference(
-            &NodeId::numeric(0, ids::SERVER),
+            &ns0(ids::SERVER),
             ids::REF_HAS_PROPERTY,
-            NodeId::numeric(0, ids::SERVER_NAMESPACE_ARRAY),
+            &ns0(ids::SERVER_NAMESPACE_ARRAY),
         );
         space.insert(Node::object(
-            NodeId::numeric(0, ids::SERVER_STATUS),
+            ns0(ids::SERVER_STATUS),
             QualifiedName::new(0, "ServerStatus"),
-            NodeId::NULL,
+            0,
         ));
         space.add_reference(
-            &NodeId::numeric(0, ids::SERVER),
+            &ns0(ids::SERVER),
             ids::REF_HAS_COMPONENT,
-            NodeId::numeric(0, ids::SERVER_STATUS),
+            &ns0(ids::SERVER_STATUS),
         );
         space.insert(Node::object(
-            NodeId::numeric(0, ids::SERVER_BUILD_INFO),
+            ns0(ids::SERVER_BUILD_INFO),
             QualifiedName::new(0, "BuildInfo"),
-            NodeId::NULL,
+            0,
         ));
         space.add_reference(
-            &NodeId::numeric(0, ids::SERVER_STATUS),
+            &ns0(ids::SERVER_STATUS),
             ids::REF_HAS_COMPONENT,
-            NodeId::numeric(0, ids::SERVER_BUILD_INFO),
+            &ns0(ids::SERVER_BUILD_INFO),
         );
         space.insert(Node::variable(
-            NodeId::numeric(0, ids::SERVER_SOFTWARE_VERSION),
+            ns0(ids::SERVER_SOFTWARE_VERSION),
             QualifiedName::new(0, "SoftwareVersion"),
             Variant::String(Some(software_version.to_string())),
             NodeAccess::read_only(),
         ));
         space.add_reference(
-            &NodeId::numeric(0, ids::SERVER_BUILD_INFO),
+            &ns0(ids::SERVER_BUILD_INFO),
             ids::REF_HAS_PROPERTY,
-            NodeId::numeric(0, ids::SERVER_SOFTWARE_VERSION),
+            &ns0(ids::SERVER_SOFTWARE_VERSION),
         );
         space
     }
@@ -142,22 +120,31 @@ impl AddressSpace {
         &self.namespaces
     }
 
-    /// Inserts a node (replacing any previous node with the same id).
+    /// Inserts a node. A node replacing one with the same id keeps that
+    /// node's index, and so its iteration position and the references
+    /// other nodes hold to it; its own references are the new node's
+    /// (none).
     pub fn insert(&mut self, node: Node) {
-        if !self.nodes.contains_key(&node.node_id) {
-            self.insertion_order.push(node.node_id.clone());
+        match self.index.get(node.node_id()) {
+            Some(&i) => self.nodes[i as usize] = node,
+            None => {
+                self.index
+                    .insert(node.node_id().clone(), self.nodes.len() as u32);
+                self.nodes.push(node);
+            }
         }
-        self.nodes.insert(node.node_id.clone(), node);
     }
 
     /// Looks up a node.
     pub fn get(&self, id: &NodeId) -> Option<&Node> {
-        self.nodes.get(id)
+        self.index.get(id).map(|&i| &self.nodes[i as usize])
     }
 
-    /// Looks up a node mutably.
+    /// Looks up a node mutably, to change its value or access. Replace
+    /// a whole node with [`Self::insert`]: the table keys the node by
+    /// its id and keeps its references.
     pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut Node> {
-        self.nodes.get_mut(id)
+        self.index.get(id).map(|&i| &mut self.nodes[i as usize])
     }
 
     /// Number of nodes.
@@ -172,49 +159,77 @@ impl AddressSpace {
 
     /// Iterates nodes in insertion order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.insertion_order
-            .iter()
-            .filter_map(|id| self.nodes.get(id))
+        self.nodes.iter()
     }
 
-    /// Adds a forward reference (and its inverse on the target).
-    pub fn add_reference(&mut self, source: &NodeId, reference_type: u32, target: NodeId) {
-        let rt = NodeId::numeric(0, reference_type);
-        if let Some(node) = self.nodes.get_mut(source) {
-            node.references.push(Reference {
-                reference_type: rt.clone(),
-                target: target.clone(),
-                is_forward: true,
-            });
-        }
-        if let Some(node) = self.nodes.get_mut(&target) {
-            node.references.push(Reference {
-                reference_type: rt,
-                target: source.clone(),
-                is_forward: false,
-            });
-        }
+    /// Adds a forward reference from `source` to `target` and its
+    /// inverse on the target. Stores nothing when either node is
+    /// missing: a reference names its target by index, so it cannot
+    /// dangle.
+    pub fn add_reference(&mut self, source: &NodeId, reference_type: u32, target: &NodeId) {
+        let (Some(&s), Some(&t)) = (self.index.get(source), self.index.get(target)) else {
+            return;
+        };
+        self.nodes[s as usize].references.push(Reference {
+            reference_type,
+            target: t,
+            is_forward: true,
+        });
+        self.nodes[t as usize].references.push(Reference {
+            reference_type,
+            target: s,
+            is_forward: false,
+        });
     }
 
-    /// Browses forward references of `id`. Access control on browse: all
-    /// users may browse the structure (matching common server behaviour;
+    /// Browses forward references of `id`: each reference's type (a
+    /// namespace-0 numeric id) and target node, in insertion order, or
+    /// `None` when `id` is unknown. Access control on browse: all users
+    /// may browse the structure (matching common server behaviour;
     /// data protection happens at the attribute level).
-    pub fn browse(&self, id: &NodeId) -> BrowseOutcome {
-        match self.nodes.get(id) {
-            None => BrowseOutcome {
-                status: StatusCode::BAD_NODE_ID_UNKNOWN,
-                references: Vec::new(),
-            },
-            Some(node) => BrowseOutcome {
-                status: StatusCode::GOOD,
-                references: node
-                    .references
-                    .iter()
-                    .filter(|r| r.is_forward)
-                    .cloned()
-                    .collect(),
-            },
+    pub fn browse(&self, id: &NodeId) -> Option<impl Iterator<Item = (u32, &Node)>> {
+        let node = self.get(id)?;
+        Some(
+            node.references
+                .iter()
+                .filter(|r| r.is_forward)
+                .map(|r| (r.reference_type, &self.nodes[r.target as usize])),
+        )
+    }
+
+    /// Shrinks every table to its length. A finished space never grows
+    /// again (writes replace values in place), so the slack of its
+    /// growth is waste.
+    pub(crate) fn trim(&mut self) {
+        self.namespaces.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+        self.index.shrink_to_fit();
+        for node in &mut self.nodes {
+            node.references.shrink_to_fit();
         }
+    }
+
+    /// Bytes this space holds: the struct, the namespace array, the
+    /// node table with what each node owns, and the id → index map.
+    /// Each part is charged a fixed size plus the lengths of what it
+    /// owns, not capacities or the toolchain's layouts, so the figure
+    /// follows only the space's contents.
+    pub fn resident_bytes(&self) -> usize {
+        let namespaces: usize = self.namespaces.iter().map(|n| STRING_BYTES + n.len()).sum();
+        let nodes: usize = self
+            .nodes
+            .iter()
+            .map(|n| {
+                // The map holds a second copy of the id.
+                NODE_BYTES
+                    + INDEX_ENTRY_BYTES
+                    + 2 * id_heap_bytes(n.node_id())
+                    + n.browse_name.name.as_ref().map_or(0, String::len)
+                    + n.value.as_ref().map_or(0, value_heap_bytes)
+                    + n.references.len() * REFERENCE_BYTES
+            })
+            .sum();
+        SPACE_BYTES + namespaces + nodes
     }
 
     /// Reads one attribute as `user`.
@@ -224,17 +239,15 @@ impl AddressSpace {
         attribute: AttributeId,
         user: &UserClass,
     ) -> DataValue {
-        let Some(node) = self.nodes.get(id) else {
+        let Some(node) = self.get(id) else {
             return DataValue::error(StatusCode::BAD_NODE_ID_UNKNOWN);
         };
         match attribute {
-            AttributeId::NodeId => DataValue::new(Variant::NodeId(node.node_id.clone())),
+            AttributeId::NodeId => DataValue::new(Variant::NodeId(node.node_id().clone())),
             AttributeId::BrowseName => {
                 DataValue::new(Variant::QualifiedName(node.browse_name.clone()))
             }
-            AttributeId::DisplayName => {
-                DataValue::new(Variant::LocalizedText(node.display_name.clone()))
-            }
+            AttributeId::DisplayName => DataValue::new(Variant::LocalizedText(node.display_name())),
             AttributeId::NodeClass => DataValue::new(Variant::Int32(match node.node_class {
                 NodeClass::Object => 1,
                 NodeClass::Variable => 2,
@@ -279,7 +292,7 @@ impl AddressSpace {
 
     /// Writes a variable's value as `user`.
     pub fn write_value(&mut self, id: &NodeId, value: Variant, user: &UserClass) -> StatusCode {
-        let Some(node) = self.nodes.get_mut(id) else {
+        let Some(node) = self.get_mut(id) else {
             return StatusCode::BAD_NODE_ID_UNKNOWN;
         };
         if node.node_class != NodeClass::Variable {
@@ -297,7 +310,7 @@ impl AddressSpace {
     /// outputs (the paper's scanner never calls methods — this path
     /// exists so servers enforce and advertise executability correctly).
     pub fn call_method(&self, method_id: &NodeId, user: &UserClass) -> StatusCode {
-        let Some(node) = self.nodes.get(method_id) else {
+        let Some(node) = self.get(method_id) else {
             return StatusCode::BAD_METHOD_INVALID;
         };
         if node.node_class != NodeClass::Method {
@@ -315,7 +328,7 @@ impl AddressSpace {
         let mut readable = 0;
         let mut writable = 0;
         let mut executable = 0;
-        for node in self.nodes.values() {
+        for node in &self.nodes {
             match node.node_class {
                 NodeClass::Variable => {
                     let lvl = node.access.user_access_level(user);
@@ -336,6 +349,51 @@ impl AddressSpace {
     }
 }
 
+// What `resident_bytes` charges for each part of a space: the sizes
+// rustc lays these types out with on 64-bit targets, fixed here so the
+// figure does not move with the toolchain. `population`'s footprint
+// test checks that the estimate built on them stays close to the live
+// heap.
+
+/// The [`AddressSpace`] struct.
+const SPACE_BYTES: usize = 96;
+/// One [`Node`] in the table.
+const NODE_BYTES: usize = 160;
+/// One [`Reference`] a node stores.
+const REFERENCE_BYTES: usize = 12;
+/// One `(NodeId, u32)` entry of the id → index map.
+const INDEX_ENTRY_BYTES: usize = 48;
+/// One element of an array value.
+const VARIANT_BYTES: usize = 48;
+/// A `String`'s header: pointer, capacity and length.
+const STRING_BYTES: usize = 24;
+
+/// Heap bytes of a node id's identifier.
+fn id_heap_bytes(id: &NodeId) -> usize {
+    match &id.identifier {
+        Identifier::String(s) => s.len(),
+        Identifier::Opaque(b) => b.len(),
+        Identifier::Numeric(_) | Identifier::Guid(_) => 0,
+    }
+}
+
+/// Heap bytes of a value.
+fn value_heap_bytes(value: &Variant) -> usize {
+    let text = |t: &Option<String>| t.as_ref().map_or(0, String::len);
+    match value {
+        Variant::String(s) => text(s),
+        Variant::ByteString(b) => b.as_ref().map_or(0, Vec::len),
+        Variant::NodeId(id) => id_heap_bytes(id),
+        Variant::QualifiedName(q) => text(&q.name),
+        Variant::LocalizedText(l) => text(&l.locale) + text(&l.text),
+        Variant::Array(items) => items
+            .iter()
+            .map(|v| VARIANT_BYTES + value_heap_bytes(v))
+            .sum(),
+        _ => 0,
+    }
+}
+
 impl Default for AddressSpace {
     fn default() -> Self {
         Self::new(&[], "1.0.0")
@@ -353,12 +411,12 @@ mod tests {
         s.insert(Node::object(
             device.clone(),
             QualifiedName::new(1, "Device"),
-            NodeId::numeric(0, ids::TYPE_FOLDER),
+            ids::TYPE_FOLDER,
         ));
         s.add_reference(
             &NodeId::numeric(0, ids::OBJECTS_FOLDER),
             ids::REF_ORGANIZES,
-            device.clone(),
+            &device,
         );
         s.insert(Node::variable(
             NodeId::string(1, "m3InflowPerHour"),
@@ -369,7 +427,7 @@ mod tests {
         s.add_reference(
             &device,
             ids::REF_HAS_COMPONENT,
-            NodeId::string(1, "m3InflowPerHour"),
+            &NodeId::string(1, "m3InflowPerHour"),
         );
         s.insert(Node::variable(
             NodeId::string(1, "rSetFillLevel"),
@@ -380,7 +438,7 @@ mod tests {
         s.add_reference(
             &device,
             ids::REF_HAS_COMPONENT,
-            NodeId::string(1, "rSetFillLevel"),
+            &NodeId::string(1, "rSetFillLevel"),
         );
         s.insert(Node::method(
             NodeId::string(1, "AddEndpoint"),
@@ -390,7 +448,7 @@ mod tests {
         s.add_reference(
             &device,
             ids::REF_HAS_COMPONENT,
-            NodeId::string(1, "AddEndpoint"),
+            &NodeId::string(1, "AddEndpoint"),
         );
         s
     }
@@ -428,26 +486,85 @@ mod tests {
         }
     }
 
+    /// The browse names `id` browses to, with their reference types.
+    fn browsed(s: &AddressSpace, id: &NodeId) -> Vec<(u32, String)> {
+        s.browse(id)
+            .unwrap()
+            .map(|(rt, n)| (rt, n.browse_name.name.clone().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn browse_follows_forward_references() {
         let s = space_with_device();
-        let root = s.browse(&NodeId::numeric(0, ids::ROOT_FOLDER));
-        assert_eq!(root.status, StatusCode::GOOD);
-        assert_eq!(root.references.len(), 3);
-        let objects = s.browse(&NodeId::numeric(0, ids::OBJECTS_FOLDER));
-        // Server + Device.
-        assert_eq!(objects.references.len(), 2);
-        // Inverse references are not reported.
-        let device = s.browse(&NodeId::string(1, "Device"));
-        assert_eq!(device.references.len(), 3);
-        assert!(device.references.iter().all(|r| r.is_forward));
+        let root = browsed(&s, &NodeId::numeric(0, ids::ROOT_FOLDER));
+        assert_eq!(root.len(), 3);
+        // Server + Device, in insertion order.
+        assert_eq!(
+            browsed(&s, &NodeId::numeric(0, ids::OBJECTS_FOLDER)),
+            [
+                (ids::REF_ORGANIZES, "Server".to_string()),
+                (ids::REF_ORGANIZES, "Device".to_string())
+            ]
+        );
+        // Inverse references are not reported: the device's parent
+        // (Objects) is not among its browse results.
+        let device = browsed(&s, &NodeId::string(1, "Device"));
+        assert_eq!(
+            device,
+            [
+                (ids::REF_HAS_COMPONENT, "m3InflowPerHour".to_string()),
+                (ids::REF_HAS_COMPONENT, "rSetFillLevel".to_string()),
+                (ids::REF_HAS_COMPONENT, "AddEndpoint".to_string())
+            ]
+        );
     }
 
     #[test]
     fn browse_unknown_node() {
         let s = AddressSpace::default();
-        let out = s.browse(&NodeId::string(5, "nope"));
-        assert_eq!(out.status, StatusCode::BAD_NODE_ID_UNKNOWN);
+        assert!(s.browse(&NodeId::string(5, "nope")).is_none());
+    }
+
+    #[test]
+    fn reference_to_missing_node_stores_nothing() {
+        let mut s = space_with_device();
+        let device = NodeId::string(1, "Device");
+        let missing = NodeId::string(1, "Ghost");
+        s.add_reference(&device, ids::REF_HAS_COMPONENT, &missing);
+        s.add_reference(&missing, ids::REF_ORGANIZES, &device);
+        assert_eq!(browsed(&s, &device).len(), 3);
+        assert!(s.get(&missing).is_none());
+        // Nor did either call store an inverse reference.
+        assert_eq!(s.get(&device).unwrap().references.len(), 4);
+    }
+
+    #[test]
+    fn replacing_a_node_keeps_its_index_and_position() {
+        let mut s = space_with_device();
+        let order =
+            |s: &AddressSpace| -> Vec<NodeId> { s.iter().map(|n| n.node_id().clone()).collect() };
+        let before = order(&s);
+        let fill = NodeId::string(1, "rSetFillLevel");
+        let index = s.index[&fill];
+        s.insert(Node::variable(
+            fill.clone(),
+            QualifiedName::new(1, "rSetFillLevel"),
+            Variant::Float(1.0),
+            NodeAccess::read_only(),
+        ));
+        assert_eq!(s.index[&fill], index);
+        assert_eq!(order(&s), before);
+        assert_eq!(s.len(), before.len());
+        assert_eq!(s.get(&fill).unwrap().value, Some(Variant::Float(1.0)));
+        // The device's reference to it still resolves, to the new node.
+        let device = browsed(&s, &NodeId::string(1, "Device"));
+        assert_eq!(
+            device[1],
+            (ids::REF_HAS_COMPONENT, "rSetFillLevel".to_string())
+        );
+        let dv = s.read_attribute(&fill, AttributeId::Value, &UserClass::Anonymous);
+        assert_eq!(dv.value, Some(Variant::Float(1.0)));
     }
 
     #[test]
@@ -577,8 +694,8 @@ mod tests {
     fn iteration_is_deterministic() {
         let a = space_with_device();
         let b = space_with_device();
-        let ids_a: Vec<_> = a.iter().map(|n| n.node_id.clone()).collect();
-        let ids_b: Vec<_> = b.iter().map(|n| n.node_id.clone()).collect();
+        let ids_a: Vec<_> = a.iter().map(|n| n.node_id().clone()).collect();
+        let ids_b: Vec<_> = b.iter().map(|n| n.node_id().clone()).collect();
         assert_eq!(ids_a, ids_b);
     }
 }

@@ -166,6 +166,11 @@ impl BigUint {
         }
     }
 
+    /// Heap bytes of the limbs, from their count: 8 per limb.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.limbs.len() * 8
+    }
+
     /// Returns bit `i` (little-endian bit order).
     pub fn bit(&self, i: usize) -> bool {
         let limb = i / 64;

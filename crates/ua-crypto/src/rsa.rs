@@ -84,6 +84,11 @@ impl RsaPublicKey {
         self.n.bit_length().div_ceil(8)
     }
 
+    /// Heap bytes of the modulus and exponent limbs.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.n.heap_bytes() + self.e.heap_bytes()
+    }
+
     /// Raw RSA public operation `m^e mod n`.
     pub fn raw(&self, m: &BigUint) -> Result<BigUint, RsaError> {
         if m >= &self.n {
@@ -157,6 +162,13 @@ pub struct RsaPrivateKey {
 }
 
 impl RsaPrivateKey {
+    /// Heap bytes the key owns beyond its own struct: the limbs of its
+    /// public half, its primes and its private exponent, from their
+    /// lengths.
+    pub fn heap_bytes(&self) -> usize {
+        self.public.heap_bytes() + self.p.heap_bytes() + self.q.heap_bytes() + self.d.heap_bytes()
+    }
+
     /// Generates a key with an actual modulus of `actual_bits` and an
     /// advertised length of `nominal_bits` (see module docs).
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, actual_bits: usize, nominal_bits: u32) -> Self {

@@ -48,6 +48,10 @@ impl DistinguishedName {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        self.common_name.len() + self.organization.len() + self.country.len()
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.nested(tag::SEQUENCE, |w| {
             w.utf8(&self.common_name);
@@ -169,6 +173,10 @@ impl TbsCertificate {
     }
 }
 
+/// A `String`'s header (pointer, capacity, length), charged per DNS
+/// name by [`Certificate::heap_bytes`].
+const STRING_BYTES: usize = 24;
+
 /// A signed certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
@@ -179,6 +187,23 @@ pub struct Certificate {
 }
 
 impl Certificate {
+    /// Heap bytes the certificate owns beyond its own struct, from
+    /// lengths: its names, key limbs, application URI, DNS names and
+    /// signature.
+    pub fn heap_bytes(&self) -> usize {
+        let tbs = &self.tbs;
+        tbs.issuer.heap_bytes()
+            + tbs.subject.heap_bytes()
+            + tbs.public_key.heap_bytes()
+            + tbs.application_uri.len()
+            + tbs
+                .dns_names
+                .iter()
+                .map(|d| STRING_BYTES + d.len())
+                .sum::<usize>()
+            + self.signature.len()
+    }
+
     /// Serializes the full certificate.
     pub fn to_der(&self) -> Vec<u8> {
         let mut w = Writer::new();

@@ -100,11 +100,6 @@ impl SecureChannel {
         self.policy
     }
 
-    /// The message security mode.
-    pub fn mode(&self) -> MessageSecurityMode {
-        self.mode
-    }
-
     /// Seals `body` as the `MSG` chunks of request `request_id`, one per
     /// 8 KiB (an empty body is one empty final chunk).
     pub fn seal(&mut self, request_id: u32, body: &[u8]) -> Result<Vec<Vec<u8>>, SecureError> {

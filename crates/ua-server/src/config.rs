@@ -99,7 +99,54 @@ impl std::fmt::Debug for ServerConfig {
     }
 }
 
+// What `ServerConfig::resident_bytes` charges for each part: the sizes
+// rustc lays these types out with on 64-bit targets, fixed here so the
+// figure does not move with the toolchain. `population`'s footprint
+// test checks that the estimate built on them stays close to the live
+// heap.
+
+/// The [`ServerConfig`] struct, its certificate and key included.
+const CONFIG_BYTES: usize = 632;
+/// One [`EndpointConfig`].
+const ENDPOINT_BYTES: usize = 2;
+/// One offered [`UserTokenType`].
+const TOKEN_TYPE_BYTES: usize = 1;
+/// One [`UserAccount`], its two string headers included.
+const USER_BYTES: usize = 48;
+/// A `String`'s header: pointer, capacity and length.
+const STRING_BYTES: usize = 24;
+
 impl ServerConfig {
+    /// Bytes this config holds: the struct, its strings, endpoint and
+    /// token lists, users and referrals, and what its certificate and
+    /// private key own. Each part is charged a fixed size plus the
+    /// lengths of what it owns, not capacities or the toolchain's
+    /// layouts, so the figure follows only the config's contents.
+    pub fn resident_bytes(&self) -> usize {
+        CONFIG_BYTES
+            + self.application_uri.len()
+            + self.application_name.len()
+            + self.endpoint_url.len()
+            + self.software_version.len()
+            + self.endpoints.len() * ENDPOINT_BYTES
+            + self.token_types.len() * TOKEN_TYPE_BYTES
+            + self
+                .users
+                .iter()
+                .map(|u| USER_BYTES + u.name.len() + u.password.len())
+                .sum::<usize>()
+            + self
+                .referenced_endpoints
+                .iter()
+                .map(|u| STRING_BYTES + u.len())
+                .sum::<usize>()
+            + self.certificate.as_ref().map_or(0, Certificate::heap_bytes)
+            + self
+                .private_key
+                .as_ref()
+                .map_or(0, RsaPrivateKey::heap_bytes)
+    }
+
     /// A minimal secure-by-default configuration (what the
     /// recommendations ask for): Sign+SignAndEncrypt on Basic256Sha256,
     /// username auth only.

@@ -309,7 +309,6 @@ impl ServerConnection {
 
         let ctx = ChannelContext {
             policy: channel.policy(),
-            mode: channel.mode(),
         };
         let response = self.core.handle_service(request, &ctx);
         match channel.seal(assembled.request_id, &response.encode_to_vec()) {

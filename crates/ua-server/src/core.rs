@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
-use ua_addrspace::{AddressSpace, UserClass};
+use ua_addrspace::{AddressSpace, Node, UserClass};
 use ua_crypto::HashAlgorithm;
 use ua_proto::secure::hash_for;
 use ua_proto::services::{
@@ -16,8 +16,8 @@ use ua_proto::services::{
 };
 use ua_types::{
     ApplicationDescription, ApplicationType, AttributeId, DataValue, EndpointDescription,
-    ExpandedNodeId, LocalizedText, MessageSecurityMode, NodeId, SecurityPolicy, StatusCode,
-    UaDateTime, UserTokenPolicy, UserTokenType, TRANSPORT_PROFILE_BINARY,
+    ExpandedNodeId, LocalizedText, NodeId, SecurityPolicy, StatusCode, UaDateTime, UserTokenPolicy,
+    UserTokenType, TRANSPORT_PROFILE_BINARY,
 };
 
 /// Security context a service call arrives under.
@@ -25,8 +25,6 @@ use ua_types::{
 pub struct ChannelContext {
     /// Channel policy.
     pub policy: SecurityPolicy,
-    /// Channel mode.
-    pub mode: MessageSecurityMode,
 }
 
 struct Session {
@@ -52,20 +50,29 @@ struct CoreState {
 /// session state. Connections (crate-level [`crate::connection`]) hold an
 /// `Arc<ServerCore>`.
 pub struct ServerCore {
-    /// Static configuration.
-    pub config: ServerConfig,
-    space: RwLock<AddressSpace>,
+    /// Static configuration, possibly shared with whoever deployed it.
+    pub config: Arc<ServerConfig>,
+    /// The served space, possibly shared; the first Write copies it
+    /// ([`Arc::make_mut`]).
+    space: RwLock<Arc<AddressSpace>>,
     state: Mutex<CoreState>,
     rng: Mutex<StdRng>,
     clock_unix_seconds: Mutex<i64>,
 }
 
 impl ServerCore {
-    /// Creates a core with the given config and address space.
-    pub fn new(config: ServerConfig, space: AddressSpace, seed: u64) -> Arc<Self> {
+    /// Creates a core with the given config and address space. Both
+    /// may be `Arc`s the caller keeps: the core holds one more
+    /// reference, not a copy. Reads serve the shared space; the first
+    /// Write copies it, so the caller's space never sees a write.
+    pub fn new(
+        config: impl Into<Arc<ServerConfig>>,
+        space: impl Into<Arc<AddressSpace>>,
+        seed: u64,
+    ) -> Arc<Self> {
         Arc::new(ServerCore {
-            config,
-            space: RwLock::new(space),
+            config: config.into(),
+            space: RwLock::new(space.into()),
             state: Mutex::new(CoreState {
                 next_session: 1,
                 next_channel: 1,
@@ -86,12 +93,12 @@ impl ServerCore {
         self.state.lock().unwrap()
     }
 
-    fn space_read(&self) -> std::sync::RwLockReadGuard<'_, AddressSpace> {
+    fn space_read(&self) -> std::sync::RwLockReadGuard<'_, Arc<AddressSpace>> {
         // ua-lint: allow(panic-hygiene) -- poisoned address space: a handler panicked; propagate it
         self.space.read().unwrap()
     }
 
-    fn space_write(&self) -> std::sync::RwLockWriteGuard<'_, AddressSpace> {
+    fn space_write(&self) -> std::sync::RwLockWriteGuard<'_, Arc<AddressSpace>> {
         // ua-lint: allow(panic-hygiene) -- poisoned address space: a handler panicked; propagate it
         self.space.write().unwrap()
     }
@@ -401,27 +408,16 @@ impl ServerCore {
         let mut results = Vec::with_capacity(req.nodes_to_browse.len());
         let mut pending: Vec<(NodeId, usize)> = Vec::new();
         for desc in &req.nodes_to_browse {
-            let outcome = space.browse(&desc.node_id);
-            if outcome.status.is_bad() {
+            let Some((page, more)) = browse_page(&space, &desc.node_id, 0, cap) else {
                 results.push(BrowseResult {
-                    status_code: outcome.status,
+                    status_code: StatusCode::BAD_NODE_ID_UNKNOWN,
                     continuation_point: None,
                     references: Vec::new(),
                 });
                 continue;
-            }
-            let refs: Vec<ReferenceDescription> = outcome
-                .references
-                .iter()
-                .filter_map(|r| reference_description(&space, r))
-                .collect();
-            let (page, continuation) = if refs.len() > cap {
-                (refs[..cap].to_vec(), Some((desc.node_id.clone(), cap)))
-            } else {
-                (refs, None)
             };
-            let continuation_point = continuation.map(|(node, offset)| {
-                pending.push((node, offset));
+            let continuation_point = more.then(|| {
+                pending.push((desc.node_id.clone(), cap));
                 // Placeholder, patched below once we can borrow state.
                 vec![0u8; 8]
             });
@@ -500,14 +496,9 @@ impl ServerCore {
                 });
                 continue;
             }
-            let outcome = space.browse(&cont.node);
-            let refs: Vec<ReferenceDescription> = outcome
-                .references
-                .iter()
-                .filter_map(|r| reference_description(&space, r))
-                .collect();
-            let remaining = &refs[cont.offset.min(refs.len())..];
-            if remaining.len() > cap {
+            let (page, more) =
+                browse_page(&space, &cont.node, cont.offset, cap).unwrap_or_default();
+            let continuation_point = more.then(|| {
                 let id = session.next_continuation;
                 session.next_continuation += 1;
                 let new_cp = id.to_le_bytes().to_vec();
@@ -518,18 +509,13 @@ impl ServerCore {
                         offset: cont.offset + cap,
                     },
                 );
-                results.push(BrowseResult {
-                    status_code: StatusCode::GOOD,
-                    continuation_point: Some(new_cp),
-                    references: remaining[..cap].to_vec(),
-                });
-            } else {
-                results.push(BrowseResult {
-                    status_code: StatusCode::GOOD,
-                    continuation_point: None,
-                    references: remaining.to_vec(),
-                });
-            }
+                new_cp
+            });
+            results.push(BrowseResult {
+                status_code: StatusCode::GOOD,
+                continuation_point,
+                references: page,
+            });
         }
 
         ServiceBody::BrowseNextResponse(BrowseNextResponse {
@@ -579,7 +565,7 @@ impl ServerCore {
                 }
                 match &wv.value.value {
                     None => StatusCode::BAD_ATTRIBUTE_ID_INVALID,
-                    Some(v) => space.write_value(&wv.node_id, v.clone(), &user),
+                    Some(v) => Arc::make_mut(&mut space).write_value(&wv.node_id, v.clone(), &user),
                 }
             })
             .collect();
@@ -614,21 +600,36 @@ impl ServerCore {
     }
 }
 
-/// Builds the wire reference description for one address-space reference.
-fn reference_description(
+/// One page of `node`'s forward references from `offset` on, at most
+/// `cap` of them, and whether more follow; `None` when `node` is
+/// unknown. Each description is built straight from the target node.
+fn browse_page(
     space: &AddressSpace,
-    reference: &ua_addrspace::Reference,
-) -> Option<ReferenceDescription> {
-    let target = space.get(&reference.target)?;
-    Some(ReferenceDescription {
-        reference_type_id: reference.reference_type.clone(),
+    node: &NodeId,
+    offset: usize,
+    cap: usize,
+) -> Option<(Vec<ReferenceDescription>, bool)> {
+    let mut refs = space.browse(node)?.skip(offset);
+    let page = refs
+        .by_ref()
+        .take(cap)
+        .map(|(reference_type, target)| reference_description(reference_type, target))
+        .collect();
+    Some((page, refs.next().is_some()))
+}
+
+/// The wire description of a forward reference of type
+/// `reference_type` (namespace 0) to `target`.
+fn reference_description(reference_type: u32, target: &Node) -> ReferenceDescription {
+    ReferenceDescription {
+        reference_type_id: NodeId::numeric(0, reference_type),
         is_forward: true,
-        node_id: ExpandedNodeId::local(target.node_id.clone()),
+        node_id: ExpandedNodeId::local(target.node_id().clone()),
         browse_name: target.browse_name.clone(),
-        display_name: target.display_name.clone(),
+        display_name: target.display_name(),
         node_class: target.node_class,
-        type_definition: ExpandedNodeId::local(target.type_definition.clone()),
-    })
+        type_definition: ExpandedNodeId::local(NodeId::numeric(0, target.type_definition)),
+    }
 }
 
 /// Extracts a request handle for faulting unsupported messages.

@@ -234,7 +234,7 @@ mod tests {
         );
         assert!(matches!(resp, ServiceBody::ActivateSessionResponse(_)));
 
-        // Browse Objects.
+        // Browse Objects and a node the space does not have.
         let resp = send_service(
             &mut s,
             &mut ch,
@@ -243,18 +243,26 @@ mod tests {
                 request_header: RequestHeader::new(token.clone(), 4, UaDateTime::NULL),
                 view: ViewDescription::default(),
                 requested_max_references_per_node: 100,
-                nodes_to_browse: vec![BrowseDescription::all_forward(NodeId::numeric(
-                    0,
-                    ua_addrspace::ids::OBJECTS_FOLDER,
-                ))],
+                nodes_to_browse: vec![
+                    BrowseDescription::all_forward(NodeId::numeric(
+                        0,
+                        ua_addrspace::ids::OBJECTS_FOLDER,
+                    )),
+                    BrowseDescription::all_forward(NodeId::string(5, "nope")),
+                ],
             }),
         );
-        let refs = match resp {
-            ServiceBody::BrowseResponse(r) => r.results[0].references.clone(),
+        let results = match resp {
+            ServiceBody::BrowseResponse(r) => r.results,
             other => panic!("unexpected {other:?}"),
         };
         // Server object + Plant folder.
-        assert_eq!(refs.len(), 2);
+        assert_eq!(results[0].status_code, StatusCode::GOOD);
+        assert_eq!(results[0].references.len(), 2);
+        let unknown = &results[1];
+        assert_eq!(unknown.status_code, StatusCode::BAD_NODE_ID_UNKNOWN);
+        assert!(unknown.references.is_empty());
+        assert_eq!(unknown.continuation_point, None);
 
         // Read the inflow variable.
         let resp = send_service(
