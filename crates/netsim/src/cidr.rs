@@ -1,9 +1,11 @@
-//! IPv4 addresses, CIDR blocks, and blocklists.
+//! IPv4 addresses, CIDR blocks, blocklists, and the hasher of
+//! address-keyed maps.
 //!
 //! The paper excludes 5.79 M addresses (0.13 % of the IPv4 space) on
 //! opt-out request (Appendix A.2); [`Blocklist`] models that.
 
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::str::FromStr;
 
 /// An IPv4 address as a `u32` (network byte order semantics).
@@ -42,6 +44,61 @@ impl FromStr for Ipv4 {
             octets[i] = p.parse().map_err(|_| CidrParseError)?;
         }
         Ok(Ipv4(u32::from_be_bytes(octets)))
+    }
+}
+
+/// The hasher of the maps a sweep probes once per walked address,
+/// keyed by an address's `u32`: netsim's bound host table and a lazy
+/// world's address map. One multiply by a fixed odd constant, then the
+/// 64-bit product's high half folded into its low half by xor. A
+/// `HashMap` picks its bucket from the low bits of a hash, and the low
+/// bits of a plain product depend only on the low bits of the address,
+/// so addresses that differ only in their first octet would share a
+/// bucket; the fold mixes in the high half, which every bit of the
+/// address reaches. The top bits, from which std's map takes the 7-bit
+/// tag it filters a bucket group with, stay the product's top bits.
+/// (Rotating the product by 32 bits folds too, but its tag is the low
+/// half, which correlates with the bucket when addresses pack one
+/// block: in a simulated table of 8000 hosts in a /17, a missing
+/// address then matched 0.38 stored tags per lookup, against 0.05.)
+/// There is no per-process key, unlike std's SipHash: a hash is a
+/// function of the address alone. That gives up resistance to chosen
+/// keys, which the addresses a simulation allocates for itself do not
+/// need.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AddrHash;
+
+impl BuildHasher for AddrHash {
+    type Hasher = AddrHasher;
+
+    fn build_hasher(&self) -> AddrHasher {
+        AddrHasher(0)
+    }
+}
+
+/// The [`Hasher`] an [`AddrHash`] map builds per key.
+#[derive(Debug, Clone, Copy)]
+pub struct AddrHasher(u64);
+
+/// 2⁶⁴ divided by the golden ratio, rounded to odd (Fibonacci hashing).
+const ADDR_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for AddrHasher {
+    fn write_u32(&mut self, addr: u32) {
+        let product = (self.0 ^ u64::from(addr)).wrapping_mul(ADDR_MULTIPLIER);
+        self.0 = product ^ (product >> 32);
+    }
+
+    /// Keys that are not a `u32` go through the same step a byte at a
+    /// time: correct, but the one-multiply cost holds for addresses only.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -335,6 +392,26 @@ mod tests {
             .filter(|&a| bl.contains(Ipv4(Ipv4::new(10, 0, 0, 0).0 + a)))
             .count() as u64;
         assert_eq!(bl.excluded_addresses(), covered);
+    }
+
+    #[test]
+    fn addr_hash_is_a_pure_function_that_spreads_first_octets() {
+        let hash = |addr: u32| AddrHash.hash_one(addr);
+        // No per-process or per-map state: the hash of an address is a
+        // constant, pinned here so that a change of function shows,
+        // and an `Ipv4` key hashes like its `u32`.
+        let addr = Ipv4::new(10, 1, 2, 3);
+        assert_eq!(hash(addr.0), 0x024C_484E_62A0_D671);
+        assert_eq!(AddrHash.hash_one(addr), hash(addr.0));
+        // Addresses that differ only in their first octet land in
+        // distinct buckets of a 2^16-bucket table: the fold brings the
+        // high octets into the low bits.
+        for rest in [0, Ipv4::new(0, 10, 11, 12).0, 0x00FF_FFFF] {
+            let low: std::collections::BTreeSet<u64> = (0..=255u32)
+                .map(|first| hash(first << 24 | rest) & 0xFFFF)
+                .collect();
+            assert_eq!(low.len(), 256, "rest {rest:#x}");
+        }
     }
 
     #[test]

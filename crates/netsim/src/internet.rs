@@ -6,7 +6,7 @@
 //! reply bytes. No threads, no async runtime — determinism first.
 
 use crate::asn::AsRegistry;
-use crate::cidr::Ipv4;
+use crate::cidr::{AddrHash, Ipv4};
 use crate::clock::VirtualClock;
 use crate::faults::{ConnectFate, CutConn, NetProfile, ProfileProvider, TarpitConn};
 use crate::sweep::SWEEP_BATCH;
@@ -114,10 +114,10 @@ pub enum PortState {
 /// A resolver is the hook behind lazy world materialization: the sweep
 /// and the probe stack keep SYN-probing and calling
 /// [`Internet::connect`] as if every host were pre-bound, and the
-/// resolver answers occupancy queries from a seeded predicate in O(1)
-/// per address — without allocating anything per address — then
-/// materializes (builds and binds) a host the first time a connection
-/// actually reaches it.
+/// resolver answers occupancy queries from its own record of the world
+/// (a lazy world probes one address map) without allocating anything
+/// per address, then materializes (builds and binds) a host the first
+/// time a connection actually reaches it.
 ///
 /// Contract:
 /// * `host_exists` / `syn_batch` must be side-effect free and cheap —
@@ -146,11 +146,16 @@ pub trait HostResolver: Send + Sync {
     fn materialize(&self, net: &Internet, addr: Ipv4);
 }
 
+/// The bound hosts by address. [`Internet::syn_batch`] probes it once
+/// per swept address as soon as any host is bound, so it hashes with
+/// [`AddrHash`]'s one multiply instead of std's SipHash.
+type HostTable = HashMap<u32, HostEntry, AddrHash>;
+
 /// The simulated Internet. Cheap to clone (shared interior).
 #[derive(Clone)]
 pub struct Internet {
     clock: VirtualClock,
-    hosts: Arc<RwLock<HashMap<u32, HostEntry>>>,
+    hosts: Arc<RwLock<HostTable>>,
     registry: Arc<RwLock<AsRegistry>>,
     resolver: Arc<RwLock<Option<Arc<dyn HostResolver>>>>,
     profiles: Arc<RwLock<Option<Arc<dyn ProfileProvider>>>>,
@@ -161,7 +166,7 @@ impl Internet {
     pub fn new(clock: VirtualClock) -> Self {
         Internet {
             clock,
-            hosts: Arc::new(RwLock::new(HashMap::new())),
+            hosts: Arc::new(RwLock::new(HostTable::default())),
             registry: Arc::new(RwLock::new(AsRegistry::new())),
             resolver: Arc::new(RwLock::new(None)),
             profiles: Arc::new(RwLock::new(None)),
@@ -177,12 +182,12 @@ impl Internet {
     /// file is a short table read or update, so a poisoned lock means
     /// another worker already panicked mid-simulation. Surfacing that
     /// as a typed error would bury the original panic — propagate.
-    fn hosts_read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u32, HostEntry>> {
+    fn hosts_read(&self) -> std::sync::RwLockReadGuard<'_, HostTable> {
         // ua-lint: allow(panic-hygiene) -- poisoned host table: a peer panicked; propagate it
         self.hosts.read().unwrap()
     }
 
-    fn hosts_write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<u32, HostEntry>> {
+    fn hosts_write(&self) -> std::sync::RwLockWriteGuard<'_, HostTable> {
         // ua-lint: allow(panic-hygiene) -- poisoned host table: a peer panicked; propagate it
         self.hosts.write().unwrap()
     }
@@ -338,6 +343,10 @@ impl Internet {
     /// released. This is the only place that decides between the two,
     /// for the sweep's [`crate::SweepCursor`] and
     /// [`Internet::has_listener`] alike. No clock cost, no side effects.
+    ///
+    /// Every address costs one host-table probe, and nearly all of them
+    /// miss in a sparse universe: that probe is why the table hashes
+    /// with [`AddrHash`] (one multiply) and not SipHash.
     pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
         assert_eq!(addrs.len(), states.len(), "one state slot per address");
         assert!(addrs.len() <= SWEEP_BATCH, "at most one sweep batch");

@@ -4,7 +4,8 @@
 //! for the real Internet in this reproduction.
 //!
 //! * [`clock`] — virtual time (seven months pass in milliseconds);
-//! * [`cidr`] — addresses, CIDR blocks, opt-out blocklists;
+//! * [`cidr`] — addresses, CIDR blocks, opt-out blocklists, and
+//!   [`AddrHash`], the one-multiply hasher of address-keyed maps;
 //! * [`asn`] — autonomous-system registry with longest-prefix lookup;
 //! * [`internet`] — hosts, listeners, and poll-driven connections
 //!   (smoltcp-style byte-level state machines);
@@ -29,7 +30,7 @@ pub mod stream;
 pub mod sweep;
 
 pub use asn::{AsInfo, AsKind, AsRegistry};
-pub use cidr::{Blocklist, Cidr, CidrParseError, Ipv4};
+pub use cidr::{AddrHash, Blocklist, Cidr, CidrParseError, Ipv4};
 pub use clock::{Micros, Stopwatch, VirtualClock};
 pub use faults::{
     ConnectFate, CutConn, FirewallProfile, NetProfile, ProfileProvider, StaticProfiles, TarpitConn,

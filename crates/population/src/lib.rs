@@ -19,9 +19,10 @@
 //! and the world layout all read.
 //!
 //! There is one world engine. [`LazyWorld`] (and, week over week,
-//! [`EvolvingWorld`]) registers an O(1) occupancy predicate and
-//! materializes a host only when a probe first reaches it —
-//! million-address universes cost memory proportional to the hosts a
+//! [`EvolvingWorld`]) registers a resolver that answers occupancy with
+//! one probe of the world's address map and materializes a host only
+//! when a probe first reaches it — million-address universes cost
+//! memory proportional to the hosts, and the built part to the hosts a
 //! sweep actually touches. [`synthesize`] is the same world with every
 //! host materialized up front. Every host is a pure function of
 //! `(seed, host id, week)` — an internal `WorldSpec` answers layout
@@ -48,8 +49,6 @@ pub use world::{LazyWorld, MaterializationStats};
 use netsim::{AsKind, AsRegistry, Cidr, Internet, Ipv4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-// ua-lint: allow(unordered-iteration) -- allocation membership checks only, never iterated
-use std::collections::HashSet;
 use std::sync::Arc;
 use ua_addrspace::{AddressSpace, NodeAccess, SpaceBuilder};
 use ua_crypto::{
@@ -710,14 +709,17 @@ fn plan_referrals(classes: &[HostClass], addresses: &[Ipv4], ports: &[u16]) -> V
     planned
 }
 
-/// Draws a universe address not yet in `used` (and reserves it).
-/// Shared by the weekly evolution step (DHCP-style reassignment,
-/// arrivals) and the TLS strata ([`MultiProtoPlan::deploy`]).
+/// Draws universe addresses until `reserve` accepts one, and returns
+/// it. `reserve(addr)` reserves `addr` and returns true if it was free;
+/// `reserved` is how many addresses are reserved already. Shared by the
+/// weekly evolution step (DHCP-style reassignment, arrivals), which
+/// reserves in the world's address map, and the TLS strata
+/// ([`MultiProtoPlan::deploy`]), which keep a set of their own.
 pub(crate) fn pick_free_address(
     rng: &mut StdRng,
     universe: &[Cidr],
-    // ua-lint: allow(unordered-iteration) -- rejection-sampling membership only, never iterated
-    used: &mut HashSet<u32>,
+    reserved: usize,
+    mut reserve: impl FnMut(Ipv4) -> bool,
 ) -> Ipv4 {
     let sizes: Vec<u64> = universe.iter().map(Cidr::size).collect();
     let total: u64 = sizes.iter().sum();
@@ -725,7 +727,7 @@ pub(crate) fn pick_free_address(
     // universes: only *distinct* addresses can be handed out.
     let distinct: u64 = spec::canonical_blocks(universe).map(|b| b.size()).sum();
     assert!(
-        (used.len() as u64) < distinct,
+        (reserved as u64) < distinct,
         "universe too small for population"
     );
     loop {
@@ -733,7 +735,7 @@ pub(crate) fn pick_free_address(
         for (block, &size) in universe.iter().zip(&sizes) {
             if idx < size {
                 let addr = Ipv4(block.base.0.wrapping_add(idx as u32));
-                if used.insert(addr.0) {
+                if reserve(addr) {
                     return addr;
                 }
                 break;

@@ -166,7 +166,8 @@ impl MultiProtoPlan {
         for (idx, class) in roster {
             // Occupied: bound, or planted by a world and not built yet.
             let address = loop {
-                let address = pick_free_address(&mut rng, universe, &mut used);
+                let address =
+                    pick_free_address(&mut rng, universe, used.len(), |addr| used.insert(addr.0));
                 if !net.host_exists(address) {
                     break address;
                 }

@@ -3,16 +3,16 @@
 //! A deployed population is entirely a function of
 //! `(seed, universe, mix, port)`. This module makes that function
 //! *random access*: [`WorldSpec`] answers "what class/port/address does
-//! host `id` have?" and — crucially — the inverse "which host, if any,
-//! sits at this address?" in O(1), without ever allocating per-address
-//! or per-host state for the whole universe.
+//! host `id` have?" in O(1) per host, without allocating anything per
+//! universe address.
 //!
 //! The address layout is a seeded Feistel permutation over the
 //! universe's distinct-address index space ([`AddrPerm`]): host `id`
-//! lives at the `perm(id)`-th address of the canonicalized universe,
-//! and an address occupancy query decrypts the flat index back to a
-//! candidate id — the world engine's allocator and occupancy predicate
-//! in one.
+//! lives at the `perm(id)`-th address of the canonicalized universe.
+//! The permutation is the week-0 allocator and nothing more. The
+//! question the sweep asks, "who sits at this address?", is answered
+//! by the world engine's address map, which `WorldCore::new` fills
+//! from [`WorldSpec::address_of`].
 //!
 //! Referral wiring is derived per host by inverting the global
 //! round-robin plan of the pre-lazy `plan_referrals`: a discovery
@@ -72,11 +72,11 @@ pub(crate) fn canonical_blocks(universe: &[Cidr]) -> impl Iterator<Item = Cidr> 
         .map(|(_, block)| *block)
 }
 
-/// A seeded permutation of `[0, size)` with O(1) forward and inverse
+/// A seeded permutation of `[0, size)` with O(1) expected forward
 /// evaluation: a balanced Feistel network over the next even power of
-/// two, cycle-walked back into the domain. Used to scatter host ids
-/// over the universe's distinct addresses injectively — `forward` is
-/// the allocator, `inverse` the occupancy predicate.
+/// two, cycle-walked back into the domain. The week-0 allocator: it
+/// scatters host ids over the universe's distinct addresses
+/// injectively.
 pub(crate) struct AddrPerm {
     size: u64,
     half_bits: u32,
@@ -114,16 +114,6 @@ impl AddrPerm {
         (l << self.half_bits) | r
     }
 
-    fn decrypt(&self, y: u64) -> u64 {
-        let mask = (1u64 << self.half_bits) - 1;
-        let (mut l, mut r) = (y >> self.half_bits, y & mask);
-        for &k in self.keys.iter().rev() {
-            let f = mix64(l ^ k) & mask;
-            (l, r) = (r ^ f, l);
-        }
-        (l << self.half_bits) | r
-    }
-
     /// Where slot `i` lands. Cycle-walking: keep encrypting until the
     /// value falls back into `[0, size)` — the Feistel is a bijection
     /// on the padded power-of-two domain, so this terminates in O(1)
@@ -133,18 +123,6 @@ impl AddrPerm {
         let mut x = i;
         loop {
             x = self.encrypt(x);
-            if x < self.size {
-                return x;
-            }
-        }
-    }
-
-    /// The slot that lands at `s` (inverse of [`AddrPerm::forward`]).
-    pub(crate) fn inverse(&self, s: u64) -> u64 {
-        debug_assert!(s < self.size);
-        let mut x = s;
-        loop {
-            x = self.decrypt(x);
             if x < self.size {
                 return x;
             }
@@ -179,8 +157,6 @@ pub(crate) struct WorldSpec {
     blocks: Vec<Cidr>,
     /// Flat-index start of each canonical block (prefix sums).
     block_starts: Vec<u64>,
-    /// Number of distinct addresses in the universe.
-    distinct: u64,
     perm: AddrPerm,
     /// `(class, count)` mix segments in declaration order — host ids
     /// are roster indices into the concatenation.
@@ -232,7 +208,6 @@ impl WorldSpec {
             sweep_port: cfg.port,
             blocks,
             block_starts,
-            distinct,
             perm: AddrPerm::new(mix64(cfg.seed ^ 0x4144_4452), distinct.max(1)),
             segments,
             seg_starts,
@@ -279,29 +254,10 @@ impl WorldSpec {
         Ipv4(self.blocks[b].base.0 + (slot - self.block_starts[b]) as u32)
     }
 
-    fn addr_to_slot(&self, addr: Ipv4) -> Option<u64> {
-        for (b, block) in self.blocks.iter().enumerate() {
-            if block.contains(addr) {
-                return Some(self.block_starts[b] + (addr.0 - block.base.0) as u64);
-            }
-        }
-        None
-    }
-
-    /// Week-0 address of host `id`.
+    /// Week-0 address of host `id`: distinct ids get distinct
+    /// addresses of the universe.
     pub(crate) fn address_of(&self, id: u64) -> Ipv4 {
         self.slot_to_addr(self.perm.forward(id))
-    }
-
-    /// The host deployed at `addr` at week 0, if any — the O(1)
-    /// occupancy predicate (inverse of [`WorldSpec::address_of`]).
-    pub(crate) fn host_at(&self, addr: Ipv4) -> Option<u64> {
-        let slot = self.addr_to_slot(addr)?;
-        if slot >= self.distinct {
-            return None;
-        }
-        let id = self.perm.inverse(slot);
-        (id < self.total).then_some(id)
     }
 
     /// Number of hosts of `class`.
@@ -443,7 +399,7 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn perm_is_a_bijection_with_inverse() {
+    fn perm_is_a_bijection() {
         for size in [1u64, 2, 3, 7, 8, 255, 256, 1000] {
             let perm = AddrPerm::new(0xFEED ^ size, size);
             let mut seen = HashSet::new();
@@ -451,13 +407,12 @@ mod tests {
                 let s = perm.forward(i);
                 assert!(s < size);
                 assert!(seen.insert(s), "size {size}: slot {s} hit twice");
-                assert_eq!(perm.inverse(s), i, "size {size}: inverse broken at {i}");
             }
         }
     }
 
     #[test]
-    fn spec_addresses_round_trip_and_stay_disjoint() {
+    fn spec_addresses_stay_disjoint_inside_the_universe() {
         let cfg = PopulationConfig::new(
             42,
             vec![
@@ -475,18 +430,11 @@ mod tests {
                 "{addr} outside universe"
             );
             assert!(addrs.insert(addr), "{addr} assigned twice");
-            assert_eq!(spec.host_at(addr), Some(id));
         }
-        // Unoccupied addresses answer None.
-        let mut empties = 0;
-        for last in 0..=255u8 {
-            let addr = Ipv4::new(10, 0, 0, last);
-            if !addrs.contains(&addr) && spec.host_at(addr).is_none() {
-                empties += 1;
-            }
-        }
-        assert!(empties > 0, "no unoccupied address answered None");
-        assert!(spec.host_at(Ipv4::new(203, 0, 113, 1)).is_none());
+        // Both blocks are used.
+        let small: Cidr = "192.0.2.0/28".parse().unwrap();
+        assert!(addrs.iter().any(|&addr| small.contains(addr)));
+        assert!(addrs.iter().any(|&addr| !small.contains(addr)));
     }
 
     #[test]

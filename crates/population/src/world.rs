@@ -4,10 +4,13 @@
 //!
 //! [`WorldCore`] holds one [`HostFate`] per roster id — a few dozen
 //! bytes of class/address/liveness/event-log state — plus a memo of
-//! fully built [`HostDeployment`]s. It registers a
-//! [`netsim::HostResolver`] so the sweep answers occupancy from the
-//! seeded predicate ([`crate::spec::WorldSpec`] week 0, an overlay map
-//! for churned addresses afterwards) and hosts are built the moment a
+//! fully built [`HostDeployment`]s and one address map: every address
+//! the world ever allocated, with who sits there now. The week-0
+//! addresses come from [`crate::spec::WorldSpec`]'s seeded allocator,
+//! and departures, moves and arrivals update the map, so it is the
+//! only occupancy record there is. The [`netsim::HostResolver`] the
+//! core registers answers the sweep's "who sits here?" with one probe
+//! of that map per address, and hosts are built the moment a
 //! connection first reaches them. Every world is built this way;
 //! [`crate::synthesize`] just materializes the whole fleet at once.
 //! Because every RNG-derived field is a pure function of
@@ -33,9 +36,10 @@ use crate::{
     BuildParams, HostClass, HostDeployment, Key, Population, PopulationConfig, SharedSecrets,
     Synthesizer, ACTUAL_KEY_BITS, NONE,
 };
-use netsim::{Cidr, HostResolver, Internet, Ipv4, PortState};
+use netsim::{AddrHash, Cidr, HostResolver, Internet, Ipv4, PortState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 // ua-lint: allow(unordered-iteration) -- maps/sets here are key-lookup only; every iterated collection is a Vec or BTreeSet
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, RwLock, Weak};
@@ -126,11 +130,13 @@ fn estimate_resident_bytes(dep: &HostDeployment) -> u64 {
         + dep.space.resident_bytes()) as u64
 }
 
-/// What the overlay map says about an address the base permutation
-/// no longer describes (churned addresses only).
+/// Who sits at an address the world allocated.
 #[derive(Debug, Clone, Copy)]
-enum Occupancy {
-    Occupied(u64),
+enum Occupant {
+    /// The host with this roster id. Ids fit a `u32`: every host was
+    /// allocated an address of its own.
+    Occupied(u32),
+    /// Left by a departure or a move; never allocated again.
     Vacated,
 }
 
@@ -176,14 +182,13 @@ struct CoreState {
     /// Materialized hosts by id (the memo behind the resolver).
     // ua-lint: allow(unordered-iteration) -- keyed memo: accessed by id lookup, never iterated
     deps: HashMap<u64, HostDeployment>,
-    /// Address overrides on top of the week-0 permutation: only
-    /// churned addresses appear here, so lookup stays O(1) with
-    /// O(churn) memory.
-    // ua-lint: allow(unordered-iteration) -- O(1) occupancy lookup by address, never iterated
-    overlay: HashMap<u32, Occupancy>,
-    /// Every address ever allocated (moves/arrivals must not recycle).
-    // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
-    used: HashSet<u32>,
+    /// Every address the world ever allocated, and who sits there now:
+    /// one entry per week-0 host, move and arrival, so O(hosts + churn)
+    /// memory and nothing per universe address. The occupancy predicate
+    /// is one probe, and allocation skips its keys, so a vacated
+    /// address is never recycled.
+    // ua-lint: allow(unordered-iteration) -- probed by address and for allocation, never iterated
+    addrs: HashMap<u32, Occupant, AddrHash>,
     /// Epoch of each week seen so far (`week_nows[0]` = deployment).
     week_nows: Vec<i64>,
     arrival_cursor: usize,
@@ -191,6 +196,30 @@ struct CoreState {
 }
 
 impl CoreState {
+    /// The host currently occupying `addr`, if any: one map probe, no
+    /// allocation.
+    fn lookup(&self, addr: Ipv4) -> Option<u64> {
+        match self.addrs.get(&addr.0)? {
+            Occupant::Occupied(id) => Some(u64::from(*id)),
+            Occupant::Vacated => None,
+        }
+    }
+
+    /// Draws an address the world never allocated for host `id` and
+    /// records it there.
+    fn allocate(&mut self, rng: &mut StdRng, universe: &[Cidr], id: u64) -> Ipv4 {
+        let allocated = self.addrs.len();
+        pick_free_address(rng, universe, allocated, |addr| {
+            match self.addrs.entry(addr.0) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(slot) => {
+                    slot.insert(Occupant::Occupied(id as u32));
+                    true
+                }
+            }
+        })
+    }
+
     /// Applies `change` to host `id` if it is materialized, keeping the
     /// resident estimate in step with what the host holds afterwards.
     fn change_host<T>(
@@ -212,7 +241,6 @@ pub(crate) struct WorldCore {
     seed: u64,
     sweep_port: u16,
     universe: Vec<Cidr>,
-    spec: WorldSpec,
     shared: SharedSecrets,
     state: RwLock<CoreState>,
 }
@@ -226,12 +254,12 @@ impl WorldCore {
         let spec = WorldSpec::new(cfg);
         let shared = SharedSecrets::generate(&mut Synthesizer::for_shared(cfg.seed), now);
         let mut fates = Vec::with_capacity(spec.len() as usize);
-        // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
-        let mut used = HashSet::new();
+        // ua-lint: allow(unordered-iteration) -- the address map (see `CoreState::addrs`)
+        let mut addrs = HashMap::with_capacity_and_hasher(spec.len() as usize, AddrHash);
         for id in 0..spec.len() {
             let class = spec.class_of(id);
             let address = spec.address_of(id);
-            used.insert(address.0);
+            addrs.insert(address.0, Occupant::Occupied(id as u32));
             fates.push(HostFate {
                 class,
                 initial_address: address,
@@ -252,15 +280,12 @@ impl WorldCore {
             seed: cfg.seed,
             sweep_port: cfg.port,
             universe: cfg.universe.clone(),
-            spec,
             shared,
             state: RwLock::new(CoreState {
                 fates,
                 // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
                 deps: HashMap::new(),
-                // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
-                overlay: HashMap::new(),
-                used,
+                addrs,
                 week_nows: vec![now],
                 arrival_cursor: 0,
                 stats: MaterializationStats::default(),
@@ -301,20 +326,6 @@ impl WorldCore {
     pub(crate) fn alive_count(&self) -> usize {
         let st = self.state_read();
         st.fates.iter().filter(|f| f.alive).count()
-    }
-
-    /// The host currently occupying `addr`, if any — overlay first,
-    /// then the week-0 permutation. O(1), no allocation. Takes the
-    /// caller's state guard, so a batch of lookups locks once.
-    fn lookup(&self, st: &CoreState, addr: Ipv4) -> Option<u64> {
-        match st.overlay.get(&addr.0) {
-            Some(Occupancy::Occupied(id)) => Some(*id),
-            Some(Occupancy::Vacated) => None,
-            None => {
-                let id = self.spec.host_at(addr)?;
-                st.fates[id as usize].alive.then_some(id)
-            }
-        }
     }
 
     /// Ensures host `id` is built and bound. Builds run outside the
@@ -457,7 +468,7 @@ impl WorldCore {
 
             if !lds && event_rng(self.seed, week, id, SALT_DEPART).gen_bool(churn.departure) {
                 let addr = st.fates[idx].address;
-                st.overlay.insert(addr.0, Occupancy::Vacated);
+                st.addrs.insert(addr.0, Occupant::Vacated);
                 st.fates[idx].alive = false;
                 if let Some(dep) = st.deps.remove(&id) {
                     self.net.remove_host(addr);
@@ -470,9 +481,8 @@ impl WorldCore {
             let mut mrng = event_rng(self.seed, week, id, SALT_MOVE);
             if mrng.gen_bool(churn.ip_move) {
                 let from = st.fates[idx].address;
-                let to = pick_free_address(&mut mrng, &self.universe, &mut st.used);
-                st.overlay.insert(from.0, Occupancy::Vacated);
-                st.overlay.insert(to.0, Occupancy::Occupied(id));
+                let to = st.allocate(&mut mrng, &self.universe, id);
+                st.addrs.insert(from.0, Occupant::Vacated);
                 st.fates[idx].address = to;
                 st.fates[idx].last_rebind_week = week;
                 let ev = MaterialEvent::Moved { from, to };
@@ -586,8 +596,7 @@ impl WorldCore {
                 [st.arrival_cursor % crate::evolution::ARRIVAL_CLASSES.len()];
             st.arrival_cursor += 1;
             let id = st.fates.len() as u64;
-            let address = pick_free_address(&mut arrivals_rng, &self.universe, &mut st.used);
-            st.overlay.insert(address.0, Occupancy::Occupied(id));
+            let address = st.allocate(&mut arrivals_rng, &self.universe, id);
             st.fates.push(HostFate {
                 class,
                 initial_address: address,
@@ -773,7 +782,7 @@ impl HostResolver for WorldResolver {
     fn host_exists(&self, addr: Ipv4) -> bool {
         self.core
             .upgrade()
-            .is_some_and(|core| core.lookup(&core.state_read(), addr).is_some())
+            .is_some_and(|core| core.state_read().lookup(addr).is_some())
     }
 
     fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
@@ -783,7 +792,7 @@ impl HostResolver for WorldResolver {
         };
         let st = core.state_read();
         for (&addr, state) in addrs.iter().zip(states) {
-            *state = match core.lookup(&st, addr) {
+            *state = match st.lookup(addr) {
                 None => PortState::NoHost,
                 Some(id) if st.fates[id as usize].port == port => PortState::Open,
                 Some(_) => PortState::Closed,
@@ -795,7 +804,7 @@ impl HostResolver for WorldResolver {
         if let Some(core) = self.core.upgrade() {
             // The read guard must be gone before `materialize` takes
             // the write side.
-            let id = core.lookup(&core.state_read(), addr);
+            let id = core.state_read().lookup(addr);
             if let Some(id) = id {
                 core.materialize(id);
             }
@@ -807,12 +816,13 @@ impl HostResolver for WorldResolver {
 /// reaches a host.
 ///
 /// `deploy` derives the week-0 world as a pure specification (classes,
-/// ports, addresses, referral wiring) and installs an O(1) occupancy
-/// resolver on `net` — the universe can hold millions of addresses
-/// without allocating anything per address or per host. A sweep's SYN
-/// probes answer from the seeded predicate; the first full connection
-/// to a host runs `build_host` for exactly that host and binds it,
-/// after which the regular service table serves it.
+/// ports, addresses, referral wiring) and installs an occupancy
+/// resolver on `net`. The world holds one fate and one address-map
+/// entry per host (plus an entry per move) and nothing per universe
+/// address, so the universe can hold millions of addresses. A sweep's SYN probe of an address is
+/// one probe of that map; the first full connection to a host runs
+/// `build_host` for exactly that host and binds it, after which the
+/// regular service table serves it.
 /// [`crate::synthesize`] is this world with every host materialized
 /// up front; scans of the two are byte-identical at any scanner worker
 /// count.
@@ -831,7 +841,7 @@ impl HostResolver for WorldResolver {
 /// );
 /// let world = LazyWorld::deploy(&net, &cfg);
 /// assert_eq!(world.len(), 30);
-/// // Nothing is built yet — SYN-level occupancy is pure arithmetic.
+/// // Nothing is built yet — SYN-level occupancy is one map probe.
 /// assert_eq!(world.stats().hosts_materialized, 0);
 /// ```
 pub struct LazyWorld {
@@ -961,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_match_replay_after_churn_fills_the_overlay() {
+    fn batches_match_replay_after_churn_rewrites_the_address_map() {
         let net = Internet::new(VirtualClock::starting_at(EPOCH));
         let cfg = PopulationConfig::new(43, universe(), StrataMix::paper_like(80));
         let churn = ChurnConfig {
@@ -978,14 +988,78 @@ mod tests {
             net.clock().advance_seconds(7 * 86_400);
             world.evolve(week);
         }
-        // Departures and moves leave `Vacated` overlay entries; moves
-        // and arrivals leave `Occupied` ones.
+        // Departures and moves leave `Vacated` entries in the address
+        // map; moves and arrivals add `Occupied` ones.
         let history = world.history();
         assert!(history.iter().any(|w| w.departures() > 0 && w.moves() > 0));
         assert!(history.iter().any(|w| w.arrivals() > 0));
         let moved = assert_batches_match_replay(&net, &blocklist);
         touch(&net, &moved, 3);
         assert_batches_match_replay(&net, &blocklist);
+    }
+
+    /// The address map against an oracle that does not read it: after
+    /// each of 3 weeks of heavy churn, the addresses a SYN finds
+    /// occupied, and listening on the sweep port, are where the built
+    /// truth puts the living hosts, and those on the sweep port. No
+    /// address a move vacated is occupied again.
+    #[test]
+    fn occupancy_matches_the_built_truth_through_churn() {
+        let block: Cidr = "10.61.0.0/20".parse().unwrap();
+        let cfg = PopulationConfig::new(67, vec![block], StrataMix::paper_like(80));
+        let churn = ChurnConfig {
+            ip_move: 0.3,
+            departure: 0.15,
+            arrival: 0.2,
+            ..ChurnConfig::frozen()
+        };
+        for weeks in 0..=3 {
+            // A fresh world per week: churn is the same whichever hosts
+            // were built, and this one has none bound yet.
+            let net = Internet::new(VirtualClock::starting_at(EPOCH));
+            let mut world = EvolvingWorld::new_lazy(&net, &cfg, churn.clone());
+            for week in 1..=weeks {
+                net.clock().advance_seconds(7 * 86_400);
+                world.evolve(week);
+            }
+            let occupied: BTreeSet<Ipv4> = block.iter().filter(|&a| net.host_exists(a)).collect();
+            let listening: BTreeSet<Ipv4> = block
+                .iter()
+                .filter(|&a| net.has_listener(a, cfg.port))
+                .collect();
+            assert_eq!(net.host_count(), 0, "week {weeks}: a SYN built a host");
+
+            // Only now build the fleet, and read where it sits.
+            let truth = world.observable_truth();
+            let hosts: BTreeSet<Ipv4> = truth.iter().map(|t| t.address).collect();
+            let swept: BTreeSet<Ipv4> = truth
+                .iter()
+                .filter(|t| t.port == cfg.port)
+                .map(|t| t.address)
+                .collect();
+            assert_eq!(hosts.len(), truth.len(), "week {weeks}: shared address");
+            assert_eq!(occupied, hosts, "week {weeks}: occupied");
+            assert_eq!(listening, swept, "week {weeks}: listening");
+            assert!(
+                swept.len() < hosts.len(),
+                "referral-only hosts listen elsewhere"
+            );
+
+            let history = world.history();
+            let vacated: BTreeSet<Ipv4> = history
+                .iter()
+                .flat_map(|w| &w.events)
+                .filter_map(|(_, event)| match event {
+                    ChurnEvent::Moved { from } => Some(*from),
+                    _ => None,
+                })
+                .collect();
+            assert!(vacated.is_disjoint(&occupied), "week {weeks}: reoccupied");
+            if weeks > 0 {
+                let last = &history[history.len() - 1];
+                assert!(last.moves() > 0 && last.departures() > 0 && last.arrivals() > 0);
+            }
+        }
     }
 
     /// Every class as built, one host each: endpoints | tokens |

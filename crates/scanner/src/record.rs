@@ -69,10 +69,11 @@ impl EndpointSnapshot {
     }
 }
 
-/// How the scanner came to probe a host: the breadth-first sweep, or a
-/// FindServers referral announced by an already-probed host (the
-/// paper's 2020-05-04 scanner extension, which surfaced over a thousand
-/// servers hidden behind discovery servers on non-default ports).
+/// How the scanner came to probe a host: the sweep's zmap permutation
+/// walk, or a FindServers referral announced by an already-probed host
+/// (the paper's 2020-05-04 scanner extension, which surfaced over a
+/// thousand servers hidden behind discovery servers on non-default
+/// ports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscoveredVia {
     /// Found by the zmap-style sweep on the campaign port.

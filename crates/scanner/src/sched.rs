@@ -324,9 +324,6 @@ pub struct EngineStats {
     pub timers_fired: u64,
     /// Timers still armed when a loop aborted, dropped unfired.
     pub timers_cancelled: u64,
-    /// Virtual microseconds the event loops' internal timelines covered:
-    /// the sum over loops of each loop's last timer deadline.
-    pub virtual_micros: u64,
 }
 
 impl EngineStats {
@@ -339,7 +336,6 @@ impl EngineStats {
         self.timers_scheduled += other.timers_scheduled;
         self.timers_fired += other.timers_fired;
         self.timers_cancelled += other.timers_cancelled;
-        self.virtual_micros += other.virtual_micros;
     }
 }
 
@@ -430,7 +426,7 @@ impl PhaseEnv<'_> {
             return ShardRun {
                 complete: run == EngineRun::Complete,
                 jobs: vec![shard_jobs],
-                engine: engine.stats(),
+                engine: engine.stats,
             };
         }
         let capacity = self.config.effective_channel_capacity();
@@ -449,7 +445,7 @@ impl PhaseEnv<'_> {
                         engine.run(&mut shard_jobs, cancel, &mut |ordinal, record, micros| {
                             tx.send((ordinal, record, micros)).is_ok()
                         });
-                    (run, shard_jobs, engine.stats())
+                    (run, shard_jobs, engine.stats)
                 }));
             }
             // N-way merge. Blocking on one shard is fine: the others run
@@ -540,13 +536,6 @@ impl<'a> EventLoop<'a> {
             stats: EngineStats::default(),
             cap: env.config.effective_max_in_flight(),
             env,
-        }
-    }
-
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            virtual_micros: self.timers.now,
-            ..self.stats
         }
     }
 

@@ -2,10 +2,13 @@
 //! (§4/§5.4 of the paper).
 //!
 //! From `Objects`, the traversal walks all forward references
-//! breadth-first, records every node with its effective anonymous access
-//! rights (`UserAccessLevel`, `UserExecutable`), reads readable values,
-//! and respects the paper's politeness budget: 500 ms between requests
-//! (enforced by the client), 60 minutes and 50 MB per host.
+//! depth-first: it records each node the first time a Browse answer
+//! names it, pushes it on a stack and browses the most recently pushed
+//! node next, so the last reference of an answer is descended first.
+//! Every node is recorded with its effective anonymous access rights
+//! (`UserAccessLevel`, `UserExecutable`) and readable values are read.
+//! The walk respects the paper's politeness budget: 500 ms between
+//! requests (enforced by the client), 60 minutes and 50 MB per host.
 
 use crate::client::UaClient;
 use crate::error::ClientError;
@@ -114,10 +117,10 @@ pub fn traverse<S: ByteStream>(
     let start_tx = client.stats().tx_bytes;
 
     let mut out = Traversal::default();
-    let mut queue: Vec<NodeId> = vec![NodeId::numeric(0, 85)]; // ObjectsFolder
-    let mut seen: HashSet<NodeId> = queue.iter().cloned().collect();
+    let mut stack: Vec<NodeId> = vec![NodeId::numeric(0, 85)]; // ObjectsFolder
+    let mut seen: HashSet<NodeId> = stack.iter().cloned().collect();
 
-    'walk: while let Some(node) = queue.pop() {
+    'walk: while let Some(node) = stack.pop() {
         // Budget checks before each request burst.
         let elapsed = client.clock().now_micros() / 1000 - start_millis;
         let tx = client.stats().tx_bytes - start_tx;
@@ -176,7 +179,7 @@ pub fn traverse<S: ByteStream>(
                     _ => {}
                 }
                 out.nodes.push(record);
-                queue.push(target);
+                stack.push(target);
             }
             match result.continuation_point.take() {
                 Some(cp) => result = client.browse_next(cp)?,

@@ -1,8 +1,8 @@
 //! A 30-week longitudinal study over a **million-address universe** in
 //! bounded memory — the lazy-materialization showcase.
 //!
-//! `EvolvingWorld::new_lazy` installs only a seeded occupancy
-//! predicate: the scanner sweeps all ~1M addresses of `10.0.0.0/12`,
+//! `EvolvingWorld::new_lazy` installs only a map of the hosts' seeded
+//! addresses: the scanner sweeps all ~1M addresses of `10.0.0.0/12`,
 //! and a host is synthesized — keys, certificate, address space,
 //! referral wiring — the first time a probe actually reaches it, as a
 //! pure function of `(seed, host id, week)`. Resident cost tracks the

@@ -170,8 +170,9 @@
 //!   vs. distinct).
 //! * **Lazy world materialization** — `population::LazyWorld` (and
 //!   `EvolvingWorld::new_lazy`) deploys a universe-sized study without
-//!   building it: occupancy is answered by a seeded O(1) predicate (a
-//!   Feistel permutation over the universe, no per-address state), and
+//!   building it: occupancy is one probe of an address map that holds
+//!   the hosts' addresses (placed by a seeded Feistel permutation over
+//!   the universe) and nothing per universe address, and
 //!   a host's full deployment — keys, certificate, address space,
 //!   referral wiring — is synthesized on *first probe contact* through
 //!   `netsim`'s `HostResolver` hook, as a pure function of
