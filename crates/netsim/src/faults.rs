@@ -163,27 +163,13 @@ impl NetProfile {
         ConnectFate::Deliver
     }
 
-    /// Replays the fate sequence: the first attempt (0-based) that
-    /// delivers a *usable* connection within `max_attempts`, or `None`
-    /// when the host is unrecoverable at that retry budget. Tarpits
-    /// never deliver usable streams — a dribbling tarpit hands out a
-    /// socket, but no protocol exchange ever completes on it.
-    pub fn first_delivered_attempt(&self, max_attempts: u32) -> Option<u32> {
-        for attempt in 0..max_attempts.max(1) {
-            match self.connect_fate(attempt) {
-                ConnectFate::Deliver => return Some(attempt),
-                ConnectFate::Tarpit(_) => return None,
-                ConnectFate::SynLost | ConnectFate::Throttled { .. } => {}
-            }
-        }
-        None
-    }
-
     /// The fate a retrying scanner ends on: [`ConnectFate::Deliver`] if
     /// any attempt within `max_attempts` gets through, otherwise the
-    /// terminal fault (tarpits terminate immediately; exhausted budgets
-    /// report the last attempt's fault). This is the ground-truth side
-    /// of the scanner's `HostOutcome` classification.
+    /// terminal fault (exhausted budgets report the last attempt's
+    /// fault). Tarpits terminate immediately: a dribbling tarpit hands
+    /// out a socket, but no protocol exchange ever completes on it.
+    /// This is the ground-truth side of the scanner's `HostOutcome`
+    /// classification.
     pub fn terminal_fate(&self, max_attempts: u32) -> ConnectFate {
         let max = max_attempts.max(1);
         let mut last = ConnectFate::SynLost;
@@ -303,7 +289,7 @@ mod tests {
         for attempt in 0..8 {
             assert_eq!(p.connect_fate(attempt), ConnectFate::Deliver);
         }
-        assert_eq!(p.first_delivered_attempt(1), Some(0));
+        assert_eq!(p.terminal_fate(1), ConnectFate::Deliver);
         assert_eq!(p.terminal_fate(4), ConnectFate::Deliver);
     }
 
@@ -316,8 +302,8 @@ mod tests {
         assert_eq!(p.connect_fate(0), ConnectFate::SynLost);
         assert_eq!(p.connect_fate(1), ConnectFate::SynLost);
         assert_eq!(p.connect_fate(2), ConnectFate::Deliver);
-        assert_eq!(p.first_delivered_attempt(4), Some(2));
-        assert_eq!(p.first_delivered_attempt(2), None);
+        assert_eq!(p.terminal_fate(4), ConnectFate::Deliver);
+        assert_eq!(p.terminal_fate(3), ConnectFate::Deliver);
         assert_eq!(p.terminal_fate(2), ConnectFate::SynLost);
     }
 
@@ -339,7 +325,11 @@ mod tests {
             ConnectFate::Throttled { penalty_micros: 7 }
         );
         assert_eq!(temp.connect_fate(2), ConnectFate::Deliver);
-        assert_eq!(temp.first_delivered_attempt(3), Some(2));
+        assert_eq!(
+            temp.terminal_fate(2),
+            ConnectFate::Throttled { penalty_micros: 7 }
+        );
+        assert_eq!(temp.terminal_fate(3), ConnectFate::Deliver);
 
         let perm = NetProfile {
             firewall: Some(FirewallProfile::permanent(7)),
@@ -352,7 +342,6 @@ mod tests {
                 ConnectFate::Throttled { penalty_micros: 7 }
             );
         }
-        assert_eq!(perm.first_delivered_attempt(64), None);
         assert_eq!(
             perm.terminal_fate(64),
             ConnectFate::Throttled { penalty_micros: 7 }
@@ -385,7 +374,6 @@ mod tests {
             assert_eq!(never.connect_fate(attempt), ConnectFate::Deliver);
             assert_eq!(always.connect_fate(attempt), ConnectFate::SynLost);
         }
-        assert_eq!(always.first_delivered_attempt(16), None);
         assert_eq!(always.terminal_fate(16), ConnectFate::SynLost);
     }
 
@@ -400,7 +388,6 @@ mod tests {
             ..NetProfile::polite()
         };
         assert_eq!(p.connect_fate(0), ConnectFate::Tarpit(tarpit));
-        assert_eq!(p.first_delivered_attempt(8), None);
         assert_eq!(p.terminal_fate(8), ConnectFate::Tarpit(tarpit));
     }
 

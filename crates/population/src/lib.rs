@@ -25,10 +25,10 @@
 //! memory proportional to the hosts, and the built part to the hosts a
 //! sweep actually touches. [`synthesize`] is the same world with every
 //! host materialized up front. Every host is a pure function of
-//! `(seed, host id, week)` — an internal `WorldSpec` answers layout
-//! queries in O(1) and per-host RNG streams supply the material — so
-//! when a host is built never changes a byte a scanner sees, at any
-//! worker count.
+//! `(seed, host id, week)` — the week-0 layout and referral wiring are
+//! planned once, in one pass over the mix's roster, and per-host RNG
+//! streams supply the material — so when a host is built never changes
+//! a byte a scanner sees, at any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -314,11 +314,9 @@ impl StrataMix {
         self.counts.iter().map(|(_, n)| n).sum()
     }
 
-    /// The class of every host, in deployment order. (The non-test
-    /// paths derive classes by rank arithmetic in `spec::WorldSpec`
-    /// instead of expanding the roster.)
-    #[cfg(test)]
-    fn expand(&self) -> Vec<HostClass> {
+    /// The roster: the class of every host, in id order. The world
+    /// engine plans the week-0 world from it in one pass.
+    pub(crate) fn expand(&self) -> Vec<HostClass> {
         let mut v = Vec::with_capacity(self.total());
         for &(class, n) in &self.counts {
             v.extend(std::iter::repeat_n(class, n));
@@ -645,68 +643,6 @@ pub(crate) fn setup_registry(net: &Internet, cfg: &PopulationConfig) {
         registry.announce(handle, *block);
     }
     net.set_registry(registry);
-}
-
-/// Deterministic referral wiring: which URLs each discovery host
-/// announces beyond its random same-port picks.
-///
-/// * every [`HostClass::ChainedLds`] is referenced by a default-port
-///   LDS (round-robin) and references that referrer *back* — the
-///   A→B→A loop the scanner's dedup must terminate;
-/// * chained LDS also reference each other in a cycle (loops entirely
-///   inside the referral phase);
-/// * every [`HostClass::HiddenServer`] is referenced by exactly one
-///   discovery host, alternating between default-port LDS (chain
-///   depth one) and chained LDS (deeper), so each hidden server is
-///   reachable and chains actually deepen.
-///
-/// Default-port discovery servers are the only entry point the sweep
-/// can find: a mix without any [`HostClass::DiscoveryServer`] gets no
-/// referral wiring at all — chained LDS and hidden servers then stay
-/// deliberately unreachable rather than forming a stranded island that
-/// *looks* wired but can never be discovered.
-///
-/// Superseded by the per-host inversion in `spec::WorldSpec::ref_specs`
-/// (which needs no global vectors); kept as the reference
-/// implementation the spec's wiring is tested against.
-#[cfg(test)]
-fn plan_referrals(classes: &[HostClass], addresses: &[Ipv4], ports: &[u16]) -> Vec<Vec<String>> {
-    let url_of = |j: usize| format!("opc.tcp://{}:{}/", addresses[j], ports[j]);
-    let of_class = |class: HostClass| -> Vec<usize> {
-        classes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c == class)
-            .map(|(j, _)| j)
-            .collect()
-    };
-    let discovery = of_class(HostClass::DiscoveryServer);
-    let mut planned: Vec<Vec<String>> = vec![Vec::new(); classes.len()];
-    if discovery.is_empty() {
-        return planned;
-    }
-    let chained = of_class(HostClass::ChainedLds);
-    let hidden = of_class(HostClass::HiddenServer);
-
-    for (c, &idx) in chained.iter().enumerate() {
-        let referrer = discovery[c % discovery.len()];
-        planned[referrer].push(url_of(idx));
-        planned[idx].push(url_of(referrer));
-    }
-    if chained.len() > 1 {
-        for (c, &idx) in chained.iter().enumerate() {
-            planned[idx].push(url_of(chained[(c + 1) % chained.len()]));
-        }
-    }
-    for (h, &idx) in hidden.iter().enumerate() {
-        let referrer = if !chained.is_empty() && h % 2 == 1 {
-            chained[(h / 2) % chained.len()]
-        } else {
-            discovery[h % discovery.len()]
-        };
-        planned[referrer].push(url_of(idx));
-    }
-    planned
 }
 
 /// Draws universe addresses until `reserve` accepts one, and returns
@@ -1071,7 +1007,7 @@ mod tests {
     }
 
     /// Every host of a deployed `cfg` world in roster order, as built by
-    /// the world engine — referral URLs included (`WorldSpec::ref_specs`
+    /// the world engine — referral URLs included (`spec::plan_referrals`
     /// rendered by `WorldCore::render_refs`, the production wiring).
     fn deployed(cfg: &PopulationConfig) -> Vec<HostDeployment> {
         world::WorldCore::new(&test_net(), cfg).map_alive(HostDeployment::clone)
@@ -1126,42 +1062,62 @@ mod tests {
     }
 
     #[test]
-    fn spec_wiring_matches_the_legacy_planner() {
-        // The per-host inversion in `WorldSpec::ref_specs` must
-        // reproduce the legacy global planner's round-robin wiring
-        // exactly (random picks and decoys ride in front/behind it).
-        let cfg = PopulationConfig::new(17, universe(), StrataMix::paper_like(40));
-        let deps = deployed(&cfg);
-        let classes = cfg.mix.expand();
-        let addresses: Vec<Ipv4> = deps.iter().map(|d| d.truth.address).collect();
-        let ports: Vec<u16> = deps.iter().map(|d| d.truth.port).collect();
-        let planned = plan_referrals(&classes, &addresses, &ports);
-        for (id, dep) in deps.iter().enumerate() {
-            let rendered = &dep.config.referenced_endpoints;
-            assert_eq!(dep.truth.class, classes[id], "class of {id}");
-            match classes[id] {
-                HostClass::ChainedLds => {
-                    assert_eq!(rendered, &planned[id], "chained LDS {id}");
+    fn referral_wiring_matches_a_hand_derived_table() {
+        // Ids 0–1 are WideOpen, 2–3 DiscoveryServer, 4–8 HiddenServer
+        // and 9–11 ChainedLds: D = 2 discovery servers, C = 3 chained
+        // LDS. Chained rank c is announced by discovery rank c % D,
+        // announces it back, then chained (c + 1) % C. Hidden rank h
+        // goes to chained (h / 2) % C when h is odd, else to discovery
+        // h % D. Each list is in that order, ranks ascending.
+        const WIRED: [(usize, &[usize]); 5] = [
+            (2, &[9, 11, 4, 6, 8]),
+            (3, &[10]),
+            (9, &[2, 10, 5]),
+            (10, &[3, 11, 7]),
+            (11, &[2, 9]),
+        ];
+        let mix = StrataMix::new()
+            .with(HostClass::WideOpen, 2)
+            .with(HostClass::DiscoveryServer, 2)
+            .with(HostClass::HiddenServer, 5)
+            .with(HostClass::ChainedLds, 3);
+        for seed in [5, 17, 29] {
+            let cfg = PopulationConfig::new(seed, universe(), mix.clone());
+            let deps = deployed(&cfg);
+            let urls: Vec<String> = deps.iter().map(url_of).collect();
+            for (id, dep) in deps.iter().enumerate() {
+                let rendered = &dep.config.referenced_endpoints;
+                let Some((_, charges)) = WIRED.iter().find(|(lds, _)| *lds == id) else {
+                    assert!(rendered.is_empty(), "seed {seed}: host {id} announces");
+                    continue;
+                };
+                let charges: Vec<String> = charges.iter().map(|&j| urls[j].clone()).collect();
+                if dep.truth.class != HostClass::DiscoveryServer {
+                    assert_eq!(rendered, &charges, "seed {seed}: chained LDS {id}");
+                    continue;
                 }
-                HostClass::DiscoveryServer => {
-                    let p = &planned[id];
-                    let start = rendered.len() - 3 - p.len();
-                    assert_eq!(&rendered[start..start + p.len()], p.as_slice(), "LDS {id}");
-                    for url in &rendered[..start] {
-                        assert!(
-                            deps.iter().any(|d| {
-                                !matches!(
-                                    d.truth.class,
-                                    HostClass::DiscoveryServer
-                                        | HostClass::HiddenServer
-                                        | HostClass::ChainedLds
-                                ) && *url == url_of(d)
-                            }),
-                            "{url} is not a swept non-LDS server"
-                        );
-                    }
-                }
-                _ => assert!(rendered.is_empty(), "host {id} should announce nothing"),
+                // A discovery server's random picks come first: one or
+                // two distinct swept servers, ids 0–1. Its decoys come
+                // last.
+                let picks = rendered.len() - charges.len() - 3;
+                assert!((1..=2).contains(&picks), "seed {seed}: LDS {id} picks");
+                let (picked, rest) = rendered.split_at(picks);
+                assert!(
+                    picked.iter().all(|url| urls[..2].contains(url)),
+                    "seed {seed}: LDS {id} picks {picked:?}"
+                );
+                assert!(
+                    picks == 1 || picked[0] != picked[1],
+                    "seed {seed}: LDS {id}"
+                );
+                let (addr, port) = (dep.truth.address, cfg.port);
+                let decoys = [
+                    format!("OPC.TCP://{addr}:{port}"),
+                    format!("opc.tcp://{addr}:{}/", port + 90),
+                    format!("opc.tcp://plant-lds-{id}.internal:{port}/"),
+                ];
+                assert_eq!(rest[..charges.len()], charges, "seed {seed}: LDS {id}");
+                assert_eq!(rest[charges.len()..], decoys, "seed {seed}: LDS {id}");
             }
         }
     }

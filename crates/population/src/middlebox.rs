@@ -189,8 +189,7 @@ impl MiddleboxPlan {
     /// stream within the budget). Unplanned addresses are recoverable
     /// trivially.
     pub fn recoverable(&self, addr: Ipv4, max_attempts: u32) -> bool {
-        self.fault_of(addr)
-            .is_none_or(|f| f.profile.first_delivered_attempt(max_attempts).is_some())
+        self.terminal_fate(addr, max_attempts) == ConnectFate::Deliver
     }
 
     /// Ground-truth replay of the terminal [`ConnectFate`] a retrying

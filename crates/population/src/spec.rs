@@ -1,10 +1,11 @@
-//! The pure world specification behind lazy materialization.
+//! The week-0 world, planned once.
 //!
 //! A deployed population is entirely a function of
-//! `(seed, universe, mix, port)`. This module makes that function
-//! *random access*: [`WorldSpec`] answers "what class/port/address does
-//! host `id` have?" in O(1) per host, without allocating anything per
-//! universe address.
+//! `(seed, universe, mix, port)`. `WorldCore::new` walks the mix's
+//! roster ([`crate::StrataMix::expand`]) once: [`WorldSpec`] gives each
+//! host its week-0 address and port, and [`plan_referrals`] wires every
+//! discovery server in one forward pass over the roster. Nothing is
+//! allocated per universe address.
 //!
 //! The address layout is a seeded Feistel permutation over the
 //! universe's distinct-address index space ([`AddrPerm`]): host `id`
@@ -13,12 +14,6 @@
 //! question the sweep asks, "who sits at this address?", is answered
 //! by the world engine's address map, which `WorldCore::new` fills
 //! from [`WorldSpec::address_of`].
-//!
-//! Referral wiring is derived per host by inverting the global
-//! round-robin plan of the pre-lazy `plan_referrals`: a discovery
-//! server of rank `d` can list its chained/hidden charges from
-//! class-rank arithmetic alone ([`WorldSpec::ref_specs`]), so no
-//! global address vectors are needed.
 
 use crate::{HostClass, PopulationConfig};
 use netsim::{Cidr, Ipv4};
@@ -146,24 +141,102 @@ pub(crate) enum RefSpec {
     Unresolvable,
 }
 
-/// Pure random-access view of the week-0 world: classes, ports,
-/// addresses, and referral wiring for every host id, derived from the
-/// population config alone. Everything is O(1) or O(#strata) per
-/// query; nothing is proportional to the universe size.
+/// Deterministic referral wiring: the [`RefSpec`]s each host of
+/// `roster` announces through FindServers, planned in one forward pass
+/// over the roster (host ids index it).
+///
+/// * every [`HostClass::DiscoveryServer`] first lists up to three
+///   random picks among the servers that are no LDS and listen on the
+///   sweep port (its own salted stream, duplicates skipped), then its
+///   charges, and last three decoys: itself spelled non-canonically, a
+///   dead port and an internal name;
+/// * every [`HostClass::ChainedLds`] is referenced by a default-port
+///   LDS (round-robin) and references that referrer *back* — the
+///   A→B→A loop the scanner's dedup must terminate;
+/// * chained LDS also reference each other in a cycle (loops entirely
+///   inside the referral phase);
+/// * every [`HostClass::HiddenServer`] is referenced by exactly one
+///   discovery host, alternating between default-port LDS (chain
+///   depth one) and chained LDS (deeper), so each hidden server is
+///   reachable and chains actually deepen.
+///
+/// Charges of one class are listed by rank in their class. A discovery
+/// server lists its chained LDS before its hidden servers; a chained
+/// LDS lists its referrer, then the next chained LDS, then its hidden
+/// servers.
+///
+/// Default-port discovery servers are the only entry point the sweep
+/// can find: a mix without any [`HostClass::DiscoveryServer`] gets no
+/// referral wiring at all — chained LDS and hidden servers then stay
+/// deliberately unreachable rather than forming a stranded island that
+/// *looks* wired but can never be discovered.
+pub(crate) fn plan_referrals(seed: u64, roster: &[HostClass]) -> Vec<Vec<RefSpec>> {
+    let ids_where = |keep: fn(HostClass) -> bool| -> Vec<u64> {
+        (0u64..)
+            .zip(roster)
+            .filter(|&(_, &class)| keep(class))
+            .map(|(id, _)| id)
+            .collect()
+    };
+    let discovery = ids_where(|class| class == HostClass::DiscoveryServer);
+    let mut plan = vec![Vec::new(); roster.len()];
+    if discovery.is_empty() {
+        return plan;
+    }
+    let candidates = ids_where(referral_candidate);
+    let chained = ids_where(|class| class == HostClass::ChainedLds);
+    let hidden = ids_where(|class| class == HostClass::HiddenServer);
+    let cand = candidates.len() as u64;
+    for &d in &discovery {
+        let refs = &mut plan[d as usize];
+        let mut rng = StdRng::seed_from_u64(host_material_seed(seed, d) ^ REFS_SALT);
+        for _ in 0..3.min(cand) {
+            let pick = RefSpec::Host(candidates[rng.gen_range(0..cand) as usize]);
+            if !refs.contains(&pick) {
+                refs.push(pick);
+            }
+        }
+    }
+    let mut refer = |from: u64, to: u64| plan[from as usize].push(RefSpec::Host(to));
+    for (c, &id) in chained.iter().enumerate() {
+        let referrer = discovery[c % discovery.len()];
+        refer(referrer, id);
+        refer(id, referrer);
+    }
+    if chained.len() > 1 {
+        for (c, &id) in chained.iter().enumerate() {
+            refer(id, chained[(c + 1) % chained.len()]);
+        }
+    }
+    for (h, &id) in hidden.iter().enumerate() {
+        let referrer = if !chained.is_empty() && h % 2 == 1 {
+            chained[(h / 2) % chained.len()]
+        } else {
+            discovery[h % discovery.len()]
+        };
+        refer(referrer, id);
+    }
+    for &d in &discovery {
+        plan[d as usize].extend([
+            RefSpec::SelfNonCanonical,
+            RefSpec::DeadPort,
+            RefSpec::Unresolvable,
+        ]);
+    }
+    plan
+}
+
+/// The week-0 allocator and port rule: where each host of the roster
+/// sits at deployment, and which port it listens on. A Feistel
+/// evaluation and a search of the universe blocks per host; nothing is
+/// proportional to the universe size.
 pub(crate) struct WorldSpec {
-    seed: u64,
     sweep_port: u16,
     /// Canonical disjoint universe blocks, declaration order.
     blocks: Vec<Cidr>,
     /// Flat-index start of each canonical block (prefix sums).
     block_starts: Vec<u64>,
     perm: AddrPerm,
-    /// `(class, count)` mix segments in declaration order — host ids
-    /// are roster indices into the concatenation.
-    segments: Vec<(HostClass, u64)>,
-    /// Roster index where each segment starts.
-    seg_starts: Vec<u64>,
-    total: u64,
 }
 
 impl WorldSpec {
@@ -175,18 +248,15 @@ impl WorldSpec {
             block_starts.push(distinct);
             distinct += block.size();
         }
-        let mut segments = Vec::new();
-        let mut seg_starts = Vec::new();
-        let mut total = 0u64;
-        for &(class, n) in &cfg.mix.counts {
-            segments.push((class, n as u64));
-            seg_starts.push(total);
-            total += n as u64;
-        }
-        assert!(total <= distinct, "universe too small for population");
+        assert!(
+            cfg.mix.total() as u64 <= distinct,
+            "universe too small for population"
+        );
         // Every port the mix listens on or announces must fit: the
         // referral-only ports and the discovery servers' dead decoy.
-        let top_offset = segments
+        let top_offset = cfg
+            .mix
+            .counts
             .iter()
             .filter(|&&(_, n)| n > 0)
             .flat_map(|&(class, _)| {
@@ -204,43 +274,17 @@ impl WorldSpec {
             top_offset
         );
         WorldSpec {
-            seed: cfg.seed,
             sweep_port: cfg.port,
             blocks,
             block_starts,
             perm: AddrPerm::new(mix64(cfg.seed ^ 0x4144_4452), distinct.max(1)),
-            segments,
-            seg_starts,
-            total,
         }
     }
 
-    /// Total host count.
-    pub(crate) fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// Configuration stratum of host `id`.
-    pub(crate) fn class_of(&self, id: u64) -> HostClass {
-        debug_assert!(id < self.total);
-        let seg = match self.seg_starts.binary_search(&id) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        // Zero-count segments share a start with their successor; walk
-        // forward to the segment that actually contains `id`.
-        for s in seg..self.segments.len() {
-            if id >= self.seg_starts[s] && id < self.seg_starts[s] + self.segments[s].1 {
-                return self.segments[s].0;
-            }
-        }
-        unreachable!("id {id} out of roster range");
-    }
-
-    /// Listening port of host `id` (non-default for referral-only
-    /// classes).
-    pub(crate) fn port_of(&self, id: u64) -> u16 {
-        match self.class_of(id).profile().referral_port {
+    /// Listening port of host `id` of `class` (non-default for
+    /// referral-only classes).
+    pub(crate) fn port_of(&self, class: HostClass, id: u64) -> u16 {
+        match class.profile().referral_port {
             Some((base, spread)) => self.sweep_port + base + (id % u64::from(spread)) as u16,
             None => self.sweep_port,
         }
@@ -258,137 +302,6 @@ impl WorldSpec {
     /// addresses of the universe.
     pub(crate) fn address_of(&self, id: u64) -> Ipv4 {
         self.slot_to_addr(self.perm.forward(id))
-    }
-
-    /// Number of hosts of `class`.
-    pub(crate) fn count_of(&self, class: HostClass) -> u64 {
-        self.segments
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Roster id of the `k`-th host of `class` (ascending roster order).
-    fn member(&self, class: HostClass, k: u64) -> u64 {
-        let mut remaining = k;
-        for (s, &(c, n)) in self.segments.iter().enumerate() {
-            if c == class {
-                if remaining < n {
-                    return self.seg_starts[s] + remaining;
-                }
-                remaining -= n;
-            }
-        }
-        unreachable!("rank {k} out of range for {class:?}");
-    }
-
-    /// Rank of `id` among hosts of its own class.
-    fn rank_in_class(&self, id: u64) -> u64 {
-        let class = self.class_of(id);
-        let mut rank = 0;
-        for (s, &(c, n)) in self.segments.iter().enumerate() {
-            if c != class {
-                continue;
-            }
-            if id >= self.seg_starts[s] && id < self.seg_starts[s] + n {
-                return rank + (id - self.seg_starts[s]);
-            }
-            rank += n;
-        }
-        unreachable!("id {id} not in its own class");
-    }
-
-    /// Number of referral-candidate hosts (swept, non-LDS classes).
-    fn candidate_count(&self) -> u64 {
-        self.segments
-            .iter()
-            .filter(|(c, _)| referral_candidate(*c))
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Roster id of the `k`-th referral candidate.
-    fn candidate(&self, k: u64) -> u64 {
-        let mut remaining = k;
-        for (s, &(c, n)) in self.segments.iter().enumerate() {
-            if !referral_candidate(c) {
-                continue;
-            }
-            if remaining < n {
-                return self.seg_starts[s] + remaining;
-            }
-            remaining -= n;
-        }
-        unreachable!("candidate rank {k} out of range");
-    }
-
-    /// The referrals host `id` announces, derived per host by
-    /// inverting the global round-robin plan:
-    ///
-    /// * discovery rank `d` lists chained LDS with `c % |D| == d`
-    ///   (ascending), then hidden servers routed to it, then its
-    ///   self/dead/unresolvable decoys — preceded by up to three
-    ///   random same-port picks from a per-host salted stream;
-    /// * chained rank `c` lists its referrer back (the A→B→A loop),
-    ///   the next chained LDS in the cycle, and its odd-rank hidden
-    ///   charges;
-    /// * without any default-port discovery server there is no wiring
-    ///   at all (the referral island would be undiscoverable).
-    pub(crate) fn ref_specs(&self, id: u64) -> Vec<RefSpec> {
-        let d_count = self.count_of(HostClass::DiscoveryServer);
-        match self.class_of(id) {
-            HostClass::DiscoveryServer => {
-                let mut refs = Vec::new();
-                let cand = self.candidate_count();
-                if cand > 0 {
-                    let mut rng =
-                        StdRng::seed_from_u64(host_material_seed(self.seed, id) ^ REFS_SALT);
-                    for _ in 0..3.min(cand) {
-                        let pick = self.candidate(rng.gen_range(0..cand));
-                        if !refs.contains(&RefSpec::Host(pick)) {
-                            refs.push(RefSpec::Host(pick));
-                        }
-                    }
-                }
-                let d = self.rank_in_class(id);
-                let c_count = self.count_of(HostClass::ChainedLds);
-                for c in 0..c_count {
-                    if c % d_count == d {
-                        refs.push(RefSpec::Host(self.member(HostClass::ChainedLds, c)));
-                    }
-                }
-                for h in 0..self.count_of(HostClass::HiddenServer) {
-                    let via_chained = c_count > 0 && h % 2 == 1;
-                    if !via_chained && h % d_count == d {
-                        refs.push(RefSpec::Host(self.member(HostClass::HiddenServer, h)));
-                    }
-                }
-                refs.push(RefSpec::SelfNonCanonical);
-                refs.push(RefSpec::DeadPort);
-                refs.push(RefSpec::Unresolvable);
-                refs
-            }
-            HostClass::ChainedLds if d_count > 0 => {
-                let c = self.rank_in_class(id);
-                let c_count = self.count_of(HostClass::ChainedLds);
-                let mut refs = vec![RefSpec::Host(
-                    self.member(HostClass::DiscoveryServer, c % d_count),
-                )];
-                if c_count > 1 {
-                    refs.push(RefSpec::Host(
-                        self.member(HostClass::ChainedLds, (c + 1) % c_count),
-                    ));
-                }
-                for h in 0..self.count_of(HostClass::HiddenServer) {
-                    if h % 2 == 1 && (h / 2) % c_count == c {
-                        refs.push(RefSpec::Host(self.member(HostClass::HiddenServer, h)));
-                    }
-                }
-                refs
-            }
-            _ => Vec::new(),
-        }
     }
 }
 
@@ -423,7 +336,7 @@ mod tests {
         );
         let spec = WorldSpec::new(&cfg);
         let mut addrs = HashSet::new();
-        for id in 0..spec.len() {
+        for id in 0..cfg.mix.total() as u64 {
             let addr = spec.address_of(id);
             assert!(
                 cfg.universe.iter().any(|b| b.contains(addr)),
@@ -435,26 +348,6 @@ mod tests {
         let small: Cidr = "192.0.2.0/28".parse().unwrap();
         assert!(addrs.iter().any(|&addr| small.contains(addr)));
         assert!(addrs.iter().any(|&addr| !small.contains(addr)));
-    }
-
-    #[test]
-    fn class_and_rank_arithmetic_match_expansion() {
-        let mix = StrataMix::new()
-            .with(HostClass::WideOpen, 3)
-            .with(HostClass::SecureModern, 2)
-            .with(HostClass::WideOpen, 1)
-            .with(HostClass::DiscoveryServer, 2);
-        let cfg = PopulationConfig::new(7, vec!["10.0.0.0/24".parse().unwrap()], mix.clone());
-        let spec = WorldSpec::new(&cfg);
-        let expanded = mix.expand();
-        assert_eq!(spec.len(), expanded.len() as u64);
-        for (id, class) in expanded.iter().enumerate() {
-            assert_eq!(spec.class_of(id as u64), *class, "class of {id}");
-        }
-        // Split-segment ranks: the 4th WideOpen is roster index 5.
-        assert_eq!(spec.rank_in_class(5), 3);
-        assert_eq!(spec.member(HostClass::WideOpen, 3), 5);
-        assert_eq!(spec.count_of(HostClass::WideOpen), 4);
     }
 
     #[test]

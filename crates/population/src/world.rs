@@ -6,12 +6,13 @@
 //! bytes of class/address/liveness/event-log state — plus a memo of
 //! fully built [`HostDeployment`]s and one address map: every address
 //! the world ever allocated, with who sits there now. The week-0
-//! addresses come from [`crate::spec::WorldSpec`]'s seeded allocator,
-//! and departures, moves and arrivals update the map, so it is the
-//! only occupancy record there is. The [`netsim::HostResolver`] the
-//! core registers answers the sweep's "who sits here?" with one probe
-//! of that map per address, and hosts are built the moment a
-//! connection first reaches them. Every world is built this way;
+//! world is planned once, in one pass over the mix's roster: addresses
+//! from [`crate::spec::WorldSpec`]'s seeded allocator, referral wiring
+//! from [`crate::spec::plan_referrals`]. Departures, moves and arrivals
+//! update the map, so it is the only occupancy record there is. The
+//! [`netsim::HostResolver`] the core registers answers the sweep's
+//! "who sits here?" with one probe of that map per address, and hosts
+//! are built the moment a connection first reaches them. Every world is built this way;
 //! [`crate::synthesize`] just materializes the whole fleet at once.
 //! Because every RNG-derived field is a pure function of
 //! `(seed, host id, week)`, *when* a host is built never changes what
@@ -30,7 +31,7 @@
 //! the universe size.
 
 use crate::evolution::{host_week_seed, parse_version, ChurnConfig, ChurnEvent, WeekChurn};
-use crate::spec::{mix64, RefSpec, WorldSpec, DEAD_PORT_OFFSET};
+use crate::spec::{mix64, plan_referrals, RefSpec, WorldSpec, DEAD_PORT_OFFSET};
 use crate::{
     bind_deployment, build_host, initial_version, pick_free_address, setup_registry, sim_root_ca,
     BuildParams, HostClass, HostDeployment, Key, Population, PopulationConfig, SharedSecrets,
@@ -177,6 +178,37 @@ struct HostFate {
     events: Vec<MaterialEvent>,
 }
 
+impl HostFate {
+    /// Host `id` of `class`, deployed in `week` at `address`: alive, at
+    /// its initial version, with its class's certificate and `None`
+    /// endpoint, and no events yet.
+    fn new(
+        seed: u64,
+        id: u64,
+        class: HostClass,
+        address: Ipv4,
+        port: u16,
+        week: u32,
+        refs: Vec<RefSpec>,
+    ) -> HostFate {
+        let profile = class.profile();
+        HostFate {
+            class,
+            initial_address: address,
+            address,
+            port,
+            alive: true,
+            version: initial_version(seed, id),
+            has_cert: profile.key != Key::None,
+            has_none: profile.endpoints.contains(&NONE),
+            deploy_week: week,
+            last_rebind_week: week,
+            refs,
+            events: Vec::new(),
+        }
+    }
+}
+
 struct CoreState {
     fates: Vec<HostFate>,
     /// Materialized hosts by id (the memo behind the resolver).
@@ -253,27 +285,16 @@ impl WorldCore {
         setup_registry(net, cfg);
         let spec = WorldSpec::new(cfg);
         let shared = SharedSecrets::generate(&mut Synthesizer::for_shared(cfg.seed), now);
-        let mut fates = Vec::with_capacity(spec.len() as usize);
+        let roster = cfg.mix.expand();
+        let plan = plan_referrals(cfg.seed, &roster);
+        let mut fates = Vec::with_capacity(roster.len());
         // ua-lint: allow(unordered-iteration) -- the address map (see `CoreState::addrs`)
-        let mut addrs = HashMap::with_capacity_and_hasher(spec.len() as usize, AddrHash);
-        for id in 0..spec.len() {
-            let class = spec.class_of(id);
+        let mut addrs = HashMap::with_capacity_and_hasher(roster.len(), AddrHash);
+        for ((id, class), refs) in (0u64..).zip(roster).zip(plan) {
             let address = spec.address_of(id);
             addrs.insert(address.0, Occupant::Occupied(id as u32));
-            fates.push(HostFate {
-                class,
-                initial_address: address,
-                address,
-                port: spec.port_of(id),
-                alive: true,
-                version: initial_version(cfg.seed, id),
-                has_cert: class.profile().key != Key::None,
-                has_none: class.profile().endpoints.contains(&NONE),
-                deploy_week: 0,
-                last_rebind_week: 0,
-                refs: spec.ref_specs(id),
-                events: Vec::new(),
-            });
+            let port = spec.port_of(class, id);
+            fates.push(HostFate::new(cfg.seed, id, class, address, port, 0, refs));
         }
         let core = Arc::new(WorldCore {
             net: net.clone(),
@@ -447,7 +468,8 @@ impl WorldCore {
     /// hosts and logged for replay otherwise.
     pub(crate) fn evolve_week(&self, week: u32, churn: &ChurnConfig) -> WeekChurn {
         let now = self.net.clock().now_unix_seconds();
-        let mut st = self.state_write();
+        let mut guard = self.state_write();
+        let st = &mut *guard;
         debug_assert_eq!(st.week_nows.len() as u32, week, "weeks must be consecutive");
         st.week_nows.push(now);
         let week_nows = st.week_nows.clone();
@@ -458,6 +480,24 @@ impl WorldCore {
         let mut rebind: BTreeSet<u64> = BTreeSet::new();
         // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
         let mut moved_ids: HashSet<u64> = HashSet::new();
+        // The one path of a material event: the host is due a rebind, a
+        // built host takes the event now (a move first takes it off its
+        // old address) and charges any keygen, and the fate logs the
+        // event for replay at a later first build.
+        let mut record = |st: &mut CoreState, id: u64, ev: MaterialEvent| {
+            st.fates[id as usize].last_rebind_week = week;
+            let keygens = st.change_host(id, |dep| {
+                if let MaterialEvent::Moved { from, .. } = ev {
+                    self.net.remove_host(from);
+                }
+                apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
+            });
+            if let Some(keygens) = keygens {
+                st.stats.keygen_count += keygens;
+                rebind.insert(id);
+            }
+            st.fates[id as usize].events.push(ev);
+        };
 
         for idx in 0..st.fates.len() {
             if !st.fates[idx].alive {
@@ -484,16 +524,7 @@ impl WorldCore {
                 let to = st.allocate(&mut mrng, &self.universe, id);
                 st.addrs.insert(from.0, Occupant::Vacated);
                 st.fates[idx].address = to;
-                st.fates[idx].last_rebind_week = week;
-                let ev = MaterialEvent::Moved { from, to };
-                let applied = st.change_host(id, |dep| {
-                    self.net.remove_host(from);
-                    apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
-                });
-                if applied.is_some() {
-                    rebind.insert(id);
-                }
-                st.fates[idx].events.push(ev);
+                record(st, id, MaterialEvent::Moved { from, to });
                 moved_ids.insert(id);
                 log.events.push((id, ChurnEvent::Moved { from }));
             }
@@ -501,15 +532,7 @@ impl WorldCore {
             if st.fates[idx].has_cert
                 && event_rng(self.seed, week, id, SALT_RENEW).gen_bool(churn.renewal)
             {
-                let ev = MaterialEvent::Renewed { week };
-                st.fates[idx].last_rebind_week = week;
-                let applied = st.change_host(id, |dep| {
-                    apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
-                });
-                if applied.is_some() {
-                    rebind.insert(id);
-                }
-                st.fates[idx].events.push(ev);
+                record(st, id, MaterialEvent::Renewed { week });
                 log.events.push((id, ChurnEvent::RenewedCert));
             }
 
@@ -531,15 +554,7 @@ impl WorldCore {
                     let from = st.fates[idx].version.clone();
                     let upgraded = parse_version(&to) > parse_version(&from);
                     st.fates[idx].version = to.clone();
-                    st.fates[idx].last_rebind_week = week;
-                    let ev = MaterialEvent::SetVersion { to: to.clone() };
-                    let applied = st.change_host(id, |dep| {
-                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
-                    });
-                    if applied.is_some() {
-                        rebind.insert(id);
-                    }
-                    st.fates[idx].events.push(ev);
+                    record(st, id, MaterialEvent::SetVersion { to: to.clone() });
                     let event = if upgraded {
                         ChurnEvent::Upgraded { from, to }
                     } else {
@@ -551,32 +566,16 @@ impl WorldCore {
 
             if !lds {
                 let mut frng = event_rng(self.seed, week, id, SALT_FIX);
-                if st.fates[idx].has_none && frng.gen_bool(churn.remediation) {
-                    let minted_cert = !st.fates[idx].has_cert;
-                    st.fates[idx].has_none = false;
-                    st.fates[idx].has_cert = true;
-                    st.fates[idx].last_rebind_week = week;
-                    let ev = MaterialEvent::Remediated { week, minted_cert };
-                    let minted = st.change_host(id, |dep| {
-                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
-                    });
-                    if let Some(minted) = minted {
-                        st.stats.keygen_count += minted;
-                        rebind.insert(id);
-                    }
-                    st.fates[idx].events.push(ev);
+                let fate = &mut st.fates[idx];
+                if fate.has_none && frng.gen_bool(churn.remediation) {
+                    let minted_cert = !fate.has_cert;
+                    fate.has_none = false;
+                    fate.has_cert = true;
+                    record(st, id, MaterialEvent::Remediated { week, minted_cert });
                     log.events.push((id, ChurnEvent::Remediated));
-                } else if !st.fates[idx].has_none && frng.gen_bool(churn.regression) {
-                    st.fates[idx].has_none = true;
-                    st.fates[idx].last_rebind_week = week;
-                    let ev = MaterialEvent::Regressed;
-                    let applied = st.change_host(id, |dep| {
-                        apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
-                    });
-                    if applied.is_some() {
-                        rebind.insert(id);
-                    }
-                    st.fates[idx].events.push(ev);
+                } else if !fate.has_none && frng.gen_bool(churn.regression) {
+                    fate.has_none = true;
+                    record(st, id, MaterialEvent::Regressed);
                     log.events.push((id, ChurnEvent::Regressed));
                 }
             }
@@ -597,20 +596,8 @@ impl WorldCore {
             st.arrival_cursor += 1;
             let id = st.fates.len() as u64;
             let address = st.allocate(&mut arrivals_rng, &self.universe, id);
-            st.fates.push(HostFate {
-                class,
-                initial_address: address,
-                address,
-                port: self.sweep_port,
-                alive: true,
-                version: initial_version(self.seed, id),
-                has_cert: class.profile().key != Key::None,
-                has_none: class.profile().endpoints.contains(&NONE),
-                deploy_week: week,
-                last_rebind_week: week,
-                refs: Vec::new(),
-                events: Vec::new(),
-            });
+            let fate = HostFate::new(self.seed, id, class, address, self.sweep_port, week, vec![]);
+            st.fates.push(fate);
             log.events.push((id, ChurnEvent::Arrived { class }));
         }
 
@@ -632,7 +619,7 @@ impl WorldCore {
                 });
                 if mentions {
                     st.fates[idx].last_rebind_week = week;
-                    let urls = st.deps.contains_key(&id).then(|| self.render_refs(&st, id));
+                    let urls = st.deps.contains_key(&id).then(|| self.render_refs(st, id));
                     if let Some(urls) = urls {
                         st.change_host(id, |dep| {
                             Arc::make_mut(&mut dep.config).referenced_endpoints = urls;

@@ -9,12 +9,12 @@
 //! stack, implemented here from scratch:
 //!
 //! * [`bigint`] — arbitrary-precision unsigned integers: Karatsuba
-//!   multiplication above [`bigint::KARATSUBA_THRESHOLD`], a dedicated
-//!   squaring path, and [`Montgomery`]-form sliding-window
-//!   exponentiation for odd moduli, on stack arrays up to four limbs
-//!   (the legacy division-per-step path stays available as
-//!   [`BigUint::mod_pow_legacy`] for even moduli and as the randomized
-//!   tests' reference);
+//!   multiplication above [`bigint::KARATSUBA_THRESHOLD`] and
+//!   [`Montgomery`]-form sliding-window exponentiation for odd moduli,
+//!   on stack arrays up to four limbs; both Montgomery kernels square
+//!   through their multiply (the legacy division-per-step path stays
+//!   available as [`BigUint::mod_pow_legacy`] for even moduli and as
+//!   the randomized tests' reference);
 //! * [`prime`] — Miller–Rabin primality testing and prime generation,
 //!   with trial division on `u64` residues and one Montgomery context per
 //!   candidate;

@@ -64,9 +64,9 @@
 //!                 ├─────────────────────────────────────────┤
 //!   fleet         │ population   seeded strata of (mis-)    │
 //!                 │              configured deployments;    │
-//!                 │              WorldSpec: pure random-    │
-//!                 │              access layout (Feistel     │
-//!                 │              address permutation);      │
+//!                 │              week-0 layout and referral │
+//!                 │              wiring planned once per    │
+//!                 │              world (Feistel addresses); │
 //!                 │              LazyWorld: hosts built on  │
 //!                 │              first probe contact via    │
 //!                 │              netsim's resolver hook —   │
