@@ -13,7 +13,7 @@
 //!
 //! The sweep's per-address classification — blocklist, probe counted,
 //! listener check — exists once, in [`SweepCursor`]. [`SynScanner`] and
-//! the scanner crate's event loops both consume it, so their
+//! the scanner crate's shards both consume it, so their
 //! [`SweepStats`] cannot drift apart.
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
@@ -344,10 +344,10 @@ pub const SWEEP_BATCH: usize = 1024;
 /// the responsive `(walk_step, addr)` pairs in walk order.
 ///
 /// This is the only copy of that classification: [`SynScanner::sweep_shard`]
-/// drains a cursor, and the scanner's event loops each hold one as a
-/// *pausable* source of admissions, so admission can stall under
-/// backpressure (bounded in-flight window) and a `SweepCheckpoint` can
-/// record exactly how far the emitted records got.
+/// drains a cursor, and the scanner's shards each hold one as a
+/// *pausable* source of admissions, so a shard draws jobs only as its
+/// bounded admission queue has room and a `SweepCheckpoint` can record
+/// exactly how far the emitted records got.
 ///
 /// The cursor walks [`SWEEP_BATCH`] addresses at a time, drops the
 /// blocklisted ones, and resolves the rest under one host-table lock
@@ -541,9 +541,9 @@ impl<'a> SynScanner<'a> {
     /// Clock-neutral: the caller accounts the sweep duration once from
     /// the summed stats (see [`Self::sweep_each`]); shard stats are
     /// disjoint and sum to the single-shard totals. That split is what
-    /// makes cancellation safe for the non-blocking engine: an aborted
+    /// makes cancellation safe for the scanner crate's engine: an aborted
     /// sweep simply never reaches the accounting step, so no pacing (and
-    /// no in-flight probe's fork time) ever leaks onto the campaign
+    /// no discarded probe's fork time) ever leaks onto the campaign
     /// clock.
     pub fn sweep_shard<R, F>(
         &self,

@@ -237,7 +237,7 @@ impl Campaign {
                     records.push(r)
                 });
         match outcome {
-            ScanOutcome::Complete { summary, .. } => {
+            ScanOutcome::Complete { summary } => {
                 self.weeks_run += 1;
                 WeekOutcome::Complete(WeeklyScan {
                     week,

@@ -20,12 +20,11 @@
 //!   targets after the sweep, with records flowing through a bounded
 //!   channel ([`Scanner::scan_stream`]) so memory stays constant at
 //!   Internet scale;
-//! * [`sched`] — the scan engine every campaign runs on: a timer heap
-//!   multiplexing per-host probe state machines, one event loop per
-//!   worker merged back into walk order,
+//! * [`sched`] — the scan engine every campaign runs on: one shard per
+//!   worker, each probing one target at a time through its suite's
+//!   stage ladder, merged back into walk order,
 //!   [`CancelToken`] cooperative cancellation, and [`SweepCheckpoint`]
-//!   abort/resume — byte-identical per seed at any worker count and
-//!   in-flight cap;
+//!   abort/resume — byte-identical per seed at any worker count;
 //! * [`campaign`] — the longitudinal driver: N weekly sweeps on one
 //!   strictly advancing clock, an evolve hook between campaigns, and a
 //!   study-wide shared [`CertStore`].
@@ -54,7 +53,7 @@ pub use record::{
     DiscoveredVia, EndpointSnapshot, HostOutcome, OpcUaPayload, ProtocolPayload, ScanRecord,
     SessionOutcome, TraversalSummary, UatTlsPayload,
 };
-pub use sched::{CancelGuard, CancelToken, EngineStats, PendingUrl, SweepCheckpoint};
+pub use sched::{CancelToken, PendingUrl, SweepCheckpoint};
 pub use suite::{
     classify_connect_error, OpcUaSuite, ProtocolSuite, SuiteRegistry, UatTlsSuite,
     VendorFingerprintProbe, DEFAULT_UATLS_PORT,

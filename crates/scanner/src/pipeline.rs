@@ -12,17 +12,18 @@
 //!
 //! ## Workers
 //!
-//! Probes run on [`crate::sched`]'s event loops. [`ScanConfig::workers`]
-//! runs N of them on N threads: every loop walks the *same* zmap
-//! permutation (the walk is a function of the seed alone) but admits
-//! only the steps `pos % workers == shard`, and an N-way merge joins the
-//! N sorted streams back into exact discovery order. Each loop's sweep
-//! admissions come from a [`netsim::SweepCursor`], the one copy of the
-//! sweep's per-address classification (blocklist → probe counted →
-//! listener check) that `netsim::SynScanner` drains too; it classifies
+//! Probes run on [`crate::sched`]'s shards, each probing one target at a
+//! time. [`ScanConfig::workers`] runs N of them on N threads: every shard
+//! walks the *same* zmap permutation (the walk is a function of the seed
+//! alone) but admits only the steps `pos % workers == shard`, and an
+//! N-way merge joins the N sorted streams back into exact discovery
+//! order. Each shard's sweep admissions come from a
+//! [`netsim::SweepCursor`], the one copy of the sweep's per-address
+//! classification (blocklist → probe counted → listener check) that
+//! `netsim::SynScanner` drains too; it classifies
 //! [`netsim::SWEEP_BATCH`] walk steps per host-table lock. The output is
-//! **byte-identical for a fixed seed regardless of worker count** (and
-//! of [`ScanConfig::max_in_flight`]), because:
+//! **byte-identical for a fixed seed regardless of worker count**,
+//! because:
 //!
 //! 1. every host is probed on an independent clock *fork* anchored at
 //!    the campaign epoch ([`netsim::VirtualClock::fork`] via
@@ -49,7 +50,7 @@
 
 use crate::probe::ScanConfig;
 use crate::record::{DiscoveredVia, ScanRecord};
-use crate::sched::{CancelToken, EngineStats, Job, PendingUrl, PhaseEnv, SweepCheckpoint};
+use crate::sched::{CancelToken, Job, PendingUrl, PhaseEnv, SweepCheckpoint};
 use crate::suite::ProtocolSuite;
 use crate::url::OpcUrl;
 use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepCursor, SweepStats, SweepWalk, VirtualClock};
@@ -190,10 +191,6 @@ pub enum ScanOutcome {
     Complete {
         /// Campaign summary.
         summary: ScanSummary,
-        /// Scheduler telemetry for this call (timer counts, in-flight
-        /// high-water mark). Not part of the summary because the
-        /// summary must not depend on the worker count or the cap.
-        engine: EngineStats,
     },
     /// Cancellation was observed at a safe point. Pass the checkpoint
     /// back to [`Scanner::scan_resumable`] to continue; the stitched
@@ -245,7 +242,7 @@ impl Scanner {
         // worker-count byte-identity guarantee survives interning.
         let certs = CertStore::new();
         match self.scan_resumable(universe, seed, &certs, None, &CancelToken::new(), sink) {
-            ScanOutcome::Complete { summary, .. } => summary,
+            ScanOutcome::Complete { summary } => summary,
             ScanOutcome::Aborted { .. } => {
                 unreachable!("scan with a fresh CancelToken cannot abort")
             }
@@ -258,13 +255,15 @@ impl Scanner {
     /// * `resume: None` starts a fresh scan at the current campaign
     ///   clock instant; `Some(checkpoint)` continues an aborted one
     ///   (same universe, same seed — asserted — and any worker count).
-    /// * `cancel` is polled between timer firings during the sweep and
-    ///   at referral-level boundaries; a record budget
+    /// * `cancel` is polled before every probe during the sweep and at
+    ///   referral-level boundaries; a record budget
     ///   ([`CancelToken::after_records`]) stops the sweep right after
     ///   its last record. On cancellation the scan returns
     ///   [`ScanOutcome::Aborted`] *without* advancing the campaign
-    ///   clock: in-flight probes are dropped fork-clocks and all, and
-    ///   time is only accounted when a scan completes.
+    ///   clock: queued jobs are dropped unprobed, results probed ahead
+    ///   of the emitted prefix (more than one worker) are dropped
+    ///   fork-clocks and all, and time is only accounted when a scan
+    ///   completes.
     /// * Records emitted before an abort are final. The concatenation
     ///   of the aborted run's records and the resumed run's records is
     ///   byte-identical to an uninterrupted run.
@@ -306,7 +305,6 @@ impl Scanner {
         // so records cannot observe each other through shared time.
         let epoch = VirtualClock::starting_at_micros(state.epoch_micros);
         let workers = self.config.effective_workers();
-        let mut engine = EngineStats::default();
 
         // One full phase (sweep, then referral levels for suites that
         // have them) per registered suite, in ascending port order.
@@ -359,7 +357,6 @@ impl Scanner {
                         !cancel.is_cancelled()
                     },
                 );
-                engine.absorb(step.engine);
                 if !step.complete {
                     return ScanOutcome::Aborted {
                         checkpoint: Box::new(state),
@@ -386,7 +383,7 @@ impl Scanner {
                     }
                     let level = self.classify_level(universe, port, seed, &mut state);
                     let shards = workers.min(level.len()).max(1);
-                    let step = env.run_shards(
+                    env.run_shards(
                         shards,
                         None,
                         |shard| level.iter().skip(shard).step_by(shards).copied(),
@@ -409,7 +406,6 @@ impl Scanner {
                             true
                         },
                     );
-                    engine.absorb(step.engine);
                 }
             }
             state.suite_cursor += 1;
@@ -430,7 +426,7 @@ impl Scanner {
         self.internet.clock().advance_micros(state.probe_micros);
         summary.certs = certs.stats();
         summary.finished_unix = self.internet.clock().now_unix_seconds();
-        ScanOutcome::Complete { summary, engine }
+        ScanOutcome::Complete { summary }
     }
 
     /// Classifies the drained referral frontier into the probe jobs of
@@ -499,7 +495,7 @@ impl Scanner {
     }
 
     /// Runs the campaign on a coordinator thread (plus
-    /// [`ScanConfig::workers`] event-loop threads when there are more
+    /// [`ScanConfig::workers`] shard threads when there are more
     /// than one), streaming records through a bounded channel. Iterate
     /// the returned [`ScanStream`] to consume records as they are
     /// produced; call [`ScanStream::finish`] for the summary. Record

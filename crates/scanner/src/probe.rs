@@ -35,7 +35,7 @@ const SERVER_SOFTWARE_VERSION_NODE: u32 = 2264;
 /// pre-retry pipeline. All waiting happens on the probe's private clock
 /// fork and the backoff jitter derives from the per-target seed, so a
 /// hostile campaign is still a pure function of the campaign seed at
-/// any worker count and in-flight cap.
+/// any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Connect attempts per target (0 is treated as 1). 1 = never
@@ -106,8 +106,8 @@ pub struct ScanConfig {
     /// Bounded capacity of the record channel in streaming scans (also
     /// each worker's result buffer when several workers run).
     pub channel_capacity: usize,
-    /// Event loops the campaign is sharded across: 1 runs inline on the
-    /// caller's thread; N runs N loops on N threads, loop `s` taking the
+    /// Shards the campaign is split across: 1 runs inline on the
+    /// caller's thread; N runs N shards on N threads, shard `s` taking the
     /// walk steps `pos % N == s` (and each referral level's targets
     /// `i % N == s`), merged back into walk order. Output is
     /// byte-identical for a fixed seed regardless of this knob — it only
@@ -121,11 +121,6 @@ pub struct ScanConfig {
     /// safety budget against referral storms; targets beyond it are
     /// counted as truncated, never probed.
     pub referral_budget: usize,
-    /// Per-worker bound on the admitted-but-unemitted probe window:
-    /// each event loop stalls admission while this many of its targets
-    /// are in flight (the backpressure against a slow record sink).
-    /// Output does not depend on it. 0 is treated as 1.
-    pub max_in_flight: usize,
     /// Connect-phase retry/backoff policy (defaults to a single polite
     /// attempt — see [`RetryPolicy`]).
     pub retry: RetryPolicy,
@@ -148,7 +143,6 @@ impl Default for ScanConfig {
             workers: 1,
             referral_depth: 4,
             referral_budget: 4096,
-            max_in_flight: 256,
             retry: RetryPolicy::default(),
             suites: SuiteRegistry::new(),
         }
@@ -157,7 +151,7 @@ impl Default for ScanConfig {
 
 impl ScanConfig {
     /// A validating builder over the default configuration — the
-    /// literal-free way to assemble the (by now) 12-field config. Plain
+    /// literal-free way to assemble the (by now) 11-field config. Plain
     /// struct literals over [`ScanConfig::default`] keep working; the
     /// builder adds up-front validation and does the zero-normalization
     /// once instead of at every use site.
@@ -171,12 +165,6 @@ impl ScanConfig {
     /// the single place the scan driver gets it from.
     pub fn effective_workers(&self) -> usize {
         self.workers.max(1)
-    }
-
-    /// In-flight cap with zero-normalization applied (see
-    /// [`ScanConfig::effective_workers`]).
-    pub fn effective_max_in_flight(&self) -> usize {
-        self.max_in_flight.max(1)
     }
 
     /// Record-channel capacity with zero-normalization applied.
@@ -287,12 +275,6 @@ impl ScanConfigBuilder {
         self
     }
 
-    /// Per-worker in-flight cap (0 normalized to 1 at build).
-    pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.cfg.max_in_flight = cap;
-        self
-    }
-
     /// Connect-phase retry/backoff policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.cfg.retry = retry;
@@ -312,13 +294,12 @@ impl ScanConfigBuilder {
     }
 
     /// Validates and finishes the configuration. The zero-means-one
-    /// knobs (`workers`, `max_in_flight`, `channel_capacity`,
-    /// `retry.max_attempts`) are normalized here, once, so the driver
-    /// can rely on the invariant instead of re-checking at every use.
+    /// knobs (`workers`, `channel_capacity`, `retry.max_attempts`) are
+    /// normalized here, once, so the scan engine can rely on the
+    /// invariant instead of re-checking at every use.
     pub fn build(self) -> Result<ScanConfig, ConfigError> {
         let mut cfg = self.cfg;
         cfg.workers = cfg.workers.max(1);
-        cfg.max_in_flight = cfg.max_in_flight.max(1);
         cfg.channel_capacity = cfg.channel_capacity.max(1);
         cfg.retry.max_attempts = cfg.retry.max_attempts.max(1);
         if cfg.referral_depth > 0
@@ -386,7 +367,7 @@ impl<'a> ProbeContext<'a> {
     ///
     /// Every wait lands on this probe's clock fork — exactly like probe
     /// latency — so hostile campaigns stay byte-identical across worker
-    /// counts and in-flight caps.
+    /// counts.
     pub fn connect_with_retry(&self, record: &mut ScanRecord) -> Option<TcpStreamSim> {
         /// Salt for the per-target backoff-jitter stream ("RETRY"),
         /// keeping it independent of the nonce stream sharing the seed.
@@ -577,8 +558,8 @@ impl Probe for FindServersProbe {
 /// The combined discovery stage: [`EndpointsProbe`] then (only if
 /// endpoints succeeded) [`FindServersProbe`], as one [`Probe`]. Kept for
 /// custom stacks that want discovery as a single stage; the default
-/// stack runs the two halves separately so the event loop arms one
-/// timer per protocol round-trip.
+/// stack runs the two halves as separate stages, which suites compose
+/// (the `uat-tls` ladder runs [`EndpointsProbe`] without FindServers).
 pub struct DiscoveryProbe;
 
 impl Probe for DiscoveryProbe {
@@ -718,10 +699,9 @@ pub fn classify_session_error(err: &ClientError) -> SessionOutcome {
 
 /// The default probe stack: UACP → endpoints → FindServers → session.
 ///
-/// Behaviorally identical to the historical three-stage stack (the
+/// Behaviorally identical to the historical three-stage stack: the
 /// combined [`DiscoveryProbe`] stopped before FindServers whenever
-/// endpoints failed, exactly as the split stages compose), but each
-/// stage is now one state-machine step for the event loop.
+/// endpoints failed, exactly as the split stages compose.
 pub fn default_stack() -> Vec<Box<dyn Probe>> {
     vec![
         Box::new(UacpProbe),
@@ -923,12 +903,10 @@ mod tests {
     fn builder_normalizes_and_keeps_defaults() {
         let cfg = ScanConfig::builder()
             .workers(0)
-            .max_in_flight(0)
             .channel_capacity(0)
             .build()
             .unwrap();
         assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.max_in_flight, 1);
         assert_eq!(cfg.channel_capacity, 1);
         assert_eq!(cfg.retry.max_attempts, 1);
         // Defaults survive untouched knobs; the empty registry means
@@ -974,12 +952,10 @@ mod tests {
     fn effective_knobs_centralize_zero_normalization() {
         let cfg = ScanConfig {
             workers: 0,
-            max_in_flight: 0,
             channel_capacity: 0,
             ..ScanConfig::default()
         };
         assert_eq!(cfg.effective_workers(), 1);
-        assert_eq!(cfg.effective_max_in_flight(), 1);
         assert_eq!(cfg.effective_channel_capacity(), 1);
     }
 }

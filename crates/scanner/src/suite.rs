@@ -61,9 +61,9 @@ pub trait ProtocolSuite: Send + Sync {
     /// [`SuiteRegistry::with`] registers it under.
     fn default_port(&self) -> u16;
 
-    /// A fresh probe-stage ladder for one event loop. Stages may keep
-    /// per-target state; the engine never shares one stack across
-    /// threads.
+    /// A fresh probe-stage ladder for one shard. The shard runs the
+    /// whole ladder on one target before the next target starts, and
+    /// never shares the stack across threads.
     fn stack(&self) -> Vec<Box<dyn Probe>>;
 
     /// The payload template installed on every record this suite

@@ -1,7 +1,7 @@
-//! Scan-engine determinism: for a fixed seed, every worker count and
-//! in-flight cap must produce the 1-worker run's bytes — through
-//! `scan_with`, through `scan_stream`'s bounded channel, and across
-//! abort/resume cycles that may change the worker count between legs.
+//! Scan-engine determinism: for a fixed seed, every worker count must
+//! produce the 1-worker run's bytes — through `scan_with`, through
+//! `scan_stream`'s bounded channel, and across abort/resume cycles that
+//! may change the worker count between legs.
 
 use std::sync::Arc;
 
@@ -48,10 +48,9 @@ fn build(world: World) -> (Internet, Vec<Cidr>, Blocklist) {
     (net, universe, blocklist)
 }
 
-fn config(world: World, workers: usize, max_in_flight: usize) -> ScanConfig {
+fn config(world: World, workers: usize) -> ScanConfig {
     ScanConfig {
         workers,
-        max_in_flight,
         retry: match world {
             World::Polite => RetryPolicy::default(),
             World::Hostile => RetryPolicy::hostile(),
@@ -60,23 +59,26 @@ fn config(world: World, workers: usize, max_in_flight: usize) -> ScanConfig {
     }
 }
 
-fn scanner_with(world: World, workers: usize, max_in_flight: usize) -> (Scanner, Vec<Cidr>) {
+fn scanner_with(world: World, workers: usize) -> (Scanner, Vec<Cidr>) {
     let (net, universe, blocklist) = build(world);
-    let config = config(world, workers, max_in_flight);
+    let config = config(world, workers);
     (Scanner::new(net, blocklist, config), universe)
 }
 
-fn scan(world: World, workers: usize, max_in_flight: usize) -> (ScanSummary, Vec<ScanRecord>) {
-    let (scanner, universe) = scanner_with(world, workers, max_in_flight);
+fn scan(world: World, workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
+    let (scanner, universe) = scanner_with(world, workers);
     let mut records = Vec::new();
     let summary = scanner.scan_with(&universe, SEED, |r| records.push(r));
     (summary, records)
 }
 
 /// Everything except the cert-interner counters must stitch exactly
-/// across abort/resume; `sightings` counts work performed (certificates
-/// captured by discarded in-flight probes are re-sighted on re-probe),
-/// so it is telemetry, not part of the byte-identity contract.
+/// across abort/resume legs that run more than one worker: there shards
+/// probe ahead of the merge, and `sightings` counts work performed
+/// (certificates captured by discarded probes are re-sighted on
+/// re-probe), so it is telemetry, not part of the byte-identity
+/// contract. Legs that all run one worker discard no probe, and their
+/// summaries compare with `assert_eq!`.
 fn assert_summary_matches_modulo_sightings(actual: &ScanSummary, expected: &ScanSummary) {
     assert_eq!(actual.sweep, expected.sweep);
     assert_eq!(actual.referrals, expected.referrals);
@@ -91,28 +93,23 @@ fn assert_summary_matches_modulo_sightings(actual: &ScanSummary, expected: &Scan
 
 #[test]
 fn every_worker_count_and_cap_matches_one_worker() {
-    let (summary1, records1) = scan(World::Polite, 1, 256);
+    let (summary1, records1) = scan(World::Polite, 1);
     assert!(
         summary1.referrals.followed > 0,
         "world must exercise the referral phase, got {:?}",
         summary1.referrals
     );
-    for workers in [1usize, 4] {
-        for cap in [1usize, 4, 256] {
-            let (summary, records) = scan(World::Polite, workers, cap);
-            assert_eq!(summary, summary1, "workers={workers} max_in_flight={cap}");
-            assert_eq!(records, records1, "workers={workers} max_in_flight={cap}");
-        }
+    for workers in [1usize, 4, 8] {
+        let (summary, records) = scan(World::Polite, workers);
+        assert_eq!(summary, summary1, "workers={workers}");
+        assert_eq!(records, records1, "workers={workers}");
     }
-    let (summary, records) = scan(World::Polite, 8, 64);
-    assert_eq!(summary, summary1);
-    assert_eq!(records, records1);
 }
 
 #[test]
 fn multiworker_scan_stream_matches_one_worker() {
-    let (summary1, records1) = scan(World::Polite, 1, 256);
-    let (scanner, universe) = scanner_with(World::Polite, 4, 32);
+    let (summary1, records1) = scan(World::Polite, 1);
+    let (scanner, universe) = scanner_with(World::Polite, 4);
     let mut stream = scanner.scan_stream(universe, SEED);
     let records: Vec<ScanRecord> = stream.by_ref().collect();
     let summary = stream.finish();
@@ -121,18 +118,17 @@ fn multiworker_scan_stream_matches_one_worker() {
 }
 
 /// Backpressure must not deadlock even in the most constrained setup:
-/// a records channel of capacity 1 feeding a consumer, over event-loop
-/// windows of 1 probe (and, with 4 workers, capacity-1 shard channels
-/// into the merge) — and the output order must still be exact.
+/// a records channel of capacity 1 feeding a consumer (and, with 4
+/// workers, capacity-1 shard channels into the merge) — and the output
+/// order must still be exact.
 #[test]
 fn no_deadlock_at_capacity_one() {
-    let (_, expected) = scan(World::Polite, 1, 256);
+    let (_, expected) = scan(World::Polite, 1);
     for workers in [1usize, 4] {
         let (net, universe, blocklist) = build(World::Polite);
         let config = ScanConfig {
             workers,
             channel_capacity: 1,
-            max_in_flight: 1,
             ..ScanConfig::default()
         };
         let scanner = Scanner::new(net, blocklist, config);
@@ -143,42 +139,9 @@ fn no_deadlock_at_capacity_one() {
     }
 }
 
-#[test]
-fn in_flight_high_water_respects_cap() {
-    for workers in [1usize, 4] {
-        for cap in [1usize, 4, 32] {
-            let (scanner, universe) = scanner_with(World::Polite, workers, cap);
-            let outcome = scanner.scan_resumable(
-                &universe,
-                SEED,
-                &CertStore::new(),
-                None,
-                &CancelToken::new(),
-                |_| {},
-            );
-            let ScanOutcome::Complete { engine, .. } = outcome else {
-                panic!("fresh token cannot abort");
-            };
-            assert!(engine.in_flight_high_water > 0);
-            assert!(
-                engine.in_flight_high_water <= cap,
-                "high water {} exceeds cap {cap} at workers={workers}",
-                engine.in_flight_high_water
-            );
-            assert!(engine.admitted > 0);
-            assert_eq!(engine.admitted, engine.completed);
-            assert!(engine.timers_fired > 0);
-            assert_eq!(engine.timers_cancelled, 0);
-            // Every admitted listening probe fires at least one timer;
-            // only dead referral targets resolve without one.
-            assert!(engine.timers_fired >= engine.admitted);
-        }
-    }
-}
-
 /// `CancelToken::after_records(n)` stops the sweep on exactly its
 /// `n`-th record — not at the end of whatever run of completed records
-/// happened to be ready — at every cap and worker count.
+/// happened to be ready — at every worker count.
 #[test]
 fn record_budget_stops_the_sweep_on_the_exact_record() {
     let universe: Vec<Cidr> = vec!["10.48.0.0/21".parse().unwrap()];
@@ -195,35 +158,28 @@ fn record_budget_stops_the_sweep_on_the_exact_record() {
     let sweep_records = expected.iter().filter(|r| !r.via.is_referral()).count();
     for n in [0usize, 1, 7] {
         assert!(n < sweep_records);
-        for cap in [1usize, 4, 16, 256] {
-            for workers in [1usize, 4] {
-                let config = ScanConfig {
-                    workers,
-                    max_in_flight: cap,
-                    ..ScanConfig::default()
-                };
-                let scanner = Scanner::new(net.clone(), Blocklist::new(), config);
-                let mut emitted = Vec::new();
-                let outcome = scanner.scan_resumable(
-                    &universe,
-                    2020,
-                    &CertStore::new(),
-                    None,
-                    &CancelToken::after_records(n as u64),
-                    |r| emitted.push(r),
-                );
-                let ScanOutcome::Aborted { checkpoint } = outcome else {
-                    panic!("budget {n} must abort the sweep (cap {cap}, workers {workers})");
-                };
-                assert_eq!(
-                    emitted.len(),
-                    n,
-                    "budget {n} overshot at cap {cap}, workers {workers}"
-                );
-                assert_eq!(emitted[..], expected[..n]);
-                assert!(!checkpoint.sweep_done);
-                assert_eq!(checkpoint.next_step == 0, n == 0);
-            }
+        for workers in [1usize, 4] {
+            let config = ScanConfig {
+                workers,
+                ..ScanConfig::default()
+            };
+            let scanner = Scanner::new(net.clone(), Blocklist::new(), config);
+            let mut emitted = Vec::new();
+            let outcome = scanner.scan_resumable(
+                &universe,
+                2020,
+                &CertStore::new(),
+                None,
+                &CancelToken::after_records(n as u64),
+                |r| emitted.push(r),
+            );
+            let ScanOutcome::Aborted { checkpoint } = outcome else {
+                panic!("budget {n} must abort the sweep (workers {workers})");
+            };
+            assert_eq!(emitted.len(), n, "budget {n} overshot at workers {workers}");
+            assert_eq!(emitted[..], expected[..n]);
+            assert!(!checkpoint.sweep_done);
+            assert_eq!(checkpoint.next_step == 0, n == 0);
         }
     }
 }
@@ -234,7 +190,6 @@ fn record_budget_stops_the_sweep_on_the_exact_record() {
 /// stitched stream, the last leg's summary, and every checkpoint.
 fn stitched(
     world: World,
-    cap: usize,
     legs: &[(usize, Option<u64>)],
 ) -> (ScanSummary, Vec<ScanRecord>, Vec<SweepCheckpoint>) {
     let (net, universe, blocklist) = build(world);
@@ -242,7 +197,7 @@ fn stitched(
     let mut records: Vec<ScanRecord> = Vec::new();
     let mut checkpoints: Vec<SweepCheckpoint> = Vec::new();
     for (i, &(workers, budget)) in legs.iter().enumerate() {
-        let scanner = Scanner::new(net.clone(), blocklist.clone(), config(world, workers, cap));
+        let scanner = Scanner::new(net.clone(), blocklist.clone(), config(world, workers));
         let token = budget.map_or_else(CancelToken::new, CancelToken::after_records);
         let resume = checkpoints.last().cloned();
         let before = records.len();
@@ -267,7 +222,7 @@ fn stitched(
                 assert!(records.len() > before || checkpoint.sweep_done, "leg {i}");
                 checkpoints.push(*checkpoint);
             }
-            ScanOutcome::Complete { summary, .. } => {
+            ScanOutcome::Complete { summary } => {
                 assert_eq!(i, legs.len() - 1, "leg {i} completed early");
                 return (summary, records, checkpoints);
             }
@@ -277,10 +232,12 @@ fn stitched(
 }
 
 /// A checkpoint names a position in the merged stream, not a shard, so
-/// an abort at one worker count resumes at another.
+/// an abort at one worker count resumes at another. At one worker an
+/// abort discards no probe, so the whole summary stitches,
+/// `certs.sightings` included.
 #[test]
 fn abort_resume_stitches_byte_identical() {
-    let (expected_summary, expected) = scan(World::Polite, 1, 16);
+    let (expected_summary, expected) = scan(World::Polite, 1);
     assert!(expected.len() > 10, "need a meaningful record stream");
 
     // Abort mid-sweep at 4 workers, resume at 1, abort again in the tail
@@ -290,7 +247,6 @@ fn abort_resume_stitches_byte_identical() {
     let rest = expected.len() as u64 - half - 1;
     let (summary, records, checkpoints) = stitched(
         World::Polite,
-        16,
         &[(4, Some(half)), (1, Some(rest)), (4, None)],
     );
     assert!(!checkpoints[0].sweep_done, "abort should land mid-sweep");
@@ -298,6 +254,12 @@ fn abort_resume_stitches_byte_identical() {
     assert!(checkpoints[0].next_step > 0);
     assert_eq!(records, expected);
     assert_summary_matches_modulo_sightings(&summary, &expected_summary);
+
+    // Every leg at one worker: after the first record, then mid-sweep.
+    let (summary, records, _) =
+        stitched(World::Polite, &[(1, Some(1)), (1, Some(half)), (1, None)]);
+    assert_eq!(records, expected);
+    assert_eq!(summary, expected_summary);
 }
 
 /// The contract under fire: with middleboxes injecting loss, tarpits
@@ -306,7 +268,7 @@ fn abort_resume_stitches_byte_identical() {
 /// included, whichever worker count resumes it.
 #[test]
 fn hostile_abort_resume_stitches_byte_identical() {
-    let (expected_summary, expected) = scan(World::Hostile, 1, 16);
+    let (expected_summary, expected) = scan(World::Hostile, 1);
     assert!(expected.len() > 10, "need a meaningful record stream");
     // The hostile plan must actually bite: every non-Ok outcome class
     // the retry layer distinguishes has to appear in the stream.
@@ -320,7 +282,7 @@ fn hostile_abort_resume_stitches_byte_identical() {
     );
     assert!(faults.backoff_micros > 0);
     for workers in [1usize, 4] {
-        let (summary, records) = scan(World::Hostile, workers, 256);
+        let (summary, records) = scan(World::Hostile, workers);
         assert_eq!(summary, expected_summary, "workers={workers}");
         assert_eq!(records, expected, "workers={workers}");
     }
@@ -328,7 +290,7 @@ fn hostile_abort_resume_stitches_byte_identical() {
     let half = expected.len() as u64 / 2;
     for (first, second) in [(4usize, 1usize), (1, 4)] {
         let (summary, records, checkpoints) =
-            stitched(World::Hostile, 16, &[(first, Some(half)), (second, None)]);
+            stitched(World::Hostile, &[(first, Some(half)), (second, None)]);
         assert!(!checkpoints[0].sweep_done, "abort should land mid-sweep");
         assert_eq!(records, expected, "{first} → {second} workers");
         assert_summary_matches_modulo_sightings(&summary, &expected_summary);
@@ -341,7 +303,7 @@ fn hostile_abort_resume_stitches_byte_identical() {
 #[test]
 fn abort_during_referral_phase_resumes_exactly() {
     for world in [World::Polite, World::Hostile] {
-        let (expected_summary, expected) = scan(world, 1, 256);
+        let (expected_summary, expected) = scan(world, 1);
         let referral_records = expected.iter().filter(|r| r.via.is_referral()).count();
         assert!(
             referral_records > 0,
@@ -351,11 +313,8 @@ fn abort_during_referral_phase_resumes_exactly() {
         // levels.
         let sweep_records = (expected.len() - referral_records) as u64;
         for (first, second) in [(1usize, 1usize), (4, 1), (1, 4)] {
-            let (summary, records, checkpoints) = stitched(
-                world,
-                256,
-                &[(first, Some(sweep_records + 1)), (second, None)],
-            );
+            let (summary, records, checkpoints) =
+                stitched(world, &[(first, Some(sweep_records + 1)), (second, None)]);
             assert!(
                 checkpoints[0].sweep_done,
                 "{world:?}: abort should land in the referral phase"
@@ -368,22 +327,22 @@ fn abort_during_referral_phase_resumes_exactly() {
 
 /// Satellite to the churn-agnostic-clock regression
 /// (`week_epochs_strictly_advance`): an aborted week must consume *no*
-/// campaign time — cancelled in-flight probes only ever advanced their
-/// private fork clocks — and the resumed week must be byte-identical to
-/// a never-aborted one.
+/// campaign time — probes only ever advance their private fork clocks —
+/// and the resumed week must be byte-identical to a never-aborted one,
+/// summary included: at one worker the abort discards no probe.
 #[test]
 fn aborted_week_leaves_campaign_clock_untouched() {
     use scanner::Campaign;
 
     let uninterrupted = {
-        let (scanner, universe) = scanner_with(World::Polite, 1, 16);
+        let (scanner, universe) = scanner_with(World::Polite, 1);
         let mut campaign = Campaign::new(scanner);
         let w0 = campaign.run_week(&universe, SEED, |_| {});
         let w1 = campaign.run_week(&universe, SEED, |_| {});
         vec![w0, w1]
     };
 
-    let (scanner, universe) = scanner_with(World::Polite, 1, 16);
+    let (scanner, universe) = scanner_with(World::Polite, 1);
     let mut campaign = Campaign::new(scanner);
     let epoch_before = campaign.scanner().internet().clock().now_micros();
 
@@ -407,7 +366,7 @@ fn aborted_week_leaves_campaign_clock_untouched() {
     };
     assert_eq!(campaign.weeks_run(), 1);
     assert_eq!(week0.records, uninterrupted[0].records);
-    assert_summary_matches_modulo_sightings(&week0.summary, &uninterrupted[0].summary);
+    assert_eq!(week0.summary, uninterrupted[0].summary);
 
     // The next week is entirely unaffected by the mid-week abort.
     let outcome = campaign.run_week_resumable(&universe, SEED, |_| {}, &CancelToken::new());
@@ -415,21 +374,17 @@ fn aborted_week_leaves_campaign_clock_untouched() {
         panic!("uncancelled week must complete");
     };
     assert_eq!(week1.records, uninterrupted[1].records);
-    assert_summary_matches_modulo_sightings(&week1.summary, &uninterrupted[1].summary);
+    assert_eq!(week1.summary, uninterrupted[1].summary);
 }
 
-/// A `CancelGuard` dropped without disarming cancels the token — and a
-/// scan driven by that token winds down at the next safe point instead
-/// of running to completion, at any worker count.
+/// A token cancelled before the scan starts aborts it before the first
+/// probe, without emitting a record, at any worker count.
 #[test]
-fn cancel_guard_aborts_scan_on_drop() {
+fn cancelled_token_aborts_scan_before_any_record() {
     for workers in [1usize, 4] {
-        let (scanner, universe) = scanner_with(World::Polite, workers, 16);
+        let (scanner, universe) = scanner_with(World::Polite, workers);
         let token = CancelToken::new();
-        {
-            let _guard = token.guard();
-            // Guard dropped here — e.g. an early return in a driver.
-        }
+        token.cancel();
         let outcome =
             scanner.scan_resumable(&universe, SEED, &CertStore::new(), None, &token, |_| {
                 panic!("a pre-cancelled scan must not emit records")

@@ -1,12 +1,12 @@
 //! Suite conformance: every [`ProtocolSuite`] must behave identically
-//! at any worker count and in-flight cap, and a multi-suite registry
+//! at any worker count, and a multi-suite registry
 //! must compose from single-suite campaigns without interference.
 //!
 //! The contract, checked against planted ground truth:
 //!
 //! 1. **Determinism**: a two-suite campaign (OPC UA on 4840, `uat-tls`
-//!    on 4843) is byte-identical across 1/4/8 workers × in-flight caps
-//!    1/4/256 — records *and* summary.
+//!    on 4843) is byte-identical across 1/4/8 workers — records *and*
+//!    summary.
 //! 2. **Composition**: the mixed-registry sweep equals the literal
 //!    concatenation of the single-suite sweeps over the same world
 //!    (suites run as isolated phases on disjoint ports).
@@ -59,10 +59,9 @@ fn build_world() -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
-fn both_suites(workers: usize, max_in_flight: usize) -> ScanConfig {
+fn both_suites(workers: usize) -> ScanConfig {
     ScanConfig::builder()
         .workers(workers)
-        .max_in_flight(max_in_flight)
         .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
         .suite(
             DEFAULT_UATLS_PORT,
@@ -79,7 +78,7 @@ fn scan(config: ScanConfig) -> (ScanSummary, Vec<ScanRecord>) {
 
 #[test]
 fn two_suite_campaign_is_byte_identical_across_workers_and_caps() {
-    let (summary1, records1) = scan(both_suites(1, 256));
+    let (summary1, records1) = scan(both_suites(1));
 
     // The baseline must actually exercise both suites, or the matrix
     // proves nothing about multi-protocol determinism.
@@ -101,15 +100,15 @@ fn two_suite_campaign_is_byte_identical_across_workers_and_caps() {
         .iter()
         .any(|r| r.port == DEFAULT_OPCUA_PORT && r.payload.protocol() == "opcua" && r.speaks()));
 
-    for (workers, cap) in [(1, 1), (1, 4), (4, 1), (4, 4), (4, 256), (8, 1), (8, 256)] {
-        let (summary, records) = scan(both_suites(workers, cap));
+    for workers in [1, 4, 8] {
+        let (summary, records) = scan(both_suites(workers));
         assert_eq!(
             summary, summary1,
-            "summary must not depend on (workers={workers}, max_in_flight={cap})"
+            "summary must not depend on workers={workers}"
         );
         assert_eq!(
             records, records1,
-            "records must not depend on (workers={workers}, max_in_flight={cap})"
+            "records must not depend on workers={workers}"
         );
     }
 }
@@ -133,7 +132,7 @@ fn mixed_registry_equals_concatenation_of_single_suite_sweeps() {
 
     let (_, opcua_records) = scan(opcua_only);
     let (_, tls_records) = scan(uattls_only);
-    let (_, mixed) = scan(both_suites(1, 256));
+    let (_, mixed) = scan(both_suites(1));
 
     assert!(!opcua_records.is_empty() && !tls_records.is_empty());
     let concat: Vec<ScanRecord> = opcua_records.into_iter().chain(tls_records).collect();
@@ -147,7 +146,7 @@ fn mixed_registry_equals_concatenation_of_single_suite_sweeps() {
 fn tls_deficits_and_vendor_breakdown_recover_ground_truth() {
     let (net, universe, population, plan) = build_world();
     let (_, records) =
-        Scanner::new(net, Blocklist::new(), both_suites(4, 256)).scan_collect(&universe, SEED);
+        Scanner::new(net, Blocklist::new(), both_suites(4)).scan_collect(&universe, SEED);
     let report = assess(&records);
 
     assert_eq!(

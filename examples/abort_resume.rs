@@ -2,8 +2,8 @@
 //! the stitched output is byte-identical to a run that was never
 //! interrupted.
 //!
-//! The scan engine (`scanner::sched`) polls a [`CancelToken`] between
-//! timer firings. `CancelToken::after_records(n)` arms a deterministic
+//! The scan engine (`scanner::sched`) polls a [`CancelToken`] before
+//! every probe. `CancelToken::after_records(n)` arms a deterministic
 //! abort: for a fixed seed the scan stops right after record `n` every
 //! run, at any worker count, so this demo — and its golden stdout — is
 //! reproducible.
@@ -25,8 +25,7 @@
 //! ```
 //!
 //! Stdout is byte-identical at any worker count (`examples/golden.sh`
-//! checks the 1- and 4-worker runs against one golden file); the
-//! scheduler telemetry, which does depend on it, goes to stderr.
+//! checks the 1- and 4-worker runs against one golden file).
 
 use opcua_study::prelude::*;
 
@@ -44,7 +43,6 @@ fn build(seed: u64, workers: usize) -> (Scanner, Vec<Cidr>) {
 fn config(workers: usize) -> ScanConfig {
     ScanConfig {
         workers,
-        max_in_flight: 16,
         ..ScanConfig::default()
     }
 }
@@ -55,8 +53,9 @@ fn check(label: &str, ok: bool) -> bool {
 }
 
 /// Summaries must stitch exactly except the cert-interner `sightings`
-/// counter, which counts work performed: certificates captured by
-/// discarded in-flight probes are sighted again on re-probe.
+/// counter when a leg runs more than one worker: it counts work
+/// performed, and certificates captured by probes that ran ahead of the
+/// merge and were discarded at the abort are sighted again on re-probe.
 fn summaries_match(a: &ScanSummary, b: &ScanSummary) -> bool {
     a.sweep == b.sweep
         && a.referrals == b.referrals
@@ -65,6 +64,7 @@ fn summaries_match(a: &ScanSummary, b: &ScanSummary) -> bool {
         && a.started_unix == b.started_unix
         && a.finished_unix == b.finished_unix
         && a.certs.distinct == b.certs.distinct
+        && a.faults == b.faults
 }
 
 fn main() {
@@ -81,20 +81,14 @@ fn main() {
         match scanner.scan_resumable(&universe, seed, &certs, None, &CancelToken::new(), |r| {
             baseline.push(r)
         }) {
-            ScanOutcome::Complete { summary, engine } => {
-                eprintln!(
-                    "scheduler: in-flight high water {} (cap 16 per worker), {} timers fired",
-                    engine.in_flight_high_water, engine.timers_fired,
-                );
-                summary
-            }
+            ScanOutcome::Complete { summary } => summary,
             ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed"),
         };
     println!("baseline: {} records", baseline.len());
 
     // Resume once at the aborting worker count, once at another: a
     // checkpoint is a position in the merged record stream, so it does
-    // not care how many event loops produced it.
+    // not care how many shards produced it.
     let other = if workers == 1 { 4 } else { 1 };
     for (resume_workers, label) in [(workers, "same"), (other, "another")] {
         let (scanner, universe) = build(seed, workers);
@@ -126,7 +120,7 @@ fn main() {
             &CancelToken::new(),
             |r| stitched.push(r),
         ) {
-            ScanOutcome::Complete { summary, .. } => summary,
+            ScanOutcome::Complete { summary } => summary,
             ScanOutcome::Aborted { .. } => unreachable!("no cancellation armed on resume"),
         };
         all_ok &= check(

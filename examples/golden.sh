@@ -10,8 +10,8 @@
 # its group's file by a single byte. Bless mode writes each group's file
 # from the group's first run and checks the group's other runs against
 # it; it refuses to bless a run that exits nonzero. Only stdout is
-# compared: abort_resume and seven_month_study print worker-dependent
-# telemetry to stderr.
+# compared: seven_month_study prints worker-dependent telemetry to
+# stderr.
 #
 # Every run executes under a 384 MiB address-space cap (ulimit -v), so
 # an allocation the size of a universe aborts it: the million-address

@@ -16,7 +16,7 @@
 //! 3. **Undercount**: a polite single-attempt baseline misses hosts a
 //!    retrying scanner recovers — the bias the layer exists to fix.
 //! 4. **Determinism**: the hostile sweep is byte-identical across
-//!    worker counts and in-flight caps.
+//!    worker counts.
 //!
 //! ```sh
 //! cargo run --release --example hostile_sweep             # default seed
@@ -57,7 +57,6 @@ fn build(
     seed: u64,
     retry: RetryPolicy,
     workers: usize,
-    max_in_flight: usize,
 ) -> (Scanner, Vec<Cidr>, Population, MiddleboxPlan) {
     let net = Internet::new(VirtualClock::default());
     let universe: Vec<Cidr> = vec!["10.60.0.0/21".parse().unwrap()];
@@ -67,7 +66,6 @@ fn build(
     net.set_profiles(Arc::new(plan.clone()));
     let config = ScanConfig {
         workers,
-        max_in_flight,
         retry,
         ..ScanConfig::default()
     };
@@ -103,13 +101,11 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let default_cap = ScanConfig::default().max_in_flight;
     let mut all_ok = true;
     let budget = RetryPolicy::hostile().max_attempts;
 
     // --- The hostile sweep, against the planted oracle. --------------
-    let (scanner, universe, population, plan) =
-        build(seed, RetryPolicy::hostile(), workers, default_cap);
+    let (scanner, universe, population, plan) = build(seed, RetryPolicy::hostile(), workers);
     let (summary, records) = scanner.scan_collect(&universe, seed);
     let faults = summary.faults;
     println!(
@@ -176,7 +172,7 @@ fn main() {
     );
 
     // --- The polite baseline undercounts. ----------------------------
-    let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), 1, default_cap);
+    let (polite, universe_p, _, _) = build(seed, RetryPolicy::default(), 1);
     let (polite_summary, _) = polite.scan_collect(&universe_p, seed);
     println!(
         "polite baseline: {} ok vs {} ok with retries ({} hosts recovered by retrying)",
@@ -189,13 +185,9 @@ fn main() {
         polite_summary.faults.ok < faults.ok,
     );
 
-    // --- Byte identity across worker counts and in-flight caps. -------
-    for (other_workers, cap, label) in [
-        (1, 1, "1 worker, in-flight cap 1"),
-        (4, default_cap, "4 workers"),
-        (8, 16, "8 workers, in-flight cap 16"),
-    ] {
-        let (other, universe_o, _, _) = build(seed, RetryPolicy::hostile(), other_workers, cap);
+    // --- Byte identity across worker counts. ---------------------------
+    for (other_workers, label) in [(1, "1 worker"), (4, "4 workers"), (8, "8 workers")] {
+        let (other, universe_o, _, _) = build(seed, RetryPolicy::hostile(), other_workers);
         let (s, r) = other.scan_collect(&universe_o, seed);
         all_ok &= check(
             &format!("byte-identical under fire: {label}"),

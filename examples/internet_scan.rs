@@ -48,7 +48,7 @@ fn main() {
     blocklist.add_str("10.16.7.0/24").unwrap();
 
     // Stream records through the bounded channel while the scan runs,
-    // sharded across `workers` event loops. The output below must not
+    // sharded across `workers` shards. The output below must not
     // mention the worker count: `examples/golden.sh` holds a 1-worker and
     // a 4-worker run to one golden file.
     let config = ScanConfig {

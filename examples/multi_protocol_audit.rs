@@ -18,7 +18,7 @@
 //! 4. **Composition**: the mixed-registry sweep equals the literal
 //!    concatenation of the single-suite sweeps.
 //! 5. **Determinism**: the campaign is byte-identical across worker
-//!    counts and in-flight caps.
+//!    counts.
 //!
 //! ```sh
 //! cargo run --release --example multi_protocol_audit            # default seed
@@ -60,10 +60,9 @@ fn build(seed: u64) -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
-fn audit_config(workers: usize, max_in_flight: usize) -> ScanConfig {
+fn audit_config(workers: usize) -> ScanConfig {
     ScanConfig::builder()
         .workers(workers)
-        .max_in_flight(max_in_flight)
         .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
         .suite(
             DEFAULT_UATLS_PORT,
@@ -97,11 +96,10 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let default_cap = ScanConfig::default().max_in_flight;
     let mut all_ok = true;
 
     // --- The two-suite campaign, against the planted oracles. --------
-    let (summary, records, population, plan) = scan(seed, audit_config(workers, default_cap));
+    let (summary, records, population, plan) = scan(seed, audit_config(workers));
 
     // Partition the records by typed payload. Exhaustive on purpose:
     // adding a suite must force this audit to account for its records
@@ -182,13 +180,9 @@ fn main() {
         records == concat,
     );
 
-    // --- Byte identity across worker counts and in-flight caps. -------
-    for (other_workers, cap, label) in [
-        (1, 1, "1 worker, in-flight cap 1"),
-        (4, default_cap, "4 workers"),
-        (8, 16, "8 workers, in-flight cap 16"),
-    ] {
-        let (s, r, _, _) = scan(seed, audit_config(other_workers, cap));
+    // --- Byte identity across worker counts. ---------------------------
+    for (other_workers, label) in [(1, "1 worker"), (4, "4 workers"), (8, "8 workers")] {
+        let (s, r, _, _) = scan(seed, audit_config(other_workers));
         all_ok &= check(
             &format!("byte-identical: {label}"),
             s == summary && r == records,

@@ -33,12 +33,10 @@
 //!                 │              deficit trajectories)      │
 //!                 ├─────────────────────────────────────────┤
 //!   measurement   │ scanner      one engine (scanner::      │
-//!                 │              sched): timer-heap event   │
-//!                 │              loops of per-host state    │
-//!                 │              machines, max_in_flight    │
-//!                 │              window per loop;           │
-//!                 │              ScanConfig::workers loops  │
-//!                 │              on pos % N shards, merged  │
+//!                 │              sched): each shard probes  │
+//!                 │              one target at a time;      │
+//!                 │              ScanConfig::workers shards │
+//!                 │              on pos % N steps, merged   │
 //!                 │              in discovery order;        │
 //!                 │              CancelToken abort +        │
 //!                 │              SweepCheckpoint resume at  │
@@ -118,19 +116,15 @@
 //! ## Scaling knobs
 //!
 //! * **Worker count** — every campaign runs on `scanner::sched`'s
-//!   event loops: per-host probe state machines multiplexed over a
-//!   timer heap. `ScanConfig::workers` runs N loops on N threads; the
+//!   shards, each probing one target at a time through its whole stage
+//!   ladder. `ScanConfig::workers` runs N shards on N threads; the
 //!   permuted universe is split deterministically (`pos % workers`,
 //!   and each referral level `i % workers`) and the
-//!   loops' outputs merge back into discovery order, so records,
+//!   shards' outputs merge back into discovery order, so records,
 //!   report, and summary are byte-identical for a fixed seed at *any*
 //!   worker count; only the wall-clock changes. One worker runs inline
 //!   on the caller's thread. CI enforces this by diffing 1-worker
 //!   against 4-worker campaigns.
-//! * **In-flight cap** — `ScanConfig::max_in_flight` bounds each
-//!   loop's admitted-but-unemitted window: admission stalls when it is
-//!   full, the backpressure against a slow record sink. Output does
-//!   not depend on it.
 //! * **Abort/resume** — every scan is resumable: a `CancelToken`
 //!   stops it at a safe point (`CancelToken::after_records(n)` right
 //!   after sweep record `n`), and `Scanner::scan_resumable` +
@@ -215,7 +209,7 @@
 //!   tarpitted), and tallies the cost (`FaultStats`). Default policy
 //!   is one attempt: polite campaigns are byte-identical to the
 //!   pre-retry pipeline. Hostile sweeps stay byte-identical across
-//!   worker counts, in-flight caps, and abort/resume; CI replays
+//!   worker counts and abort/resume; CI replays
 //!   `examples/hostile_sweep.rs` against the planted truth and diffs
 //!   1-vs-4-worker hostile campaigns.
 //! * **Protocol suites** — `ScanConfig::suites` (or
@@ -287,11 +281,11 @@ pub mod prelude {
         MultiProtoPlan, Population, PopulationConfig, StrataMix, TlsClass,
     };
     pub use scanner::{
-        Campaign, CampaignConfig, CancelToken, CertStore, DiscoveredVia, EngineStats, FaultStats,
-        HostOutcome, OpcUaSuite, OpcUrl, ProtocolPayload, ProtocolSuite, ReferralStats,
-        RetryPolicy, ScanConfig, ScanOutcome, ScanRecord, ScanSummary, Scanner, SessionOutcome,
-        SuiteRegistry, SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome, WeeklyScan,
-        DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
+        Campaign, CampaignConfig, CancelToken, CertStore, DiscoveredVia, FaultStats, HostOutcome,
+        OpcUaSuite, OpcUrl, ProtocolPayload, ProtocolSuite, ReferralStats, RetryPolicy, ScanConfig,
+        ScanOutcome, ScanRecord, ScanSummary, Scanner, SessionOutcome, SuiteRegistry,
+        SweepCheckpoint, UatTlsSuite, WeekCheckpoint, WeekOutcome, WeeklyScan, DEFAULT_OPCUA_PORT,
+        DEFAULT_UATLS_PORT,
     };
     pub use ua_crypto::Thumbprint;
     pub use ua_types::{MessageSecurityMode, SecurityPolicy, UserTokenType};
