@@ -109,41 +109,38 @@ pub enum PortState {
     Open,
 }
 
-/// Lazily resolves hosts that are not (yet) in the bound host table.
+/// Answers for the hosts the bound host table does not hold.
 ///
-/// A resolver is the hook behind lazy world materialization: the sweep
-/// and the probe stack keep SYN-probing and calling
-/// [`Internet::connect`] as if every host were pre-bound, and the
-/// resolver answers occupancy queries from its own record of the world
-/// (a lazy world probes one address map) without allocating anything
-/// per address, then materializes (builds and binds) a host the first
-/// time a connection actually reaches it.
+/// A resolver is the hook behind lazy worlds: the sweep and the probe
+/// stack keep SYN-probing and calling [`Internet::connect`] as if every
+/// host were bound, and the resolver answers from its own record of the
+/// world (a lazy world probes one address map). It is the only home of
+/// the hosts it builds: it builds a host the first time a connect
+/// reaches it and serves it from then on, and nothing of it enters the
+/// bound table.
 ///
 /// Contract:
 /// * `host_exists` / `syn_batch` must be side-effect free and cheap —
 ///   the sweep hands every walked address that misses the bound table
 ///   to `syn_batch`, [`crate::SWEEP_BATCH`] addresses per call.
-/// * Answers must be fixed for a scan's duration and consistent with
-///   what `materialize` binds, or probes become non-deterministic. The
-///   sweep classifies up to one batch of addresses ahead of admitting
-///   them for probing, so an answer given for an unbuilt host must
-///   still hold when its probe connects and materializes it.
-/// * `materialize` must leave the host bound on `net` before returning
-///   (or do nothing if the address is actually empty); it is only called
-///   after `host_exists` returned true, and must be idempotent — probe
-///   workers race on it.
-/// * Never call a resolver while holding the host-table lock
-///   ([`Internet`] releases it first): `materialize` takes the
-///   resolver's own state lock and then the host-table write lock.
+/// * Answers must be fixed for a scan's duration, and `route` must
+///   agree with `syn_batch`, or probes become non-deterministic. The
+///   sweep classifies up to one batch of addresses ahead of probing
+///   them, so an answer given for an unbuilt host must still hold when
+///   its probe connects and builds it.
+/// * `route` builds the host on first contact and must tolerate races:
+///   probe workers call it concurrently, so a racing second build of
+///   the same host is discarded, never served.
 pub trait HostResolver: Send + Sync {
     /// True if a host occupies `addr` (SYN would not time out).
     fn host_exists(&self, addr: Ipv4) -> bool;
     /// SYN-probes `port` on every address of `addrs` at once, writing
     /// what `addrs[i]` answers to `states[i]` (the slices have equal
-    /// length). Must not materialize anything.
+    /// length). Must not build anything.
     fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]);
-    /// Builds and binds the host at `addr` onto `net` (first contact).
-    fn materialize(&self, net: &Internet, addr: Ipv4);
+    /// Where a connect to `(addr, port)` goes, building the host at
+    /// `addr` on first contact; [`Route::Dead`] when nothing sits there.
+    fn route(&self, addr: Ipv4, port: u16) -> Route;
 }
 
 /// The bound hosts by address. [`Internet::syn_batch`] probes it once
@@ -213,11 +210,12 @@ impl Internet {
     }
 
     /// Installs a [`HostResolver`] that backs the host table with a lazy
-    /// world: occupancy queries that miss the bound table fall through
-    /// to the resolver, and connects to resolver-known addresses
-    /// materialize the host on first contact. Shared by all clock views
-    /// ([`Internet::with_clock`]), so sharded scan workers see the same
-    /// lazy world.
+    /// world: SYNs and connects that miss the bound table go to the
+    /// resolver, which builds and serves its hosts itself. Shared by all
+    /// clock views ([`Internet::with_clock`]), so sharded scan workers
+    /// see the same lazy world. Replaces the previous resolver, and with
+    /// it drops the previous world and every host that world built: one
+    /// Internet serves one world.
     pub fn set_resolver(&self, resolver: Arc<dyn HostResolver>) {
         // ua-lint: allow(panic-hygiene) -- poisoned resolver slot: a peer panicked; propagate it
         *self.resolver.write().unwrap() = Some(resolver);
@@ -273,9 +271,8 @@ impl Internet {
     }
 
     /// Atomically installs (or replaces) a host together with its
-    /// listeners under one table lock. Lazy materialization binds
-    /// through this: concurrent scan workers must never observe a host
-    /// entry that exists but has no services yet.
+    /// listeners under one table lock, so a concurrent scan worker never
+    /// observes a host entry that exists but has no services yet.
     pub fn install_host(
         &self,
         addr: Ipv4,
@@ -291,11 +288,6 @@ impl Internet {
         );
     }
 
-    /// Removes a host entirely (device went offline / changed IP).
-    pub fn remove_host(&self, addr: Ipv4) {
-        self.hosts_write().remove(&addr.0);
-    }
-
     /// Binds a service to `(addr, port)`; the host must exist.
     pub fn bind(&self, addr: Ipv4, port: u16, service: Arc<dyn Service>) {
         let mut hosts = self.hosts_write();
@@ -304,13 +296,6 @@ impl Internet {
             // ua-lint: allow(panic-hygiene) -- binding to an unbound address is a caller bug
             .unwrap_or_else(|| panic!("bind on unknown host {addr}"));
         host.services.insert(port, service);
-    }
-
-    /// Unbinds a port.
-    pub fn unbind(&self, addr: Ipv4, port: u16) {
-        if let Some(host) = self.hosts_write().get_mut(&addr.0) {
-            host.services.remove(&port);
-        }
     }
 
     /// True if a host exists at `addr` — bound or resolver-known.
@@ -325,7 +310,7 @@ impl Internet {
     /// (No clock cost — probe pacing is accounted by the sweep.) The
     /// sweep's batched SYN for a single address: a bound host answers
     /// from its service table, any other from the resolver, and the SYN
-    /// itself never materializes anything.
+    /// itself never builds anything.
     pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
         let mut state = [PortState::NoHost];
         self.syn_batch(port, &[addr], &mut state);
@@ -337,16 +322,19 @@ impl Internet {
     /// have equal length). Middlebox faults play no part: they strike a
     /// connect attempt, not the sweep's SYN.
     ///
-    /// A materialized host answers from its bound service table. The
-    /// addresses the table misses go to the lazy resolver in one
+    /// A bound host answers from its service table. The addresses the
+    /// table misses go to the lazy resolver in one
     /// [`HostResolver::syn_batch`] call, after the table lock is
     /// released. This is the only place that decides between the two,
     /// for the sweep's [`crate::SweepCursor`] and
     /// [`Internet::has_listener`] alike. No clock cost, no side effects.
     ///
-    /// Every address costs one host-table probe, and nearly all of them
-    /// miss in a sparse universe: that probe is why the table hashes
-    /// with [`AddrHash`] (one multiply) and not SipHash.
+    /// Every address costs one host-table probe. Under a lazy world the
+    /// table stays empty (the world serves its hosts itself), and std
+    /// answers a probe of an empty map without hashing; once hosts are
+    /// bound by hand, nearly every probe misses in a sparse universe,
+    /// which is why the table hashes with [`AddrHash`] (one multiply)
+    /// and not SipHash.
     pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
         assert_eq!(addrs.len(), states.len(), "one state slot per address");
         assert!(addrs.len() <= SWEEP_BATCH, "at most one sweep batch");
@@ -385,46 +373,36 @@ impl Internet {
         }
     }
 
-    /// Number of *bound* hosts (lazy worlds: materialized so far).
+    /// Number of hosts bound by hand ([`Internet::add_host`],
+    /// [`Internet::install_host`]). A resolver's hosts are not counted:
+    /// the resolver serves them itself.
     pub fn host_count(&self) -> usize {
         self.hosts_read().len()
     }
 
-    /// All host addresses, ascending (deterministic iteration for
-    /// tests/ground truth; a real scanner cannot do this).
-    pub fn host_addresses(&self) -> Vec<Ipv4> {
-        let mut v: Vec<Ipv4> = self.hosts_read().keys().map(|&ip| Ipv4(ip)).collect();
-        v.sort();
-        v
-    }
-
-    /// Route resolution, the fault-free half of a connect: what the
-    /// bound table (after lazy materialization) says lives at
-    /// `(to, port)`. A table miss here is *routing* truth — "nothing
-    /// answers" — and is deliberately kept apart from injected faults,
-    /// which make a perfectly routable host look dead for one attempt.
+    /// Route resolution, the fault-free half of a connect: what lives at
+    /// `(to, port)`. The bound table answers for its hosts, the resolver
+    /// for every other address (building the host on first contact),
+    /// and with no resolver a miss is [`Route::Dead`]. A dead route is
+    /// *routing* truth — "nothing answers" — and is deliberately kept
+    /// apart from injected faults, which make a perfectly routable host
+    /// look dead for one attempt.
     fn route_of(&self, to: Ipv4, port: u16) -> Route {
-        // One materialization pass: a table miss may just mean "not
-        // built yet". The hosts lock is never held across the resolver
-        // call — materialize() needs the write side to bind.
-        for pass in 0..2 {
-            let hit = {
-                let hosts = self.hosts_read();
-                hosts
-                    .get(&to.0)
-                    .map(|host| (host.services.contains_key(&port), host.rtt_micros))
-            };
-            match hit {
-                Some((true, rtt_micros)) => return Route::Listening { rtt_micros },
-                Some((false, rtt_micros)) => return Route::Refused { rtt_micros },
-                None if pass == 0 => match self.resolver() {
-                    Some(r) if r.host_exists(to) => r.materialize(self, to),
-                    _ => return Route::Dead,
+        // The table guard is gone before the resolver is asked.
+        let bound = self.hosts_read().get(&to.0).map(|host| {
+            let rtt_micros = host.rtt_micros;
+            match host.services.get(&port) {
+                Some(service) => Route::Listening {
+                    rtt_micros,
+                    service: Arc::clone(service),
                 },
-                None => return Route::Dead,
+                None => Route::Refused { rtt_micros },
             }
+        });
+        match bound {
+            Some(route) => route,
+            None => self.resolver().map_or(Route::Dead, |r| r.route(to, port)),
         }
-        Route::Dead
     }
 
     /// Opens a TCP-like connection, applying one RTT of virtual latency
@@ -432,11 +410,10 @@ impl Internet {
     /// [`connect_attempt`](Internet::connect_attempt) with attempt 0.
     ///
     /// With a resolver installed, a connect to an address the bound
-    /// table misses but the resolver knows first materializes the host
-    /// (the lazy world's "first probe contact"), then retries against
-    /// the now-bound table. Materialization itself is free on the
+    /// table misses goes to the resolver, which builds the host on the
+    /// lazy world's "first probe contact". Building is free on the
     /// virtual clock — only the handshake RTT is charged, exactly as in
-    /// an eagerly built world.
+    /// a world built up front.
     pub fn connect(
         &self,
         from: Ipv4,
@@ -464,14 +441,21 @@ impl Internet {
         port: u16,
         attempt: u32,
     ) -> Result<crate::stream::TcpStreamSim, ConnectError> {
-        let route = self.route_of(to, port);
-        if matches!(route, Route::Dead) {
-            // SYN timeout: a scanner waits ~1s for silence. No profile
-            // consulted — faulting a host that does not exist would
-            // conflate routing truth with injected hostility.
-            self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-            return Err(ConnectError::NoRoute);
-        }
+        let (rtt_micros, service) = match self.route_of(to, port) {
+            Route::Listening {
+                rtt_micros,
+                service,
+            } => (rtt_micros, Some(service)),
+            Route::Refused { rtt_micros } => (rtt_micros, None),
+            Route::Dead => {
+                // SYN timeout: a scanner waits ~1s for silence. No
+                // profile consulted — faulting a host that does not
+                // exist would conflate routing truth with injected
+                // hostility.
+                self.clock.advance_micros(SYN_TIMEOUT_MICROS);
+                return Err(ConnectError::NoRoute);
+            }
+        };
         let profile = self.profile_of(to);
         match profile.connect_fate(attempt) {
             ConnectFate::Deliver => {}
@@ -485,7 +469,7 @@ impl Internet {
                 return Err(ConnectError::Throttled);
             }
             ConnectFate::Tarpit(tarpit) => {
-                if let Route::Listening { rtt_micros } = route {
+                if service.is_some() {
                     if tarpit.dribble_bytes == 0 {
                         self.clock
                             .advance_micros(u64::from(rtt_micros) + tarpit.stall_micros);
@@ -501,64 +485,43 @@ impl Internet {
                 // Nothing listens behind the tarpit: plain RST below.
             }
         }
-        match route {
-            Route::Listening { rtt_micros } => {
-                let conn = {
-                    let hosts = self.hosts_read();
-                    hosts
-                        .get(&to.0)
-                        .and_then(|host| host.services.get(&port))
-                        .map(|service| service.open_connection(from))
-                };
-                match conn {
-                    Some(conn) => {
-                        let conn: Box<dyn Connection> = if profile.cut_after_exchanges > 0 {
-                            Box::new(CutConn::new(conn, profile.cut_after_exchanges))
-                        } else {
-                            conn
-                        };
-                        self.clock.advance_micros(u64::from(rtt_micros));
-                        Ok(crate::stream::TcpStreamSim::new(
-                            self.clock.clone(),
-                            conn,
-                            rtt_micros,
-                        ))
-                    }
-                    // The host vanished between route resolution and
-                    // accept (world churn): same as a dead address.
-                    None => {
-                        self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-                        Err(ConnectError::NoRoute)
-                    }
-                }
-            }
-            Route::Refused { rtt_micros } => {
-                // RST comes back after one RTT.
-                self.clock.advance_micros(u64::from(rtt_micros));
-                Err(ConnectError::Refused)
-            }
-            Route::Dead => {
-                self.clock.advance_micros(SYN_TIMEOUT_MICROS);
-                Err(ConnectError::NoRoute)
-            }
-        }
+        let Some(service) = service else {
+            // RST comes back after one RTT.
+            self.clock.advance_micros(u64::from(rtt_micros));
+            return Err(ConnectError::Refused);
+        };
+        let conn = service.open_connection(from);
+        let conn: Box<dyn Connection> = if profile.cut_after_exchanges > 0 {
+            Box::new(CutConn::new(conn, profile.cut_after_exchanges))
+        } else {
+            conn
+        };
+        self.clock.advance_micros(u64::from(rtt_micros));
+        Ok(crate::stream::TcpStreamSim::new(
+            self.clock.clone(),
+            conn,
+            rtt_micros,
+        ))
     }
 }
 
-/// What [`Internet::route_of`] concluded about `(addr, port)` before
-/// any middlebox fault is applied.
-enum Route {
-    /// A service is bound: a fault-free connect succeeds after one RTT.
+/// Where a connect to one `(addr, port)` goes, before any middlebox
+/// fault applies: the one answer of the bound table and of a
+/// [`HostResolver`] alike.
+pub enum Route {
+    /// A service listens: a fault-free connect opens it after one RTT.
     Listening {
-        /// Round-trip time of the bound host.
+        /// Round-trip time of the host.
         rtt_micros: u32,
+        /// The listener a connect opens a connection on.
+        service: Arc<dyn Service>,
     },
     /// The host is up but the port is closed: RST after one RTT.
     Refused {
-        /// Round-trip time of the bound host.
+        /// Round-trip time of the host.
         rtt_micros: u32,
     },
-    /// Nothing answers (and the resolver disowns the address).
+    /// Nothing answers: the SYN times out.
     Dead,
 }
 
@@ -636,24 +599,13 @@ mod tests {
     }
 
     #[test]
-    fn unbind_and_remove() {
-        let net = Internet::new(VirtualClock::starting_at(0));
-        let ip = Ipv4::new(10, 0, 0, 2);
-        net.add_host(ip, 1000);
-        net.bind(ip, 4840, Arc::new(Echo));
-        net.unbind(ip, 4840);
-        assert!(!net.has_listener(ip, 4840));
-        net.remove_host(ip);
-        assert!(!net.host_exists(ip));
-        assert_eq!(net.host_count(), 0);
-    }
-
-    #[test]
     fn resolver_backs_table_misses_and_materializes_on_connect() {
         use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::OnceLock;
         struct LazyEcho {
             target: Ipv4,
-            materialized: AtomicUsize,
+            built: AtomicUsize,
+            listener: OnceLock<Arc<dyn Service>>,
         }
         impl HostResolver for LazyEcho {
             fn host_exists(&self, addr: Ipv4) -> bool {
@@ -668,44 +620,58 @@ mod tests {
                     };
                 }
             }
-            fn materialize(&self, net: &Internet, addr: Ipv4) {
-                self.materialized.fetch_add(1, Ordering::SeqCst);
-                net.install_host(
-                    addr,
-                    5_000,
-                    vec![(4840, Arc::new(Echo) as Arc<dyn Service>)],
-                );
+            fn route(&self, addr: Ipv4, port: u16) -> Route {
+                if addr != self.target {
+                    return Route::Dead;
+                }
+                let service = self.listener.get_or_init(|| {
+                    self.built.fetch_add(1, Ordering::SeqCst);
+                    Arc::new(Echo)
+                });
+                match port {
+                    4840 => Route::Listening {
+                        rtt_micros: 5_000,
+                        service: Arc::clone(service),
+                    },
+                    _ => Route::Refused { rtt_micros: 5_000 },
+                }
             }
         }
         let net = Internet::new(VirtualClock::starting_at(0));
         let target = Ipv4::new(10, 9, 9, 9);
         let resolver = Arc::new(LazyEcho {
             target,
-            materialized: AtomicUsize::new(0),
+            built: AtomicUsize::new(0),
+            listener: OnceLock::new(),
         });
         net.set_resolver(resolver.clone());
 
-        // SYN probes answer from the predicate without materializing.
+        // SYN probes answer from the predicate without building.
         assert!(net.has_listener(target, 4840));
         assert!(!net.has_listener(target, 80));
         assert!(net.host_exists(target));
         assert!(!net.host_exists(Ipv4::new(10, 9, 9, 8)));
-        assert_eq!(net.host_count(), 0);
-        assert_eq!(resolver.materialized.load(Ordering::SeqCst), 0);
+        assert_eq!(resolver.built.load(Ordering::SeqCst), 0);
 
-        // First contact materializes exactly once; afterwards the bound
-        // table answers directly.
+        // First contact builds exactly once; afterwards the resolver
+        // serves the host it built, and the bound table stays empty.
         let mut s = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
         s.send(b"hi").unwrap();
         assert_eq!(s.recv().unwrap(), Some(b"hi".to_vec()));
-        assert_eq!(resolver.materialized.load(Ordering::SeqCst), 1);
-        assert_eq!(net.host_count(), 1);
+        assert_eq!(resolver.built.load(Ordering::SeqCst), 1);
         let _ = net.connect(Ipv4::new(1, 1, 1, 1), target, 4840).unwrap();
-        assert_eq!(resolver.materialized.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            net.connect(Ipv4::new(1, 1, 1, 1), target, 80).err(),
+            Some(ConnectError::Refused)
+        );
+        assert_eq!(resolver.built.load(Ordering::SeqCst), 1);
+        assert_eq!(net.host_count(), 0);
 
         // Clock views share the resolver.
         let view = net.with_clock(VirtualClock::starting_at(0));
         assert!(view.has_listener(target, 4840));
+        assert!(view.connect(Ipv4::new(1, 1, 1, 1), target, 4840).is_ok());
+        assert_eq!(resolver.built.load(Ordering::SeqCst), 1);
 
         // Addresses the resolver disowns still time out.
         assert_eq!(
@@ -713,6 +679,7 @@ mod tests {
                 .err(),
             Some(ConnectError::NoRoute)
         );
+        assert_eq!(net.host_count(), 0);
     }
 
     #[test]
@@ -842,22 +809,5 @@ mod tests {
             Some(ConnectError::NoRoute)
         );
         assert_eq!(clock.now_micros() - before, SYN_TIMEOUT_MICROS);
-    }
-
-    #[test]
-    fn host_addresses_sorted() {
-        let net = Internet::new(VirtualClock::starting_at(0));
-        net.add_host(Ipv4::new(9, 0, 0, 1), 0);
-        net.add_host(Ipv4::new(1, 0, 0, 1), 0);
-        net.add_host(Ipv4::new(5, 0, 0, 1), 0);
-        let addrs = net.host_addresses();
-        assert_eq!(
-            addrs,
-            vec![
-                Ipv4::new(1, 0, 0, 1),
-                Ipv4::new(5, 0, 0, 1),
-                Ipv4::new(9, 0, 0, 1)
-            ]
-        );
     }
 }

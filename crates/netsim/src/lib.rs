@@ -37,7 +37,7 @@ pub use faults::{
     TarpitProfile,
 };
 pub use internet::{
-    ConnectError, Connection, ConnectionOutput, HostResolver, Internet, PortState, Service,
+    ConnectError, Connection, ConnectionOutput, HostResolver, Internet, PortState, Route, Service,
     SYN_TIMEOUT_MICROS,
 };
 pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};

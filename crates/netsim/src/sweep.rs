@@ -345,8 +345,8 @@ pub const SWEEP_BATCH: usize = 1024;
 ///
 /// This is the only copy of that classification: [`SynScanner::sweep_shard`]
 /// drains a cursor, and the scanner's shards each hold one as a
-/// *pausable* source of admissions, so a shard draws jobs only as its
-/// bounded admission queue has room and a `SweepCheckpoint` can record
+/// *pausable* source of jobs, so a shard draws the next job only once
+/// it has emitted the last one and a `SweepCheckpoint` can record
 /// exactly how far the emitted records got.
 ///
 /// The cursor walks [`SWEEP_BATCH`] addresses at a time, drops the
@@ -961,7 +961,9 @@ mod tests {
                 };
             }
         }
-        fn materialize(&self, _net: &Internet, _addr: Ipv4) {}
+        fn route(&self, _addr: Ipv4, _port: u16) -> crate::Route {
+            crate::Route::Dead
+        }
     }
 
     #[test]

@@ -269,6 +269,7 @@ pub(crate) fn parse_version(v: &str) -> Option<(u32, u32, u32)> {
 /// ```
 pub struct EvolvingWorld {
     core: Arc<WorldCore>,
+    net: Internet,
     pub(crate) churn: ChurnConfig,
     week: u32,
     history: Vec<WeekChurn>,
@@ -301,6 +302,7 @@ impl EvolvingWorld {
     pub fn new_lazy(net: &Internet, cfg: &PopulationConfig, churn: ChurnConfig) -> EvolvingWorld {
         EvolvingWorld {
             core: WorldCore::new(net, cfg),
+            net: net.clone(),
             churn,
             week: 0,
             history: Vec::new(),
@@ -314,7 +316,7 @@ impl EvolvingWorld {
 
     /// The shared Internet the world is deployed on.
     pub fn net(&self) -> &Internet {
-        self.core.net()
+        &self.net
     }
 
     /// Materialization telemetry so far.
@@ -387,7 +389,7 @@ impl EvolvingWorld {
 mod tests {
     use super::*;
     use crate::StrataMix;
-    use netsim::VirtualClock;
+    use netsim::{ConnectError, VirtualClock};
     use ua_addrspace::ids;
     use ua_types::{MessageSecurityMode, Variant};
 
@@ -416,14 +418,22 @@ mod tests {
     #[test]
     fn frozen_world_never_changes() {
         let mut w = world(3, ChurnConfig::frozen(), StrataMix::paper_like(30));
-        let before: Vec<_> = w.alive().map(|d| d.truth.address).collect();
+        let before: Vec<_> = w.alive().map(|d| (d.truth.address, d.truth.port)).collect();
         for week in 1..=4 {
             let churn = w.evolve(week);
             assert!(churn.events.is_empty(), "week {week}: {:?}", churn.events);
         }
-        let after: Vec<_> = w.alive().map(|d| d.truth.address).collect();
+        let after: Vec<_> = w.alive().map(|d| (d.truth.address, d.truth.port)).collect();
         assert_eq!(before, after);
-        assert_eq!(w.net().host_count(), before.len());
+        // The world still serves every host it built before the weeks.
+        let scanner = Ipv4::new(192, 0, 2, 1);
+        for &(addr, port) in &before {
+            assert!(w.net().has_listener(addr, port), "{addr}:{port}");
+            assert!(
+                w.net().connect(scanner, addr, port).is_ok(),
+                "{addr}:{port}"
+            );
+        }
     }
 
     #[test]
@@ -617,14 +627,23 @@ mod tests {
             .with(HostClass::WideOpen, 4)
             .with(HostClass::DiscoveryServer, 1);
         let mut w = world(19, full("departure"), mix);
-        // Build the fleet first, so the host count below checks that
-        // departures unbind hosts.
-        w.population();
+        // Build the fleet first, so the checks below see departures
+        // take built hosts off the network.
+        let before = w.population();
         let churn = w.evolve(1);
         // The LDS is exempt from departure.
         assert_eq!(churn.departures(), 4);
         assert_eq!(w.alive_count(), 1);
-        assert_eq!(w.net().host_count(), 1);
+        let scanner = Ipv4::new(192, 0, 2, 1);
+        for host in before.of_class(HostClass::WideOpen) {
+            assert!(!w.net().host_exists(host.address), "{}", host.address);
+            assert_eq!(
+                w.net().connect(scanner, host.address, host.port).err(),
+                Some(ConnectError::NoRoute),
+                "{}",
+                host.address
+            );
+        }
 
         w.churn = full("arrival");
         let churn = w.evolve(2).clone();

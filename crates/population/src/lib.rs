@@ -20,15 +20,17 @@
 //!
 //! There is one world engine. [`LazyWorld`] (and, week over week,
 //! [`EvolvingWorld`]) registers a resolver that answers occupancy with
-//! one probe of the world's address map and materializes a host only
-//! when a probe first reaches it — million-address universes cost
-//! memory proportional to the hosts, and the built part to the hosts a
-//! sweep actually touches. [`synthesize`] is the same world with every
-//! host materialized up front. Every host is a pure function of
-//! `(seed, host id, week)` — the week-0 layout and referral wiring are
-//! planned once, in one pass over the mix's roster, and per-host RNG
-//! streams supply the material — so when a host is built never changes
-//! a byte a scanner sees, at any worker count.
+//! one probe of the world's address map, materializes a host only when
+//! a probe first reaches it, and serves it from then on: a built host
+//! lives in the world alone, never in the Internet's host table.
+//! Million-address universes cost memory proportional to the hosts,
+//! and the built part to the hosts a sweep actually touches.
+//! [`synthesize`] is the same world with every host materialized up
+//! front. Every host is a pure function of `(seed, host id, week)` —
+//! the week-0 layout and referral wiring are planned once, in one pass
+//! over the mix's roster, and per-host RNG streams supply the material
+//! — so when a host is built never changes a byte a scanner sees, at
+//! any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +48,7 @@ pub use multiproto::{
 };
 pub use world::{LazyWorld, MaterializationStats};
 
-use netsim::{AsKind, AsRegistry, Cidr, Internet, Ipv4};
+use netsim::{AsKind, AsRegistry, Cidr, Internet, Ipv4, Service};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -723,19 +725,20 @@ impl SharedSecrets {
     }
 }
 
-/// Everything needed to (re)bind one host onto the simulated Internet:
-/// the scanner-facing ground truth plus the full server material. The
+/// Everything needed to serve one host on the simulated Internet: the
+/// scanner-facing ground truth plus the full server material. The
 /// longitudinal engine ([`evolution::EvolvingWorld`]) mutates these and
-/// redeploys hosts week over week — IP reassignment, certificate
+/// serves hosts anew week over week — IP reassignment, certificate
 /// renewal, software upgrades, deficit remediation — without touching
 /// the synthesis logic.
 ///
-/// The config and the space are stored once: the server core bound
-/// from this deployment holds the same two `Arc`s, and so does every
-/// clone of it. A change goes through [`Arc::make_mut`], which copies
-/// whatever is still shared, so neither side ever sees the other's
-/// writes: material events change the deployment and rebind, and a
-/// Write served by the core changes only the core's copy.
+/// The config and the space are stored once: the server core of the
+/// listener made from this deployment holds the same two `Arc`s, and so
+/// does every clone of it. A change goes through [`Arc::make_mut`],
+/// which copies whatever is still shared, so neither side ever sees the
+/// other's writes: material events change the deployment and make a new
+/// listener, and a Write served by the core changes only the core's
+/// copy.
 #[derive(Clone)]
 pub struct HostDeployment {
     /// What the scanner should find on this host.
@@ -753,28 +756,20 @@ pub struct HostDeployment {
     pub service_seed: u64,
 }
 
-/// Binds a deployment onto the network: (re)creates the host entry and
-/// its server core with the deployment's seeds, sharing the
-/// deployment's config and space. Idempotent — the evolution engine
-/// rebinds hosts whenever their material changes.
-pub(crate) fn bind_deployment(net: &Internet, dep: &HostDeployment, now: i64) {
-    let core = ServerCore::new(
-        Arc::clone(&dep.config),
-        Arc::clone(&dep.space),
-        dep.core_seed,
-    );
-    core.set_time(now);
-    // One atomic host+listener insert: a world materializes hosts
-    // while scanner workers are probing, and no worker may ever observe
-    // a host without its service.
-    net.install_host(
-        dep.truth.address,
-        dep.rtt_micros,
-        vec![(
-            dep.truth.port,
-            Arc::new(UaServerService::new(core, dep.service_seed)) as _,
-        )],
-    );
+impl HostDeployment {
+    /// The listener serving this deployment: a fresh server core with
+    /// the deployment's seeds and clock set to `now`, sharing its config
+    /// and space. The world engine makes one whenever a host is built
+    /// and whenever its material changes.
+    pub(crate) fn listener(&self, now: i64) -> Arc<dyn Service> {
+        let core = ServerCore::new(
+            Arc::clone(&self.config),
+            Arc::clone(&self.space),
+            self.core_seed,
+        );
+        core.set_time(now);
+        Arc::new(UaServerService::new(core, self.service_seed))
+    }
 }
 
 /// Parameters for building one host's deployment material.
@@ -905,10 +900,12 @@ pub(crate) fn build_host(
 }
 
 /// Deploys `cfg.mix` onto `net`, returning ground truth: the world of
-/// [`LazyWorld::deploy`] with every host materialized and bound up
-/// front. Deterministic: the same seed and mix produce byte-identical
-/// deployments. Like `deploy`, it replaces any resolver on `net`, so a
-/// live world there loses its unbuilt hosts.
+/// [`LazyWorld::deploy`] with every host materialized up front.
+/// Deterministic: the same seed and mix produce byte-identical
+/// deployments. The world handle is dropped on return, and `net`'s
+/// resolver keeps the world alive and serving its hosts. Like
+/// `deploy`, it replaces any resolver on `net`, which drops the world
+/// deployed there before, with every host it built.
 pub fn synthesize(net: &Internet, cfg: &PopulationConfig) -> Population {
     LazyWorld::deploy(net, cfg).population()
 }
@@ -961,7 +958,13 @@ mod tests {
             assert_eq!(a.cert_thumbprint, b.cert_thumbprint);
             assert_eq!(a.variables, b.variables);
         }
-        assert_eq!(net_a.host_addresses(), net_b.host_addresses());
+        // Each Internet serves the other population's hosts, at the
+        // same addresses and ports.
+        for (net, pop) in [(&net_a, &pop_b), (&net_b, &pop_a)] {
+            for h in &pop.hosts {
+                assert!(net.has_listener(h.address, h.port), "{}", h.address);
+            }
+        }
     }
 
     #[test]
@@ -985,7 +988,8 @@ mod tests {
         let cfg = PopulationConfig::new(7, universe(), StrataMix::paper_like(15));
         let net = test_net();
         let pop = synthesize(&net, &cfg);
-        assert_eq!(net.host_count(), pop.len());
+        // The world serves its hosts; none enters the bound table.
+        assert_eq!(net.host_count(), 0);
         for host in &pop.hosts {
             assert!(
                 net.has_listener(host.address, host.port),

@@ -135,8 +135,8 @@ pub struct MultiProtoPlan {
 
 impl MultiProtoPlan {
     /// Deploys `config` onto `net`, placing hosts into `universe` at
-    /// addresses not already occupied — by a bound host or by one a
-    /// world's resolver has planted but not built yet. Deterministic:
+    /// addresses not already occupied — by a host bound by hand or by a
+    /// world's host, built or not. Deterministic:
     /// the same `(universe, config, seed)` — over the same pre-existing
     /// host set — always yields the same plan.
     pub fn deploy(
@@ -164,7 +164,7 @@ impl MultiProtoPlan {
             })
             .enumerate();
         for (idx, class) in roster {
-            // Occupied: bound, or planted by a world and not built yet.
+            // Occupied: bound by hand, or a world's host (built or not).
             let address = loop {
                 let address =
                     pick_free_address(&mut rng, universe, used.len(), |addr| used.insert(addr.0));
@@ -379,7 +379,7 @@ mod tests {
         let net = test_net();
         let mix = StrataMix::new().with(HostClass::WideOpen, 30);
         synthesize(&net, &PopulationConfig::new(4, universe(), mix));
-        // 16 free addresses for 9 hosts, next to 30 bound elsewhere.
+        // 16 free addresses for 9 hosts, next to 30 hosts elsewhere.
         let tls_universe: Vec<Cidr> = vec!["10.70.0.0/28".parse().unwrap()];
         let plan = MultiProtoPlan::deploy(&net, &tls_universe, &MultiProtoConfig::sample(), 4);
         assert_eq!(plan.hosts.len(), MultiProtoConfig::sample().total());

@@ -10,10 +10,13 @@
 //! from [`crate::spec::WorldSpec`]'s seeded allocator, referral wiring
 //! from [`crate::spec::plan_referrals`]. Departures, moves and arrivals
 //! update the map, so it is the only occupancy record there is. The
-//! [`netsim::HostResolver`] the core registers answers the sweep's
-//! "who sits here?" with one probe of that map per address, and hosts
-//! are built the moment a connection first reaches them. Every world is built this way;
-//! [`crate::synthesize`] just materializes the whole fleet at once.
+//! core is the [`netsim::HostResolver`] of the Internet it deploys on:
+//! it answers the sweep's "who sits here?" with one probe of that map
+//! per address, builds a host the moment a connection first reaches
+//! it, and serves it from the memo from then on. A built host lives
+//! there alone; the Internet's host table never holds it. Every world
+//! is built this way; [`crate::synthesize`] just materializes the whole
+//! fleet at once.
 //! Because every RNG-derived field is a pure function of
 //! `(seed, host id, week)`, *when* a host is built never changes what
 //! it is — the equivalence tests in the scanner crate diff full record
@@ -33,17 +36,19 @@
 use crate::evolution::{host_week_seed, parse_version, ChurnConfig, ChurnEvent, WeekChurn};
 use crate::spec::{mix64, plan_referrals, RefSpec, WorldSpec, DEAD_PORT_OFFSET};
 use crate::{
-    bind_deployment, build_host, initial_version, pick_free_address, setup_registry, sim_root_ca,
-    BuildParams, HostClass, HostDeployment, Key, Population, PopulationConfig, SharedSecrets,
-    Synthesizer, ACTUAL_KEY_BITS, NONE,
+    build_host, initial_version, pick_free_address, setup_registry, sim_root_ca, BuildParams,
+    HostClass, HostDeployment, Key, Population, PopulationConfig, SharedSecrets, Synthesizer,
+    ACTUAL_KEY_BITS, NONE,
 };
-use netsim::{AddrHash, Cidr, HostResolver, Internet, Ipv4, PortState};
+use netsim::{
+    AddrHash, Cidr, HostResolver, Internet, Ipv4, PortState, Route, Service, VirtualClock,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::Entry;
 // ua-lint: allow(unordered-iteration) -- maps/sets here are key-lookup only; every iterated collection is a Vec or BTreeSet
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, RwLock, Weak};
+use std::sync::{Arc, RwLock};
 use ua_addrspace::ids;
 use ua_crypto::{CertificateBuilder, DistinguishedName, HashAlgorithm, RsaPrivateKey};
 use ua_server::{EndpointConfig, UserAccount};
@@ -86,16 +91,16 @@ fn serial_for(id: u64, week: u32, slot: u64) -> u64 {
 /// table, references, id → index map, namespace array) and its server
 /// config (strings, endpoint and token lists, users, certificate and
 /// private key). The space and config are counted once, although the
-/// bound server core shares them. Each part is charged a fixed size
-/// plus the lengths of what it owns, so the figure follows neither the
-/// standard library's growth policy nor the toolchain's layouts;
-/// allocator slack, hash-table buckets, the server core's session
-/// state and the network's host entry are not in it. A host's figure
+/// listener's server core shares them. Each part is charged a fixed
+/// size plus the lengths of what it owns, so the figure follows neither
+/// the standard library's growth policy nor the toolchain's layouts;
+/// allocator slack, hash-table buckets and the listener itself (its
+/// server core and session state) are not in it. A host's figure
 /// is taken when it materializes, follows every change churn makes to
 /// it, and is taken back when it departs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaterializationStats {
-    /// Hosts built and bound so far (first probe contacts).
+    /// Hosts built so far (first probe contacts).
     pub hosts_materialized: u64,
     /// RSA key generations performed (the dominant build cost).
     pub keygen_count: u64,
@@ -170,9 +175,9 @@ struct HostFate {
     has_cert: bool,
     has_none: bool,
     deploy_week: u32,
-    /// Week whose epoch the bound server core's clock carries — the
-    /// last week an event (re)bound the host, or would have, had it
-    /// been built.
+    /// Week whose epoch the listener's server core clock carries — the
+    /// last week an event gave the host a new listener, or would have,
+    /// had it been built.
     last_rebind_week: u32,
     refs: Vec<RefSpec>,
     events: Vec<MaterialEvent>,
@@ -209,11 +214,32 @@ impl HostFate {
     }
 }
 
+/// A built host: its deployment and the listener serving it.
+struct BuiltHost {
+    dep: HostDeployment,
+    listener: Arc<dyn Service>,
+}
+
+impl BuiltHost {
+    /// Where a connect to `port` on this host goes.
+    fn route(&self, port: u16) -> Route {
+        let rtt_micros = self.dep.rtt_micros;
+        if port == self.dep.truth.port {
+            Route::Listening {
+                rtt_micros,
+                service: Arc::clone(&self.listener),
+            }
+        } else {
+            Route::Refused { rtt_micros }
+        }
+    }
+}
+
 struct CoreState {
     fates: Vec<HostFate>,
-    /// Materialized hosts by id (the memo behind the resolver).
+    /// Materialized hosts by id: the memo the world serves them from.
     // ua-lint: allow(unordered-iteration) -- keyed memo: accessed by id lookup, never iterated
-    deps: HashMap<u64, HostDeployment>,
+    built: HashMap<u64, BuiltHost>,
     /// Every address the world ever allocated, and who sits there now:
     /// one entry per week-0 host, move and arrival, so O(hosts + churn)
     /// memory and nothing per universe address. The occupancy predicate
@@ -259,7 +285,7 @@ impl CoreState {
         id: u64,
         change: impl FnOnce(&mut HostDeployment) -> T,
     ) -> Option<T> {
-        let dep = self.deps.get_mut(&id)?;
+        let dep = &mut self.built.get_mut(&id)?.dep;
         let before = estimate_resident_bytes(dep);
         let out = change(dep);
         self.stats.recharge(before, estimate_resident_bytes(dep));
@@ -269,7 +295,9 @@ impl CoreState {
 
 /// The engine behind every world. See the module docs.
 pub(crate) struct WorldCore {
-    net: Internet,
+    /// The campaign clock: `evolve_week` reads each week's epoch off it.
+    /// The core holds no [`Internet`], which holds the core.
+    clock: VirtualClock,
     seed: u64,
     sweep_port: u16,
     universe: Vec<Cidr>,
@@ -278,8 +306,8 @@ pub(crate) struct WorldCore {
 }
 
 impl WorldCore {
-    /// Derives the week-0 fates for `cfg` and installs the world's
-    /// resolver on `net` (replacing any previous one). Builds nothing.
+    /// Derives the week-0 fates for `cfg` and installs the core as
+    /// `net`'s resolver, which drops any previous one. Builds nothing.
     pub(crate) fn new(net: &Internet, cfg: &PopulationConfig) -> Arc<WorldCore> {
         let now = net.clock().now_unix_seconds();
         setup_registry(net, cfg);
@@ -297,7 +325,7 @@ impl WorldCore {
             fates.push(HostFate::new(cfg.seed, id, class, address, port, 0, refs));
         }
         let core = Arc::new(WorldCore {
-            net: net.clone(),
+            clock: net.clock().clone(),
             seed: cfg.seed,
             sweep_port: cfg.port,
             universe: cfg.universe.clone(),
@@ -305,21 +333,15 @@ impl WorldCore {
             state: RwLock::new(CoreState {
                 fates,
                 // ua-lint: allow(unordered-iteration) -- lookup-only map (see field docs)
-                deps: HashMap::new(),
+                built: HashMap::new(),
                 addrs,
                 week_nows: vec![now],
                 arrival_cursor: 0,
                 stats: MaterializationStats::default(),
             }),
         });
-        net.set_resolver(Arc::new(WorldResolver {
-            core: Arc::downgrade(&core),
-        }));
+        net.set_resolver(core.clone());
         core
-    }
-
-    pub(crate) fn net(&self) -> &Internet {
-        &self.net
     }
 
     /// Lock-poisoning policy, centralized: a poisoned state lock means
@@ -349,24 +371,25 @@ impl WorldCore {
         st.fates.iter().filter(|f| f.alive).count()
     }
 
-    /// Ensures host `id` is built and bound. Builds run outside the
-    /// state lock (they are pure, so a racing double-build is just
-    /// discarded); bind + memo insert happen atomically under it.
-    pub(crate) fn materialize(&self, id: u64) {
-        if self.state_read().deps.contains_key(&id) {
-            return;
+    /// Ensures host `id` is built and answers `read` from its memo
+    /// entry under the same lock. Builds run outside the state lock
+    /// (they are pure, so a racing double-build is just discarded); the
+    /// listener and the memo insert happen atomically under it.
+    fn materialize<T>(&self, id: u64, read: impl FnOnce(&BuiltHost) -> T) -> T {
+        if let Some(built) = self.state_read().built.get(&id) {
+            return read(built);
         }
         let (dep, keygens) = self.build_current(id);
         let mut st = self.state_write();
-        if st.deps.contains_key(&id) {
-            return;
+        if let Some(built) = st.built.get(&id) {
+            return read(built);
         }
-        let bind_now = st.week_nows[st.fates[id as usize].last_rebind_week as usize];
+        let listen_now = st.week_nows[st.fates[id as usize].last_rebind_week as usize];
         st.stats.hosts_materialized += 1;
         st.stats.keygen_count += keygens;
         st.stats.recharge(0, estimate_resident_bytes(&dep));
-        bind_deployment(&self.net, &dep, bind_now);
-        st.deps.insert(id, dep);
+        let listener = dep.listener(listen_now);
+        read(st.built.entry(id).or_insert(BuiltHost { dep, listener }))
     }
 
     /// Builds host `id` in its *current* state: `build_host` at the
@@ -436,11 +459,11 @@ impl WorldCore {
         let pending: Vec<u64> = {
             let st = self.state_read();
             (0..st.fates.len() as u64)
-                .filter(|id| st.fates[*id as usize].alive && !st.deps.contains_key(id))
+                .filter(|id| st.fates[*id as usize].alive && !st.built.contains_key(id))
                 .collect()
         };
         for id in pending {
-            self.materialize(id);
+            self.materialize(id, |_| ());
         }
     }
 
@@ -452,7 +475,7 @@ impl WorldCore {
         let st = self.state_read();
         (0..st.fates.len() as u64)
             .filter(|id| st.fates[*id as usize].alive)
-            .map(|id| f(&st.deps[&id]))
+            .map(|id| f(&st.built[&id].dep))
             .collect()
     }
 
@@ -467,7 +490,7 @@ impl WorldCore {
     /// updated for everyone, material applied live for materialized
     /// hosts and logged for replay otherwise.
     pub(crate) fn evolve_week(&self, week: u32, churn: &ChurnConfig) -> WeekChurn {
-        let now = self.net.clock().now_unix_seconds();
+        let now = self.clock.now_unix_seconds();
         let mut guard = self.state_write();
         let st = &mut *guard;
         debug_assert_eq!(st.week_nows.len() as u32, week, "weeks must be consecutive");
@@ -480,16 +503,13 @@ impl WorldCore {
         let mut rebind: BTreeSet<u64> = BTreeSet::new();
         // ua-lint: allow(unordered-iteration) -- membership checks only, never iterated
         let mut moved_ids: HashSet<u64> = HashSet::new();
-        // The one path of a material event: the host is due a rebind, a
-        // built host takes the event now (a move first takes it off its
-        // old address) and charges any keygen, and the fate logs the
-        // event for replay at a later first build.
+        // The one path of a material event: the host is due a new
+        // listener, a built host takes the event now and charges any
+        // keygen, and the fate logs the event for replay at a later
+        // first build.
         let mut record = |st: &mut CoreState, id: u64, ev: MaterialEvent| {
             st.fates[id as usize].last_rebind_week = week;
             let keygens = st.change_host(id, |dep| {
-                if let MaterialEvent::Moved { from, .. } = ev {
-                    self.net.remove_host(from);
-                }
                 apply_event(dep, &ev, id, &week_nows, &self.shared, self.seed)
             });
             if let Some(keygens) = keygens {
@@ -510,9 +530,8 @@ impl WorldCore {
                 let addr = st.fates[idx].address;
                 st.addrs.insert(addr.0, Occupant::Vacated);
                 st.fates[idx].alive = false;
-                if let Some(dep) = st.deps.remove(&id) {
-                    self.net.remove_host(addr);
-                    st.stats.recharge(estimate_resident_bytes(&dep), 0);
+                if let Some(gone) = st.built.remove(&id) {
+                    st.stats.recharge(estimate_resident_bytes(&gone.dep), 0);
                 }
                 log.events.push((id, ChurnEvent::Departed));
                 continue;
@@ -619,7 +638,7 @@ impl WorldCore {
                 });
                 if mentions {
                     st.fates[idx].last_rebind_week = week;
-                    let urls = st.deps.contains_key(&id).then(|| self.render_refs(st, id));
+                    let urls = st.built.contains_key(&id).then(|| self.render_refs(st, id));
                     if let Some(urls) = urls {
                         st.change_host(id, |dep| {
                             Arc::make_mut(&mut dep.config).referenced_endpoints = urls;
@@ -630,11 +649,11 @@ impl WorldCore {
             }
         }
 
+        // Every built host an event changed gets a new listener (a
+        // departed host already left the memo).
         for id in rebind {
-            if st.fates[id as usize].alive {
-                if let Some(dep) = st.deps.get(&id) {
-                    bind_deployment(&self.net, dep, now);
-                }
+            if let Some(built) = st.built.get_mut(&id) {
+                built.listener = built.dep.listener(now);
             }
         }
         log
@@ -653,8 +672,8 @@ fn apply_event(
     shared: &SharedSecrets,
     seed: u64,
 ) -> u64 {
-    // Every event changes the config; copy it if the bound core still
-    // shares it (the caller rebinds).
+    // Every event changes the config; copy it if the listener's core
+    // still shares it (the caller makes a new listener).
     let config = Arc::make_mut(&mut dep.config);
     match ev {
         MaterialEvent::Moved { from, to, .. } => {
@@ -756,28 +775,17 @@ fn apply_event(
     }
 }
 
-/// The [`HostResolver`] every [`WorldCore`] installs on its Internet.
-/// Holds the core weakly: when the world is dropped (as
-/// [`crate::synthesize`] does once the fleet is bound), the resolver
-/// answers exactly like no resolver at all — "nothing there" — instead
-/// of leaking the engine.
-struct WorldResolver {
-    core: Weak<WorldCore>,
-}
-
-impl HostResolver for WorldResolver {
+/// Every core is the resolver of the Internet it deploys on. The
+/// Internet holds it by `Arc`, so a world keeps serving after its last
+/// handle is gone (as [`crate::synthesize`] drops its own) until every
+/// clone of that Internet is dropped or a later world replaces it.
+impl HostResolver for WorldCore {
     fn host_exists(&self, addr: Ipv4) -> bool {
-        self.core
-            .upgrade()
-            .is_some_and(|core| core.state_read().lookup(addr).is_some())
+        self.state_read().lookup(addr).is_some()
     }
 
     fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
-        let Some(core) = self.core.upgrade() else {
-            states.fill(PortState::NoHost);
-            return;
-        };
-        let st = core.state_read();
+        let st = self.state_read();
         for (&addr, state) in addrs.iter().zip(states) {
             *state = match st.lookup(addr) {
                 None => PortState::NoHost,
@@ -787,15 +795,13 @@ impl HostResolver for WorldResolver {
         }
     }
 
-    fn materialize(&self, _net: &Internet, addr: Ipv4) {
-        if let Some(core) = self.core.upgrade() {
-            // The read guard must be gone before `materialize` takes
-            // the write side.
-            let id = core.state_read().lookup(addr);
-            if let Some(id) = id {
-                core.materialize(id);
-            }
-        }
+    fn route(&self, addr: Ipv4, port: u16) -> Route {
+        // The read guard is gone before `materialize` may take the
+        // write side to build the host.
+        let id = self.state_read().lookup(addr);
+        id.map_or(Route::Dead, |id| {
+            self.materialize(id, |built| built.route(port))
+        })
     }
 }
 
@@ -803,13 +809,13 @@ impl HostResolver for WorldResolver {
 /// reaches a host.
 ///
 /// `deploy` derives the week-0 world as a pure specification (classes,
-/// ports, addresses, referral wiring) and installs an occupancy
-/// resolver on `net`. The world holds one fate and one address-map
-/// entry per host (plus an entry per move) and nothing per universe
-/// address, so the universe can hold millions of addresses. A sweep's SYN probe of an address is
-/// one probe of that map; the first full connection to a host runs
-/// `build_host` for exactly that host and binds it, after which the
-/// regular service table serves it.
+/// ports, addresses, referral wiring) and installs it as `net`'s
+/// resolver. The world holds one fate and one address-map entry per
+/// host (plus an entry per move) and nothing per universe address, so
+/// the universe can hold millions of addresses. A sweep's SYN probe of
+/// an address is one probe of that map; the first full connection to a
+/// host runs `build_host` for exactly that host, and the world serves
+/// it from then on (the Internet's host table never holds it).
 /// [`crate::synthesize`] is this world with every host materialized
 /// up front; scans of the two are byte-identical at any scanner worker
 /// count.
@@ -836,8 +842,10 @@ pub struct LazyWorld {
 }
 
 impl LazyWorld {
-    /// Registers the world for `cfg` on `net` (replaces any previous
-    /// resolver). No host material is built.
+    /// Registers the world for `cfg` on `net` as its resolver. That
+    /// replaces the previous resolver, and so drops the world deployed
+    /// there before, with every host it built: one Internet serves one
+    /// world. No host material is built.
     pub fn deploy(net: &Internet, cfg: &PopulationConfig) -> LazyWorld {
         LazyWorld {
             core: WorldCore::new(net, cfg),
@@ -1002,7 +1010,7 @@ mod tests {
         };
         for weeks in 0..=3 {
             // A fresh world per week: churn is the same whichever hosts
-            // were built, and this one has none bound yet.
+            // were built, and this one has none built yet.
             let net = Internet::new(VirtualClock::starting_at(EPOCH));
             let mut world = EvolvingWorld::new_lazy(&net, &cfg, churn.clone());
             for week in 1..=weeks {
@@ -1014,7 +1022,11 @@ mod tests {
                 .iter()
                 .filter(|&a| net.has_listener(a, cfg.port))
                 .collect();
-            assert_eq!(net.host_count(), 0, "week {weeks}: a SYN built a host");
+            assert_eq!(
+                world.stats().hosts_materialized,
+                0,
+                "week {weeks}: a SYN built a host"
+            );
 
             // Only now build the fleet, and read where it sits.
             let truth = world.observable_truth();
@@ -1222,14 +1234,14 @@ mod tests {
         let dep = {
             let st = core.state_read();
             // Each host's config and space: the world's copy is the
-            // bound core's.
+            // listener's core's.
             for id in 0..6 {
-                let dep = &st.deps[&id];
+                let dep = &st.built[&id].dep;
                 assert!(Arc::strong_count(&dep.space) >= 2, "host {id}: space");
                 assert!(Arc::strong_count(&dep.config) >= 2, "host {id}: config");
             }
             (0..6)
-                .map(|id| st.deps[&id].clone())
+                .map(|id| st.built[&id].dep.clone())
                 .find(|dep| dep.truth.writable_variables > 0)
                 .expect("a WideOpen host with a writable variable")
         };
@@ -1277,8 +1289,8 @@ mod tests {
         assert_eq!(Arc::strong_count(&dep.space), sharers - 1);
         assert_eq!(dep.space.get(&var).unwrap().value, deployed);
         let st = core.state_read();
-        let id = (0..6).find(|id| st.deps[id].truth.address == dep.truth.address);
-        assert!(Arc::ptr_eq(&st.deps[&id.unwrap()].space, &dep.space));
+        let id = (0..6).find(|id| st.built[id].dep.truth.address == dep.truth.address);
+        assert!(Arc::ptr_eq(&st.built[&id.unwrap()].dep.space, &dep.space));
     }
 
     #[test]
@@ -1304,11 +1316,43 @@ mod tests {
             core.materialize_alive();
             let st = core.state_read();
             let held: u64 = (0..st.fates.len() as u64)
-                .filter_map(|id| st.deps.get(&id))
-                .map(estimate_resident_bytes)
+                .filter_map(|id| st.built.get(&id))
+                .map(|built| estimate_resident_bytes(&built.dep))
                 .sum();
             assert_eq!(st.stats.bytes_resident_estimate, held, "week {week}");
         }
+    }
+
+    /// The Internet holds its world by `Arc`, and the world holds no
+    /// Internet: a world whose handle is gone keeps serving until every
+    /// clone of its Internet is dropped, or a later world replaces it,
+    /// and is freed then.
+    #[test]
+    fn a_world_lives_as_long_as_its_internet_serves_it() {
+        let cfg = PopulationConfig::new(71, universe(), StrataMix::paper_like(40));
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let view = net.with_clock(VirtualClock::starting_at(EPOCH));
+        let world = LazyWorld::deploy(&net, &cfg);
+        let core = Arc::downgrade(&world.core);
+        let host = world.population().hosts[0].clone();
+        drop(world);
+        let from = Ipv4::new(192, 0, 2, 1);
+        assert!(view.connect(from, host.address, host.port).is_ok());
+        drop(net);
+        assert!(core.upgrade().is_some(), "a clock view shares the resolver");
+        drop(view);
+        assert!(
+            core.upgrade().is_none(),
+            "the last Internet handle frees it"
+        );
+
+        let net = Internet::new(VirtualClock::starting_at(EPOCH));
+        let world = LazyWorld::deploy(&net, &cfg);
+        let core = Arc::downgrade(&world.core);
+        world.population();
+        drop(world);
+        let _later = LazyWorld::deploy(&net, &cfg);
+        assert!(core.upgrade().is_none(), "a later world frees the earlier");
     }
 
     struct Nop;

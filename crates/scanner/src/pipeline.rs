@@ -260,10 +260,9 @@ impl Scanner {
     ///   ([`CancelToken::after_records`]) stops the sweep right after
     ///   its last record. On cancellation the scan returns
     ///   [`ScanOutcome::Aborted`] *without* advancing the campaign
-    ///   clock: queued jobs are dropped unprobed, results probed ahead
-    ///   of the emitted prefix (more than one worker) are dropped
-    ///   fork-clocks and all, and time is only accounted when a scan
-    ///   completes.
+    ///   clock: results probed ahead of the emitted prefix (more than
+    ///   one worker) are dropped fork-clocks and all, and time is only
+    ///   accounted when a scan completes.
     /// * Records emitted before an abort are final. The concatenation
     ///   of the aborted run's records and the resumed run's records is
     ///   byte-identical to an uninterrupted run.

@@ -4,17 +4,15 @@
 //! Every campaign runs here. A shard drives its part of one phase step
 //! — the sweep, or one referral level — on one thread:
 //!
-//! * it admits jobs into a FIFO of at most `ADMISSION_QUEUE` targets,
-//!   takes the front one through its suite's whole stage ladder, and
-//!   emits that record before the next probe starts, so records leave
-//!   strictly in admission order;
+//! * it draws one job, takes it through its suite's whole stage ladder,
+//!   and emits that record before it draws the next, so records leave
+//!   strictly in the order the jobs are drawn;
 //! * every target is probed on a private [`VirtualClock`] fork of the
 //!   campaign epoch, so record contents are a pure function of
 //!   `(host, port, seed, epoch)` and never of probe order;
-//! * a [`CancelToken`] stops the shard before its next probe, or at the
-//!   very record whose emission cancels it; queued jobs are dropped
-//!   unprobed, and no fork clock's time ever reaches the campaign
-//!   clock.
+//! * a [`CancelToken`] stops the shard before it draws its next job, or
+//!   at the very record whose emission cancels it, and no fork clock's
+//!   time ever reaches the campaign clock.
 //!
 //! [`crate::ScanConfig::workers`] sets how many shards share a step:
 //! with one worker the shard runs inline on the caller's thread; with
@@ -29,7 +27,7 @@ use crate::probe::{Probe, ProbeContext, ProbeOutcome, ScanConfig};
 use crate::record::{DiscoveredVia, ScanRecord};
 use crate::suite::ProtocolSuite;
 use netsim::{Internet, Ipv4, VirtualClock};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{mpsc, Arc};
 use ua_crypto::CertStore;
@@ -151,8 +149,8 @@ pub struct PendingUrl {
 /// count, so "every sweep record before walk step `next_step`" names
 /// exactly the emitted prefix. Resume re-walks the current phase,
 /// recounts its sweep stats, and admits only steps from `next_step`
-/// on; whatever was queued or probed ahead at the abort is re-probed
-/// from scratch. Because record contents are a pure function of
+/// on; whatever was probed ahead at the abort is re-probed from
+/// scratch. Because record contents are a pure function of
 /// `(host, port, seed, epoch)`, the stitched stream
 /// `aborted-run records ++ resumed-run records` is byte-identical to an
 /// uninterrupted run — and since nothing in the checkpoint names a
@@ -213,17 +211,6 @@ pub struct SweepCheckpoint {
 // ---------------------------------------------------------------------------
 // The shards
 // ---------------------------------------------------------------------------
-
-/// How many jobs a shard admits ahead of the one it probes. Drawing a
-/// sweep job runs the sweep ([`netsim::SweepCursor`] classifies walk
-/// steps as jobs are drawn), so filling the queue before the first probe
-/// classifies most of a sparse walk before any host is bound. Until a
-/// host binds, every address's host-table probe in `Internet::syn_batch`
-/// meets an empty map, which std answers without hashing: the likely
-/// reason why probing each job as soon as it was admitted ran perfbench's
-/// `sparse` `campaign_s` 25 % slower (median of 12 runs on a 2-core
-/// x86_64 VM). Output does not depend on the depth.
-const ADMISSION_QUEUE: usize = 256;
 
 /// One unit of admission: a target the walk classified as listening
 /// (or a dead referral target that still owes a connect-time charge).
@@ -352,12 +339,11 @@ impl PhaseEnv<'_> {
         })
     }
 
-    /// Drives one shard: keeps up to [`ADMISSION_QUEUE`] jobs admitted
-    /// from `jobs`, probes the front one to completion and calls
-    /// `emit(ordinal, record, probe_micros)` before the next starts, so
-    /// records leave in admission order. Returns false when it stopped
-    /// early: at the first `emit` that returns false, or before a probe
-    /// when `cancel` is set. Jobs still queued are dropped unprobed.
+    /// Drives one shard: draws a job from `jobs`, probes it to
+    /// completion and calls `emit(ordinal, record, probe_micros)` before
+    /// it draws the next, so records leave in the order the jobs came.
+    /// Returns false when it stopped early: at the first `emit` that
+    /// returns false, or before drawing a job when `cancel` is set.
     fn run_shard(
         &self,
         jobs: &mut dyn Iterator<Item = Job>,
@@ -365,14 +351,11 @@ impl PhaseEnv<'_> {
         emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64) -> bool,
     ) -> bool {
         let mut stack = self.suite.stack();
-        let mut jobs = jobs.fuse();
-        let mut queue = VecDeque::with_capacity(ADMISSION_QUEUE);
         loop {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return false;
             }
-            queue.extend(jobs.by_ref().take(ADMISSION_QUEUE - queue.len()));
-            let Some(job) = queue.pop_front() else {
+            let Some(job) = jobs.next() else {
                 return true;
             };
             let (record, micros) = self.probe(&mut stack, job);

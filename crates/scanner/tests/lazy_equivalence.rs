@@ -252,3 +252,46 @@ fn study_cost_is_independent_of_universe_size() {
     assert!(narrow.hosts_materialized <= narrow_scans);
     assert!(wide.hosts_materialized <= wide_scans);
 }
+
+/// A built host lives in its world alone: a full scan of a lazy world
+/// builds every host, a week of churn moves, renews and upgrades them
+/// (each built host so changed gets a new listener), and a second scan
+/// finds every one at its current address, all without a single entry
+/// in the Internet's host table.
+#[test]
+fn built_hosts_never_enter_the_bound_table() {
+    let net = fresh_net();
+    let cfg = PopulationConfig::new(SEED, universe(), StrataMix::paper_like(40));
+    let churn = ChurnConfig {
+        ip_move: 0.3,
+        renewal: 0.3,
+        upgrade: 0.3,
+        ..ChurnConfig::frozen()
+    };
+    let mut world = EvolvingWorld::new_lazy(&net, &cfg, churn);
+    let config = ScanConfig {
+        workers: 2,
+        ..ScanConfig::default()
+    };
+    let mut campaign = Campaign::new(Scanner::new(net.clone(), Blocklist::new(), config));
+    for week in 0..2 {
+        let scan = campaign.run_week(&universe(), SEED, |w| {
+            if w > 0 {
+                let churn = world.evolve(w);
+                assert!(churn.moves() > 0 && churn.renewals() > 0 && churn.upgrades() > 0);
+            }
+        });
+        assert_eq!(
+            world.stats().hosts_materialized as usize,
+            world.alive_count(),
+            "week {week}: every host built"
+        );
+        assert_eq!(
+            scan.summary.opcua_hosts as usize,
+            world.alive_count(),
+            "week {week}: every host found"
+        );
+        assert_eq!(net.host_count(), 0, "week {week}: a built host was bound");
+    }
+    assert_eq!(world.week(), 1);
+}

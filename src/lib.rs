@@ -66,9 +66,11 @@
 //!                 │              wiring planned once per    │
 //!                 │              world (Feistel addresses); │
 //!                 │              LazyWorld: hosts built on  │
-//!                 │              first probe contact via    │
-//!                 │              netsim's resolver hook —   │
-//!                 │              the one world engine;      │
+//!                 │              first probe contact and    │
+//!                 │              served by the world itself │
+//!                 │              via netsim's resolver      │
+//!                 │              hook — the one world       │
+//!                 │              engine;                    │
 //!                 │              EvolvingWorld: weekly      │
 //!                 │              churn (IP moves, arrivals/ │
 //!                 │              departures, cert renewal,  │
@@ -92,7 +94,8 @@
 //!   substrate     │ netsim       virtual clock, CIDR/ASN,   │
 //!                 │              connections, zmap sweeps,  │
 //!                 │              HostResolver hook (lazy    │
-//!                 │              host materialization),     │
+//!                 │              worlds build and serve     │
+//!                 │              their own hosts),          │
 //!                 │              NetProfile fault injection │
 //!                 │              (loss, tarpits, firewalls) │
 //!                 └─────────────────────────────────────────┘
@@ -170,7 +173,9 @@
 //!   a host's full deployment — keys, certificate, address space,
 //!   referral wiring — is synthesized on *first probe contact* through
 //!   `netsim`'s `HostResolver` hook, as a pure function of
-//!   `(campaign seed, host id, week)`. It is the only world engine:
+//!   `(campaign seed, host id, week)`, and the world serves the host
+//!   from then on (the Internet's host table never holds it; it keeps
+//!   only hosts bound by hand). It is the only world engine:
 //!   `synthesize` is the same world with every host materialized up
 //!   front, and scans of the two are byte-identical at any worker
 //!   count; resident memory tracks the hosts probes actually reach,
