@@ -120,9 +120,12 @@ pub enum PortState {
 /// bound table.
 ///
 /// Contract:
-/// * `host_exists` / `syn_batch` must be side-effect free and cheap —
-///   the sweep hands every walked address that misses the bound table
-///   to `syn_batch`, [`crate::SWEEP_BATCH`] addresses per call.
+/// * `syn_batch` must be side-effect free and cheap — the sweep hands
+///   every walked address that misses the bound table to it,
+///   [`crate::SWEEP_BATCH`] addresses per call.
+/// * `syn_batch` answers [`PortState::NoHost`] exactly when no host sits
+///   at the address, whatever the port: [`Internet::host_exists`] asks
+///   it that way.
 /// * Answers must be fixed for a scan's duration, and `route` must
 ///   agree with `syn_batch`, or probes become non-deterministic. The
 ///   sweep classifies up to one batch of addresses ahead of probing
@@ -132,8 +135,6 @@ pub enum PortState {
 ///   probe workers call it concurrently, so a racing second build of
 ///   the same host is discarded, never served.
 pub trait HostResolver: Send + Sync {
-    /// True if a host occupies `addr` (SYN would not time out).
-    fn host_exists(&self, addr: Ipv4) -> bool;
     /// SYN-probes `port` on every address of `addrs` at once, writing
     /// what `addrs[i]` answers to `states[i]` (the slices have equal
     /// length). Must not build anything.
@@ -270,24 +271,6 @@ impl Internet {
         );
     }
 
-    /// Atomically installs (or replaces) a host together with its
-    /// listeners under one table lock, so a concurrent scan worker never
-    /// observes a host entry that exists but has no services yet.
-    pub fn install_host(
-        &self,
-        addr: Ipv4,
-        rtt_micros: u32,
-        services: Vec<(u16, Arc<dyn Service>)>,
-    ) {
-        self.hosts_write().insert(
-            addr.0,
-            HostEntry {
-                services: services.into_iter().collect(),
-                rtt_micros,
-            },
-        );
-    }
-
     /// Binds a service to `(addr, port)`; the host must exist.
     pub fn bind(&self, addr: Ipv4, port: u16, service: Arc<dyn Service>) {
         let mut hosts = self.hosts_write();
@@ -298,23 +281,25 @@ impl Internet {
         host.services.insert(port, service);
     }
 
-    /// True if a host exists at `addr` — bound or resolver-known.
+    /// True if a host exists at `addr` — bound or resolver-known: a SYN
+    /// to it would not time out, whatever the port.
     pub fn host_exists(&self, addr: Ipv4) -> bool {
-        if self.hosts_read().contains_key(&addr.0) {
-            return true;
-        }
-        self.resolver().is_some_and(|r| r.host_exists(addr))
+        self.syn(addr, 0) != PortState::NoHost
     }
 
     /// SYN-probe semantics: does anything listen on `(addr, port)`?
-    /// (No clock cost — probe pacing is accounted by the sweep.) The
-    /// sweep's batched SYN for a single address: a bound host answers
-    /// from its service table, any other from the resolver, and the SYN
-    /// itself never builds anything.
+    /// (No clock cost — probe pacing is accounted by the sweep.)
     pub fn has_listener(&self, addr: Ipv4, port: u16) -> bool {
+        self.syn(addr, port) == PortState::Open
+    }
+
+    /// The sweep's batched SYN for a single address: a bound host
+    /// answers from its service table, any other from the resolver, and
+    /// the SYN itself never builds anything.
+    fn syn(&self, addr: Ipv4, port: u16) -> PortState {
         let mut state = [PortState::NoHost];
         self.syn_batch(port, &[addr], &mut state);
-        state[0] == PortState::Open
+        state[0]
     }
 
     /// SYN-probes `port` on at most [`SWEEP_BATCH`] addresses in one
@@ -373,9 +358,9 @@ impl Internet {
         }
     }
 
-    /// Number of hosts bound by hand ([`Internet::add_host`],
-    /// [`Internet::install_host`]). A resolver's hosts are not counted:
-    /// the resolver serves them itself.
+    /// Number of hosts bound by hand ([`Internet::add_host`]). A
+    /// resolver's hosts are not counted: the resolver serves them
+    /// itself.
     pub fn host_count(&self) -> usize {
         self.hosts_read().len()
     }
@@ -608,9 +593,6 @@ mod tests {
             listener: OnceLock<Arc<dyn Service>>,
         }
         impl HostResolver for LazyEcho {
-            fn host_exists(&self, addr: Ipv4) -> bool {
-                addr == self.target
-            }
             fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
                 for (addr, state) in addrs.iter().zip(states) {
                     *state = match (*addr == self.target, port == 4840) {

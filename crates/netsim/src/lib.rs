@@ -40,7 +40,7 @@ pub use internet::{
     ConnectError, Connection, ConnectionOutput, HostResolver, Internet, PortState, Route, Service,
     SYN_TIMEOUT_MICROS,
 };
-pub use stream::{ByteStream, ConnectionStats, LoopbackStream, StreamError, TcpStreamSim};
+pub use stream::{ByteStream, ConnectionStats, StreamError, TcpStreamSim};
 pub use sweep::{
     CycleWalk, PermutedRange, SweepConfig, SweepCursor, SweepStats, SweepWalk, SynScanner,
     SWEEP_BATCH,

@@ -64,6 +64,13 @@ impl TcpStreamSim {
         }
     }
 
+    /// A zero-latency stream straight to `server`, skipping the
+    /// Internet entirely — how `ua-server` and `ua-client` are tested
+    /// against each other.
+    pub fn loopback(clock: VirtualClock, server: Box<dyn Connection>) -> Self {
+        TcpStreamSim::new(clock, server, 0)
+    }
+
     /// Sends bytes to the server; any reply is queued for [`recv`].
     ///
     /// [`recv`]: TcpStreamSim::recv
@@ -115,43 +122,9 @@ impl TcpStreamSim {
     }
 }
 
-/// An in-memory client↔server pipe that skips the Internet entirely —
-/// used to unit-test `ua-server`/`ua-client` against each other.
-pub struct LoopbackStream {
-    inner: TcpStreamSim,
-}
-
-impl LoopbackStream {
-    /// Wraps a server connection with zero latency.
-    pub fn new(clock: VirtualClock, server: Box<dyn Connection>) -> Self {
-        LoopbackStream {
-            inner: TcpStreamSim::new(clock, server, 0),
-        }
-    }
-
-    /// See [`TcpStreamSim::send`].
-    pub fn send(&mut self, data: &[u8]) -> Result<(), StreamError> {
-        self.inner.send(data)
-    }
-
-    /// See [`TcpStreamSim::recv`].
-    pub fn recv(&mut self) -> Result<Option<Vec<u8>>, StreamError> {
-        self.inner.recv()
-    }
-
-    /// See [`TcpStreamSim::stats`].
-    pub fn stats(&self) -> ConnectionStats {
-        self.inner.stats()
-    }
-
-    /// See [`TcpStreamSim::is_closed`].
-    pub fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-}
-
 /// Abstraction over byte streams so the OPC UA client runs over
-/// [`TcpStreamSim`], [`LoopbackStream`], or anything else.
+/// [`TcpStreamSim`] (a connect's or a [`TcpStreamSim::loopback`]) or
+/// anything else, such as a test's recording wrapper.
 pub trait ByteStream {
     /// Sends bytes.
     fn send(&mut self, data: &[u8]) -> Result<(), StreamError>;
@@ -170,18 +143,6 @@ impl ByteStream for TcpStreamSim {
     }
     fn stats(&self) -> ConnectionStats {
         TcpStreamSim::stats(self)
-    }
-}
-
-impl ByteStream for LoopbackStream {
-    fn send(&mut self, data: &[u8]) -> Result<(), StreamError> {
-        LoopbackStream::send(self, data)
-    }
-    fn recv(&mut self) -> Result<Option<Vec<u8>>, StreamError> {
-        LoopbackStream::recv(self)
-    }
-    fn stats(&self) -> ConnectionStats {
-        LoopbackStream::stats(self)
     }
 }
 
@@ -242,8 +203,10 @@ mod tests {
     #[test]
     fn loopback_works() {
         let clock = VirtualClock::starting_at(0);
-        let mut s = LoopbackStream::new(clock, Box::new(PingPong));
+        let mut s = TcpStreamSim::loopback(clock.clone(), Box::new(PingPong));
         s.send(b"ping").unwrap();
         assert_eq!(s.recv().unwrap(), Some(b"pong".to_vec()));
+        // No round trip is charged: a short exchange costs no time.
+        assert_eq!(clock.now_micros(), 0);
     }
 }

@@ -948,9 +948,6 @@ mod tests {
     }
 
     impl crate::internet::HostResolver for CountingResolver {
-        fn host_exists(&self, addr: Ipv4) -> bool {
-            self.listeners.contains(&addr)
-        }
         fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [crate::PortState]) {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             for (addr, state) in addrs.iter().zip(states) {

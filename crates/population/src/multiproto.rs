@@ -19,7 +19,7 @@
 //! recover.
 
 use crate::{pick_free_address, Population, VENDORS};
-use netsim::{Cidr, Internet, Ipv4, Service};
+use netsim::{Cidr, Internet, Ipv4};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -296,15 +296,9 @@ fn deploy_host(
     let core = ServerCore::new(config, b.finish(), seed ^ 0x7157 ^ idx as u64);
     core.set_time(now);
     let inner = UaServerService::new(core, seed ^ 0x7153 ^ idx as u64);
-    let service: Arc<dyn Service> = Arc::new(TlsWrapService::with_certificate(
-        Arc::new(inner),
-        Some(wrapper_der),
-    ));
-    net.install_host(
-        address,
-        rng.gen_range(2_000..120_000u32),
-        vec![(port, service)],
-    );
+    let service = TlsWrapService::with_certificate(Arc::new(inner), Some(wrapper_der));
+    net.add_host(address, rng.gen_range(2_000..120_000u32));
+    net.bind(address, port, Arc::new(service));
 
     TlsHostTruth {
         address,

@@ -780,10 +780,6 @@ fn apply_event(
 /// handle is gone (as [`crate::synthesize`] drops its own) until every
 /// clone of that Internet is dropped or a later world replaces it.
 impl HostResolver for WorldCore {
-    fn host_exists(&self, addr: Ipv4) -> bool {
-        self.state_read().lookup(addr).is_some()
-    }
-
     fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
         let st = self.state_read();
         for (&addr, state) in addrs.iter().zip(states) {
@@ -1383,11 +1379,8 @@ mod tests {
         net.add_host(extra, 2_000);
         net.bind(extra, 4840, Arc::new(Nop));
         let shadowed = planted[planted.len() / 2];
-        net.install_host(
-            shadowed,
-            2_000,
-            vec![(80, Arc::new(Nop) as Arc<dyn Service>)],
-        );
+        net.add_host(shadowed, 2_000);
+        net.bind(shadowed, 80, Arc::new(Nop));
         let swept = assert_batches_match_replay(&net, &blocklist);
         assert!(swept.contains(&extra));
         assert!(!swept.contains(&shadowed));

@@ -10,16 +10,17 @@
 //! * [`suite`] — the protocol layer: a [`ProtocolSuite`] bundles the
 //!   default port, the probe-stage ladder and the typed
 //!   [`ProtocolPayload`] for one protocol;
-//!   [`SuiteRegistry`] maps ports to suites so one campaign sweeps
-//!   several protocols over the same engine;
+//!   [`SuiteRegistry`] maps ports to suites and names every port a
+//!   campaign probes, so one campaign sweeps several protocols over the
+//!   same engine ([`ScanConfig::suites`], OPC UA on 4840 by default);
 //! * [`url`] — `opc.tcp://host:port/path` parsing and normalization,
 //!   the canonical form referral deduplication relies on;
 //! * [`pipeline`] — the campaign driver: zmap-style sweep streamed
 //!   straight into the probe stack, a deterministic breadth-first
 //!   referral queue re-probing FindServers-announced `host:port`
-//!   targets after the sweep, with records flowing through a bounded
-//!   channel ([`Scanner::scan_stream`]) so memory stays constant at
-//!   Internet scale;
+//!   targets after the sweep, with each record handed to the caller's
+//!   callback as soon as it is final ([`Scanner::scan_with`]) so memory
+//!   stays constant at Internet scale;
 //! * [`sched`] — the scan engine every campaign runs on: one shard per
 //!   worker, each probing one target at a time through its suite's
 //!   stage ladder, merged back into walk order,
@@ -41,14 +42,11 @@ pub mod suite;
 pub mod url;
 
 pub use campaign::{Campaign, CampaignConfig, WeekCheckpoint, WeekOutcome, WeeklyScan};
-pub use pipeline::{FaultStats, ReferralStats, ScanOutcome, ScanStream, ScanSummary, Scanner};
+pub use pipeline::{FaultStats, ReferralStats, ScanOutcome, ScanSummary, Scanner};
 // Per-stage probe types (UacpProbe, EndpointsProbe, …) deliberately stay
 // behind the `probe::` path: suites are the unit callers compose with;
 // individual stages are an implementation detail of a suite's ladder.
-pub use probe::{
-    default_stack, ConfigError, Probe, ProbeContext, ProbeOutcome, RetryPolicy, ScanConfig,
-    ScanConfigBuilder,
-};
+pub use probe::{Probe, ProbeContext, ProbeOutcome, RetryPolicy, ScanConfig};
 pub use record::{
     DiscoveredVia, EndpointSnapshot, HostOutcome, OpcUaPayload, ProtocolPayload, ScanRecord,
     SessionOutcome, TraversalSummary, UatTlsPayload,

@@ -3,12 +3,11 @@
 //!
 //! [`Scanner::scan_resumable`] is the one campaign driver; every other
 //! entry point runs it with a [`CancelToken`] that never fires.
-//! [`Scanner::scan_with`] hands records to a callback on the caller's
-//! thread, [`Scanner::scan_collect`] gathers them into a `Vec`, and
-//! [`Scanner::scan_stream`] pushes them through a *bounded* channel from
-//! a coordinator thread: the producer blocks when the consumer lags, so
-//! memory stays O(channel capacity) no matter how many of the 2³²
-//! addresses answer.
+//! [`Scanner::scan_with`] hands each record to a callback on the
+//! caller's thread as soon as it is final, so the engine holds no more
+//! records than its shards' bounded channels
+//! ([`ScanConfig::channel_capacity`] each) however many of the 2³²
+//! addresses answer; [`Scanner::scan_collect`] gathers them into a `Vec`.
 //!
 //! ## Workers
 //!
@@ -57,8 +56,6 @@ use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepCursor, SweepStats, SweepWalk
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
-use std::sync::mpsc;
-use std::thread::JoinHandle;
 use ua_crypto::{CertStore, CertStoreStats};
 
 /// Accounting of the referral-following phase. Every announced URL ends
@@ -310,9 +307,7 @@ impl Scanner {
         // Phases are independent — per-phase frontier and dedup state —
         // so a mixed registry emits exactly the concatenation of the
         // single-suite runs.
-        let suites = self.config.effective_suites();
-        while let Some((port, suite)) = suites.get(state.suite_cursor) {
-            let port = *port;
+        while let Some((port, suite)) = self.config.suites.iter().nth(state.suite_cursor) {
             let env = PhaseEnv {
                 internet: &self.internet,
                 config: &self.config,
@@ -492,27 +487,6 @@ impl Scanner {
         let summary = self.scan_with(universe, seed, |r| records.push(r));
         (summary, records)
     }
-
-    /// Runs the campaign on a coordinator thread (plus
-    /// [`ScanConfig::workers`] shard threads when there are more
-    /// than one), streaming records through a bounded channel. Iterate
-    /// the returned [`ScanStream`] to consume records as they are
-    /// produced; call [`ScanStream::finish`] for the summary. Record
-    /// order is identical to [`Self::scan_with`] for any worker count.
-    pub fn scan_stream(self, universe: Vec<Cidr>, seed: u64) -> ScanStream {
-        let (tx, rx) = mpsc::sync_channel(self.config.effective_channel_capacity());
-        let handle = std::thread::spawn(move || {
-            self.scan_with(&universe, seed, |record| {
-                // A dropped receiver means the consumer stopped caring;
-                // keep scanning for the summary but stop pushing.
-                let _ = tx.send(record);
-            })
-        });
-        ScanStream {
-            rx: Some(rx),
-            handle: Some(handle),
-        }
-    }
 }
 
 /// Admission side of one sweep shard: the shard's [`SweepCursor`] —
@@ -566,37 +540,6 @@ fn collect_referrals(
 /// probe order or worker count.
 fn referral_seed(seed: u64, addr: Ipv4, port: u16) -> u64 {
     seed ^ u64::from(addr.0) ^ (u64::from(port) << 32)
-}
-
-/// Iterator over streamed scan records (see [`Scanner::scan_stream`]).
-pub struct ScanStream {
-    rx: Option<mpsc::Receiver<ScanRecord>>,
-    handle: Option<JoinHandle<ScanSummary>>,
-}
-
-impl Iterator for ScanStream {
-    type Item = ScanRecord;
-
-    fn next(&mut self) -> Option<ScanRecord> {
-        self.rx.as_ref()?.recv().ok()
-    }
-}
-
-impl ScanStream {
-    /// Waits for the campaign to end and returns its summary. Pending
-    /// records are drained and dropped; iterate first to keep them.
-    pub fn finish(mut self) -> ScanSummary {
-        // Dropping the receiver unblocks a producer waiting on a full
-        // channel.
-        self.rx = None;
-        self.handle
-            .take()
-            // ua-lint: allow(panic-hygiene) -- finish() consumes self; the handle is present by construction
-            .expect("finish called once")
-            .join()
-            // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the coordinating thread
-            .expect("scan worker panicked")
-    }
 }
 
 #[cfg(test)]
@@ -658,53 +601,6 @@ mod tests {
         assert_eq!(t.executable, 1);
         assert!(r.requests > 3);
         assert!(r.tx_bytes > 0);
-    }
-
-    #[test]
-    fn streamed_scan_matches_sync_scan() {
-        let addrs = [
-            Ipv4::new(10, 1, 0, 3),
-            Ipv4::new(10, 1, 0, 99),
-            Ipv4::new(10, 1, 0, 200),
-        ];
-        let net = wide_open_internet(&addrs);
-        let universe: Cidr = "10.1.0.0/24".parse().unwrap();
-
-        // Two independent clocks would drift; rebuild for a fair
-        // comparison of record *content*.
-        let sync_scanner = Scanner::new(net.clone(), Blocklist::new(), ScanConfig::default());
-        let (_, sync_records) = sync_scanner.scan_collect(&[universe], 9);
-
-        let net2 = wide_open_internet(&addrs);
-        let stream_scanner = Scanner::new(net2, Blocklist::new(), ScanConfig::default());
-        let mut stream = stream_scanner.scan_stream(vec![universe], 9);
-        let streamed: Vec<_> = stream.by_ref().collect();
-        let summary = stream.finish();
-
-        assert_eq!(summary.opcua_hosts, 3);
-        assert_eq!(streamed.len(), sync_records.len());
-        for (a, b) in streamed.iter().zip(&sync_records) {
-            assert_eq!(a.address, b.address);
-            assert_eq!(a.endpoints(), b.endpoints());
-            assert_eq!(a.session(), b.session());
-        }
-    }
-
-    #[test]
-    fn bounded_channel_backpressure_keeps_all_records() {
-        let addrs: Vec<Ipv4> = (0..20).map(|i| Ipv4::new(10, 2, 0, 10 + i)).collect();
-        let net = wide_open_internet(&addrs);
-        let universe: Cidr = "10.2.0.0/24".parse().unwrap();
-        let config = ScanConfig {
-            channel_capacity: 2, // far smaller than the host count
-            ..ScanConfig::default()
-        };
-        let scanner = Scanner::new(net, Blocklist::new(), config);
-        let mut stream = scanner.scan_stream(vec![universe], 4);
-        let records: Vec<_> = stream.by_ref().collect();
-        let summary = stream.finish();
-        assert_eq!(records.len(), 20);
-        assert_eq!(summary.opcua_hosts, 20);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The probe API: composable per-host measurement stages.
 //!
 //! A scan runs a stack of [`Probe`]s against every responsive address.
-//! The default stack mirrors the paper's scanner (§4): UACP hello →
-//! GetEndpoints/FindServers over an insecure discovery channel → (where
-//! anonymous access is advertised) session establishment and a budgeted
-//! address-space traversal. A suite's stack ([`ProtocolSuite::stack`])
-//! can drop stages or append new ones without touching the pipeline.
+//! The default suite's stack ([`OpcUaSuite`]) mirrors the paper's
+//! scanner (§4): UACP hello → GetEndpoints/FindServers over an insecure
+//! discovery channel → (where anonymous access is advertised) session
+//! establishment and a budgeted address-space traversal. A suite's stack
+//! ([`ProtocolSuite::stack`]) can drop stages or append new ones without
+//! touching the pipeline.
 
 use crate::record::{EndpointSnapshot, HostOutcome, ScanRecord, SessionOutcome, TraversalSummary};
 use crate::suite::{classify_connect_error, OpcUaSuite, ProtocolSuite, SuiteRegistry};
@@ -91,10 +92,6 @@ impl RetryPolicy {
 /// Scan-wide configuration shared by all probes.
 #[derive(Clone)]
 pub struct ScanConfig {
-    /// TCP port to probe (OPC UA's registered port) when
-    /// [`ScanConfig::suites`] is empty — the single-protocol
-    /// configuration every pre-redesign campaign used.
-    pub port: u16,
     /// SYN probes per second for the sweep stage.
     pub probes_per_second: u64,
     /// Source address the scanner connects from.
@@ -103,8 +100,8 @@ pub struct ScanConfig {
     pub client: ClientConfig,
     /// Budget for the traversal stage (Appendix A.2).
     pub budget: TraversalBudget,
-    /// Bounded capacity of the record channel in streaming scans (also
-    /// each worker's result buffer when several workers run).
+    /// Bounded capacity of each shard's record channel into the merge
+    /// when several workers run (0 is treated as 1).
     pub channel_capacity: usize,
     /// Shards the campaign is split across: 1 runs inline on the
     /// caller's thread; N runs N shards on N threads, shard `s` taking the
@@ -115,7 +112,7 @@ pub struct ScanConfig {
     pub workers: usize,
     /// Maximum referral-chain depth the scanner follows after the sweep
     /// (1 = only targets announced by swept hosts; 0 disables referral
-    /// following entirely).
+    /// following entirely). Only suites that follow referrals read it.
     pub referral_depth: u32,
     /// Maximum number of referral targets probed per campaign — the
     /// safety budget against referral storms; targets beyond it are
@@ -124,17 +121,17 @@ pub struct ScanConfig {
     /// Connect-phase retry/backoff policy (defaults to a single polite
     /// attempt — see [`RetryPolicy`]).
     pub retry: RetryPolicy,
-    /// Registered protocol suites, port → suite. Empty (the default)
-    /// means "OPC UA on [`ScanConfig::port`]" — byte-identical to the
-    /// pre-suite pipeline. A non-empty registry makes the sweep walk
-    /// the union of registered ports, driving each port's suite.
+    /// Registered protocol suites, port → suite: the ports the sweep
+    /// walks, each driving its own suite. The default is [`OpcUaSuite`]
+    /// on [`DEFAULT_OPCUA_PORT`](crate::url::DEFAULT_OPCUA_PORT), the
+    /// paper's single-protocol campaign; an empty registry probes
+    /// nothing.
     pub suites: SuiteRegistry,
 }
 
 impl Default for ScanConfig {
     fn default() -> Self {
         ScanConfig {
-            port: 4840,
             probes_per_second: 50_000,
             scanner_address: Ipv4::new(192, 0, 2, 1),
             client: ClientConfig::default(),
@@ -144,23 +141,12 @@ impl Default for ScanConfig {
             referral_depth: 4,
             referral_budget: 4096,
             retry: RetryPolicy::default(),
-            suites: SuiteRegistry::new(),
+            suites: SuiteRegistry::with([Arc::new(OpcUaSuite::new()) as Arc<dyn ProtocolSuite>]),
         }
     }
 }
 
 impl ScanConfig {
-    /// A validating builder over the default configuration — the
-    /// literal-free way to assemble the (by now) 11-field config. Plain
-    /// struct literals over [`ScanConfig::default`] keep working; the
-    /// builder adds up-front validation and does the zero-normalization
-    /// once instead of at every use site.
-    pub fn builder() -> ScanConfigBuilder {
-        ScanConfigBuilder {
-            cfg: ScanConfig::default(),
-        }
-    }
-
     /// Worker count with the "0 is treated as 1" normalization applied —
     /// the single place the scan driver gets it from.
     pub fn effective_workers(&self) -> usize {
@@ -170,147 +156,6 @@ impl ScanConfig {
     /// Record-channel capacity with zero-normalization applied.
     pub fn effective_channel_capacity(&self) -> usize {
         self.channel_capacity.max(1)
-    }
-
-    /// The suites a campaign drives, in ascending port order: the
-    /// registry when non-empty, else the classic single-suite view —
-    /// OPC UA on [`ScanConfig::port`].
-    pub fn effective_suites(&self) -> Vec<(u16, Arc<dyn ProtocolSuite>)> {
-        if self.suites.is_empty() {
-            vec![(
-                self.port,
-                Arc::new(OpcUaSuite::new()) as Arc<dyn ProtocolSuite>,
-            )]
-        } else {
-            self.suites
-                .iter()
-                .map(|(port, suite)| (port, Arc::clone(suite)))
-                .collect()
-        }
-    }
-}
-
-/// Why [`ScanConfigBuilder::build`] rejected a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `referral_depth > 0` but no registered suite follows referrals —
-    /// the depth budget could never be spent.
-    ReferralDepthWithoutReferralSuite,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ReferralDepthWithoutReferralSuite => write!(
-                f,
-                "referral_depth > 0 requires a registered suite with referral support \
-                 (set referral_depth to 0, or register a suite that follows referrals)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Builder for [`ScanConfig`]: fluent setters, then a validating
-/// [`ScanConfigBuilder::build`] that normalizes the zero-means-one
-/// knobs exactly once.
-#[derive(Clone)]
-pub struct ScanConfigBuilder {
-    cfg: ScanConfig,
-}
-
-impl ScanConfigBuilder {
-    /// Sweep port for the classic single-suite configuration.
-    pub fn port(mut self, port: u16) -> Self {
-        self.cfg.port = port;
-        self
-    }
-
-    /// SYN probes per second for the sweep stage.
-    pub fn probes_per_second(mut self, pps: u64) -> Self {
-        self.cfg.probes_per_second = pps;
-        self
-    }
-
-    /// Source address the scanner connects from.
-    pub fn scanner_address(mut self, addr: Ipv4) -> Self {
-        self.cfg.scanner_address = addr;
-        self
-    }
-
-    /// OPC UA client identity/politeness configuration.
-    pub fn client(mut self, client: ClientConfig) -> Self {
-        self.cfg.client = client;
-        self
-    }
-
-    /// Budget for the traversal stage.
-    pub fn budget(mut self, budget: TraversalBudget) -> Self {
-        self.cfg.budget = budget;
-        self
-    }
-
-    /// Record-channel capacity (0 normalized to 1 at build).
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.cfg.channel_capacity = capacity;
-        self
-    }
-
-    /// Event-loop count (0 normalized to 1 at build).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Maximum referral-chain depth (0 disables referral following).
-    pub fn referral_depth(mut self, depth: u32) -> Self {
-        self.cfg.referral_depth = depth;
-        self
-    }
-
-    /// Maximum referral targets probed per campaign.
-    pub fn referral_budget(mut self, budget: usize) -> Self {
-        self.cfg.referral_budget = budget;
-        self
-    }
-
-    /// Connect-phase retry/backoff policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Registers `suite` on `port` (replacing any suite already there).
-    pub fn suite(mut self, port: u16, suite: Arc<dyn ProtocolSuite>) -> Self {
-        self.cfg.suites.register(port, suite);
-        self
-    }
-
-    /// Replaces the whole suite registry.
-    pub fn suites(mut self, suites: SuiteRegistry) -> Self {
-        self.cfg.suites = suites;
-        self
-    }
-
-    /// Validates and finishes the configuration. The zero-means-one
-    /// knobs (`workers`, `channel_capacity`, `retry.max_attempts`) are
-    /// normalized here, once, so the scan engine can rely on the
-    /// invariant instead of re-checking at every use.
-    pub fn build(self) -> Result<ScanConfig, ConfigError> {
-        let mut cfg = self.cfg;
-        cfg.workers = cfg.workers.max(1);
-        cfg.channel_capacity = cfg.channel_capacity.max(1);
-        cfg.retry.max_attempts = cfg.retry.max_attempts.max(1);
-        if cfg.referral_depth > 0
-            && !cfg
-                .effective_suites()
-                .iter()
-                .any(|(_, suite)| suite.follows_referrals())
-        {
-            return Err(ConfigError::ReferralDepthWithoutReferralSuite);
-        }
-        Ok(cfg)
     }
 }
 
@@ -338,8 +183,8 @@ pub struct ProbeContext<'a> {
 
 impl<'a> ProbeContext<'a> {
     /// Builds a context for an explicit `(target, port)` pair — the
-    /// sweep passes [`ScanConfig::port`], the referral engine whatever
-    /// port the announced URL named.
+    /// sweep passes the port its suite is registered on, the referral
+    /// engine whatever port the announced URL named.
     pub fn for_target(
         internet: &'a Internet,
         config: &'a ScanConfig,
@@ -697,20 +542,6 @@ pub fn classify_session_error(err: &ClientError) -> SessionOutcome {
     }
 }
 
-/// The default probe stack: UACP → endpoints → FindServers → session.
-///
-/// Behaviorally identical to the historical three-stage stack: the
-/// combined [`DiscoveryProbe`] stopped before FindServers whenever
-/// endpoints failed, exactly as the split stages compose.
-pub fn default_stack() -> Vec<Box<dyn Probe>> {
-    vec![
-        Box::new(UacpProbe),
-        Box::new(EndpointsProbe),
-        Box::new(FindServersProbe),
-        Box::new(SessionProbe),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,59 +724,19 @@ mod tests {
     }
 
     #[test]
-    fn default_stack_order() {
-        let stack = default_stack();
-        let names: Vec<&str> = stack.iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["uacp", "endpoints", "find_servers", "session"]);
-    }
-
-    #[test]
-    fn builder_normalizes_and_keeps_defaults() {
-        let cfg = ScanConfig::builder()
-            .workers(0)
-            .channel_capacity(0)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.channel_capacity, 1);
-        assert_eq!(cfg.retry.max_attempts, 1);
-        // Defaults survive untouched knobs; the empty registry means
-        // classic OPC UA on the configured port.
-        assert_eq!(cfg.port, 4840);
-        let suites = cfg.effective_suites();
-        assert_eq!(suites.len(), 1);
-        assert_eq!(suites[0].0, 4840);
-        assert_eq!(suites[0].1.name(), "opcua");
-    }
-
-    #[test]
-    fn builder_rejects_referral_depth_without_referral_suite() {
-        use crate::suite::UatTlsSuite;
-        let err = match ScanConfig::builder()
-            .suite(4843, Arc::new(UatTlsSuite::new()))
-            .referral_depth(2)
-            .build()
-        {
-            Err(e) => e,
-            Ok(_) => panic!("expected rejection"),
-        };
-        assert_eq!(err, ConfigError::ReferralDepthWithoutReferralSuite);
-        // Zero depth makes the same registry valid.
-        let cfg = ScanConfig::builder()
-            .suite(4843, Arc::new(UatTlsSuite::new()))
-            .referral_depth(0)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.effective_suites()[0].1.name(), "uat-tls");
-        // And adding a referral-capable suite does too.
-        let cfg = ScanConfig::builder()
-            .suite(4843, Arc::new(UatTlsSuite::new()))
-            .suite(4840, Arc::new(OpcUaSuite::new()))
-            .referral_depth(2)
-            .build()
-            .unwrap();
-        let ports: Vec<u16> = cfg.effective_suites().iter().map(|(p, _)| *p).collect();
-        assert_eq!(ports, vec![4840, 4843]);
+    fn default_config_probes_opcua_on_4840() {
+        let cfg = ScanConfig::default();
+        let suites: Vec<(u16, &'static str)> = cfg
+            .suites
+            .iter()
+            .map(|(port, s)| (port, s.name()))
+            .collect();
+        assert_eq!(suites, vec![(4840, "opcua")]);
+        let (_, opcua) = cfg.suites.iter().next().unwrap();
+        assert_eq!(
+            opcua.stack().iter().map(|p| p.name()).collect::<Vec<_>>(),
+            vec!["uacp", "endpoints", "find_servers", "session"]
+        );
     }
 
     #[test]

@@ -187,9 +187,9 @@ pub struct SweepCheckpoint {
     /// aborted mid-sweep is recounted from scratch on resume).
     /// Completion fills in `certs` and `finished_unix`.
     pub summary: ScanSummary,
-    /// Index (into [`crate::probe::ScanConfig::effective_suites`]) of
-    /// the suite phase the abort landed in; earlier phases are complete
-    /// and resume skips them entirely.
+    /// Index (into [`crate::probe::ScanConfig::suites`], in port order)
+    /// of the suite phase the abort landed in; earlier phases are
+    /// complete and resume skips them entirely.
     pub suite_cursor: usize,
     /// True when the current phase's sweep finished and only its
     /// referral levels remain.

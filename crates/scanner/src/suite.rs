@@ -10,10 +10,10 @@
 //! [`ScanRecord`], and — for suites that have it — referral following.
 //! Connect errors map onto [`HostOutcome`] through one TCP-level
 //! taxonomy that every suite shares ([`classify_connect_error`]).
-//! [`SuiteRegistry`] maps ports to suites; a campaign with a non-empty
-//! registry sweeps the union of registered ports and drives each port's
-//! suite through the same engine, retry policy, and longitudinal
-//! machinery.
+//! [`SuiteRegistry`] maps ports to suites and is the one place a
+//! campaign learns which ports it probes: it sweeps every registered
+//! port and drives each port's suite through the same engine, retry
+//! policy, and longitudinal machinery.
 //!
 //! Two suites ship:
 //!
@@ -31,7 +31,7 @@
 //! [`ua_proto::fingerprint`].
 
 use crate::probe::{
-    default_stack, EndpointsProbe, Probe, ProbeContext, ProbeOutcome, SessionProbe,
+    EndpointsProbe, FindServersProbe, Probe, ProbeContext, ProbeOutcome, SessionProbe, UacpProbe,
 };
 use crate::record::{HostOutcome, ProtocolPayload, ScanRecord, UatTlsPayload};
 use netsim::ConnectError;
@@ -95,9 +95,9 @@ pub fn classify_connect_error(err: ConnectError) -> HostOutcome {
     }
 }
 
-/// Port → suite map driving a multi-protocol campaign. Kept sorted by
-/// port so [`crate::probe::ScanConfig::effective_suites`] — and with it
-/// every engine — walks protocols in one deterministic order, and a
+/// Port → suite map naming every port a campaign probes
+/// ([`crate::probe::ScanConfig::suites`]). Kept sorted by port so the
+/// engine walks protocols in one deterministic order, and a
 /// mixed-registry sweep equals the concatenation of single-suite sweeps.
 #[derive(Clone, Default)]
 pub struct SuiteRegistry {
@@ -105,7 +105,8 @@ pub struct SuiteRegistry {
 }
 
 impl SuiteRegistry {
-    /// An empty registry (the classic single-protocol configuration).
+    /// An empty registry. A campaign over it probes nothing; register
+    /// at least one suite.
     pub fn new() -> Self {
         SuiteRegistry::default()
     }
@@ -128,32 +129,9 @@ impl SuiteRegistry {
         }
     }
 
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of registered ports.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The suite registered on `port`, if any.
-    pub fn suite_for(&self, port: u16) -> Option<&Arc<dyn ProtocolSuite>> {
-        self.entries
-            .binary_search_by_key(&port, |(p, _)| *p)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
     /// Registered `(port, suite)` pairs in ascending port order.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &Arc<dyn ProtocolSuite>)> {
         self.entries.iter().map(|(p, s)| (*p, s))
-    }
-
-    /// Registered ports in ascending order.
-    pub fn ports(&self) -> Vec<u16> {
-        self.entries.iter().map(|(p, _)| *p).collect()
     }
 }
 
@@ -195,7 +173,12 @@ impl ProtocolSuite for OpcUaSuite {
     }
 
     fn stack(&self) -> Vec<Box<dyn Probe>> {
-        let mut stack = default_stack();
+        let mut stack: Vec<Box<dyn Probe>> = vec![
+            Box::new(UacpProbe),
+            Box::new(EndpointsProbe),
+            Box::new(FindServersProbe),
+            Box::new(SessionProbe),
+        ];
         if self.fingerprint {
             stack.push(Box::new(VendorFingerprintProbe { tls: false }));
         }
@@ -405,24 +388,31 @@ impl Probe for VendorFingerprintProbe {
 mod tests {
     use super::*;
 
+    /// The registry's `(port, suite name)` pairs, in iteration order.
+    fn entries(reg: &SuiteRegistry) -> Vec<(u16, &'static str)> {
+        reg.iter()
+            .map(|(port, suite)| (port, suite.name()))
+            .collect()
+    }
+
     #[test]
     fn registry_sorts_and_replaces() {
         let mut reg = SuiteRegistry::new();
-        assert!(reg.is_empty());
+        assert!(entries(&reg).is_empty());
         reg.register(DEFAULT_UATLS_PORT, Arc::new(UatTlsSuite::new()));
         reg.register(4840, Arc::new(OpcUaSuite::new()));
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.ports(), vec![4840, DEFAULT_UATLS_PORT]);
-        assert_eq!(reg.suite_for(4840).unwrap().name(), "opcua");
-        assert_eq!(reg.suite_for(DEFAULT_UATLS_PORT).unwrap().name(), "uat-tls");
-        assert!(reg.suite_for(4841).is_none());
+        assert_eq!(
+            entries(&reg),
+            vec![(4840, "opcua"), (DEFAULT_UATLS_PORT, "uat-tls")]
+        );
         // Replacement keeps one entry per port.
         reg.register(4840, Arc::new(OpcUaSuite::with_fingerprint()));
-        assert_eq!(reg.len(), 2);
         assert_eq!(
-            reg.suite_for(4840).unwrap().stack().last().unwrap().name(),
-            "vendor_fingerprint"
+            entries(&reg),
+            vec![(4840, "opcua"), (DEFAULT_UATLS_PORT, "uat-tls")]
         );
+        let (_, opcua) = reg.iter().next().unwrap();
+        assert_eq!(opcua.stack().last().unwrap().name(), "vendor_fingerprint");
     }
 
     #[test]
@@ -431,7 +421,10 @@ mod tests {
             Arc::new(OpcUaSuite::new()) as Arc<dyn ProtocolSuite>,
             Arc::new(UatTlsSuite::new()) as Arc<dyn ProtocolSuite>,
         ]);
-        assert_eq!(reg.ports(), vec![4840, DEFAULT_UATLS_PORT]);
+        assert_eq!(
+            entries(&reg),
+            vec![(4840, "opcua"), (DEFAULT_UATLS_PORT, "uat-tls")]
+        );
     }
 
     #[test]

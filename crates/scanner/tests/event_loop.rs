@@ -1,7 +1,7 @@
 //! Scan-engine determinism: for a fixed seed, every worker count must
-//! produce the 1-worker run's bytes — through `scan_with`, through
-//! `scan_stream`'s bounded channel, and across abort/resume cycles that
-//! may change the worker count between legs.
+//! produce the 1-worker run's bytes — through `scan_with`, over shard
+//! channels of capacity one, and across abort/resume cycles that may
+//! change the worker count between legs.
 
 use std::sync::Arc;
 
@@ -92,35 +92,24 @@ fn assert_summary_matches_modulo_sightings(actual: &ScanSummary, expected: &Scan
 }
 
 #[test]
-fn every_worker_count_and_cap_matches_one_worker() {
+fn every_worker_count_matches_one_worker() {
     let (summary1, records1) = scan(World::Polite, 1);
     assert!(
         summary1.referrals.followed > 0,
         "world must exercise the referral phase, got {:?}",
         summary1.referrals
     );
-    for workers in [1usize, 4, 8] {
+    // 0 workers is treated as 1.
+    for workers in [0usize, 1, 4, 8] {
         let (summary, records) = scan(World::Polite, workers);
         assert_eq!(summary, summary1, "workers={workers}");
         assert_eq!(records, records1, "workers={workers}");
     }
 }
 
-#[test]
-fn multiworker_scan_stream_matches_one_worker() {
-    let (summary1, records1) = scan(World::Polite, 1);
-    let (scanner, universe) = scanner_with(World::Polite, 4);
-    let mut stream = scanner.scan_stream(universe, SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    let summary = stream.finish();
-    assert_eq!(summary, summary1);
-    assert_eq!(records, records1);
-}
-
 /// Backpressure must not deadlock even in the most constrained setup:
-/// a records channel of capacity 1 feeding a consumer (and, with 4
-/// workers, capacity-1 shard channels into the merge) — and the output
-/// order must still be exact.
+/// with 4 workers, shard channels of capacity 1 into the merge — and
+/// the output order must still be exact.
 #[test]
 fn no_deadlock_at_capacity_one() {
     let (_, expected) = scan(World::Polite, 1);
@@ -131,10 +120,7 @@ fn no_deadlock_at_capacity_one() {
             channel_capacity: 1,
             ..ScanConfig::default()
         };
-        let scanner = Scanner::new(net, blocklist, config);
-        let mut stream = scanner.scan_stream(universe, SEED);
-        let records: Vec<ScanRecord> = stream.by_ref().collect();
-        stream.finish();
+        let (_, records) = Scanner::new(net, blocklist, config).scan_collect(&universe, SEED);
         assert_eq!(records, expected, "workers={workers}");
     }
 }

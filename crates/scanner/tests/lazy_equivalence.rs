@@ -31,10 +31,7 @@ fn scan(net: Internet, workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
         workers,
         ..ScanConfig::default()
     };
-    let scanner = Scanner::new(net, Blocklist::new(), config);
-    let mut stream = scanner.scan_stream(universe(), SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    (stream.finish(), records)
+    Scanner::new(net, Blocklist::new(), config).scan_collect(&universe(), SEED)
 }
 
 /// A small mix exercising `class`, plus whatever wiring the class needs

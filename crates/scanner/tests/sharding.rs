@@ -29,10 +29,7 @@ fn scan_with_workers(workers: usize) -> (ScanSummary, Vec<ScanRecord>) {
         workers,
         ..ScanConfig::default()
     };
-    let scanner = Scanner::new(net, blocklist, config);
-    let mut stream = scanner.scan_stream(universe, SEED);
-    let records: Vec<ScanRecord> = stream.by_ref().collect();
-    (stream.finish(), records)
+    Scanner::new(net, blocklist, config).scan_collect(&universe, SEED)
 }
 
 #[test]
@@ -87,28 +84,6 @@ fn final_report_identical_across_worker_counts() {
     assert_eq!(reports[0], reports[2]);
 }
 
-#[test]
-fn sync_scan_matches_sharded_stream() {
-    // scan_collect (inline single shard) and scan_stream with 4 workers
-    // agree record-for-record.
-    let (net, universe) = build_world();
-    let scanner = Scanner::new(net, Blocklist::new(), ScanConfig::default());
-    let (sync_summary, sync_records) = scanner.scan_collect(&universe, SEED);
-
-    let (net2, universe2) = build_world();
-    let config = ScanConfig {
-        workers: 4,
-        ..ScanConfig::default()
-    };
-    let scanner2 = Scanner::new(net2, Blocklist::new(), config);
-    let mut stream = scanner2.scan_stream(universe2, SEED);
-    let streamed: Vec<ScanRecord> = stream.by_ref().collect();
-    let summary = stream.finish();
-
-    assert_eq!(sync_records, streamed);
-    assert_eq!(sync_summary, summary);
-}
-
 /// End-to-end referral following over a synthesized world: every
 /// referral-only host (non-default port, invisible to the sweep) is
 /// found with correct provenance, dead/self/unresolvable referrals are
@@ -136,10 +111,9 @@ fn referral_following_end_to_end_across_worker_counts() {
             workers,
             ..ScanConfig::default()
         };
-        let scanner = Scanner::new(net, Blocklist::new(), config);
-        let mut stream = scanner.scan_stream(universe, SEED);
-        let records: Vec<ScanRecord> = stream.by_ref().collect();
-        (stream.finish(), records, pop)
+        let (summary, records) =
+            Scanner::new(net, Blocklist::new(), config).scan_collect(&universe, SEED);
+        (summary, records, pop)
     };
 
     let (summary1, records1, pop) = scan(1);

@@ -16,8 +16,6 @@
 //!    record's [`HostOutcome`] — OPC UA and `uat-tls` alike — matches
 //!    the plan's replayed terminal fate, and the retry budget is never
 //!    exceeded.
-//! 5. **Compatibility**: an empty registry (the pre-suite default) is
-//!    byte-identical to explicitly registering `OpcUaSuite` on 4840.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -29,8 +27,8 @@ use population::{
     MiddleboxPlan, MultiProtoConfig, MultiProtoPlan, Population, PopulationConfig, StrataMix,
 };
 use scanner::{
-    HostOutcome, OpcUaSuite, RetryPolicy, ScanConfig, ScanRecord, ScanSummary, Scanner,
-    UatTlsSuite, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
+    HostOutcome, OpcUaSuite, ProtocolSuite, RetryPolicy, ScanConfig, ScanRecord, ScanSummary,
+    Scanner, SuiteRegistry, UatTlsSuite, DEFAULT_OPCUA_PORT, DEFAULT_UATLS_PORT,
 };
 
 const SEED: u64 = 22_061_714;
@@ -59,16 +57,21 @@ fn build_world() -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
+fn opcua_suite() -> Arc<dyn ProtocolSuite> {
+    Arc::new(OpcUaSuite::with_fingerprint())
+}
+
+fn uattls_suite() -> Arc<dyn ProtocolSuite> {
+    Arc::new(UatTlsSuite::with_fingerprint())
+}
+
+/// Both fingerprinting suites, each on its default port.
 fn both_suites(workers: usize) -> ScanConfig {
-    ScanConfig::builder()
-        .workers(workers)
-        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
-        .suite(
-            DEFAULT_UATLS_PORT,
-            Arc::new(UatTlsSuite::with_fingerprint()),
-        )
-        .build()
-        .expect("valid two-suite config")
+    ScanConfig {
+        workers,
+        suites: SuiteRegistry::with([opcua_suite(), uattls_suite()]),
+        ..ScanConfig::default()
+    }
 }
 
 fn scan(config: ScanConfig) -> (ScanSummary, Vec<ScanRecord>) {
@@ -115,20 +118,16 @@ fn two_suite_campaign_is_byte_identical_across_workers_and_caps() {
 
 #[test]
 fn mixed_registry_equals_concatenation_of_single_suite_sweeps() {
-    let opcua_only = ScanConfig::builder()
-        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
-        .build()
-        .expect("valid opcua-only config");
-    // uat-tls follows no referrals; a registry without any
-    // referral-capable suite must disable the referral phase outright.
-    let uattls_only = ScanConfig::builder()
-        .suite(
-            DEFAULT_UATLS_PORT,
-            Arc::new(UatTlsSuite::with_fingerprint()),
-        )
-        .referral_depth(0)
-        .build()
-        .expect("valid uat-tls-only config");
+    let opcua_only = ScanConfig {
+        suites: SuiteRegistry::with([opcua_suite()]),
+        ..ScanConfig::default()
+    };
+    // uat-tls follows no referrals, so this campaign has no referral
+    // phase whatever `referral_depth` says.
+    let uattls_only = ScanConfig {
+        suites: SuiteRegistry::with([uattls_suite()]),
+        ..ScanConfig::default()
+    };
 
     let (_, opcua_records) = scan(opcua_only);
     let (_, tls_records) = scan(uattls_only);
@@ -216,16 +215,10 @@ fn planted_faults_classified_identically_for_both_suites() {
 
     let retry = RetryPolicy::hostile();
     let budget = retry.max_attempts;
-    let config = ScanConfig::builder()
-        .workers(2)
-        .retry(retry)
-        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
-        .suite(
-            DEFAULT_UATLS_PORT,
-            Arc::new(UatTlsSuite::with_fingerprint()),
-        )
-        .build()
-        .expect("valid hostile two-suite config");
+    let config = ScanConfig {
+        retry,
+        ..both_suites(2)
+    };
     let (summary, records) =
         Scanner::new(net, Blocklist::new(), config).scan_collect(&universe, SEED);
 
@@ -257,16 +250,4 @@ fn planted_faults_classified_identically_for_both_suites() {
     assert!(summary.faults.connect_attempts <= records.len() as u64 * u64::from(budget));
     // The report's reachability line folds the same records the same way.
     assert_eq!(assess(&records).reachability, summary.faults);
-}
-
-#[test]
-fn empty_registry_matches_explicit_opcua_registry() {
-    let (default_summary, default_records) = scan(ScanConfig::default());
-    let explicit = ScanConfig::builder()
-        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::new()))
-        .build()
-        .expect("valid explicit-registry config");
-    let (explicit_summary, explicit_records) = scan(explicit);
-    assert_eq!(default_summary, explicit_summary);
-    assert_eq!(default_records, explicit_records);
 }

@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn reply_on_another_channel_rejected() {
         let clock = VirtualClock::starting_at(0);
-        let stream = netsim::LoopbackStream::new(clock.clone(), Box::new(StrayChannel));
+        let stream = netsim::TcpStreamSim::loopback(clock.clone(), Box::new(StrayChannel));
         let mut client = UaClient::new(stream, clock, ClientConfig::default(), 1);
         client.handshake(URL).unwrap();
         client

@@ -17,7 +17,7 @@
 //! (the failure message prints the digest it saw) and says so.
 
 use netsim::VirtualClock;
-use netsim::{ByteStream, ConnectionStats, Ipv4, LoopbackStream, Service, StreamError};
+use netsim::{ByteStream, ConnectionStats, Ipv4, Service, StreamError, TcpStreamSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -35,10 +35,10 @@ const TRANSCRIPT_SHA256: &str = "fd3bb6da5da23b7ff2b623fd99ebd97f23f5c448a151947
 const URL: &str = "opc.tcp://10.0.0.1:4840/";
 const BLOB_LEN: usize = 30_000;
 
-/// Forwards to a [`LoopbackStream`] and appends each segment to a shared
-/// log as `tag | u32 length (LE) | bytes`.
+/// Forwards to a loopback [`TcpStreamSim`] and appends each segment to
+/// a shared log as `tag | u32 length (LE) | bytes`.
 struct Recorder {
-    inner: LoopbackStream,
+    inner: TcpStreamSim,
     log: Rc<RefCell<Vec<u8>>>,
 }
 
@@ -81,7 +81,7 @@ fn cert_key(seed: u64, uri: &str) -> (Certificate, RsaPrivateKey) {
 
 /// A server offering None, Sign and SignAndEncrypt with anonymous
 /// access, two references per Browse page and a writable string.
-fn server_stream(clock: &VirtualClock) -> LoopbackStream {
+fn server_stream(clock: &VirtualClock) -> TcpStreamSim {
     let (cert, key) = cert_key(7, "urn:acme:wire");
     let mut cfg = ServerConfig::recommended("urn:acme:wire", URL, cert, key);
     cfg.endpoints.push(EndpointConfig::none());
@@ -109,7 +109,7 @@ fn server_stream(clock: &VirtualClock) -> LoopbackStream {
     b.method(&plant, "Reset", true);
     let core = ServerCore::new(cfg, b.finish(), 11);
     let conn = UaServerService::new(core, 5).open_connection(Ipv4::new(192, 0, 2, 1));
-    LoopbackStream::new(clock.clone(), conn)
+    TcpStreamSim::loopback(clock.clone(), conn)
 }
 
 /// One full conversation on `policy`/`mode`, appended to `log`.

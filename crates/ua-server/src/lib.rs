@@ -31,7 +31,7 @@ pub use tls::{TlsWrapConn, TlsWrapService};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Ipv4, LoopbackStream, Service, VirtualClock};
+    use netsim::{Ipv4, Service, TcpStreamSim, VirtualClock};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ua_addrspace::{NodeAccess, SpaceBuilder};
@@ -51,7 +51,7 @@ mod tests {
         (cert, key)
     }
 
-    fn open_server(config: ServerConfig) -> LoopbackStream {
+    fn open_server(config: ServerConfig) -> TcpStreamSim {
         let mut b = SpaceBuilder::new(&["urn:acme:plant"], "2.0");
         let f = b.folder(None, "Plant");
         b.variable(
@@ -64,17 +64,17 @@ mod tests {
         let core = ServerCore::new(config, space, 7);
         let service = UaServerService::new(core, 1);
         let conn = service.open_connection(Ipv4::new(1, 2, 3, 4));
-        LoopbackStream::new(VirtualClock::starting_at(0), conn)
+        TcpStreamSim::loopback(VirtualClock::starting_at(0), conn)
     }
 
-    fn wide_open_stream() -> LoopbackStream {
+    fn wide_open_stream() -> TcpStreamSim {
         open_server(ServerConfig::wide_open(
             "urn:acme:dev1",
             "opc.tcp://h:4840/",
         ))
     }
 
-    fn hello(stream: &mut LoopbackStream) {
+    fn hello(stream: &mut TcpStreamSim) {
         stream
             .send(&TransportMessage::Hello(Hello::default()).encode())
             .unwrap();
@@ -85,7 +85,7 @@ mod tests {
     }
 
     /// Opens an insecure channel, returning the client's end of it.
-    fn open_none_channel(stream: &mut LoopbackStream) -> SecureChannel {
+    fn open_none_channel(stream: &mut TcpStreamSim) -> SecureChannel {
         let req = ServiceBody::OpenSecureChannelRequest(OpenSecureChannelRequest {
             request_header: RequestHeader::new(NodeId::NULL, 1, UaDateTime::NULL),
             client_protocol_version: 0,
@@ -126,7 +126,7 @@ mod tests {
     }
 
     fn send_service(
-        stream: &mut LoopbackStream,
+        stream: &mut TcpStreamSim,
         channel: &mut SecureChannel,
         request_id: u32,
         body: ServiceBody,

@@ -110,11 +110,11 @@ mod tests {
     use super::*;
     use crate::config::ServerConfig;
     use crate::core::ServerCore;
-    use netsim::{LoopbackStream, VirtualClock};
+    use netsim::{TcpStreamSim, VirtualClock};
     use ua_addrspace::SpaceBuilder;
     use ua_proto::transport::{Hello, TransportMessage};
 
-    fn wrapped_stream(cert_der: Option<Vec<u8>>) -> LoopbackStream {
+    fn wrapped_stream(cert_der: Option<Vec<u8>>) -> TcpStreamSim {
         let config = ServerConfig::wide_open("urn:acme:tls1", "opc.tcp://h:4843/");
         let core = ServerCore::new(
             config,
@@ -124,7 +124,7 @@ mod tests {
         let service =
             TlsWrapService::with_certificate(Arc::new(UaServerService::new(core, 5)), cert_der);
         let conn = service.open_connection(Ipv4::new(9, 9, 9, 9));
-        LoopbackStream::new(VirtualClock::starting_at(0), conn)
+        TcpStreamSim::loopback(VirtualClock::starting_at(0), conn)
     }
 
     #[test]

@@ -33,9 +33,8 @@ fn main() {
         ..ScanConfig::default()
     };
     let scanner = Scanner::new(net, Blocklist::new(), config);
-    let mut stream = scanner.scan_stream(vec![universe], seed);
 
-    // The running tallies we narrate while the scan streams. Cross-host
+    // The running tallies we narrate while the scan runs. Cross-host
     // deficits (reused certs, shared primes) stay 0 until finalize —
     // they cannot be attributed before the population is complete.
     let watched = [
@@ -45,7 +44,7 @@ fn main() {
         Deficit::DataWritable,
     ];
     let mut assessor = Assessor::new();
-    for record in stream.by_ref() {
+    let summary = scanner.scan_with(&[universe], seed, |record| {
         assessor.fold(&record);
         let seen = assessor.hosts_seen();
         if seen > 0 && seen.is_multiple_of(25) {
@@ -55,8 +54,7 @@ fn main() {
                 .collect();
             println!("  after {seen:>4} hosts — {}", counts.join(", "));
         }
-    }
-    let summary = stream.finish();
+    });
     println!(
         "scan done: {} probes sent, {} OPC UA hosts, {} other listeners",
         summary.sweep.probes_sent, summary.opcua_hosts, summary.non_opcua_hosts

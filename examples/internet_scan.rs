@@ -47,24 +47,22 @@ fn main() {
     let mut blocklist = Blocklist::new();
     blocklist.add_str("10.16.7.0/24").unwrap();
 
-    // Stream records through the bounded channel while the scan runs,
-    // sharded across `workers` shards. The output below must not
-    // mention the worker count: `examples/golden.sh` holds a 1-worker and
-    // a 4-worker run to one golden file.
+    // Take each record as the scan emits it, sharded across `workers`
+    // shards. The output below must not mention the worker count:
+    // `examples/golden.sh` holds a 1-worker and a 4-worker run to one
+    // golden file.
     let config = ScanConfig {
         workers,
         ..ScanConfig::default()
     };
     let scanner = Scanner::new(net, blocklist, config);
-    let mut stream = scanner.scan_stream(universe, seed);
     let mut records = Vec::new();
-    for record in stream.by_ref() {
+    let summary = scanner.scan_with(&universe, seed, |record| {
         if records.is_empty() {
             println!("first responsive host: {}", record.address);
         }
         records.push(record);
-    }
-    let summary = stream.finish();
+    });
     println!(
         "sweep: {} probes sent, {} blocklisted, {} responsive ({} OPC UA, {} other)",
         summary.sweep.probes_sent,

@@ -60,16 +60,21 @@ fn build(seed: u64) -> (Internet, Vec<Cidr>, Population, MultiProtoPlan) {
     (net, universe, population, plan)
 }
 
+fn opcua_suite() -> Arc<dyn ProtocolSuite> {
+    Arc::new(OpcUaSuite::with_fingerprint())
+}
+
+fn uattls_suite() -> Arc<dyn ProtocolSuite> {
+    Arc::new(UatTlsSuite::with_fingerprint())
+}
+
+/// Both fingerprinting suites, each on its default port.
 fn audit_config(workers: usize) -> ScanConfig {
-    ScanConfig::builder()
-        .workers(workers)
-        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
-        .suite(
-            DEFAULT_UATLS_PORT,
-            Arc::new(UatTlsSuite::with_fingerprint()),
-        )
-        .build()
-        .expect("valid two-suite config")
+    ScanConfig {
+        workers,
+        suites: SuiteRegistry::with([opcua_suite(), uattls_suite()]),
+        ..ScanConfig::default()
+    }
 }
 
 fn scan(
@@ -160,18 +165,14 @@ fn main() {
     );
 
     // --- Mixed registry == concatenation of single-suite sweeps. ------
-    let opcua_only = ScanConfig::builder()
-        .suite(DEFAULT_OPCUA_PORT, Arc::new(OpcUaSuite::with_fingerprint()))
-        .build()
-        .expect("valid opcua-only config");
-    let uattls_only = ScanConfig::builder()
-        .suite(
-            DEFAULT_UATLS_PORT,
-            Arc::new(UatTlsSuite::with_fingerprint()),
-        )
-        .referral_depth(0)
-        .build()
-        .expect("valid uat-tls-only config");
+    let opcua_only = ScanConfig {
+        suites: SuiteRegistry::with([opcua_suite()]),
+        ..ScanConfig::default()
+    };
+    let uattls_only = ScanConfig {
+        suites: SuiteRegistry::with([uattls_suite()]),
+        ..ScanConfig::default()
+    };
     let (_, opcua_records, _, _) = scan(seed, opcua_only);
     let (_, tls_records, _, _) = scan(seed, uattls_only);
     let concat: Vec<ScanRecord> = opcua_records.into_iter().chain(tls_records).collect();

@@ -43,7 +43,7 @@
 //!                 │              any worker count;          │
 //!                 │              → LDS referral queue (url  │
 //!                 │              parse, dedup, depth/       │
-//!                 │              budget) → channel;         │
+//!                 │              budget) → sink;            │
 //!                 │              certificates interned      │
 //!                 │              campaign-wide (CertStore:  │
 //!                 │              parse/hash once per        │
@@ -217,15 +217,14 @@
 //!   worker counts and abort/resume; CI replays
 //!   `examples/hostile_sweep.rs` against the planted truth and diffs
 //!   1-vs-4-worker hostile campaigns.
-//! * **Protocol suites** — `ScanConfig::suites` (or
-//!   `ScanConfig::builder().suite(port, …)`) registers a
-//!   `scanner::ProtocolSuite` per port: the suite names its probe
-//!   ladder, classifies connect faults, and emits a typed
-//!   `ProtocolPayload` on every record. The sweep walks the union of
-//!   registered ports, one isolated phase per suite, so a mixed
-//!   registry equals the concatenation of single-suite campaigns —
-//!   and an empty registry stays byte-identical to the pre-suite
-//!   OPC UA pipeline. Shipped suites: `OpcUaSuite` (opc.tcp, referral
+//! * **Protocol suites** — `ScanConfig::suites` registers a
+//!   `scanner::ProtocolSuite` per port and names every port a campaign
+//!   probes (by default `OpcUaSuite` on 4840, the paper's campaign):
+//!   the suite names its probe ladder, classifies connect faults, and
+//!   emits a typed `ProtocolPayload` on every record. The sweep walks
+//!   the union of registered ports, one isolated phase per suite, so a
+//!   mixed registry equals the concatenation of single-suite
+//!   campaigns. Shipped suites: `OpcUaSuite` (opc.tcp, referral
 //!   following, optional vendor fingerprinting via the error-taxonomy
 //!   quirk each stack betrays) and `UatTlsSuite` (TLS-wrapped opc.tcp
 //!   on 4843, surfacing the wrapper-specific deficits: TLS-but-
