@@ -9,7 +9,6 @@ use crate::asn::AsRegistry;
 use crate::cidr::{AddrHash, Ipv4};
 use crate::clock::VirtualClock;
 use crate::faults::{ConnectFate, CutConn, NetProfile, ProfileProvider, TarpitConn};
-use crate::sweep::SWEEP_BATCH;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -97,8 +96,8 @@ struct HostEntry {
 }
 
 /// What a SYN to one `(addr, port)` finds: the answer of the sweep's
-/// batched SYN, and of a [`HostResolver`] for the hosts the bound table
-/// does not hold, one per address of a batch.
+/// batched SYN, and of a [`HostResolver`] and the bound table, one per
+/// address of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortState {
     /// No host at the address: the SYN times out.
@@ -121,8 +120,12 @@ pub enum PortState {
 ///
 /// Contract:
 /// * `syn_batch` must be side-effect free and cheap — the sweep hands
-///   every walked address that misses the bound table to it,
-///   [`crate::SWEEP_BATCH`] addresses per call.
+///   it every probed address, up to [`crate::SWEEP_BATCH`] per call,
+///   bound ones included: a bound host's answer overrides the
+///   resolver's.
+/// * `syn_batch` must write every slot of `states`: the slots arrive
+///   holding whatever the sweep's last batch left there, not
+///   [`PortState::NoHost`].
 /// * `syn_batch` answers [`PortState::NoHost`] exactly when no host sits
 ///   at the address, whatever the port: [`Internet::host_exists`] asks
 ///   it that way.
@@ -137,7 +140,8 @@ pub enum PortState {
 pub trait HostResolver: Send + Sync {
     /// SYN-probes `port` on every address of `addrs` at once, writing
     /// what `addrs[i]` answers to `states[i]` (the slices have equal
-    /// length). Must not build anything.
+    /// length), for every `i`: the slots' contents on entry are
+    /// arbitrary. Must not build anything.
     fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]);
     /// Where a connect to `(addr, port)` goes, building the host at
     /// `addr` on first contact; [`Route::Dead`] when nothing sits there.
@@ -211,12 +215,12 @@ impl Internet {
     }
 
     /// Installs a [`HostResolver`] that backs the host table with a lazy
-    /// world: SYNs and connects that miss the bound table go to the
-    /// resolver, which builds and serves its hosts itself. Shared by all
-    /// clock views ([`Internet::with_clock`]), so sharded scan workers
-    /// see the same lazy world. Replaces the previous resolver, and with
-    /// it drops the previous world and every host that world built: one
-    /// Internet serves one world.
+    /// world: it answers SYNs and connects for every address the bound
+    /// table does not hold, and builds and serves its hosts itself.
+    /// Shared by all clock views ([`Internet::with_clock`]), so sharded
+    /// scan workers see the same lazy world. Replaces the previous
+    /// resolver, and with it drops the previous world and every host
+    /// that world built: one Internet serves one world.
     pub fn set_resolver(&self, resolver: Arc<dyn HostResolver>) {
         // ua-lint: allow(panic-hygiene) -- poisoned resolver slot: a peer panicked; propagate it
         *self.resolver.write().unwrap() = Some(resolver);
@@ -302,59 +306,44 @@ impl Internet {
         state[0]
     }
 
-    /// SYN-probes `port` on at most [`SWEEP_BATCH`] addresses in one
-    /// pass, writing what `addrs[i]` answers to `states[i]` (the slices
-    /// have equal length). Middlebox faults play no part: they strike a
+    /// SYN-probes `port` on every address of `addrs` in one pass,
+    /// writing what `addrs[i]` answers to `states[i]` (the slices have
+    /// equal length). Middlebox faults play no part: they strike a
     /// connect attempt, not the sweep's SYN.
     ///
-    /// A bound host answers from its service table. The addresses the
-    /// table misses go to the lazy resolver in one
-    /// [`HostResolver::syn_batch`] call, after the table lock is
-    /// released. This is the only place that decides between the two,
-    /// for the sweep's [`crate::SweepCursor`] and
-    /// [`Internet::has_listener`] alike. No clock cost, no side effects.
+    /// The lazy resolver answers first, for the whole batch in one
+    /// [`HostResolver::syn_batch`] call (every address is
+    /// [`PortState::NoHost`] when none is installed). Then, after that
+    /// call has returned, the bound host table overrides the answer for
+    /// each address it holds, from the host's service table. This is
+    /// the only place that decides between the two, for the sweep's
+    /// [`crate::SweepCursor`] and [`Internet::has_listener`] alike. No
+    /// clock cost, no side effects.
     ///
-    /// Every address costs one host-table probe. Under a lazy world the
-    /// table stays empty (the world serves its hosts itself), and std
-    /// answers a probe of an empty map without hashing; once hosts are
-    /// bound by hand, nearly every probe misses in a sparse universe,
-    /// which is why the table hashes with [`AddrHash`] (one multiply)
-    /// and not SipHash.
+    /// While the table is empty, as it is for a lazy world's whole
+    /// campaign (the world serves its hosts itself), the override pass
+    /// is skipped. Once hosts are bound by hand, every address costs
+    /// one table probe, nearly all misses in a sparse universe, which is
+    /// why the table hashes with [`AddrHash`] (one multiply) and not
+    /// SipHash.
     pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
         assert_eq!(addrs.len(), states.len(), "one state slot per address");
-        assert!(addrs.len() <= SWEEP_BATCH, "at most one sweep batch");
-        // The misses collect on the stack: no allocation per batch.
-        let mut misses = [Ipv4(0); SWEEP_BATCH];
-        let mut missed = 0;
-        {
-            let hosts = self.hosts_read();
-            for (&addr, state) in addrs.iter().zip(states.iter_mut()) {
-                *state = match hosts.get(&addr.0) {
-                    Some(host) if host.services.contains_key(&port) => PortState::Open,
-                    Some(_) => PortState::Closed,
-                    None => {
-                        misses[missed] = addr;
-                        missed += 1;
-                        PortState::NoHost
-                    }
+        match self.resolver() {
+            Some(resolver) => resolver.syn_batch(port, addrs, states),
+            None => states.fill(PortState::NoHost),
+        }
+        let hosts = self.hosts_read();
+        if hosts.is_empty() {
+            return;
+        }
+        for (&addr, state) in addrs.iter().zip(states) {
+            if let Some(host) = hosts.get(&addr.0) {
+                *state = if host.services.contains_key(&port) {
+                    PortState::Open
+                } else {
+                    PortState::Closed
                 };
             }
-        }
-        if missed == 0 {
-            return;
-        }
-        let Some(resolver) = self.resolver() else {
-            return;
-        };
-        let mut answers = [PortState::NoHost; SWEEP_BATCH];
-        resolver.syn_batch(port, &misses[..missed], &mut answers[..missed]);
-        // A bound host never answers NoHost, so the NoHost slots are
-        // exactly the misses, in order.
-        let miss_slots = states
-            .iter_mut()
-            .filter(|state| **state == PortState::NoHost);
-        for (state, answer) in miss_slots.zip(&answers[..missed]) {
-            *state = *answer;
         }
     }
 
@@ -662,6 +651,71 @@ mod tests {
             Some(ConnectError::NoRoute)
         );
         assert_eq!(net.host_count(), 0);
+    }
+
+    #[test]
+    fn syn_batch_asks_the_resolver_then_lets_the_bound_table_override() {
+        /// A resolver whose hosts all listen on 4840.
+        struct Listeners(Vec<Ipv4>);
+        impl HostResolver for Listeners {
+            fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
+                for (addr, state) in addrs.iter().zip(states) {
+                    *state = match (self.0.contains(addr), port == 4840) {
+                        (false, _) => PortState::NoHost,
+                        (true, false) => PortState::Closed,
+                        (true, true) => PortState::Open,
+                    };
+                }
+            }
+            fn route(&self, _addr: Ipv4, _port: u16) -> Route {
+                Route::Dead
+            }
+        }
+        let bound_closed = Ipv4::new(10, 0, 0, 1);
+        let bound_open = Ipv4::new(10, 0, 0, 2);
+        let resolver_only = Ipv4::new(10, 0, 0, 3);
+        let empty = Ipv4::new(10, 0, 0, 4);
+        let addrs = [bound_closed, bound_open, resolver_only, empty];
+        let bind_table = |net: &Internet| {
+            net.add_host(bound_closed, 1_000);
+            net.bind(bound_closed, 80, Arc::new(Echo));
+            net.add_host(bound_open, 1_000);
+            net.bind(bound_open, 4840, Arc::new(Echo));
+        };
+        // The slots start as garbage: every answer must be written.
+        let syn = |net: &Internet| {
+            let mut states = [PortState::Open; 4];
+            net.syn_batch(4840, &addrs, &mut states);
+            states
+        };
+
+        // The resolver calls `bound_closed` open and `bound_open` empty;
+        // the table's answer wins for both.
+        let net = Internet::new(VirtualClock::starting_at(0));
+        bind_table(&net);
+        net.set_resolver(Arc::new(Listeners(vec![bound_closed, resolver_only])));
+        assert_eq!(
+            syn(&net),
+            [
+                PortState::Closed,
+                PortState::Open,
+                PortState::Open,
+                PortState::NoHost
+            ]
+        );
+
+        // Without a resolver only the table answers.
+        let net = Internet::new(VirtualClock::starting_at(0));
+        bind_table(&net);
+        assert_eq!(
+            syn(&net),
+            [
+                PortState::Closed,
+                PortState::Open,
+                PortState::NoHost,
+                PortState::NoHost
+            ]
+        );
     }
 
     #[test]

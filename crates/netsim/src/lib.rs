@@ -17,6 +17,8 @@
 //! * [`sweep`] — zmap's cyclic-group address permutation and a SYN
 //!   scanner with blocklist and probe-rate modeling; [`SweepCursor`] is
 //!   the one per-address sweep classifier every driver consumes.
+//!   It steps a four-lane walk a [`SWEEP_BATCH`] at a time and asks
+//!   the resolver once per batch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

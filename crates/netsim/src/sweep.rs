@@ -15,6 +15,12 @@
 //! listener check — exists once, in [`SweepCursor`]. [`SynScanner`] and
 //! the scanner crate's shards both consume it, so their
 //! [`SweepStats`] cannot drift apart.
+//!
+//! The per-address path is a batch kernel. A [`StridedWalk`] steps four
+//! interleaved chains of the walk so that their multiplies overlap, and
+//! the cursor takes [`SWEEP_BATCH`] walk steps at a time through one
+//! closure, then asks the lazy world's resolver once about the whole
+//! batch.
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
 use crate::internet::{Internet, PortState};
@@ -100,14 +106,13 @@ impl MulModFixed {
 }
 
 /// A full-cycle walk over the multiplicative group mod a prime `p`:
-/// visits every value in `[1, p-1]` exactly once.
+/// visits every value in `[1, p-1]` exactly once. [`CycleWalk::stride`]
+/// iterates it; `stride(0, 1)` is the whole walk.
 #[derive(Debug, Clone)]
 pub struct CycleWalk {
     p: u64,
-    step: MulModFixed,
+    generator: u64,
     start: u64,
-    current: u64,
-    emitted: u64,
 }
 
 impl CycleWalk {
@@ -127,26 +132,18 @@ impl CycleWalk {
         let start = rng.gen_range(1..p);
         CycleWalk {
             p,
-            step: MulModFixed::new(generator, p),
+            generator,
             start,
-            current: start,
-            emitted: 0,
         }
-    }
-
-    /// The group order (number of elements the walk visits).
-    pub fn order(&self) -> u64 {
-        self.p - 1
     }
 
     /// The chosen primitive root.
     pub fn generator(&self) -> u64 {
-        self.step.factor
+        self.generator
     }
 
     /// The walk restricted to steps `offset, offset+stride, …` of the
-    /// *full* walk (from its start, regardless of how far this iterator
-    /// has advanced): begins at `start·g^offset` and advances by
+    /// full walk: begins at `start·g^offset` and advances by
     /// `g^stride`, visiting exactly the elements the full walk emits at
     /// those step numbers — O(1) setup, no skipped iterations. Step
     /// numbers are yielded alongside the elements so N strided walks
@@ -154,11 +151,16 @@ impl CycleWalk {
     pub fn stride(&self, offset: u64, stride: u64) -> StridedWalk {
         assert!(stride > 0, "stride must be positive");
         assert!(offset < stride, "offset within stride");
-        let order = self.p - 1;
-        let generator = self.generator();
+        let (p, order) = (self.p, self.p - 1);
+        let by_stride = pow_mod(self.generator, stride, p);
+        let mut lanes = [mul_mod(self.start, pow_mod(self.generator, offset, p), p); LANES];
+        for lane in 1..LANES {
+            lanes[lane] = mul_mod(lanes[lane - 1], by_stride, p);
+        }
         StridedWalk {
-            step_by: MulModFixed::new(pow_mod(generator, stride, self.p), self.p),
-            current: mul_mod(self.start, pow_mod(generator, offset, self.p), self.p),
+            step_by: MulModFixed::new(pow_mod(by_stride, LANES as u64, p), p),
+            lanes,
+            lane: 0,
             step: offset,
             stride,
             remaining: if offset < order {
@@ -170,52 +172,92 @@ impl CycleWalk {
     }
 }
 
+/// How many chains of the walk a [`StridedWalk`] steps side by side.
+/// Each chain's next element waits on its own multiply, so one chain
+/// pays the multiply's full latency per element; independent lanes let
+/// the CPU overlap them. Eight lanes measured no better than four.
+const LANES: usize = 4;
+
 /// Every `stride`-th element of a [`CycleWalk`], starting at step
 /// `offset` (see [`CycleWalk::stride`]). Yields `(step, element)` pairs;
 /// the step numbers of the underlying full walk are globally unique
 /// across disjoint strides, which is what lets sharded sweeps merge
 /// deterministically.
+///
+/// The walk runs as four interleaved chains, its lanes: at round `k`,
+/// lane `i` holds the element of step `offset + (4k + i)·stride`, and
+/// each lane advances by `g^(4·stride)`. The elements come out in the
+/// single chain's order.
 #[derive(Debug, Clone)]
 pub struct StridedWalk {
     step_by: MulModFixed,
-    current: u64,
+    lanes: [u64; LANES],
+    /// The lane holding the next element; the lanes before it are one
+    /// round ahead.
+    lane: usize,
     step: u64,
     stride: u64,
     remaining: u64,
+}
+
+impl StridedWalk {
+    /// Walks up to `n` more elements, calling `f(step, element)` for
+    /// each in walk order. Returns how many it walked: 0 once the walk
+    /// is exhausted. Whole rounds step the lanes in registers, so a
+    /// batch that starts on lane 0 with `n` a multiple of [`LANES`]
+    /// never takes the one-at-a-time path.
+    fn take_each(&mut self, n: u64, mut f: impl FnMut(u64, u64)) -> u64 {
+        let n = n.min(self.remaining);
+        let mut left = n;
+        while left > 0 && self.lane != 0 {
+            let (step, x) = self.emit();
+            f(step, x);
+            left -= 1;
+        }
+        let rounds = left / LANES as u64;
+        let (step_by, stride) = (self.step_by, self.stride);
+        let (mut lanes, mut step) = (self.lanes, self.step);
+        for _ in 0..rounds {
+            for lane in &mut lanes {
+                f(step, *lane);
+                *lane = step_by.apply(*lane);
+                step += stride;
+            }
+        }
+        self.lanes = lanes;
+        self.step = step;
+        self.remaining -= rounds * LANES as u64;
+        for _ in 0..left % LANES as u64 {
+            let (step, x) = self.emit();
+            f(step, x);
+        }
+        n
+    }
+
+    /// Emits the current lane's element and advances that lane by one
+    /// round. The caller checks `remaining`.
+    fn emit(&mut self) -> (u64, u64) {
+        let out = (self.step, self.lanes[self.lane]);
+        self.lanes[self.lane] = self.step_by.apply(self.lanes[self.lane]);
+        self.lane = (self.lane + 1) % LANES;
+        self.step += self.stride;
+        self.remaining -= 1;
+        out
+    }
 }
 
 impl Iterator for StridedWalk {
     type Item = (u64, u64);
 
     fn next(&mut self) -> Option<(u64, u64)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let out = (self.step, self.current);
-        self.current = self.step_by.apply(self.current);
-        self.step += self.stride;
-        self.remaining -= 1;
-        Some(out)
-    }
-}
-
-impl Iterator for CycleWalk {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.emitted == self.p - 1 {
-            return None;
-        }
-        let out = self.current;
-        self.current = self.step.apply(self.current);
-        self.emitted += 1;
-        debug_assert!(self.emitted < self.p - 1 || self.current == self.start);
-        Some(out)
+        (self.remaining > 0).then(|| self.emit())
     }
 }
 
 /// A random-order permutation of `[0, size)` built from a cycle walk over
 /// the smallest prime `> size`, skipping out-of-range elements.
+/// [`PermutedRange::shard`] iterates it; `shard(0, 1)` is the whole
+/// permutation.
 #[derive(Debug, Clone)]
 pub struct PermutedRange {
     walk: CycleWalk,
@@ -244,8 +286,7 @@ impl PermutedRange {
     /// `(walk_step, index)` pairs. Each shard does O(order / shards)
     /// work; the walk steps are globally unique and increasing per
     /// shard, so N shards merge back into exactly this permutation's
-    /// order. Must be called on a freshly built range (the stride is
-    /// taken from the walk's start).
+    /// order.
     pub fn shard(&self, shard: u64, shards: u64) -> PermutedShard {
         PermutedShard {
             walk: self.walk.stride(shard, shards),
@@ -262,6 +303,21 @@ pub struct PermutedShard {
     size: u64,
 }
 
+impl PermutedShard {
+    /// Walks up to `n` more walk steps, calling `f(walk_step, index)`
+    /// for each in-range one. Returns how many steps it walked: 0 once
+    /// the shard is exhausted.
+    fn take_each(&mut self, n: u64, mut f: impl FnMut(u64, u64)) -> u64 {
+        let size = self.size;
+        self.walk.take_each(n, |step, v| {
+            let idx = v - 1;
+            if idx < size {
+                f(step, idx);
+            }
+        })
+    }
+}
+
 impl Iterator for PermutedShard {
     type Item = (u64, u64);
 
@@ -271,20 +327,6 @@ impl Iterator for PermutedShard {
             let idx = v - 1;
             if idx < self.size {
                 return Some((step, idx));
-            }
-        }
-    }
-}
-
-impl Iterator for PermutedRange {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        loop {
-            let v = self.walk.next()?;
-            let idx = v - 1;
-            if idx < self.size {
-                return Some(idx);
             }
         }
     }
@@ -315,6 +357,17 @@ impl SweepWalk {
             blocks,
         }
     }
+
+    /// Walks up to `n` more walk steps, calling `f(walk_step, addr)`
+    /// for each that lands in the universe. Returns how many steps it
+    /// walked: 0 once the walk is exhausted.
+    fn take_each(&mut self, n: u64, mut f: impl FnMut(u64, Ipv4)) -> u64 {
+        let Some(shard) = self.shard.as_mut() else {
+            return 0;
+        };
+        let blocks = &self.blocks;
+        shard.take_each(n, |pos, idx| f(pos, address(blocks, idx)))
+    }
 }
 
 impl Iterator for SweepWalk {
@@ -322,21 +375,27 @@ impl Iterator for SweepWalk {
 
     fn next(&mut self) -> Option<(u64, Ipv4)> {
         let (pos, idx) = self.shard.as_mut()?.next()?;
-        // Map the flat index back into (block, offset).
-        let mut rem = idx;
-        for &(base, size) in &self.blocks {
-            if rem < size {
-                return Some((pos, Ipv4(base.0.wrapping_add(rem as u32))));
-            }
-            rem -= size;
-        }
-        unreachable!("index within total")
+        Some((pos, address(&self.blocks, idx)))
     }
 }
 
-/// How many walked addresses a [`SweepCursor`] classifies at once: one
-/// host-table lock and at most one [`crate::HostResolver`] call per
-/// batch, instead of one of each per address.
+/// The address at flat index `idx` of the concatenated `blocks`.
+fn address(blocks: &[(Ipv4, u64)], idx: u64) -> Ipv4 {
+    let mut rem = idx;
+    for &(base, size) in blocks {
+        if rem < size {
+            return Ipv4(base.0.wrapping_add(rem as u32));
+        }
+        rem -= size;
+    }
+    unreachable!("index within total")
+}
+
+/// How many walk steps a [`SweepCursor`] classifies at once: one pass
+/// of the walk kernel, one [`crate::HostResolver::syn_batch`] call and
+/// one host-table lock per batch, instead of one of each per address.
+/// A multiple of the walk's lane count, so every batch starts on its
+/// first lane.
 pub const SWEEP_BATCH: usize = 1024;
 
 /// The sweep's per-address classification over one shard's
@@ -349,11 +408,12 @@ pub const SWEEP_BATCH: usize = 1024;
 /// it has emitted the last one and a `SweepCheckpoint` can record
 /// exactly how far the emitted records got.
 ///
-/// The cursor walks [`SWEEP_BATCH`] addresses at a time, drops the
-/// blocklisted ones, and resolves the rest under one host-table lock
-/// plus at most one [`crate::HostResolver::syn_batch`] call. It
-/// therefore classifies up to one batch ahead of what it has yielded,
-/// and [`SweepCursor::stats`] counts every classified address; once the
+/// The cursor walks [`SWEEP_BATCH`] steps at a time through one
+/// closure that drops the blocklisted addresses and keeps the rest,
+/// then answers the kept ones with one [`Internet`] SYN batch: one
+/// resolver call, then the bound host table's overrides. It therefore
+/// classifies up to one batch ahead of what it has yielded, and
+/// [`SweepCursor::stats`] counts every classified address; once the
 /// cursor is exhausted they equal a sweep's totals.
 pub struct SweepCursor<'a> {
     walk: SweepWalk,
@@ -402,16 +462,14 @@ impl<'a> SweepCursor<'a> {
         self.steps.clear();
         self.addrs.clear();
         self.next = 0;
-        let mut walked = 0;
-        for (step, addr) in self.walk.by_ref().take(SWEEP_BATCH) {
-            walked += 1;
+        let walked = self.walk.take_each(SWEEP_BATCH as u64, |step, addr| {
             if self.blocklist.contains(addr) {
                 self.stats.blocklisted += 1;
-                continue;
+            } else {
+                self.steps.push(step);
+                self.addrs.push(addr);
             }
-            self.steps.push(step);
-            self.addrs.push(addr);
-        }
+        });
         if walked == 0 {
             return false;
         }
@@ -619,7 +677,7 @@ mod tests {
         for p in [11u64, 101, 257, 65537] {
             let mut rng = StdRng::seed_from_u64(p);
             let walk = CycleWalk::new(p, &mut rng);
-            let seen: HashSet<u64> = walk.collect();
+            let seen: HashSet<u64> = walk.stride(0, 1).map(|(_, v)| v).collect();
             assert_eq!(seen.len() as u64, p - 1, "p={p}");
             assert!((1..p).all(|v| seen.contains(&v)), "p={p}");
         }
@@ -628,7 +686,11 @@ mod tests {
     #[test]
     fn cycle_walk_is_not_sequential() {
         let mut rng = StdRng::seed_from_u64(1);
-        let first: Vec<u64> = CycleWalk::new(65537, &mut rng).take(100).collect();
+        let first: Vec<u64> = CycleWalk::new(65537, &mut rng)
+            .stride(0, 1)
+            .map(|(_, v)| v)
+            .take(100)
+            .collect();
         let sorted = {
             let mut v = first.clone();
             v.sort_unstable();
@@ -641,7 +703,10 @@ mod tests {
     fn permuted_range_full_coverage() {
         for size in [1u64, 2, 7, 100, 1000, 4096] {
             let mut rng = StdRng::seed_from_u64(size);
-            let seen: HashSet<u64> = PermutedRange::new(size, &mut rng).collect();
+            let seen: HashSet<u64> = PermutedRange::new(size, &mut rng)
+                .shard(0, 1)
+                .map(|(_, idx)| idx)
+                .collect();
             assert_eq!(seen.len() as u64, size, "size={size}");
             assert!((0..size).all(|v| seen.contains(&v)), "size={size}");
         }
@@ -761,11 +826,7 @@ mod tests {
             for stride in [1u64, 2, 3, 8] {
                 let mut rng = StdRng::seed_from_u64(p ^ stride);
                 let walk = CycleWalk::new(p, &mut rng);
-                let reference: Vec<(u64, u64)> = walk
-                    .clone()
-                    .enumerate()
-                    .map(|(s, v)| (s as u64, v))
-                    .collect();
+                let reference: Vec<(u64, u64)> = walk.stride(0, 1).collect();
                 let mut merged: Vec<(u64, u64)> = (0..stride)
                     .flat_map(|offset| walk.stride(offset, stride))
                     .collect();
@@ -893,32 +954,62 @@ mod tests {
     #[test]
     fn walks_equal_the_u128_reference() {
         // The reference walk: start·g^offset, then ×g^stride per step,
-        // reduced with a full u128 division.
-        fn reference(walk: &CycleWalk, offset: u64, stride: u64) -> impl Iterator<Item = u64> {
+        // reduced with a full u128 division, numbered with the full
+        // walk's step numbers.
+        fn reference(
+            walk: &CycleWalk,
+            offset: u64,
+            stride: u64,
+        ) -> impl Iterator<Item = (u64, u64)> {
             let (p, g) = (walk.p, walk.generator());
             let by = pow_mod(g, stride, p);
             let first = mul_mod(walk.start, pow_mod(g, offset, p), p);
             std::iter::successors(Some(first), move |&x| Some(mul_mod(x, by, p)))
+                .enumerate()
+                .map(move |(k, x)| (offset + k as u64 * stride, x))
+        }
+        // Takes up to `limit` elements through both of the walk's paths:
+        // batches of 1, 3, 5 and 1024 elements in turn, each followed by
+        // one `next`, so the lane state carries across every seam and
+        // batches start on every lane.
+        fn mixed(walk: &mut StridedWalk, limit: usize) -> Vec<(u64, u64)> {
+            let mut out = Vec::new();
+            let mut chunks = [1u64, 3, 5, 1024].into_iter().cycle();
+            while out.len() < limit {
+                let want = chunks.next().unwrap().min((limit - out.len()) as u64);
+                if walk.take_each(want, |step, x| out.push((step, x))) < want {
+                    break;
+                }
+                if out.len() < limit {
+                    match walk.next() {
+                        Some(pair) => out.push(pair),
+                        None => break,
+                    }
+                }
+            }
+            out
         }
         // Full cycles over small primes, up to the smallest one above
-        // 2²⁰ (the modulus of a /12 universe).
+        // 2²⁰ (the modulus of a /12 universe), at every offset of each
+        // stride.
         for p in [3u64, 11, 101, 65537, 1_048_583] {
             let mut rng = StdRng::seed_from_u64(p);
             let walk = CycleWalk::new(p, &mut rng);
             let order = p - 1;
-            assert!(
-                walk.clone().eq(reference(&walk, 0, 1).take(order as usize)),
-                "p={p}"
-            );
-            for stride in [1u64, 3] {
+            for stride in [1u64, 3, 8] {
                 for offset in 0..stride {
-                    let len = (order - offset).div_ceil(stride) as usize;
+                    let len = order.saturating_sub(offset).div_ceil(stride) as usize;
+                    let expected: Vec<(u64, u64)> =
+                        reference(&walk, offset, stride).take(len).collect();
+                    let case = format!("p={p} stride={stride} offset={offset}");
                     assert!(
-                        walk.stride(offset, stride)
-                            .map(|(_, v)| v)
-                            .eq(reference(&walk, offset, stride).take(len)),
-                        "p={p} stride={stride} offset={offset}"
+                        walk.stride(offset, stride).eq(expected.iter().copied()),
+                        "{case}"
                     );
+                    let mut strided = walk.stride(offset, stride);
+                    assert_eq!(mixed(&mut strided, usize::MAX), expected, "{case}");
+                    assert_eq!(strided.take_each(8, |_, _| ()), 0, "{case}");
+                    assert_eq!(strided.next(), None, "{case}");
                 }
             }
         }
@@ -926,18 +1017,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2020);
         let walk = CycleWalk::new(ZMAP_PRIME, &mut rng);
         let steps = 1 << 20;
-        assert!(walk
-            .clone()
-            .take(steps)
-            .eq(reference(&walk, 0, 1).take(steps)));
-        for (offset, stride) in [(0u64, 1u64), (0, 3), (2, 3)] {
-            assert!(
-                walk.stride(offset, stride)
-                    .take(steps)
-                    .map(|(_, v)| v)
-                    .eq(reference(&walk, offset, stride).take(steps)),
-                "offset={offset} stride={stride}"
-            );
+        for stride in [1u64, 3, 8] {
+            for offset in 0..stride {
+                let expected: Vec<(u64, u64)> =
+                    reference(&walk, offset, stride).take(steps).collect();
+                let case = format!("stride={stride} offset={offset}");
+                assert!(
+                    walk.stride(offset, stride)
+                        .take(steps)
+                        .eq(expected.iter().copied()),
+                    "{case}"
+                );
+                let mut strided = walk.stride(offset, stride);
+                assert_eq!(mixed(&mut strided, steps), expected, "{case}");
+            }
         }
     }
 

@@ -20,9 +20,9 @@
 //! [`netsim::SweepCursor`], the one copy of the sweep's per-address
 //! classification (blocklist → probe counted → listener check) that
 //! `netsim::SynScanner` drains too; it classifies
-//! [`netsim::SWEEP_BATCH`] walk steps per host-table lock. The output is
-//! **byte-identical for a fixed seed regardless of worker count**,
-//! because:
+//! [`netsim::SWEEP_BATCH`] walk steps per pass of its walk kernel and
+//! per resolver call. The output is **byte-identical for a fixed seed
+//! regardless of worker count**, because:
 //!
 //! 1. every host is probed on an independent clock *fork* anchored at
 //!    the campaign epoch ([`netsim::VirtualClock::fork`] via
