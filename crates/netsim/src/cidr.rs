@@ -47,9 +47,9 @@ impl FromStr for Ipv4 {
     }
 }
 
-/// The hasher of the maps a sweep probes once per walked address,
-/// keyed by an address's `u32`: netsim's bound host table and a lazy
-/// world's address map. One multiply by a fixed odd constant, then the
+/// The hasher of the maps probed once per SYN and per connect, keyed by
+/// an address's `u32`: netsim's bound host table and a lazy world's
+/// address map. One multiply by a fixed odd constant, then the
 /// 64-bit product's high half folded into its low half by xor. A
 /// `HashMap` picks its bucket from the low bits of a hash, and the low
 /// bits of a plain product depend only on the low bits of the address,
@@ -213,10 +213,8 @@ impl Blocklist {
         {
             return;
         }
-        // Every block based inside the new one nests inside it.
-        let start = self.blocks.partition_point(|b| b.base.0 < block.base.0);
-        let end = self.blocks.partition_point(|b| b.base.0 <= block.last().0);
-        self.blocks.splice(start..end, [block]);
+        let nested = self.nested_in(block);
+        self.blocks.splice(nested, [block]);
     }
 
     /// Parses and adds a block.
@@ -240,6 +238,31 @@ impl Blocklist {
     /// blocks are disjoint).
     pub fn excluded_addresses(&self) -> u64 {
         self.blocks.iter().map(|b| b.size()).sum()
+    }
+
+    /// How many addresses of `block` are blocklisted. The blocks are
+    /// disjoint, and each one contains `block`, lies inside it, or
+    /// misses it: so this is `block`'s size when one contains it, and
+    /// otherwise the sizes of those inside it, summed.
+    pub fn excluded_in(&self, block: Cidr) -> u64 {
+        if self
+            .block_of(block.base)
+            .is_some_and(|b| b.prefix_len <= block.prefix_len)
+        {
+            return block.size();
+        }
+        self.blocks[self.nested_in(block)]
+            .iter()
+            .map(Cidr::size)
+            .sum()
+    }
+
+    /// The index range of the blocks that lie inside `block`: every
+    /// block based inside it nests inside it.
+    fn nested_in(&self, block: Cidr) -> std::ops::Range<usize> {
+        let start = self.blocks.partition_point(|b| b.base.0 < block.base.0);
+        let end = self.blocks.partition_point(|b| b.base.0 <= block.last().0);
+        start..end
     }
 
     /// True if `addr` is blocklisted.
@@ -392,6 +415,46 @@ mod tests {
             .filter(|&a| bl.contains(Ipv4(Ipv4::new(10, 0, 0, 0).0 + a)))
             .count() as u64;
         assert_eq!(bl.excluded_addresses(), covered);
+    }
+
+    #[test]
+    fn excluded_in_counts_the_blocklisted_part_of_a_block() {
+        let mut bl = Blocklist::new();
+        for block in [
+            "10.0.0.0/8",
+            "192.168.1.0/24",
+            "192.168.7.128/25",
+            "192.168.255.255/32",
+            "172.16.0.0/12",
+        ] {
+            bl.add_str(block).unwrap();
+        }
+        let excluded = |s: &str| bl.excluded_in(s.parse().unwrap());
+        // A blocklist block contains the block, or equals it.
+        assert_eq!(excluded("10.1.0.0/16"), 1 << 16);
+        assert_eq!(excluded("10.0.0.0/8"), 1 << 24);
+        assert_eq!(excluded("192.168.1.0/24"), 256);
+        // Blocklist blocks lie inside the block.
+        assert_eq!(excluded("192.168.0.0/16"), 256 + 128 + 1);
+        assert_eq!(excluded("128.0.0.0/1"), (1 << 20) + 256 + 128 + 1);
+        // Blocklist blocks miss the block, on either side.
+        assert_eq!(excluded("11.0.0.0/8"), 0);
+        assert_eq!(excluded("192.168.2.0/24"), 0);
+        assert_eq!(
+            Blocklist::new().excluded_in("0.0.0.0/0".parse().unwrap()),
+            0
+        );
+        // Against membership, address by address.
+        for s in [
+            "192.168.0.0/21",
+            "192.168.7.0/24",
+            "192.168.252.0/22",
+            "9.255.255.0/23",
+        ] {
+            let block: Cidr = s.parse().unwrap();
+            let covered = block.iter().filter(|&a| bl.contains(a)).count() as u64;
+            assert_eq!(bl.excluded_in(block), covered, "{s}");
+        }
     }
 
     #[test]

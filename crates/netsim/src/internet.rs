@@ -95,9 +95,8 @@ struct HostEntry {
     rtt_micros: u32,
 }
 
-/// What a SYN to one `(addr, port)` finds: the answer of the sweep's
-/// batched SYN, and of a [`HostResolver`] and the bound table, one per
-/// address of a batch.
+/// What a SYN to one `(addr, port)` finds: the answer of
+/// [`Internet`]'s SYN and of a [`HostResolver`] alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortState {
     /// No host at the address: the SYN times out.
@@ -111,46 +110,46 @@ pub enum PortState {
 /// Answers for the hosts the bound host table does not hold.
 ///
 /// A resolver is the hook behind lazy worlds: the sweep and the probe
-/// stack keep SYN-probing and calling [`Internet::connect`] as if every
-/// host were bound, and the resolver answers from its own record of the
-/// world (a lazy world probes one address map). It is the only home of
-/// the hosts it builds: it builds a host the first time a connect
-/// reaches it and serves it from then on, and nothing of it enters the
-/// bound table.
+/// stack ask the Internet for listeners, SYN-probe and call
+/// [`Internet::connect`] as if every host were bound, and the resolver
+/// answers from its own record of the world (a lazy world reads its
+/// fates and probes one address map). It is the only home of the hosts
+/// it builds: it builds a host the first time a connect reaches it and
+/// serves it from then on, and nothing of it enters the bound table.
 ///
 /// Contract:
-/// * `syn_batch` must be side-effect free and cheap — the sweep hands
-///   it every probed address, up to [`crate::SWEEP_BATCH`] per call,
-///   bound ones included: a bound host's answer overrides the
-///   resolver's.
-/// * `syn_batch` must write every slot of `states`: the slots arrive
-///   holding whatever the sweep's last batch left there, not
-///   [`PortState::NoHost`].
-/// * `syn_batch` answers [`PortState::NoHost`] exactly when no host sits
-///   at the address, whatever the port: [`Internet::host_exists`] asks
-///   it that way.
+/// * `syn` and `listeners` must be side-effect free: they build
+///   nothing. The bound table's answer for an address it holds
+///   overrides the resolver's.
+/// * `listeners(port)` returns exactly the addresses whose `syn` on
+///   `port` answers [`PortState::Open`], each once, in any order. A
+///   sweep asks it once ([`crate::SweepPlan`]), so its cost should
+///   follow the world's hosts, not the universe's addresses.
+/// * `syn` answers [`PortState::NoHost`] exactly when no host sits at
+///   the address, whatever the port: [`Internet::host_exists`] asks it
+///   that way.
 /// * Answers must be fixed for a scan's duration, and `route` must
-///   agree with `syn_batch`, or probes become non-deterministic. The
-///   sweep classifies up to one batch of addresses ahead of probing
-///   them, so an answer given for an unbuilt host must still hold when
-///   its probe connects and builds it.
+///   agree with `syn`, or probes become non-deterministic. The sweep
+///   plans its targets before its first probe, so an answer given for
+///   an unbuilt host must still hold when its probe connects and
+///   builds it.
 /// * `route` builds the host on first contact and must tolerate races:
 ///   probe workers call it concurrently, so a racing second build of
 ///   the same host is discarded, never served.
 pub trait HostResolver: Send + Sync {
-    /// SYN-probes `port` on every address of `addrs` at once, writing
-    /// what `addrs[i]` answers to `states[i]` (the slices have equal
-    /// length), for every `i`: the slots' contents on entry are
-    /// arbitrary. Must not build anything.
-    fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]);
+    /// What a SYN to `(addr, port)` finds. Must not build anything.
+    fn syn(&self, addr: Ipv4, port: u16) -> PortState;
+    /// Every address where a SYN to `port` finds a listener. Must not
+    /// build anything.
+    fn listeners(&self, port: u16) -> Vec<Ipv4>;
     /// Where a connect to `(addr, port)` goes, building the host at
     /// `addr` on first contact; [`Route::Dead`] when nothing sits there.
     fn route(&self, addr: Ipv4, port: u16) -> Route;
 }
 
-/// The bound hosts by address. [`Internet::syn_batch`] probes it once
-/// per swept address as soon as any host is bound, so it hashes with
-/// [`AddrHash`]'s one multiply instead of std's SipHash.
+/// The bound hosts by address. A SYN and a connect each probe it once,
+/// so it hashes with [`AddrHash`]'s one multiply instead of std's
+/// SipHash.
 type HostTable = HashMap<u32, HostEntry, AddrHash>;
 
 /// The simulated Internet. Cheap to clone (shared interior).
@@ -297,54 +296,47 @@ impl Internet {
         self.syn(addr, port) == PortState::Open
     }
 
-    /// The sweep's batched SYN for a single address: a bound host
-    /// answers from its service table, any other from the resolver, and
-    /// the SYN itself never builds anything.
+    /// What a SYN to `(addr, port)` finds: a bound host answers from
+    /// its service table, any other address from the resolver
+    /// ([`PortState::NoHost`] when none is installed). Middlebox faults
+    /// play no part: they strike a connect attempt, not a SYN. No clock
+    /// cost, and the SYN never builds anything.
     fn syn(&self, addr: Ipv4, port: u16) -> PortState {
-        let mut state = [PortState::NoHost];
-        self.syn_batch(port, &[addr], &mut state);
-        state[0]
+        // The table guard is gone before the resolver is asked.
+        let bound = self.hosts_read().get(&addr.0).map(|host| {
+            if host.services.contains_key(&port) {
+                PortState::Open
+            } else {
+                PortState::Closed
+            }
+        });
+        match bound {
+            Some(state) => state,
+            None => self
+                .resolver()
+                .map_or(PortState::NoHost, |r| r.syn(addr, port)),
+        }
     }
 
-    /// SYN-probes `port` on every address of `addrs` in one pass,
-    /// writing what `addrs[i]` answers to `states[i]` (the slices have
-    /// equal length). Middlebox faults play no part: they strike a
-    /// connect attempt, not the sweep's SYN.
-    ///
-    /// The lazy resolver answers first, for the whole batch in one
-    /// [`HostResolver::syn_batch`] call (every address is
-    /// [`PortState::NoHost`] when none is installed). Then, after that
-    /// call has returned, the bound host table overrides the answer for
-    /// each address it holds, from the host's service table. This is
-    /// the only place that decides between the two, for the sweep's
-    /// [`crate::SweepCursor`] and [`Internet::has_listener`] alike. No
-    /// clock cost, no side effects.
-    ///
-    /// While the table is empty, as it is for a lazy world's whole
-    /// campaign (the world serves its hosts itself), the override pass
-    /// is skipped. Once hosts are bound by hand, every address costs
-    /// one table probe, nearly all misses in a sparse universe, which is
-    /// why the table hashes with [`AddrHash`] (one multiply) and not
-    /// SipHash.
-    pub(crate) fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
-        assert_eq!(addrs.len(), states.len(), "one state slot per address");
-        match self.resolver() {
-            Some(resolver) => resolver.syn_batch(port, addrs, states),
-            None => states.fill(PortState::NoHost),
-        }
+    /// Every address where a SYN to `port` finds a listener, each once,
+    /// in no particular order: the resolver's listeners, then the bound
+    /// table's override, as in [`Internet::syn`]: an address the table
+    /// holds answers from the table alone, so it is dropped from the
+    /// resolver's list and listed again if its host listens on `port`.
+    /// This is the only place the sweep decides between the two
+    /// ([`crate::SweepPlan`] asks once per sweep). No clock cost, no
+    /// side effects.
+    pub(crate) fn listeners(&self, port: u16) -> Vec<Ipv4> {
+        let mut out = self.resolver().map_or_else(Vec::new, |r| r.listeners(port));
         let hosts = self.hosts_read();
-        if hosts.is_empty() {
-            return;
-        }
-        for (&addr, state) in addrs.iter().zip(states) {
-            if let Some(host) = hosts.get(&addr.0) {
-                *state = if host.services.contains_key(&port) {
-                    PortState::Open
-                } else {
-                    PortState::Closed
-                };
-            }
-        }
+        out.retain(|addr| !hosts.contains_key(&addr.0));
+        out.extend(
+            hosts
+                .iter()
+                .filter(|(_, host)| host.services.contains_key(&port))
+                .map(|(&addr, _)| Ipv4(addr)),
+        );
+        out
     }
 
     /// Number of hosts bound by hand ([`Internet::add_host`]). A
@@ -582,13 +574,18 @@ mod tests {
             listener: OnceLock<Arc<dyn Service>>,
         }
         impl HostResolver for LazyEcho {
-            fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
-                for (addr, state) in addrs.iter().zip(states) {
-                    *state = match (*addr == self.target, port == 4840) {
-                        (false, _) => PortState::NoHost,
-                        (true, false) => PortState::Closed,
-                        (true, true) => PortState::Open,
-                    };
+            fn syn(&self, addr: Ipv4, port: u16) -> PortState {
+                match (addr == self.target, port == 4840) {
+                    (false, _) => PortState::NoHost,
+                    (true, false) => PortState::Closed,
+                    (true, true) => PortState::Open,
+                }
+            }
+            fn listeners(&self, port: u16) -> Vec<Ipv4> {
+                if port == 4840 {
+                    vec![self.target]
+                } else {
+                    Vec::new()
                 }
             }
             fn route(&self, addr: Ipv4, port: u16) -> Route {
@@ -620,6 +617,8 @@ mod tests {
         // SYN probes answer from the predicate without building.
         assert!(net.has_listener(target, 4840));
         assert!(!net.has_listener(target, 80));
+        assert_eq!(net.listeners(4840), vec![target]);
+        assert_eq!(net.listeners(80), Vec::new());
         assert!(net.host_exists(target));
         assert!(!net.host_exists(Ipv4::new(10, 9, 9, 8)));
         assert_eq!(resolver.built.load(Ordering::SeqCst), 0);
@@ -654,17 +653,22 @@ mod tests {
     }
 
     #[test]
-    fn syn_batch_asks_the_resolver_then_lets_the_bound_table_override() {
+    fn syn_and_listeners_let_the_bound_table_override_the_resolver() {
         /// A resolver whose hosts all listen on 4840.
         struct Listeners(Vec<Ipv4>);
         impl HostResolver for Listeners {
-            fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
-                for (addr, state) in addrs.iter().zip(states) {
-                    *state = match (self.0.contains(addr), port == 4840) {
-                        (false, _) => PortState::NoHost,
-                        (true, false) => PortState::Closed,
-                        (true, true) => PortState::Open,
-                    };
+            fn syn(&self, addr: Ipv4, port: u16) -> PortState {
+                match (self.0.contains(&addr), port == 4840) {
+                    (false, _) => PortState::NoHost,
+                    (true, false) => PortState::Closed,
+                    (true, true) => PortState::Open,
+                }
+            }
+            fn listeners(&self, port: u16) -> Vec<Ipv4> {
+                if port == 4840 {
+                    self.0.clone()
+                } else {
+                    Vec::new()
                 }
             }
             fn route(&self, _addr: Ipv4, _port: u16) -> Route {
@@ -682,11 +686,16 @@ mod tests {
             net.add_host(bound_open, 1_000);
             net.bind(bound_open, 4840, Arc::new(Echo));
         };
-        // The slots start as garbage: every answer must be written.
-        let syn = |net: &Internet| {
-            let mut states = [PortState::Open; 4];
-            net.syn_batch(4840, &addrs, &mut states);
-            states
+        let syn = |net: &Internet| addrs.map(|addr| net.syn(addr, 4840));
+        // `listeners` names exactly the addresses `syn` finds open.
+        let assert_listeners_agree = |net: &Internet| {
+            let mut listed = net.listeners(4840);
+            listed.sort_unstable();
+            let open: Vec<Ipv4> = addrs
+                .into_iter()
+                .filter(|&addr| net.syn(addr, 4840) == PortState::Open)
+                .collect();
+            assert_eq!(listed, open);
         };
 
         // The resolver calls `bound_closed` open and `bound_open` empty;
@@ -703,6 +712,12 @@ mod tests {
                 PortState::NoHost
             ]
         );
+        assert_listeners_agree(&net);
+        // A resolver that lists a bound listener too: still listed once.
+        let net = Internet::new(VirtualClock::starting_at(0));
+        bind_table(&net);
+        net.set_resolver(Arc::new(Listeners(vec![bound_open, resolver_only])));
+        assert_listeners_agree(&net);
 
         // Without a resolver only the table answers.
         let net = Internet::new(VirtualClock::starting_at(0));
@@ -716,6 +731,7 @@ mod tests {
                 PortState::NoHost
             ]
         );
+        assert_listeners_agree(&net);
     }
 
     #[test]

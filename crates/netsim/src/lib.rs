@@ -15,10 +15,11 @@
 //! * [`stream`] — TCP-like client streams with latency and traffic
 //!   accounting;
 //! * [`sweep`] — zmap's cyclic-group address permutation and a SYN
-//!   scanner with blocklist and probe-rate modeling; [`SweepCursor`] is
-//!   the one per-address sweep classifier every driver consumes.
-//!   It steps a four-lane walk a [`SWEEP_BATCH`] at a time and asks
-//!   the resolver once per batch.
+//!   scanner with blocklist and probe-rate modeling; [`SweepPlan`] is
+//!   the one sweep classifier every driver consumes. It asks the
+//!   Internet once for the port's listeners and finds each one's walk
+//!   step by a discrete logarithm, so a sweep costs its listeners, not
+//!   its addresses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +45,5 @@ pub use internet::{
 };
 pub use stream::{ByteStream, ConnectionStats, StreamError, TcpStreamSim};
 pub use sweep::{
-    CycleWalk, PermutedRange, SweepConfig, SweepCursor, SweepStats, SweepWalk, SynScanner,
-    SWEEP_BATCH,
+    CycleWalk, PermutedRange, SweepConfig, SweepPlan, SweepStats, SweepWalk, SynScanner,
 };

@@ -11,19 +11,19 @@
 //! universes, and the [`SynScanner`] driver with blocklist and
 //! probe-rate accounting.
 //!
-//! The sweep's per-address classification — blocklist, probe counted,
-//! listener check — exists once, in [`SweepCursor`]. [`SynScanner`] and
-//! the scanner crate's shards both consume it, so their
-//! [`SweepStats`] cannot drift apart.
-//!
-//! The per-address path is a batch kernel. A [`StridedWalk`] steps four
-//! interleaved chains of the walk so that their multiplies overlap, and
-//! the cursor takes [`SWEEP_BATCH`] walk steps at a time through one
-//! closure, then asks the lazy world's resolver once about the whole
-//! batch.
+//! A sweep does not walk. Its only observable output is the order in
+//! which the walk reaches the responsive addresses, and the simulated
+//! Internet knows where its listeners are, so a [`SweepPlan`] asks for
+//! them once, finds the step at which the walk emits each one by a
+//! discrete logarithm in the walk's group, and counts the blocklisted
+//! and probed addresses in closed form. A sweep therefore costs its
+//! listeners, not its addresses. The walk stays, as one-chain
+//! iterators ([`CycleWalk::stride`], [`PermutedRange::shard`],
+//! [`SweepWalk`]): it is the order the plan reproduces and what the
+//! tests replay against.
 
 use crate::cidr::{Blocklist, Cidr, Ipv4};
-use crate::internet::{Internet, PortState};
+use crate::internet::Internet;
 use rand::Rng;
 
 /// The zmap prime: smallest prime larger than 2³².
@@ -152,15 +152,9 @@ impl CycleWalk {
         assert!(stride > 0, "stride must be positive");
         assert!(offset < stride, "offset within stride");
         let (p, order) = (self.p, self.p - 1);
-        let by_stride = pow_mod(self.generator, stride, p);
-        let mut lanes = [mul_mod(self.start, pow_mod(self.generator, offset, p), p); LANES];
-        for lane in 1..LANES {
-            lanes[lane] = mul_mod(lanes[lane - 1], by_stride, p);
-        }
         StridedWalk {
-            step_by: MulModFixed::new(pow_mod(by_stride, LANES as u64, p), p),
-            lanes,
-            lane: 0,
+            step_by: MulModFixed::new(pow_mod(self.generator, stride, p), p),
+            current: mul_mod(self.start, pow_mod(self.generator, offset, p), p),
             step: offset,
             stride,
             remaining: if offset < order {
@@ -170,87 +164,153 @@ impl CycleWalk {
             },
         }
     }
+
+    /// The step at which the walk emits each of `elements`, in order:
+    /// the `k` with `element = start·g^k mod p`, by baby-step
+    /// giant-step. One table of baby steps `g^j`, `j < m`, serves every
+    /// element: element `v` starts at `y = v·start⁻¹ = g^k` and takes
+    /// giant steps `y ← y·g^(−m)` until `y = g^j` is in the table, so
+    /// `k = i·m + j` after `i` of them. Every element must lie in the
+    /// group `[1, p−1]`.
+    fn steps_of(&self, elements: &[u64]) -> Vec<u64> {
+        if elements.is_empty() {
+            return Vec::new();
+        }
+        let (p, order) = (self.p, self.p - 1);
+        let m = baby_step_count(elements.len() as u64, order);
+        let table = BabySteps::new(self.generator, m, p);
+        let unstart = MulModFixed::new(pow_mod(self.start, p - 2, p), p);
+        let giant = MulModFixed::new(pow_mod(self.generator, order - m, p), p);
+        elements
+            .iter()
+            .map(|&v| {
+                let mut y = unstart.apply(v);
+                // `v` lies in the group, so `y = g^k` for one `k < p−1`,
+                // and `k = i·m + j` with `j < m` is found at giant step
+                // `i < ⌈(p−1)/m⌉`.
+                for i in 0..order.div_ceil(m) {
+                    if let Some(j) = table.get(y) {
+                        return i * m + j;
+                    }
+                    y = giant.apply(y);
+                }
+                unreachable!("{v} is not in the group mod {p}")
+            })
+            .collect()
+    }
 }
 
-/// How many chains of the walk a [`StridedWalk`] steps side by side.
-/// Each chain's next element waits on its own multiply, so one chain
-/// pays the multiply's full latency per element; independent lanes let
-/// the CPU overlap them. Eight lanes measured no better than four.
-const LANES: usize = 4;
+/// How many baby steps [`CycleWalk::steps_of`] stores per element it is
+/// asked about, at most. `n` elements take about `n·(p−1)/m` giant
+/// steps, so a larger table is faster, but it is the one part of a
+/// sweep plan that could grow with the universe: capped at a multiple
+/// of the element count, a plan's memory follows the world's listeners.
+/// At 16, the 276 listeners of a /8 take a 128 KiB table and about
+/// 525 000 giant steps, against a sweep process that peaks near 7 MiB.
+const BABY_STEPS_PER_ELEMENT: u64 = 16;
+
+/// The baby-step count `m` for `n ≥ 1` elements in a group of order
+/// `order`: `⌈√(n·order)⌉`, which balances the table against the giant
+/// steps, but no more than [`BABY_STEPS_PER_ELEMENT`] per element, than
+/// the group holds, or than a [`BabySteps`] slot can number.
+fn baby_step_count(n: u64, order: u64) -> u64 {
+    let product = u128::from(n) * u128::from(order);
+    let root = product.isqrt();
+    let balanced = root + u128::from(root * root < product);
+    let cap = BABY_STEPS_PER_ELEMENT
+        .saturating_mul(n)
+        .min(order)
+        .min(BabySteps::MAX_LEN);
+    balanced.min(u128::from(cap)) as u64
+}
+
+/// The baby steps `g^j → j`, `j < m`, of a discrete logarithm: an
+/// open-addressed table of at least `2m` slots, a power of two, each
+/// packing `g^j << 24 | (j + 1)` into one `u64` (0 is empty), probed
+/// linearly from a multiplicative hash.
+struct BabySteps {
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: the hash is the product's top bits.
+    shift: u32,
+}
+
+impl BabySteps {
+    /// Bits of a slot that hold `j + 1`.
+    const INDEX_BITS: u32 = 24;
+    /// Most baby steps a table numbers.
+    const MAX_LEN: u64 = (1 << Self::INDEX_BITS) - 1;
+
+    fn new(generator: u64, m: u64, p: u64) -> Self {
+        assert!(
+            p >> (64 - Self::INDEX_BITS) == 0,
+            "elements must fit a slot"
+        );
+        assert!(m <= Self::MAX_LEN, "baby steps must fit a slot");
+        let len = (2 * m as usize).next_power_of_two();
+        let mut table = BabySteps {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        };
+        let by_g = MulModFixed::new(generator, p);
+        let mut x = 1;
+        for j in 0..m {
+            // The powers g^j, j < m ≤ p−1, are distinct: no key repeats.
+            let mut slot = table.home(x);
+            while table.slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            table.slots[slot] = x << Self::INDEX_BITS | (j + 1);
+            x = by_g.apply(x);
+        }
+        table
+    }
+
+    fn home(&self, x: u64) -> usize {
+        (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The `j` with `g^j = x`, if `j < m`.
+    fn get(&self, x: u64) -> Option<u64> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(x);
+        loop {
+            match self.slots[slot] {
+                0 => return None,
+                packed if packed >> Self::INDEX_BITS == x => {
+                    return Some((packed & Self::MAX_LEN) - 1)
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+}
 
 /// Every `stride`-th element of a [`CycleWalk`], starting at step
 /// `offset` (see [`CycleWalk::stride`]). Yields `(step, element)` pairs;
 /// the step numbers of the underlying full walk are globally unique
 /// across disjoint strides, which is what lets sharded sweeps merge
 /// deterministically.
-///
-/// The walk runs as four interleaved chains, its lanes: at round `k`,
-/// lane `i` holds the element of step `offset + (4k + i)·stride`, and
-/// each lane advances by `g^(4·stride)`. The elements come out in the
-/// single chain's order.
 #[derive(Debug, Clone)]
 pub struct StridedWalk {
     step_by: MulModFixed,
-    lanes: [u64; LANES],
-    /// The lane holding the next element; the lanes before it are one
-    /// round ahead.
-    lane: usize,
+    current: u64,
     step: u64,
     stride: u64,
     remaining: u64,
-}
-
-impl StridedWalk {
-    /// Walks up to `n` more elements, calling `f(step, element)` for
-    /// each in walk order. Returns how many it walked: 0 once the walk
-    /// is exhausted. Whole rounds step the lanes in registers, so a
-    /// batch that starts on lane 0 with `n` a multiple of [`LANES`]
-    /// never takes the one-at-a-time path.
-    fn take_each(&mut self, n: u64, mut f: impl FnMut(u64, u64)) -> u64 {
-        let n = n.min(self.remaining);
-        let mut left = n;
-        while left > 0 && self.lane != 0 {
-            let (step, x) = self.emit();
-            f(step, x);
-            left -= 1;
-        }
-        let rounds = left / LANES as u64;
-        let (step_by, stride) = (self.step_by, self.stride);
-        let (mut lanes, mut step) = (self.lanes, self.step);
-        for _ in 0..rounds {
-            for lane in &mut lanes {
-                f(step, *lane);
-                *lane = step_by.apply(*lane);
-                step += stride;
-            }
-        }
-        self.lanes = lanes;
-        self.step = step;
-        self.remaining -= rounds * LANES as u64;
-        for _ in 0..left % LANES as u64 {
-            let (step, x) = self.emit();
-            f(step, x);
-        }
-        n
-    }
-
-    /// Emits the current lane's element and advances that lane by one
-    /// round. The caller checks `remaining`.
-    fn emit(&mut self) -> (u64, u64) {
-        let out = (self.step, self.lanes[self.lane]);
-        self.lanes[self.lane] = self.step_by.apply(self.lanes[self.lane]);
-        self.lane = (self.lane + 1) % LANES;
-        self.step += self.stride;
-        self.remaining -= 1;
-        out
-    }
 }
 
 impl Iterator for StridedWalk {
     type Item = (u64, u64);
 
     fn next(&mut self) -> Option<(u64, u64)> {
-        (self.remaining > 0).then(|| self.emit())
+        if self.remaining == 0 {
+            return None;
+        }
+        let out = (self.step, self.current);
+        self.current = self.step_by.apply(self.current);
+        self.step += self.stride;
+        self.remaining -= 1;
+        Some(out)
     }
 }
 
@@ -303,21 +363,6 @@ pub struct PermutedShard {
     size: u64,
 }
 
-impl PermutedShard {
-    /// Walks up to `n` more walk steps, calling `f(walk_step, index)`
-    /// for each in-range one. Returns how many steps it walked: 0 once
-    /// the shard is exhausted.
-    fn take_each(&mut self, n: u64, mut f: impl FnMut(u64, u64)) -> u64 {
-        let size = self.size;
-        self.walk.take_each(n, |step, v| {
-            let idx = v - 1;
-            if idx < size {
-                f(step, idx);
-            }
-        })
-    }
-}
-
 impl Iterator for PermutedShard {
     type Item = (u64, u64);
 
@@ -334,9 +379,9 @@ impl Iterator for PermutedShard {
 
 /// The permuted address walk of one sweep shard, with the flat-index →
 /// address mapping applied but *no* blocklist filtering, listener
-/// probing, or stats: the raw `(walk_step, addr)` sequence a
-/// [`SweepCursor`] classifies. Walk steps are globally unique and
-/// increasing per shard — the merge key for sharded scans.
+/// probing, or stats: the reference order of a sweep, which a
+/// [`SweepPlan`] reproduces without walking. Walk steps are globally
+/// unique and increasing per shard.
 #[derive(Debug, Clone)]
 pub struct SweepWalk {
     shard: Option<PermutedShard>,
@@ -345,8 +390,8 @@ pub struct SweepWalk {
 
 impl SweepWalk {
     /// Builds the walk for `shard` of `shards` over `universe`, deriving
-    /// the permutation from `rng` exactly as [`SynScanner::sweep_shard`]
-    /// does (the walk is a function of the RNG state alone).
+    /// the permutation from `rng` exactly as [`SweepPlan::new`] does
+    /// (the walk is a function of the RNG state alone).
     pub fn new<R: Rng + ?Sized>(universe: &[Cidr], rng: &mut R, shard: u64, shards: u64) -> Self {
         assert!(shards > 0, "at least one shard");
         assert!(shard < shards, "shard index within shard count");
@@ -356,17 +401,6 @@ impl SweepWalk {
             shard: (total > 0).then(|| PermutedRange::new(total, rng).shard(shard, shards)),
             blocks,
         }
-    }
-
-    /// Walks up to `n` more walk steps, calling `f(walk_step, addr)`
-    /// for each that lands in the universe. Returns how many steps it
-    /// walked: 0 once the walk is exhausted.
-    fn take_each(&mut self, n: u64, mut f: impl FnMut(u64, Ipv4)) -> u64 {
-        let Some(shard) = self.shard.as_mut() else {
-            return 0;
-        };
-        let blocks = &self.blocks;
-        shard.take_each(n, |pos, idx| f(pos, address(blocks, idx)))
     }
 }
 
@@ -391,119 +425,98 @@ fn address(blocks: &[(Ipv4, u64)], idx: u64) -> Ipv4 {
     unreachable!("index within total")
 }
 
-/// How many walk steps a [`SweepCursor`] classifies at once: one pass
-/// of the walk kernel, one [`crate::HostResolver::syn_batch`] call and
-/// one host-table lock per batch, instead of one of each per address.
-/// A multiple of the walk's lane count, so every batch starts on its
-/// first lane.
-pub const SWEEP_BATCH: usize = 1024;
-
-/// The sweep's per-address classification over one shard's
-/// [`SweepWalk`] — blocklist → probe counted → listener check — yielding
-/// the responsive `(walk_step, addr)` pairs in walk order.
+/// One sweep of `port` over a universe, planned instead of walked: the
+/// responsive `(walk_step, addr)` targets in walk order, and the
+/// sweep's [`SweepStats`].
 ///
-/// This is the only copy of that classification: [`SynScanner::sweep_shard`]
-/// drains a cursor, and the scanner's shards each hold one as a
-/// *pausable* source of jobs, so a shard draws the next job only once
-/// it has emitted the last one and a `SweepCheckpoint` can record
-/// exactly how far the emitted records got.
+/// This is the only copy of the sweep's classification (blocklist →
+/// probe counted → listener check): [`SynScanner::sweep_each`] drains a
+/// plan, and the scanner crate builds one per sweep phase and hands
+/// each of its shards [`SweepPlan::shard`].
 ///
-/// The cursor walks [`SWEEP_BATCH`] steps at a time through one
-/// closure that drops the blocklisted addresses and keeps the rest,
-/// then answers the kept ones with one [`Internet`] SYN batch: one
-/// resolver call, then the bound host table's overrides. It therefore
-/// classifies up to one batch ahead of what it has yielded, and
-/// [`SweepCursor::stats`] counts every classified address; once the
-/// cursor is exhausted they equal a sweep's totals.
-pub struct SweepCursor<'a> {
-    walk: SweepWalk,
-    internet: &'a Internet,
-    blocklist: &'a Blocklist,
-    port: u16,
+/// The plan reads the Internet once, when it is built, through
+/// `Internet::listeners`; a universe block that holds a listener
+/// gives it its flat index there (a listener in two listed blocks is
+/// swept twice, as the walk sweeps it), blocklisted listeners drop
+/// out, and one discrete logarithm per listener finds the walk step
+/// that emits it. The counts need no walk either: the blocklisted
+/// addresses are those of the universe blocks the [`Blocklist`] covers
+/// ([`Blocklist::excluded_in`]), and every other address is probed. So
+/// a plan costs the world's listeners, not the universe's addresses,
+/// and it matches a replay of [`SweepWalk`] that asks
+/// [`Internet::has_listener`] one address at a time.
+#[derive(Debug, Clone)]
+pub struct SweepPlan {
+    /// Sorted by walk step.
+    targets: Vec<(u64, Ipv4)>,
     stats: SweepStats,
-    /// The current batch's probed addresses and their walk steps; after
-    /// classification, only the responsive ones, `next` onwards not yet
-    /// yielded.
-    steps: Vec<u64>,
-    addrs: Vec<Ipv4>,
-    states: Vec<PortState>,
-    next: usize,
 }
 
-impl<'a> SweepCursor<'a> {
-    /// A cursor SYN-probing `port` along `walk`, skipping `blocklist`.
-    pub fn new(
-        internet: &'a Internet,
-        blocklist: &'a Blocklist,
+impl SweepPlan {
+    /// Plans a SYN sweep of `port` over `universe`, skipping
+    /// `blocklist`, on the permutation `rng` derives, exactly as
+    /// [`SweepWalk::new`] derives it.
+    pub fn new<R: Rng + ?Sized>(
+        internet: &Internet,
+        blocklist: &Blocklist,
         port: u16,
-        walk: SweepWalk,
+        universe: &[Cidr],
+        rng: &mut R,
     ) -> Self {
-        SweepCursor {
-            walk,
-            internet,
-            blocklist,
-            port,
-            stats: SweepStats::default(),
-            steps: Vec::with_capacity(SWEEP_BATCH),
-            addrs: Vec::with_capacity(SWEEP_BATCH),
-            states: Vec::with_capacity(SWEEP_BATCH),
-            next: 0,
+        let total: u64 = universe.iter().map(Cidr::size).sum();
+        let blocklisted: u64 = universe.iter().map(|&c| blocklist.excluded_in(c)).sum();
+        let mut targets = Vec::new();
+        if total > 0 {
+            let walk = PermutedRange::new(total, rng).walk;
+            let offsets: Vec<u64> = universe
+                .iter()
+                .scan(0, |offset, block| {
+                    *offset += block.size();
+                    Some(*offset - block.size())
+                })
+                .collect();
+            let (mut elements, mut addrs) = (Vec::new(), Vec::new());
+            for addr in internet.listeners(port) {
+                if blocklist.contains(addr) {
+                    continue;
+                }
+                for (block, offset) in universe.iter().zip(&offsets) {
+                    if block.contains(addr) {
+                        // Flat index `offset + (addr − base)` is the walk
+                        // element one above it.
+                        elements.push(offset + u64::from(addr.0 - block.base.0) + 1);
+                        addrs.push(addr);
+                    }
+                }
+            }
+            targets = walk.steps_of(&elements).into_iter().zip(addrs).collect();
+            // Steps are unique: distinct flat indices are distinct elements.
+            targets.sort_unstable_by_key(|&(step, _)| step);
+        }
+        SweepPlan {
+            stats: SweepStats {
+                probes_sent: total - blocklisted,
+                blocklisted,
+                responsive: targets.len() as u64,
+            },
+            targets,
         }
     }
 
-    /// Counters over every address classified so far.
+    /// The targets of `shard` of `shards`: those at walk steps
+    /// `shard, shard + shards, …`, in walk order. The shards partition
+    /// the plan, and N of them merge back into its order.
+    pub fn shard(&self, shard: u64, shards: u64) -> impl Iterator<Item = (u64, Ipv4)> + '_ {
+        assert!(shard < shards, "shard index within shard count");
+        self.targets
+            .iter()
+            .copied()
+            .filter(move |&(step, _)| step % shards == shard)
+    }
+
+    /// The whole sweep's counters.
     pub fn stats(&self) -> SweepStats {
         self.stats
-    }
-
-    /// Classifies the next batch of the walk, keeping its responsive
-    /// addresses. False once the walk is exhausted.
-    fn refill(&mut self) -> bool {
-        self.steps.clear();
-        self.addrs.clear();
-        self.next = 0;
-        let walked = self.walk.take_each(SWEEP_BATCH as u64, |step, addr| {
-            if self.blocklist.contains(addr) {
-                self.stats.blocklisted += 1;
-            } else {
-                self.steps.push(step);
-                self.addrs.push(addr);
-            }
-        });
-        if walked == 0 {
-            return false;
-        }
-        self.stats.probes_sent += self.addrs.len() as u64;
-        self.states.resize(self.addrs.len(), PortState::NoHost);
-        self.internet
-            .syn_batch(self.port, &self.addrs, &mut self.states);
-        let mut kept = 0;
-        for i in 0..self.addrs.len() {
-            if self.states[i] == PortState::Open {
-                self.steps[kept] = self.steps[i];
-                self.addrs[kept] = self.addrs[i];
-                kept += 1;
-            }
-        }
-        self.steps.truncate(kept);
-        self.addrs.truncate(kept);
-        self.stats.responsive += kept as u64;
-        true
-    }
-}
-
-impl Iterator for SweepCursor<'_> {
-    type Item = (u64, Ipv4);
-
-    fn next(&mut self) -> Option<(u64, Ipv4)> {
-        while self.next == self.addrs.len() {
-            if !self.refill() {
-                return None;
-            }
-        }
-        let out = (self.steps[self.next], self.addrs[self.next]);
-        self.next += 1;
-        Some(out)
     }
 }
 
@@ -526,11 +539,9 @@ impl Default for SweepConfig {
     }
 }
 
-/// Aggregate accounting of a streamed sweep ([`SynScanner::sweep_each`]).
-/// The responsive addresses themselves are handed to the caller one by
-/// one instead of being collected: a full-IPv4 sweep finds tens of
-/// thousands of hosts, and keeping them out of a `Vec` lets downstream
-/// stages start probing while the sweep is still walking the permutation.
+/// Aggregate accounting of one sweep, as a [`SweepPlan`] counts it.
+/// The responsive addresses themselves are the plan's targets; these
+/// are the counts that pace the campaign clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Probes sent (excluded addresses are not probed).
@@ -576,7 +587,17 @@ impl<'a> SynScanner<'a> {
         R: Rng + ?Sized,
         F: FnMut(Ipv4),
     {
-        let stats = self.sweep_shard(universe, rng, 0, 1, |_pos, addr| on_responsive(addr));
+        let plan = SweepPlan::new(
+            self.internet,
+            self.blocklist,
+            self.config.port,
+            universe,
+            rng,
+        );
+        for (_, addr) in plan.shard(0, 1) {
+            on_responsive(addr);
+        }
+        let stats = plan.stats();
         // Account the sweep duration once: probes are asynchronous.
         // Pacing is tracked in microseconds — integer-second division
         // would advance the clock by 0 for any sweep shorter than one
@@ -587,49 +608,9 @@ impl<'a> SynScanner<'a> {
         self.internet.clock().advance_micros(micros);
         stats
     }
-
-    /// One shard of a sweep: every shard derives the *same* permutation
-    /// (the walk is a function of `rng`'s state alone) but generates
-    /// only its own steps `shard, shard + shards, …` via cycle striding
-    /// — O(universe / shards) work per shard, no skipped iterations.
-    /// `on_responsive` receives the global walk step alongside the
-    /// address, so a coordinator can merge records from N shards back
-    /// into the exact discovery order a single-shard sweep produces.
-    ///
-    /// Clock-neutral: the caller accounts the sweep duration once from
-    /// the summed stats (see [`Self::sweep_each`]); shard stats are
-    /// disjoint and sum to the single-shard totals. That split is what
-    /// makes cancellation safe for the scanner crate's engine: an aborted
-    /// sweep simply never reaches the accounting step, so no pacing (and
-    /// no discarded probe's fork time) ever leaks onto the campaign
-    /// clock.
-    pub fn sweep_shard<R, F>(
-        &self,
-        universe: &[Cidr],
-        rng: &mut R,
-        shard: u64,
-        shards: u64,
-        mut on_responsive: F,
-    ) -> SweepStats
-    where
-        R: Rng + ?Sized,
-        F: FnMut(u64, Ipv4),
-    {
-        // Concatenate blocks into one index space, then walk a
-        // permutation of it (zmap's randomization property: no subnet is
-        // hammered in a burst), classifying it through the cursor every
-        // sweep driver shares.
-        let walk = SweepWalk::new(universe, rng, shard, shards);
-        let mut cursor = SweepCursor::new(self.internet, self.blocklist, self.config.port, walk);
-        for (pos, addr) in cursor.by_ref() {
-            on_responsive(pos, addr);
-        }
-        cursor.stats()
-    }
 }
 
-/// Element-wise sum of shard stats (used by sharded sweeps to recover
-/// the single-shard totals).
+/// Element-wise sum (a campaign sums the sweeps of its phases).
 impl std::ops::Add for SweepStats {
     type Output = SweepStats;
 
@@ -650,6 +631,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -865,30 +847,69 @@ mod tests {
         }
         let mut blocklist = Blocklist::new();
         blocklist.add_str("10.8.0.128/26").unwrap(); // covers .128-.191 (129)
-        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
+        let plan = |seed| {
+            SweepPlan::new(
+                &net,
+                &blocklist,
+                4840,
+                &[universe],
+                &mut StdRng::seed_from_u64(seed),
+            )
+        };
 
-        let mut rng = StdRng::seed_from_u64(33);
-        let mut reference = Vec::new();
-        let full = scanner.sweep_shard(&[universe], &mut rng, 0, 1, |pos, addr| {
-            reference.push((pos, addr));
-        });
+        let full = plan(33);
+        let reference: Vec<(u64, Ipv4)> = full.shard(0, 1).collect();
+        assert_eq!(
+            full.stats(),
+            SweepStats {
+                probes_sent: 256 - 64,
+                blocklisted: 64,
+                responsive: 5,
+            }
+        );
+        assert_eq!(reference.len(), 5);
 
         for shards in [2u64, 3, 8] {
+            let plan = plan(33);
             let mut merged = Vec::new();
-            let mut stats = SweepStats::default();
             for shard in 0..shards {
-                let mut rng = StdRng::seed_from_u64(33);
-                stats = stats
-                    + scanner.sweep_shard(&[universe], &mut rng, shard, shards, |pos, addr| {
-                        merged.push((pos, addr));
-                    });
+                for (pos, addr) in plan.shard(shard, shards) {
+                    assert_eq!(pos % shards, shard, "shards={shards}");
+                    merged.push((pos, addr));
+                }
             }
             merged.sort_by_key(|&(pos, _)| pos);
             assert_eq!(merged, reference, "shards={shards}");
-            assert_eq!(stats.probes_sent, full.probes_sent, "shards={shards}");
-            assert_eq!(stats.blocklisted, full.blocklisted, "shards={shards}");
-            assert_eq!(stats.responsive, full.responsive, "shards={shards}");
+            assert_eq!(plan.stats(), full.stats(), "shards={shards}");
         }
+    }
+
+    /// Replays `shard` of `shards` of the walk over `universe` one
+    /// address at a time (blocklist, then [`Internet::has_listener`]),
+    /// returning the responsive `(step, addr)` pairs and the counts.
+    fn replay(
+        net: &Internet,
+        blocklist: &Blocklist,
+        universe: &[Cidr],
+        seed: u64,
+        shard: u64,
+        shards: u64,
+    ) -> (Vec<(u64, Ipv4)>, SweepStats) {
+        let mut responsive = Vec::new();
+        let mut stats = SweepStats::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (pos, addr) in SweepWalk::new(universe, &mut rng, shard, shards) {
+            if blocklist.contains(addr) {
+                stats.blocklisted += 1;
+                continue;
+            }
+            stats.probes_sent += 1;
+            if net.has_listener(addr, 4840) {
+                stats.responsive += 1;
+                responsive.push((pos, addr));
+            }
+        }
+        (responsive, stats)
     }
 
     #[test]
@@ -903,7 +924,6 @@ mod tests {
         }
         let mut blocklist = Blocklist::new();
         blocklist.add_str("10.8.0.64/27").unwrap();
-        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
 
         // The walk covers every address of every block exactly once, in
         // a stable order per seed, with no filtering at all.
@@ -913,28 +933,14 @@ mod tests {
         let unique: HashSet<Ipv4> = walked.iter().map(|&(_, addr)| addr).collect();
         assert_eq!(unique.len(), walked.len());
 
-        // Replaying the sweep_shard classification over the walk yields
-        // the exact responsive sequence and stats sweep_shard produces.
+        // Replaying the classification over the walk yields the exact
+        // responsive sequence and stats the plan finds without walking.
         let mut rng = StdRng::seed_from_u64(9);
-        let mut reference = Vec::new();
-        let ref_stats = scanner.sweep_shard(&[a, b], &mut rng, 0, 1, |pos, addr| {
-            reference.push((pos, addr));
-        });
-        let mut replayed = Vec::new();
-        let mut stats = SweepStats::default();
-        for &(pos, addr) in &walked {
-            if blocklist.contains(addr) {
-                stats.blocklisted += 1;
-                continue;
-            }
-            stats.probes_sent += 1;
-            if net.has_listener(addr, 4840) {
-                stats.responsive += 1;
-                replayed.push((pos, addr));
-            }
-        }
-        assert_eq!(replayed, reference);
-        assert_eq!(stats, ref_stats);
+        let plan = SweepPlan::new(&net, &blocklist, 4840, &[a, b], &mut rng);
+        let (replayed, stats) = replay(&net, &blocklist, &[a, b], 9, 0, 1);
+        assert_eq!(plan.shard(0, 1).collect::<Vec<_>>(), replayed);
+        assert_eq!(plan.stats(), stats);
+        assert_eq!(replayed.len(), 3);
 
         // Shards of the walk partition it.
         let mut merged: Vec<(u64, Ipv4)> = (0..4)
@@ -946,9 +952,98 @@ mod tests {
         merged.sort_by_key(|&(pos, _)| pos);
         assert_eq!(merged, walked);
 
-        // An empty universe walks nowhere.
+        // An empty universe walks nowhere and plans nothing.
         let mut rng = StdRng::seed_from_u64(9);
         assert_eq!(SweepWalk::new(&[], &mut rng, 0, 1).count(), 0);
+        let plan = SweepPlan::new(&net, &blocklist, 4840, &[], &mut rng);
+        assert_eq!(plan.shard(0, 1).count(), 0);
+        assert_eq!(plan.stats(), SweepStats::default());
+    }
+
+    #[test]
+    fn plan_sweeps_a_listener_in_two_blocks_twice() {
+        // A /25 nested in a /24: the walk concatenates the blocks as
+        // listed, so every address of the /25 is swept twice.
+        let outer: Cidr = "10.8.0.0/24".parse().unwrap();
+        let inner: Cidr = "10.8.0.0/25".parse().unwrap();
+        let universe = [outer, inner];
+        let in_both = Ipv4::new(10, 8, 0, 5);
+        let blocked_in_both = Ipv4::new(10, 8, 0, 70);
+        let outer_only = Ipv4::new(10, 8, 0, 200);
+        let net = Internet::new(VirtualClock::starting_at(0));
+        for addr in [in_both, blocked_in_both, outer_only] {
+            net.add_host(addr, 1000);
+            net.bind(addr, 4840, Arc::new(NopService));
+        }
+        let mut blocklist = Blocklist::new();
+        blocklist.add_str("10.8.0.64/26").unwrap(); // in both blocks
+        for seed in [1u64, 2, 3] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plan = SweepPlan::new(&net, &blocklist, 4840, &universe, &mut rng);
+            let (whole, stats) = replay(&net, &blocklist, &universe, seed, 0, 1);
+            assert_eq!(plan.shard(0, 1).collect::<Vec<_>>(), whole, "seed {seed}");
+            assert_eq!(plan.stats(), stats, "seed {seed}");
+            let count = |addr| whole.iter().filter(|&&(_, a)| a == addr).count();
+            assert_eq!(
+                [in_both, blocked_in_both, outer_only].map(count),
+                [2, 0, 1],
+                "seed {seed}"
+            );
+            assert_eq!(stats.blocklisted, 2 * 64);
+            assert_eq!(stats.probes_sent, 256 + 128 - 2 * 64);
+            for shard in 0..3 {
+                let (part, _) = replay(&net, &blocklist, &universe, seed, shard, 3);
+                assert_eq!(plan.shard(shard, 3).collect::<Vec<_>>(), part);
+            }
+        }
+    }
+
+    /// The step each element of `walk` is emitted at, from the u128
+    /// reference: `start·g^k` with a full division per multiply.
+    fn element_at(walk: &CycleWalk, k: u64) -> u64 {
+        mul_mod(walk.start, pow_mod(walk.generator(), k, walk.p), walk.p)
+    }
+
+    #[test]
+    fn steps_of_inverts_the_walk() {
+        // Each bound on the baby-step count: ⌈√(n·order)⌉ (and the
+        // group's order with it, for the whole group), the cap per
+        // element, and the largest count a table slot numbers.
+        assert_eq!(baby_step_count(1, 2), 2);
+        assert_eq!(baby_step_count(5, 100), 23);
+        assert_eq!(baby_step_count(1, 65_536), BABY_STEPS_PER_ELEMENT);
+        assert_eq!(baby_step_count(1_048_582, 1_048_582), 1_048_582);
+        assert_eq!(
+            baby_step_count(276, 16_777_258),
+            276 * BABY_STEPS_PER_ELEMENT
+        );
+        assert_eq!(baby_step_count(1 << 21, ZMAP_PRIME - 1), BabySteps::MAX_LEN);
+
+        // Full cycles: every element's step is its position in the
+        // walk, asked about one at a time, a few at a time, and all at
+        // once.
+        for p in [3u64, 11, 101, 65537, 1_048_583] {
+            let mut rng = StdRng::seed_from_u64(p);
+            let walk = CycleWalk::new(p, &mut rng);
+            let (steps, elements): (Vec<u64>, Vec<u64>) = walk.stride(0, 1).unzip();
+            assert_eq!(walk.steps_of(&elements), steps, "p={p}, the whole group");
+            let spread = (elements.len() / 64).max(1);
+            for few in [1, 5] {
+                for (els, want) in elements.chunks(few).zip(steps.chunks(few)).step_by(spread) {
+                    assert_eq!(walk.steps_of(els), want, "p={p}, {few} at a time");
+                }
+            }
+            assert_eq!(walk.steps_of(&[]), Vec::<u64>::new());
+        }
+
+        // The zmap prime, where the walk's products need 128 bits.
+        let mut rng = StdRng::seed_from_u64(2020);
+        let walk = CycleWalk::new(ZMAP_PRIME, &mut rng);
+        let steps: Vec<u64> = (0..4096)
+            .map(|_| rng.gen_range(0..ZMAP_PRIME - 1))
+            .collect();
+        let elements: Vec<u64> = steps.iter().map(|&k| element_at(&walk, k)).collect();
+        assert_eq!(walk.steps_of(&elements), steps);
     }
 
     #[test]
@@ -963,31 +1058,10 @@ mod tests {
         ) -> impl Iterator<Item = (u64, u64)> {
             let (p, g) = (walk.p, walk.generator());
             let by = pow_mod(g, stride, p);
-            let first = mul_mod(walk.start, pow_mod(g, offset, p), p);
+            let first = element_at(walk, offset);
             std::iter::successors(Some(first), move |&x| Some(mul_mod(x, by, p)))
                 .enumerate()
                 .map(move |(k, x)| (offset + k as u64 * stride, x))
-        }
-        // Takes up to `limit` elements through both of the walk's paths:
-        // batches of 1, 3, 5 and 1024 elements in turn, each followed by
-        // one `next`, so the lane state carries across every seam and
-        // batches start on every lane.
-        fn mixed(walk: &mut StridedWalk, limit: usize) -> Vec<(u64, u64)> {
-            let mut out = Vec::new();
-            let mut chunks = [1u64, 3, 5, 1024].into_iter().cycle();
-            while out.len() < limit {
-                let want = chunks.next().unwrap().min((limit - out.len()) as u64);
-                if walk.take_each(want, |step, x| out.push((step, x))) < want {
-                    break;
-                }
-                if out.len() < limit {
-                    match walk.next() {
-                        Some(pair) => out.push(pair),
-                        None => break,
-                    }
-                }
-            }
-            out
         }
         // Full cycles over small primes, up to the smallest one above
         // 2²⁰ (the modulus of a /12 universe), at every offset of each
@@ -999,17 +1073,11 @@ mod tests {
             for stride in [1u64, 3, 8] {
                 for offset in 0..stride {
                     let len = order.saturating_sub(offset).div_ceil(stride) as usize;
-                    let expected: Vec<(u64, u64)> =
-                        reference(&walk, offset, stride).take(len).collect();
-                    let case = format!("p={p} stride={stride} offset={offset}");
+                    let expected = reference(&walk, offset, stride).take(len);
                     assert!(
-                        walk.stride(offset, stride).eq(expected.iter().copied()),
-                        "{case}"
+                        walk.stride(offset, stride).eq(expected),
+                        "p={p} stride={stride} offset={offset}"
                     );
-                    let mut strided = walk.stride(offset, stride);
-                    assert_eq!(mixed(&mut strided, usize::MAX), expected, "{case}");
-                    assert_eq!(strided.take_each(8, |_, _| ()), 0, "{case}");
-                    assert_eq!(strided.next(), None, "{case}");
                 }
             }
         }
@@ -1019,36 +1087,37 @@ mod tests {
         let steps = 1 << 20;
         for stride in [1u64, 3, 8] {
             for offset in 0..stride {
-                let expected: Vec<(u64, u64)> =
-                    reference(&walk, offset, stride).take(steps).collect();
-                let case = format!("stride={stride} offset={offset}");
+                let expected = reference(&walk, offset, stride).take(steps);
                 assert!(
-                    walk.stride(offset, stride)
-                        .take(steps)
-                        .eq(expected.iter().copied()),
-                    "{case}"
+                    walk.stride(offset, stride).take(steps).eq(expected),
+                    "stride={stride} offset={offset}"
                 );
-                let mut strided = walk.stride(offset, stride);
-                assert_eq!(mixed(&mut strided, steps), expected, "{case}");
             }
         }
     }
 
     /// Answers from a fixed listener set, counting its calls.
     struct CountingResolver {
-        listeners: HashSet<Ipv4>,
-        calls: std::sync::atomic::AtomicUsize,
+        listeners: Vec<Ipv4>,
+        syns: AtomicUsize,
+        listener_lists: AtomicUsize,
     }
 
     impl crate::internet::HostResolver for CountingResolver {
-        fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [crate::PortState]) {
-            self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            for (addr, state) in addrs.iter().zip(states) {
-                *state = match (self.listeners.contains(addr), port == 4840) {
-                    (false, _) => crate::PortState::NoHost,
-                    (true, false) => crate::PortState::Closed,
-                    (true, true) => crate::PortState::Open,
-                };
+        fn syn(&self, addr: Ipv4, port: u16) -> crate::PortState {
+            self.syns.fetch_add(1, Ordering::SeqCst);
+            match (self.listeners.contains(&addr), port == 4840) {
+                (false, _) => crate::PortState::NoHost,
+                (true, false) => crate::PortState::Closed,
+                (true, true) => crate::PortState::Open,
+            }
+        }
+        fn listeners(&self, port: u16) -> Vec<Ipv4> {
+            self.listener_lists.fetch_add(1, Ordering::SeqCst);
+            if port == 4840 {
+                self.listeners.clone()
+            } else {
+                Vec::new()
             }
         }
         fn route(&self, _addr: Ipv4, _port: u16) -> crate::Route {
@@ -1057,38 +1126,38 @@ mod tests {
     }
 
     #[test]
-    fn resolver_is_consulted_once_per_batch() {
+    fn plan_asks_the_resolver_for_listeners_once() {
         let universe: Cidr = "10.6.0.0/16".parse().unwrap();
-        let listeners: HashSet<Ipv4> = (0..40u32)
+        let listeners: Vec<Ipv4> = (0..40u32)
             .map(|i| Ipv4(universe.base.0 + i * 1601 + 7))
             .collect();
         let resolver = Arc::new(CountingResolver {
             listeners: listeners.clone(),
-            calls: Default::default(),
+            syns: Default::default(),
+            listener_lists: Default::default(),
         });
         let net = Internet::new(VirtualClock::starting_at(0));
         net.set_resolver(resolver.clone());
         let blocklist = Blocklist::new();
-        let scanner = SynScanner::new(&net, &blocklist, SweepConfig::default());
-        let batches = (universe.size() as usize).div_ceil(SWEEP_BATCH);
         for shards in [1u64, 4] {
-            resolver.calls.store(0, std::sync::atomic::Ordering::SeqCst);
+            resolver.syns.store(0, Ordering::SeqCst);
+            resolver.listener_lists.store(0, Ordering::SeqCst);
+            let mut rng = StdRng::seed_from_u64(17);
+            let plan = SweepPlan::new(&net, &blocklist, 4840, &[universe], &mut rng);
             let mut found = HashSet::new();
-            let mut stats = SweepStats::default();
             for shard in 0..shards {
-                let mut rng = StdRng::seed_from_u64(17);
-                stats = stats
-                    + scanner.sweep_shard(&[universe], &mut rng, shard, shards, |_, addr| {
-                        found.insert(addr);
-                    });
+                for (_, addr) in plan.shard(shard, shards) {
+                    assert!(found.insert(addr), "shards={shards}: {addr} twice");
+                }
             }
-            assert_eq!(found, listeners, "shards={shards}");
-            assert_eq!(stats.probes_sent, universe.size(), "shards={shards}");
             assert_eq!(
-                resolver.calls.load(std::sync::atomic::Ordering::SeqCst),
-                batches,
-                "shards={shards}: one resolver call per batch of {SWEEP_BATCH}"
+                found,
+                listeners.iter().copied().collect(),
+                "shards={shards}"
             );
+            assert_eq!(plan.stats().probes_sent, universe.size(), "shards={shards}");
+            assert_eq!(resolver.listener_lists.load(Ordering::SeqCst), 1);
+            assert_eq!(resolver.syns.load(Ordering::SeqCst), 0, "shards={shards}");
         }
     }
 

@@ -11,12 +11,13 @@
 //! from [`crate::spec::plan_referrals`]. Departures, moves and arrivals
 //! update the map, so it is the only occupancy record there is. The
 //! core is the [`netsim::HostResolver`] of the Internet it deploys on:
-//! it answers the sweep's "who sits here?" with one probe of that map
-//! per address, builds a host the moment a connection first reaches
-//! it, and serves it from the memo from then on. A built host lives
-//! there alone; the Internet's host table never holds it. Every world
-//! is built this way; [`crate::synthesize`] just materializes the whole
-//! fleet at once.
+//! it answers a SYN's "who sits here?" with one probe of that map and
+//! the sweep's "who listens on this port?" from its fates, builds a
+//! host the moment a connection first reaches it, and serves it from
+//! the memo from then on. A built host lives there alone; the
+//! Internet's host table never holds it. Every world is built this
+//! way; [`crate::synthesize`] just materializes the whole fleet at
+//! once.
 //! Because every RNG-derived field is a pure function of
 //! `(seed, host id, week)`, *when* a host is built never changes what
 //! it is — the equivalence tests in the scanner crate diff full record
@@ -780,15 +781,24 @@ fn apply_event(
 /// handle is gone (as [`crate::synthesize`] drops its own) until every
 /// clone of that Internet is dropped or a later world replaces it.
 impl HostResolver for WorldCore {
-    fn syn_batch(&self, port: u16, addrs: &[Ipv4], states: &mut [PortState]) {
+    fn syn(&self, addr: Ipv4, port: u16) -> PortState {
         let st = self.state_read();
-        for (&addr, state) in addrs.iter().zip(states) {
-            *state = match st.lookup(addr) {
-                None => PortState::NoHost,
-                Some(id) if st.fates[id as usize].port == port => PortState::Open,
-                Some(_) => PortState::Closed,
-            };
+        match st.lookup(addr) {
+            None => PortState::NoHost,
+            Some(id) if st.fates[id as usize].port == port => PortState::Open,
+            Some(_) => PortState::Closed,
         }
+    }
+
+    /// The living fates on `port`: a living fate's address is where the
+    /// address map places it, and no two share one.
+    fn listeners(&self, port: u16) -> Vec<Ipv4> {
+        self.state_read()
+            .fates
+            .iter()
+            .filter(|fate| fate.alive && fate.port == port)
+            .map(|fate| fate.address)
+            .collect()
     }
 
     fn route(&self, addr: Ipv4, port: u16) -> Route {
@@ -808,10 +818,11 @@ impl HostResolver for WorldCore {
 /// ports, addresses, referral wiring) and installs it as `net`'s
 /// resolver. The world holds one fate and one address-map entry per
 /// host (plus an entry per move) and nothing per universe address, so
-/// the universe can hold millions of addresses. A sweep's SYN probe of
-/// an address is one probe of that map; the first full connection to a
-/// host runs `build_host` for exactly that host, and the world serves
-/// it from then on (the Internet's host table never holds it).
+/// the universe can hold millions of addresses. A sweep asks it once
+/// for the listeners on its port, and a SYN to one address is one
+/// probe of that map; the first full connection to a host runs
+/// `build_host` for exactly that host, and the world serves it from
+/// then on (the Internet's host table never holds it).
 /// [`crate::synthesize`] is this world with every host materialized
 /// up front; scans of the two are byte-identical at any scanner worker
 /// count.
@@ -875,13 +886,13 @@ mod tests {
     use super::*;
     use crate::{ChurnConfig, EvolvingWorld, StrataMix};
     use netsim::{
-        Blocklist, Connection, ConnectionOutput, Service, SweepCursor, SweepStats, SweepWalk,
-        VirtualClock, SWEEP_BATCH,
+        Blocklist, Connection, ConnectionOutput, Service, SweepPlan, SweepStats, SweepWalk,
+        VirtualClock,
     };
 
     const EPOCH: u64 = 1_581_206_400;
 
-    /// 2048 + 256 + 32 addresses: not a multiple of [`SWEEP_BATCH`].
+    /// Three blocks: 2048 + 256 + 32 addresses.
     fn universe() -> Vec<Cidr> {
         ["10.60.0.0/21", "10.60.16.0/24", "10.60.32.0/27"]
             .iter()
@@ -898,25 +909,20 @@ mod tests {
         blocklist
     }
 
-    /// Every shard's batched classification equals a replay that asks
-    /// [`Internet::has_listener`] one walked address at a time. Returns
-    /// the single-shard responsive addresses.
-    fn assert_batches_match_replay(net: &Internet, blocklist: &Blocklist) -> Vec<Ipv4> {
+    /// Every shard of the sweep's plan equals a replay of that shard's
+    /// walk that asks [`Internet::has_listener`] one address at a time,
+    /// and the plan's counts equal the unsharded replay's. Returns the
+    /// responsive addresses in walk order.
+    fn assert_plan_matches_replay(net: &Internet, blocklist: &Blocklist) -> Vec<Ipv4> {
         let universe = universe();
-        assert_ne!(
-            universe.iter().map(Cidr::size).sum::<u64>() % SWEEP_BATCH as u64,
-            0
-        );
+        let seed = || StdRng::seed_from_u64(9);
+        let plan = SweepPlan::new(net, blocklist, 4840, &universe, &mut seed());
         let mut responsive = Vec::new();
         for shards in [1u64, 4] {
             for shard in 0..shards {
-                let walk =
-                    || SweepWalk::new(&universe, &mut StdRng::seed_from_u64(9), shard, shards);
-                let mut cursor = SweepCursor::new(net, blocklist, 4840, walk());
-                let batched: Vec<(u64, Ipv4)> = cursor.by_ref().collect();
                 let mut replayed = Vec::new();
                 let mut stats = SweepStats::default();
-                for (pos, addr) in walk() {
+                for (pos, addr) in SweepWalk::new(&universe, &mut seed(), shard, shards) {
                     if blocklist.contains(addr) {
                         stats.blocklisted += 1;
                         continue;
@@ -927,10 +933,11 @@ mod tests {
                         replayed.push((pos, addr));
                     }
                 }
-                assert_eq!(batched, replayed, "shard {shard}/{shards}");
-                assert_eq!(cursor.stats(), stats, "shard {shard}/{shards}");
+                let planned: Vec<(u64, Ipv4)> = plan.shard(shard, shards).collect();
+                assert_eq!(planned, replayed, "shard {shard}/{shards}");
                 if shards == 1 {
-                    responsive = batched.into_iter().map(|(_, addr)| addr).collect();
+                    assert_eq!(plan.stats(), stats);
+                    responsive = planned.into_iter().map(|(_, addr)| addr).collect();
                 }
             }
         }
@@ -951,13 +958,13 @@ mod tests {
         let cfg = PopulationConfig::new(41, universe(), StrataMix::paper_like(80));
         let world = LazyWorld::deploy(&net, &cfg);
         let blocklist = holed_blocklist();
-        let responsive = assert_batches_match_replay(&net, &blocklist);
+        let responsive = assert_plan_matches_replay(&net, &blocklist);
         touch(&net, &responsive, 3);
         assert!(world.stats().hosts_materialized > 0);
-        let after = assert_batches_match_replay(&net, &blocklist);
+        let after = assert_plan_matches_replay(&net, &blocklist);
         assert_eq!(after, responsive, "materialization changes no verdict");
         // The holes hid some planted listeners.
-        let open = assert_batches_match_replay(&net, &Blocklist::new());
+        let open = assert_plan_matches_replay(&net, &Blocklist::new());
         assert!(open.len() > responsive.len());
     }
 
@@ -973,7 +980,7 @@ mod tests {
         };
         let mut world = EvolvingWorld::new_lazy(&net, &cfg, churn);
         let blocklist = holed_blocklist();
-        let responsive = assert_batches_match_replay(&net, &blocklist);
+        let responsive = assert_plan_matches_replay(&net, &blocklist);
         touch(&net, &responsive, 2);
         for week in 1..=2 {
             net.clock().advance_seconds(7 * 86_400);
@@ -984,9 +991,9 @@ mod tests {
         let history = world.history();
         assert!(history.iter().any(|w| w.departures() > 0 && w.moves() > 0));
         assert!(history.iter().any(|w| w.arrivals() > 0));
-        let moved = assert_batches_match_replay(&net, &blocklist);
+        let moved = assert_plan_matches_replay(&net, &blocklist);
         touch(&net, &moved, 3);
-        assert_batches_match_replay(&net, &blocklist);
+        assert_plan_matches_replay(&net, &blocklist);
     }
 
     /// The address map against an oracle that does not read it: after
@@ -1369,7 +1376,7 @@ mod tests {
         let cfg = PopulationConfig::new(47, universe(), StrataMix::paper_like(80));
         let _world = LazyWorld::deploy(&net, &cfg);
         let blocklist = holed_blocklist();
-        let planted = assert_batches_match_replay(&net, &blocklist);
+        let planted = assert_plan_matches_replay(&net, &blocklist);
         // An eager listener where the resolver sees nothing, and an
         // eager host with the port closed over a planted listener.
         let extra = (0..256)
@@ -1381,7 +1388,7 @@ mod tests {
         let shadowed = planted[planted.len() / 2];
         net.add_host(shadowed, 2_000);
         net.bind(shadowed, 80, Arc::new(Nop));
-        let swept = assert_batches_match_replay(&net, &blocklist);
+        let swept = assert_plan_matches_replay(&net, &blocklist);
         assert!(swept.contains(&extra));
         assert!(!swept.contains(&shadowed));
         assert_eq!(swept.len(), planted.len());

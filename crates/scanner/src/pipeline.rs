@@ -12,17 +12,17 @@
 //! ## Workers
 //!
 //! Probes run on [`crate::sched`]'s shards, each probing one target at a
-//! time. [`ScanConfig::workers`] runs N of them on N threads: every shard
-//! walks the *same* zmap permutation (the walk is a function of the seed
-//! alone) but admits only the steps `pos % workers == shard`, and an
-//! N-way merge joins the N sorted streams back into exact discovery
-//! order. Each shard's sweep admissions come from a
-//! [`netsim::SweepCursor`], the one copy of the sweep's per-address
-//! classification (blocklist → probe counted → listener check) that
-//! `netsim::SynScanner` drains too; it classifies
-//! [`netsim::SWEEP_BATCH`] walk steps per pass of its walk kernel and
-//! per resolver call. The output is **byte-identical for a fixed seed
-//! regardless of worker count**, because:
+//! time. Each sweep phase first builds one [`netsim::SweepPlan`] on the
+//! caller's thread, the one copy of the sweep's classification
+//! (blocklist → probe counted → listener check) that
+//! `netsim::SynScanner` drains too: it reads the world once, before any
+//! shard starts, and holds the responsive targets of the zmap
+//! permutation (a function of the seed alone) sorted by walk step.
+//! [`ScanConfig::workers`] runs N shards on N threads; shard `s` admits
+//! only the targets at steps `pos % workers == s`, and an N-way merge
+//! joins the N sorted streams back into exact discovery order. The
+//! output is **byte-identical for a fixed seed regardless of worker
+//! count**, because:
 //!
 //! 1. every host is probed on an independent clock *fork* anchored at
 //!    the campaign epoch ([`netsim::VirtualClock::fork`] via
@@ -52,7 +52,7 @@ use crate::record::{DiscoveredVia, ScanRecord};
 use crate::sched::{CancelToken, Job, PendingUrl, PhaseEnv, SweepCheckpoint};
 use crate::suite::ProtocolSuite;
 use crate::url::OpcUrl;
-use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepCursor, SweepStats, SweepWalk, VirtualClock};
+use netsim::{Blocklist, Cidr, Internet, Ipv4, SweepPlan, SweepStats, VirtualClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -317,25 +317,31 @@ impl Scanner {
             };
             let follows = suite.follows_referrals();
             if !state.sweep_done {
+                // A resumed phase plans its sweep again and admits only
+                // the targets from `next_step` on: they are sorted, so
+                // that is a cut.
+                let plan = SweepPlan::new(
+                    &self.internet,
+                    &self.blocklist,
+                    port,
+                    universe,
+                    &mut StdRng::seed_from_u64(seed),
+                );
                 let resume_at = state.next_step;
-                let step = env.run_shards(
+                let complete = env.run_shards(
                     workers,
                     Some(cancel),
-                    |shard| SweepJobs {
-                        cursor: SweepCursor::new(
-                            &self.internet,
-                            &self.blocklist,
-                            port,
-                            SweepWalk::new(
-                                universe,
-                                &mut StdRng::seed_from_u64(seed),
-                                shard as u64,
-                                workers as u64,
-                            ),
-                        ),
-                        port,
-                        seed,
-                        resume_at,
+                    |shard| {
+                        plan.shard(shard as u64, workers as u64)
+                            .skip_while(move |&(pos, _)| pos < resume_at)
+                            .map(move |(pos, addr)| Job {
+                                ordinal: pos,
+                                addr,
+                                port,
+                                via: DiscoveredVia::Sweep,
+                                seed: seed ^ u64::from(addr.0),
+                                listening: true,
+                            })
                     },
                     &mut |pos, record, micros| {
                         // ua-lint: allow(panic-hygiene) -- sweep admission only emits jobs with a listener
@@ -351,14 +357,12 @@ impl Scanner {
                         !cancel.is_cancelled()
                     },
                 );
-                if !step.complete {
+                if !complete {
                     return ScanOutcome::Aborted {
                         checkpoint: Box::new(state),
                     };
                 }
-                for jobs in &step.jobs {
-                    state.summary.sweep = state.summary.sweep + jobs.cursor.stats();
-                }
+                state.summary.sweep = state.summary.sweep + plan.stats();
                 state.sweep_done = true;
             }
 
@@ -486,34 +490,6 @@ impl Scanner {
         let mut records = Vec::new();
         let summary = self.scan_with(universe, seed, |r| records.push(r));
         (summary, records)
-    }
-}
-
-/// Admission side of one sweep shard: the shard's [`SweepCursor`] —
-/// netsim's one copy of the sweep classification, so the counters sum
-/// to the sweep's — turned into probe jobs. A resumed sweep recounts
-/// every step but admits only steps from `resume_at` on.
-struct SweepJobs<'a> {
-    cursor: SweepCursor<'a>,
-    port: u16,
-    seed: u64,
-    resume_at: u64,
-}
-
-impl Iterator for SweepJobs<'_> {
-    type Item = Job;
-
-    fn next(&mut self) -> Option<Job> {
-        let resume_at = self.resume_at;
-        let (pos, addr) = self.cursor.find(|&(pos, _)| pos >= resume_at)?;
-        Some(Job {
-            ordinal: pos,
-            addr,
-            port: self.port,
-            via: DiscoveredVia::Sweep,
-            seed: self.seed ^ u64::from(addr.0),
-            listening: true,
-        })
     }
 }
 

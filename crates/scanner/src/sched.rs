@@ -147,10 +147,9 @@ pub struct PendingUrl {
 ///
 /// Records leave the scan in permutation-walk order at any worker
 /// count, so "every sweep record before walk step `next_step`" names
-/// exactly the emitted prefix. Resume re-walks the current phase,
-/// recounts its sweep stats, and admits only steps from `next_step`
-/// on; whatever was probed ahead at the abort is re-probed from
-/// scratch. Because record contents are a pure function of
+/// exactly the emitted prefix. Resume re-plans the current phase's
+/// sweep and admits only its targets from `next_step` on; whatever was
+/// probed ahead at the abort is re-probed from scratch. Because record contents are a pure function of
 /// `(host, port, seed, epoch)`, the stitched stream
 /// `aborted-run records ++ resumed-run records` is byte-identical to an
 /// uninterrupted run — and since nothing in the checkpoint names a
@@ -184,7 +183,7 @@ pub struct SweepCheckpoint {
     /// The campaign summary over the records emitted so far:
     /// `started_unix`, host and fault counts, referral counters, and the
     /// sweep counters of every phase whose sweep completed (a phase
-    /// aborted mid-sweep is recounted from scratch on resume).
+    /// aborted mid-sweep is re-planned, and so recounted, on resume).
     /// Completion fills in `certs` and `finished_unix`.
     pub summary: ScanSummary,
     /// Index (into [`crate::probe::ScanConfig::suites`], in port order)
@@ -212,8 +211,8 @@ pub struct SweepCheckpoint {
 // The shards
 // ---------------------------------------------------------------------------
 
-/// One unit of admission: a target the walk classified as listening
-/// (or a dead referral target that still owes a connect-time charge).
+/// One unit of admission: a target the sweep plan found listening (or
+/// a dead referral target that still owes a connect-time charge).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
     /// Emission key: walk step for sweep jobs, level index for
@@ -227,16 +226,6 @@ pub(crate) struct Job {
     /// False for referral targets with no listener: resolved with a
     /// single timed connect.
     pub listening: bool,
-}
-
-/// What one run of a phase step — the sweep or one referral level —
-/// left behind.
-pub(crate) struct ShardRun<J> {
-    /// Every job of every shard was emitted.
-    pub complete: bool,
-    /// Each shard's job iterator after the run, in shard order (the
-    /// sweep's carry the shard's counters).
-    pub jobs: Vec<J>,
 }
 
 /// One result leaving a shard: ordinal, record (`None` for a dead
@@ -260,6 +249,7 @@ impl PhaseEnv<'_> {
     /// jobs `jobs(s)` yields, and hands every result to `emit` strictly
     /// in ordinal order. `emit` returns false to stop the step; when
     /// `cancel` is `Some`, the shards also poll it before every probe.
+    /// Returns true when every job of every shard was emitted.
     ///
     /// One shard runs inline on the caller's thread. More run on scoped
     /// threads, each feeding a bounded channel of
@@ -272,17 +262,12 @@ impl PhaseEnv<'_> {
         cancel: Option<&CancelToken>,
         jobs: impl Fn(usize) -> J + Sync,
         emit: &mut dyn FnMut(u64, Option<ScanRecord>, u64) -> bool,
-    ) -> ShardRun<J>
+    ) -> bool
     where
         J: Iterator<Item = Job> + Send,
     {
         if shards <= 1 {
-            let mut shard_jobs = jobs(0);
-            let complete = self.run_shard(&mut shard_jobs, cancel, emit);
-            return ShardRun {
-                complete,
-                jobs: vec![shard_jobs],
-            };
+            return self.run_shard(&mut jobs(0), cancel, emit);
         }
         let capacity = self.config.effective_channel_capacity();
         std::thread::scope(|scope| {
@@ -293,13 +278,10 @@ impl PhaseEnv<'_> {
                 rxs.push(rx);
                 let (env, jobs) = (*self, &jobs);
                 handles.push(scope.spawn(move || {
-                    let mut shard_jobs = jobs(shard);
                     // A closed channel means the merge stopped.
-                    let complete =
-                        env.run_shard(&mut shard_jobs, cancel, &mut |ordinal, record, micros| {
-                            tx.send((ordinal, record, micros)).is_ok()
-                        });
-                    (complete, shard_jobs)
+                    env.run_shard(&mut jobs(shard), cancel, &mut |ordinal, record, micros| {
+                        tx.send((ordinal, record, micros)).is_ok()
+                    })
                 }));
             }
             // N-way merge. Blocking on one shard is fine: the others run
@@ -325,17 +307,12 @@ impl PhaseEnv<'_> {
             }
             // Unblock shards waiting on a full channel, then join them.
             drop(rxs);
-            let mut out = ShardRun {
-                complete: !stopped,
-                jobs: Vec::with_capacity(shards),
-            };
+            let mut complete = !stopped;
             for handle in handles {
                 // ua-lint: allow(panic-hygiene) -- re-raise a worker panic on the merging thread
-                let (complete, shard_jobs) = handle.join().expect("scan shard panicked");
-                out.complete &= complete;
-                out.jobs.push(shard_jobs);
+                complete &= handle.join().expect("scan shard panicked");
             }
-            out
+            complete
         })
     }
 
